@@ -16,9 +16,10 @@ Two suites:
   numbers to ``BENCH_elastic.json``.
 * ``--suite citynet`` — runs ``benchmarks/test_micro_citynet.py`` (the
   distance oracle at 100k+-edge city scale: ALT-pruned GNN >= 3x over
-  exact full rows under the same row-cache byte budget, plus the
-  always-armed cache byte ceiling) and appends the numbers to
-  ``BENCH_citynet.json``.
+  exact full rows under the same row-cache byte budget, the
+  always-armed cache byte ceiling, and a small-radius network ball
+  >= 20x over the whole-graph coverage loop) and appends the numbers
+  to ``BENCH_citynet.json``.
 * ``--suite fleet`` — runs ``benchmarks/test_micro_fleet.py`` with the
   ``metro_fleet`` preset (100,800 declared sessions streamed lazily
   through spawned worker processes, seeded replay spot-check on) and
@@ -52,6 +53,7 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = Path(__file__).resolve().parent
 GATE_MIN_SPEEDUP = 3.0
+BALL_GATE_MIN_SPEEDUP = 20.0
 
 
 class _Collector:
@@ -254,6 +256,7 @@ def record_citynet() -> int:
     speedup = exact_s / alt_s
     cache = recorded.get("cache", {})
     stats = recorded.get("alt_stats", {})
+    ball = recorded.get("ball_coverage", {})
     entry = {
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "commit": _git_commit(),
@@ -266,10 +269,14 @@ def record_citynet() -> int:
             "alt_prune_rate": stats.get("alt_prune_rate"),
             "landmark_bytes": stats.get("landmark_bytes"),
             "cache": cache,
+            "ball_coverage": ball,
         },
         "gate": {
             "alt_min_speedup": GATE_MIN_SPEEDUP,
             "passed": speedup >= GATE_MIN_SPEEDUP,
+            "ball_min_speedup": BALL_GATE_MIN_SPEEDUP,
+            "ball_passed": bool(ball)
+            and ball["speedup"] >= BALL_GATE_MIN_SPEEDUP,
             "byte_ceiling_held": bool(cache)
             and cache["resident_bytes"] <= cache["budget_bytes"],
         },
@@ -280,6 +287,13 @@ def record_citynet() -> int:
         f"alt {alt_s * 1000.0:.1f} ms, prune rate "
         f"{stats.get('alt_prune_rate', float('nan')):.3f})"
     )
+    if ball:
+        print(
+            f"  ball        {ball['speedup']:7.1f}x (whole graph "
+            f"{ball['whole_graph_seconds'] * 1000.0:.1f} ms, ball "
+            f"{ball['ball_seconds'] * 1000.0:.3f} ms, "
+            f"{ball['covered_edges']} of {ball['graph_edges']} edges)"
+        )
     if cache:
         print(
             f"  row cache   {cache['resident_bytes']} / "

@@ -8,7 +8,7 @@ cache — the exact path recomputes rows every call.  The oracle's ALT
 landmark pruning + bounded-radius Dijkstra answers the same GNNs
 bit-identically while touching only the small ball around each group.
 
-Two gates:
+Three gates:
 
 * ``test_alt_speedup`` — ALT-pruned GNN >= 3x faster than the exact
   full-row path under the *same* row-cache byte budget (the honest
@@ -17,6 +17,11 @@ Two gates:
 * ``test_row_cache_byte_ceiling`` — the resident row cache stays under
   its configured byte budget while evicting, ALWAYS armed (CI
   included): it checks an invariant, not a timing.
+* ``test_ball_coverage_scales_with_ball`` — building a small-radius
+  :class:`~repro.network_ext.ball.NetworkBall` and sizing it for the
+  wire costs what it covers (< 1 % of the edges), >= 20x faster than
+  the whole-graph loop it replaced.  The equality half (same segments,
+  same order, same wire size) is always armed.
 
 ``CITYNET_GRID`` shrinks the graph for smoke runs (CI uses 120).
 """
@@ -31,6 +36,7 @@ import time
 import pytest
 
 from repro.index.oracle import OracleConfig, oracle_for
+from repro.network_ext.ball import NetworkBall
 from repro.network_ext.space import NetworkSpace
 from repro.space.network import NetworkPOISpace
 from repro.workloads import city_graph, city_poi_nodes, city_user_group
@@ -41,6 +47,8 @@ GROUP_SIZE = 4
 N_GROUPS = 6
 CACHE_ROWS = 12  # both sides: rows resident under the byte budget
 LANDMARKS = 16
+BALL_RADIUS = 4.0  # travel-time units: a few blocks around the user
+BALL_MIN_SPEEDUP = 20.0
 KINDS = ["exact-rows", "alt-pruned"]
 
 RECORDED: dict[str, dict] = {}
@@ -192,3 +200,74 @@ def test_row_cache_byte_ceiling(exact_space, graph):
         "resident_rows": oracle.resident_rows,
         "evictions": oracle.evictions,
     }
+
+
+def _whole_graph_ball(space, center, radius):
+    """The loop NetworkBall replaced: merge the anchors' full distance
+    maps into one dict, then test every edge of the graph.  Returns
+    ``(segments, wire_values)``."""
+    inf = float("inf")
+    node_dist: dict = {}
+    for node, d0 in space.anchors(center):
+        for target, d in space.node_distances(node).items():
+            if d0 + d < node_dist.get(target, inf):
+                node_dist[target] = d0 + d
+    segments = []
+    for u, v in space.graph.edges:
+        length = space.edge_length(u, v)
+        cover_u = max(0.0, min(length, radius - node_dist.get(u, inf)))
+        cover_v = max(0.0, min(length, radius - node_dist.get(v, inf)))
+        if cover_u > 0.0 or cover_v > 0.0:
+            segments.append((u, v, cover_u, cover_v))
+    return segments, 3 * len(segments) + 1
+
+
+def _best_of(fn, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def test_ball_coverage_scales_with_ball(alt_space, graph, user_groups):
+    """A ball costs what it covers, not what the city holds."""
+    space = alt_space.space
+    center = user_groups[0][0]
+
+    def build():
+        ball = NetworkBall(space, center, BALL_RADIUS)
+        return ball, ball.wire_values()
+
+    # The ball first: the reference leaves the anchors' full rows in
+    # the oracle's cache, which would spare the ball its Dijkstra.
+    new_seconds, (ball, values) = _best_of(build, 5)
+    ref_seconds, (segments, ref_values) = _best_of(
+        lambda: _whole_graph_ball(space, center, BALL_RADIUS), 2
+    )
+    # Always armed: the same region, edge for edge, in the same order.
+    assert ball.covered_segments() == segments
+    assert values == ref_values
+    assert 0 < len(segments) < 0.01 * graph.number_of_edges()
+    ratio = ref_seconds / new_seconds
+    RECORDED["ball_coverage"] = {
+        "radius": BALL_RADIUS,
+        "covered_edges": len(segments),
+        "graph_edges": graph.number_of_edges(),
+        "whole_graph_seconds": ref_seconds,
+        "ball_seconds": new_seconds,
+        "speedup": ratio,
+    }
+    print(
+        f"\nball construct + wire_values at {GRID}x{GRID} city, "
+        f"{len(segments)} of {graph.number_of_edges()} edges covered: "
+        f"{ratio:6.1f}x over the whole-graph loop "
+        f"({ref_seconds * 1e3:.1f} ms -> {new_seconds * 1e3:.3f} ms)"
+    )
+    if os.environ.get("CI"):
+        pytest.skip("shared CI runner: ratio reported above, not gated")
+    assert ratio >= BALL_MIN_SPEEDUP, (
+        f"small-radius ball only {ratio:.1f}x faster than the whole-graph "
+        f"loop at {GRID}x{GRID} city scale (gate: >= {BALL_MIN_SPEEDUP:.0f}x)"
+    )

@@ -325,21 +325,6 @@ class NetworkIndex:
         row = self._oracle.row(self._node_id[node_a])
         return float(row[self._node_id[node_b]])
 
-    def bounded_distance_map(
-        self, node: Hashable, cutoff: float
-    ) -> dict[Hashable, float]:
-        """``{target: distance}`` for every node within ``cutoff``.
-
-        The bounded-radius provider behind
-        :meth:`NetworkSpace.node_distances_within`: entries present are
-        bit-identical to the full map's, absent targets are farther
-        than ``cutoff``.
-        """
-        row = self._oracle.bounded_row(self._node_id[node], cutoff)
-        reached = np.flatnonzero(np.isfinite(row))
-        values = row[reached].tolist()
-        return {self._nodes[i]: d for i, d in zip(reached.tolist(), values)}
-
     def _row(self, node_id: int) -> np.ndarray:
         return self._oracle.row(node_id)
 

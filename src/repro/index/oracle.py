@@ -114,7 +114,9 @@ class DistanceOracle:
     ``length`` edge attributes (a
     :class:`~repro.network_ext.space.NetworkSpace`).  The graph is
     packed once and assumed immutable; all public methods return exact
-    shortest-path values.
+    shortest-path values.  Next to the CSR arrays sits the undirected
+    edge table (``edge_u`` / ``edge_v`` / :meth:`incident_edges`) that
+    network regions read their coverage from.
 
     ``scipy_hook`` is a zero-argument callable returning the
     ``(csr_matrix, dijkstra)`` pair to use — resolved at *compute*
@@ -139,7 +141,9 @@ class DistanceOracle:
             node: i for i, node in enumerate(self.nodes)
         }
         n = len(self.nodes)
-        # CSR adjacency: both directions of every undirected edge.
+        # CSR adjacency: both directions of every undirected edge, edge
+        # ``e`` of ``graph.edges`` contributing entries ``2e`` (from its
+        # first endpoint) and ``2e + 1`` (from its second).
         src: list[int] = []
         dst: list[int] = []
         wgt: list[float] = []
@@ -155,6 +159,13 @@ class DistanceOracle:
         np.cumsum(np.bincount(src_arr, minlength=n), out=self.indptr[1:])
         self.indices = np.asarray(dst, dtype=np.int64)[order]
         self.weights = np.asarray(wgt, dtype=np.float64)[order]
+        # The undirected edge table, in ``graph.edges`` order: endpoint
+        # ids per edge, and the edge behind every CSR slot — so
+        # ``slot_edge[indptr[i]:indptr[i + 1]]`` are node ``i``'s
+        # incident edges (region coverage walks these, never the graph).
+        self.edge_u = src_arr[0::2].copy()
+        self.edge_v = src_arr[1::2].copy()
+        self.slot_edge = order // 2
         self._csgraph = None  # scipy matrix view, built on first use
         self.row_bytes = n * np.dtype(np.float64).itemsize
         self._max_rows = (
@@ -204,6 +215,12 @@ class DistanceOracle:
     def edge_count(self) -> int:
         return len(self.indices) // 2
 
+    def incident_edges(self, node_id: int) -> list[int]:
+        """The edges touching ``node_id``, as indices into ``graph.edges``
+        order (``edge_u`` / ``edge_v``) — O(degree), whatever the graph."""
+        lo, hi = self.indptr[node_id], self.indptr[node_id + 1]
+        return self.slot_edge[lo:hi].tolist()
+
     def has_row(self, node_id: int) -> bool:
         """Is the full row resident (no counter or recency effects)?"""
         return node_id in self._rows
@@ -217,7 +234,11 @@ class DistanceOracle:
 
     def row(self, node_id: int) -> np.ndarray:
         """The full exact distance row from ``node_id`` (cached)."""
-        return self.rows([node_id])[node_id]
+        row = self.cached_row(node_id)
+        if row is None:
+            return self.rows([node_id])[node_id]
+        self.hits += 1
+        return row
 
     def rows(self, node_ids: Sequence[int]) -> dict[int, np.ndarray]:
         """Full rows for every source, one multi-source dispatch for the

@@ -1,24 +1,36 @@
 """Network balls: range-search regions over road segments.
 
 The network analogue of the circular safe region: all positions within
-network distance ``r`` of a center.  Materialized as per-edge coverage:
-for edge ``(u, v)`` of length ``L``, the covered set is the union of a
+network distance ``r`` of a center.  Read as per-edge coverage: for
+edge ``(u, v)`` of length ``L``, the covered set is the union of a
 prefix ``[0, cover_u]`` (reached via ``u``) and a suffix
 ``[L - cover_v, L]`` (reached via ``v``), where ``cover_u = max(0,
 r - d(c, u))``.  This is exactly the "range search region over road
 segments" the paper's conclusion sketches.
+
+Cost model: construction is a few array passes over the anchor rows of
+the space's shared :class:`~repro.index.oracle.DistanceOracle` (bounded
+rows at city scale); coverage, the wire size and containment then walk
+only the covered nodes' incident edges in the oracle's edge table —
+O(covered), whatever the size of the graph.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from repro.index.oracle import padded_cutoff
+import numpy as np
+
+from repro.index.oracle import oracle_for, padded_cutoff
 from repro.network_ext.space import NetworkPosition, NetworkSpace
+
+_INF = float("inf")
 
 
 class NetworkBall:
-    """The set of network positions within distance ``r`` of ``center``."""
+    """The set of network positions within distance ``r`` of ``center``,
+    held as ``{node id: exact distance}`` for the nodes within the
+    radius only."""
 
     def __init__(self, space: NetworkSpace, center: NetworkPosition, radius: float):
         if radius < 0.0:
@@ -26,61 +38,59 @@ class NetworkBall:
         self.space = space
         self.center = center
         self.radius = radius
-        # Distance from the center to every node.  With a bounded
-        # provider on the space, each anchor map settles only the ball
-        # it can reach (early-exit Dijkstra, cutoff padded so rounded
-        # boundary sums never fall out); otherwise the full map, as
-        # before.  Either way, every stored value <= radius is the
-        # exact min over all anchors — a bounded map is guaranteed to
-        # contain every target whose anchor total stays within radius.
-        self._bounded = space.bounded_distances_active
-        self._node_dist: dict[Hashable, float] = {}
-        self._exact_dist: dict[Hashable, float] = {}
-        for node, d0 in space.anchors(center):
-            if self._bounded:
-                targets = space.node_distances_within(
-                    node, padded_cutoff(radius, d0)
-                )
+        oracle = self._oracle = oracle_for(space)
+        self._anchors = [
+            (oracle.node_id[node], d0) for node, d0 in space.anchors(center)
+        ]
+        # min over anchors of ``d0 + row``.  A bounded row (early-exit
+        # Dijkstra, cutoff padded so rounded boundary sums never fall
+        # out) holds every target whose anchor total stays within the
+        # radius, so either kind of row makes each value <= radius the
+        # exact min over all anchors — and only those are kept.
+        bounded = oracle.bounded_active
+        dist = None
+        for anchor, d0 in self._anchors:
+            if bounded:
+                row = oracle.bounded_row(anchor, padded_cutoff(radius, d0))
             else:
-                targets = space.node_distances(node)
-            for target, d in targets.items():
-                total = d0 + d
-                old = self._node_dist.get(target)
-                if old is None or total < old:
-                    self._node_dist[target] = total
+                row = oracle.row(anchor)
+            total = d0 + row
+            dist = total if dist is None else np.minimum(dist, total)
+        inside = np.flatnonzero(dist <= radius)
+        self._dist: dict[int, float] = dict(
+            zip(inside.tolist(), dist[inside].tolist())
+        )
 
     def node_distance(self, node: Hashable) -> float:
         """Exact center-to-node distance.
 
-        In bounded mode the materialized map only proves distances up
-        to the radius: a missing node — or a stored boundary value
-        above it, which may come from a non-minimizing anchor — is
-        resolved with one exact pair query and memoized.  (Coverage
-        never needs that fallback: every value at or under the radius
-        is exact, and anything beyond covers nothing either way.)
+        Nodes beyond the radius are not materialized: they are resolved
+        from the oracle's full anchor rows on demand and memoized next
+        to the rest (coverage ignores anything beyond the radius, so
+        the extra entries change no other answer).
         """
-        d = self._node_dist.get(node, float("inf"))
-        if self._bounded and d > self.radius:
-            exact = self._exact_dist.get(node)
-            if exact is None:
-                exact = self.space.distance(
-                    self.center, NetworkPosition.at_node(node)
-                )
-                self._exact_dist[node] = exact
-            return exact
+        i = self._oracle.node_id.get(node)
+        if i is None:
+            return _INF
+        d = self._dist.get(i)
+        if d is None:
+            d = self._dist[i] = min(
+                d0 + float(self._oracle.row(anchor)[i])
+                for anchor, d0 in self._anchors
+            )
         return d
 
-    def _coverage_distance(self, node: Hashable) -> float:
-        """The materialized map value only — exact at or under the
-        radius, and anything beyond (or absent) covers zero length in
-        either mode, so coverage never pays the exact fallback."""
-        return self._node_dist.get(node, float("inf"))
+    def _cover(self, node: Hashable) -> float:
+        """``radius - distance`` as far as materialized: anything beyond
+        the radius (or absent) covers zero length either way, so
+        coverage never pays the exact fallback."""
+        return self.radius - self._dist.get(self._oracle.node_id.get(node), _INF)
 
     def edge_coverage(self, u: Hashable, v: Hashable) -> tuple[float, float]:
         """(cover_u, cover_v): covered prefix/suffix lengths of (u, v)."""
         length = self.space.edge_length(u, v)
-        cover_u = max(0.0, min(length, self.radius - self._coverage_distance(u)))
-        cover_v = max(0.0, min(length, self.radius - self._coverage_distance(v)))
+        cover_u = max(0.0, min(length, self._cover(u)))
+        cover_v = max(0.0, min(length, self._cover(v)))
         return cover_u, cover_v
 
     def _target_distance(self, target) -> float:
@@ -128,22 +138,37 @@ class NetworkBall:
                     return True
         return False
 
+    def _covered_edges(self) -> list[int]:
+        """Edge-table indices, ascending, of the edges with an endpoint
+        strictly inside the radius: those nodes' incident edges."""
+        incident = self._oracle.incident_edges
+        touched: set[int] = set()
+        for i, d in self._dist.items():
+            if d < self.radius:
+                touched.update(incident(i))
+        return sorted(touched)
+
     def covered_segments(self) -> list[tuple[Hashable, Hashable, float, float]]:
-        """All partially or fully covered edges as (u, v, cover_u, cover_v).
+        """Every edge covered from an endpoint, as (u, v, cover_u, cover_v)
+        in the graph's edge order.
 
         This is the wire representation: the server would ship these
         interval endpoints to the client (2 values per touched edge
         plus edge ids), replacing the 3-value circle of the Euclidean
-        setting.
+        setting.  An edge whose interior holds the center while both
+        endpoints lie beyond the radius has no endpoint coverage and is
+        not listed; :meth:`contains` answers it through the same-edge
+        shortcut.
         """
+        oracle = self._oracle
         out = []
-        for u, v in self.space.graph.edges:
-            cover_u, cover_v = self.edge_coverage(u, v)
-            if cover_u > 0.0 or cover_v > 0.0:
-                out.append((u, v, cover_u, cover_v))
+        for e in self._covered_edges():
+            u = oracle.nodes[oracle.edge_u[e]]
+            v = oracle.nodes[oracle.edge_v[e]]
+            out.append((u, v, *self.edge_coverage(u, v)))
         return out
 
     def wire_values(self) -> int:
         """Payload size in doubles for the packet model of Section 7.1."""
         # Edge id pair packed into one value + two interval endpoints.
-        return 3 * len(self.covered_segments()) + 1  # +1 for the radius
+        return 3 * len(self._covered_edges()) + 1  # +1 for the radius

@@ -3,8 +3,10 @@
 A :class:`NetworkPosition` is either a graph node or a point along an
 edge (``offset`` meters from the edge's ``u`` endpoint).  Distances are
 exact shortest-path lengths; single-source distance maps are computed
-with Dijkstra and cached per source node, so repeated queries (GNN
-aggregation, ball construction) stay cheap.
+with Dijkstra and cached per source node, so repeated queries (the
+brute-force GNN, tile verification) stay cheap.  Network balls do not
+use them: they read the shared oracle's array rows
+(:mod:`repro.network_ext.ball`).
 """
 
 from __future__ import annotations
@@ -53,18 +55,26 @@ class NetworkSpace:
     """
 
     def __init__(self, graph: nx.Graph):
+        total = 0
         for a, b, data in graph.edges(data=True):
-            if data.get("length", 0.0) <= 0.0:
+            length = data.get("length", 0.0)
+            if length <= 0.0:
                 raise ValueError(f"edge {(a, b)} lacks a positive length")
+            total += length
         if graph.number_of_nodes() == 0:
             raise ValueError("empty road network")
         if not nx.is_connected(graph):
             raise ValueError("road network must be connected")
         self.graph = graph
+        # The graph is immutable from here on: the raw adjacency dict
+        # answers edge lengths without a networkx view per call, and
+        # the total length (summed in ``graph.edges`` order) is fixed.
+        self._adj = graph._adj
+        self._total_edge_length = total
+        self._edge_list: Optional[list[tuple[Hashable, Hashable]]] = None
         self._sssp_cache: dict[Hashable, dict[Hashable, float]] = {}
         self._distance_provider = None
         self._pair_provider = None
-        self._bounded_provider = None
         # The shared DistanceOracle, installed lazily by
         # repro.index.oracle.oracle_for (one per graph, shared by every
         # POI replica and cluster epoch over this space).
@@ -99,11 +109,11 @@ class NetworkSpace:
         return cls(build_road_network(world, params, seed=seed))
 
     def edge_length(self, u: Hashable, v: Hashable) -> float:
-        return self.graph.edges[u, v]["length"]
+        return self._adj[u][v]["length"]
 
     def total_edge_length(self) -> float:
         """Total road length — a radius covering the whole network."""
-        return sum(self.edge_length(u, v) for u, v in self.graph.edges)
+        return self._total_edge_length
 
     def set_distance_provider(self, provider) -> None:
         """Install a faster exact SSSP backend for :meth:`node_distances`.
@@ -131,23 +141,13 @@ class NetworkSpace:
         """
         self._pair_provider = provider
 
-    def set_bounded_distance_provider(self, provider) -> None:
-        """Install a bounded-radius backend for :meth:`node_distances_within`.
-
-        ``provider(source, cutoff) -> {node: distance}`` must contain
-        every node within ``cutoff`` of ``source``, with exactly the
-        values the full map would hold; nodes beyond the cutoff may be
-        absent.  The CSR index installs its early-exit Dijkstra here
-        (:meth:`repro.index.network.NetworkIndex.bounded_distance_map`)
-        when the oracle's bounded mode is engaged, so ball construction
-        at city scale settles only the region it covers.
-        """
-        self._bounded_provider = provider
-
     @property
     def bounded_distances_active(self) -> bool:
-        """Do :meth:`node_distances_within` maps come radius-bounded?"""
-        return self._bounded_provider is not None
+        """Do regions over this space settle radius-bounded rows?  True
+        once the shared oracle is installed with bounded mode engaged
+        (:attr:`repro.index.oracle.DistanceOracle.bounded_active`)."""
+        oracle = self._distance_oracle
+        return oracle is not None and oracle.bounded_active
 
     def node_distances(self, source: Hashable) -> dict[Hashable, float]:
         """All-nodes shortest-path distances from ``source`` (cached)."""
@@ -161,21 +161,6 @@ class NetworkSpace:
                 )
             self._sssp_cache[source] = cached
         return cached
-
-    def node_distances_within(
-        self, source: Hashable, cutoff: float
-    ) -> dict[Hashable, float]:
-        """Shortest-path distances from ``source``, exact up to ``cutoff``.
-
-        With a bounded provider installed the map holds (at least)
-        every node within ``cutoff``, bit-identical to the full map's
-        values; without one it degrades to the full cached map — a
-        superset, which callers must tolerate.  Bounded maps are not
-        cached: they are radius-specific and cheap to recompute.
-        """
-        if self._bounded_provider is not None:
-            return self._bounded_provider(source, cutoff)
-        return self.node_distances(source)
 
     def anchors(self, pos: NetworkPosition) -> list[tuple[Hashable, float]]:
         """(node, distance-to-node) pairs anchoring a position."""
@@ -228,6 +213,8 @@ class NetworkSpace:
 
     def random_position(self, rng) -> NetworkPosition:
         """A uniformly random position along a random edge."""
-        edges = list(self.graph.edges)
+        if self._edge_list is None:
+            self._edge_list = list(self.graph.edges)
+        edges = self._edge_list
         u, v = edges[rng.randrange(len(edges))]
         return NetworkPosition.on_edge(u, v, rng.uniform(0.0, self.edge_length(u, v)))

@@ -59,13 +59,6 @@ class NetworkPOISpace:
         # Pair queries skip the {node: distance} dict entirely — one
         # row lookup instead of a full-map materialization per anchor.
         space.set_pair_distance_provider(self._index.node_pair_distance)
-        if self._index.oracle.bounded_active:
-            # City scale: safe-region construction settles only the
-            # ball it covers (early-exit Dijkstra) instead of paying a
-            # whole-graph row per anchor.
-            space.set_bounded_distance_provider(
-                self._index.bounded_distance_map
-            )
 
     @classmethod
     def from_grid(
