@@ -8,8 +8,9 @@ Two suites:
   ``BENCH_churn.json``, including the >= 3x Euclidean churn gate.
 * ``--suite wire`` — runs ``benchmarks/test_micro_wire.py`` (the TCP
   serving stack: sequential round-trip latency plus >= 8 concurrent
-  pipelining clients with the backpressure brake engaged) and appends
-  p50/p99 latency and throughput to ``BENCH_wire.json``.
+  pipelining clients with the backpressure brake engaged, and a
+  ``ProcessCluster(2)`` wave gated at one served request per worker)
+  and appends p50/p99 latency and throughput to ``BENCH_wire.json``.
 * ``--suite elastic`` — runs ``benchmarks/test_micro_elastic.py``
   (live reshard: migration latency, remap fraction, per-session wire
   handoff latency, with the minimal-remap gates armed) and appends the
@@ -154,18 +155,22 @@ def record_churn() -> int:
 def record_wire() -> int:
     collector = _Collector(
         "test_micro_wire",
-        ("N_POIS", "N_CLIENTS", "REQUESTS_PER_CLIENT", "MAX_INFLIGHT"),
+        (
+            "N_POIS", "N_CLIENTS", "REQUESTS_PER_CLIENT", "MAX_INFLIGHT",
+            "WAVE_SESSIONS", "WAVES",
+        ),
     )
     code = _run(collector, BENCH_DIR / "test_micro_wire.py")
     if code != 0:
         print("benchmark run failed; nothing recorded", file=sys.stderr)
         return code
     recorded = collector.recorded
-    if not {"wire_sequential", "wire_concurrent"} <= set(recorded):
+    if not {"wire_sequential", "wire_concurrent", "cluster_wave"} <= set(recorded):
         print("benchmark timings missing; nothing recorded", file=sys.stderr)
         return 1
 
     concurrent = recorded["wire_concurrent"]
+    wave = recorded["cluster_wave"]
     entry = {
         "recorded_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "commit": _git_commit(),
@@ -173,10 +178,13 @@ def record_wire() -> int:
         "results": {
             "wire_sequential": dict(recorded["wire_sequential"]),
             "wire_concurrent": dict(concurrent),
+            "cluster_wave": dict(wave),
         },
         "gate": {
             "backpressure_engaged": concurrent["backpressure_waits"] > 0,
             "min_concurrent_clients": collector.scale["n_clients"],
+            "wave_requests_per_worker": wave["requests_per_worker"],
+            "wave_control_ops": wave["control_ops"],
         },
     }
     _append(REPO_ROOT / "BENCH_wire.json", entry)
@@ -188,6 +196,11 @@ def record_wire() -> int:
         f"  concurrent  {concurrent['throughput_rps']:.0f} req/s  "
         f"p50 {concurrent['p50_ms']:.3f} ms  p99 {concurrent['p99_ms']:.3f} ms  "
         f"({concurrent['backpressure_waits']} backpressure waits)"
+    )
+    print(
+        f"  cluster wave  p50 {wave['p50_ms']:.3f} ms scattered vs "
+        f"{wave['one_worker_after_another_p50_ms']:.3f} ms one worker after "
+        f"another ({wave['speedup']:.2f}x)"
     )
     return 0
 

@@ -13,24 +13,41 @@ loopback TCP:
   *must* engage (asserted structurally, never skipped).  Recorded:
   total throughput (requests/s) plus p50/p99 under contention.
 
+* ``cluster_wave`` — one ``report_many`` wave spanning both workers of
+  a ``ProcessCluster(2)``.  Structural, always armed: the wave costs
+  each involved worker exactly **one** served request and no control
+  op (validation happens at the front door).  Timed: the scattered
+  wave against the same sub-batches sent to the workers one after
+  another; off CI the scatter must not be slower.
+
 Latency numbers print on every run and are appended to
 ``BENCH_wire.json`` by ``record_bench.py --suite wire``.  Absolute
 timings are not asserted (shared CI runners are noisy); the structural
-facts — every request answered, correct answers, backpressure engaged
-— always arm.
+facts — every request answered, correct answers, backpressure engaged,
+one request per worker per wave — always arm.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import random
 import statistics
 import time
 
-from repro.service import MemberState, MPNService, UpdateLocationsRequest
+import pytest
+
+from repro.service import (
+    MemberState,
+    MPNService,
+    ReportEvent,
+    UpdateLocationsRequest,
+)
 from repro.simulation.policies import circle_policy
 from repro.space import share_space
 from repro.transport import (
     AsyncWireClient,
+    ProcessCluster,
     RemoteBackend,
     ThreadedWireServer,
     UniformPoiSpaceFactory,
@@ -41,6 +58,8 @@ N_CLIENTS = 8  # the ISSUE's ">= 8 concurrent clients" bar
 REQUESTS_PER_CLIENT = 40
 MAX_INFLIGHT = 4  # small on purpose: the brake must engage
 SEQUENTIAL_REQUESTS = 120
+WAVE_SESSIONS = 80  # one event each per wave, split over two workers
+WAVES = 30  # per mode (scattered / one worker after another), interleaved
 
 FACTORY = UniformPoiSpaceFactory(n_pois=N_POIS, seed=13)
 
@@ -196,17 +215,95 @@ def test_wire_concurrent_throughput_with_backpressure(benchmark):
     )
 
 
+def test_cluster_wave_is_one_request_per_worker():
+    """A wave through ``ProcessCluster(2)``: what it costs the workers
+    (counted, always armed) and the driver (timed, armed off CI)."""
+    rng = random.Random(19)
+    world = _world()
+    with ProcessCluster(2, FACTORY) as cluster:
+        sessions = _fleet(cluster, WAVE_SESSIONS, seed=5)
+        by_shard: dict[int, list[int]] = {}
+        for sid, _ in sessions:
+            by_shard.setdefault(cluster.shard_for(sid), []).append(sid)
+        assert sorted(by_shard) == [0, 1], "wave must span both workers"
+
+        def wave() -> dict[int, list[ReportEvent]]:
+            return {
+                shard_id: [
+                    ReportEvent(sid, 0, MemberState(world.sample(rng)))
+                    for sid in sids
+                ]
+                for shard_id, sids in sorted(by_shard.items())
+            }
+
+        # Structural gate.  `requests_served` counts requests and
+        # control ops alike, and the first stats read is itself one; so
+        # between two reads a wave may add exactly one more to each
+        # worker — its sub-batch.  Anything above that is a control op.
+        before = [s["requests_served"] for s in cluster.server_stats()]
+        answers = cluster.report_many(
+            [event for events in wave().values() for event in events]
+        )
+        after = [s["requests_served"] for s in cluster.server_stats()]
+        assert sum(n is not None for n in answers) > WAVE_SESSIONS // 2
+        served = [b - a - 1 for a, b in zip(before, after)]
+        assert served == [1, 1], (
+            f"a wave must cost each involved worker one request and no "
+            f"control op; workers served {served}"
+        )
+
+        scattered: list[float] = []
+        one_by_one: list[float] = []
+        for _ in range(WAVES):
+            events = wave()
+            t0 = time.perf_counter()
+            cluster.report_many([e for sub in events.values() for e in sub])
+            scattered.append(time.perf_counter() - t0)
+            events = wave()
+            t0 = time.perf_counter()
+            for shard_id, sub in events.items():
+                cluster.shard(shard_id).report_many(sub)
+            one_by_one.append(time.perf_counter() - t0)
+    assert cluster.worker_exitcodes() == [0, 0]
+    p50, p99 = _quantiles_ms(scattered)
+    serial_p50, _ = _quantiles_ms(one_by_one)
+    RECORDED["cluster_wave"] = {
+        "p50_ms": p50,
+        "p99_ms": p99,
+        "one_worker_after_another_p50_ms": serial_p50,
+        "speedup": serial_p50 / p50,
+        "events": WAVE_SESSIONS,
+        "waves": WAVES,
+        "requests_per_worker": served[0],
+        "control_ops": served[0] - 1,
+    }
+    print(
+        f"\ncluster_wave: {WAVE_SESSIONS} events over 2 workers, scattered "
+        f"p50 {p50:.3f} ms (p99 {p99:.3f} ms) vs one worker after another "
+        f"p50 {serial_p50:.3f} ms -> {serial_p50 / p50:.2f}x"
+    )
+    if os.environ.get("CI"):
+        pytest.skip("shared CI runner: ratio reported above, not gated")
+    assert p50 <= serial_p50, (
+        "a scattered wave must not be slower than visiting the workers "
+        "one after another"
+    )
+
+
 def test_report_wire_ratios():
-    """Summary + sanity: both shapes recorded, answers consistent."""
-    needed = {"wire_sequential", "wire_concurrent"}
+    """Summary + sanity: every shape recorded, answers consistent."""
+    needed = {"wire_sequential", "wire_concurrent", "cluster_wave"}
     assert needed <= set(RECORDED), "benchmark ordering broke"
     seq = RECORDED["wire_sequential"]
     conc = RECORDED["wire_concurrent"]
+    wave = RECORDED["cluster_wave"]
     print(
         f"\nwire summary: sequential p50 {seq['p50_ms']:.3f} ms | "
         f"concurrent {conc['throughput_rps']:.0f} req/s "
         f"p99 {conc['p99_ms']:.3f} ms "
-        f"({conc['backpressure_waits']} brake engagements)"
+        f"({conc['backpressure_waits']} brake engagements) | "
+        f"cluster wave p50 {wave['p50_ms']:.3f} ms "
+        f"({wave['speedup']:.2f}x over one worker after another)"
     )
     assert conc["backpressure_waits"] > 0
     assert seq["p50_ms"] > 0 and conc["p99_ms"] >= conc["p50_ms"]

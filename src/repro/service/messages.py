@@ -9,7 +9,7 @@ from the objects that cross its boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.core.types import SafeRegionStats
 from repro.geometry.point import Point
@@ -46,6 +46,46 @@ class ReportEvent:
 
     def message(self) -> Message:
         return location_update()
+
+
+def check_member_ids(
+    size: int,
+    member_id: int,
+    probes: Optional[Sequence[tuple[int, MemberState]]],
+) -> None:
+    """``ValueError`` unless the reporter and every probed member index
+    a session of ``size`` members."""
+    if not 0 <= member_id < size:
+        raise ValueError(
+            f"member {member_id} out of range for session of {size}"
+        )
+    if probes is not None:
+        for probe_id, _ in probes:
+            if not 0 <= probe_id < size:
+                raise ValueError(
+                    f"probe member {probe_id} out of range for session "
+                    f"of {size}"
+                )
+
+
+def validate_report_events(
+    events: Iterable[ReportEvent], session_size: Callable[[int], int]
+) -> None:
+    """Raise what serving ``events`` as one wave would, touching nothing.
+
+    ``session_size(session_id)`` answers a session's group size and
+    raises :class:`~repro.service.errors.UnknownSessionError` for an id
+    it does not know.  Events are checked in request order, so the
+    first bad one decides the exception.  One function serves
+    :meth:`MPNService.validate_events` (sizes from the live sessions)
+    and the :class:`~repro.transport.worker.ProcessCluster` front door
+    (sizes from its client-side registries): a wave is rejected with
+    the same exception wherever it is validated.
+    """
+    for event in events:
+        check_member_ids(
+            session_size(event.session_id), event.member_id, event.probes
+        )
 
 
 @dataclass(frozen=True, slots=True)

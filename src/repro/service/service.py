@@ -85,6 +85,8 @@ from repro.service.messages import (
     Notification,
     ReportEvent,
     SessionHandle,
+    check_member_ids,
+    validate_report_events,
 )
 from repro.service.session import Prober, ServiceSession
 from repro.service.strategies import StrategyResult, get_strategy
@@ -493,11 +495,7 @@ class MPNService:
         ignored (like a prober) when the report is still in-region.
         """
         session = self.session(session_id)
-        if not 0 <= member_id < session.size:
-            raise ValueError(
-                f"member {member_id} out of range for session of {session.size}"
-            )
-        self._validate_probes(session, probes)
+        check_member_ids(session.size, member_id, probes)
         state = MemberState(point=point, heading=heading, theta=theta)
         session.members[member_id] = state
         if session.regions and session.regions[member_id].contains_point(point):
@@ -506,20 +504,6 @@ class MPNService:
         self._charge_message(session, event.message())
         self._probe(session, exclude=member_id, supplied=probes)
         return self._recompute(session, cause="report")
-
-    @staticmethod
-    def _validate_probes(
-        session: ServiceSession,
-        probes: Optional[Sequence[tuple[int, MemberState]]],
-    ) -> None:
-        if probes is None:
-            return
-        for probe_id, _ in probes:
-            if not 0 <= probe_id < session.size:
-                raise ValueError(
-                    f"probe member {probe_id} out of range for session "
-                    f"of {session.size}"
-                )
 
     def update_locations(
         self,
@@ -624,19 +608,16 @@ class MPNService:
 
         An unknown session id raises :class:`UnknownSessionError`, an
         out-of-range member id a ``ValueError`` — with every session's
-        state and metrics untouched.  The cluster front door runs this
-        on every shard *before* any shard executes its sub-batch, so a
-        split wave keeps the single-service all-or-nothing validation
-        semantics.
+        state and metrics untouched.  The in-process cluster front door
+        runs this on every shard *before* any shard executes its
+        sub-batch, so a split wave keeps the single-service
+        all-or-nothing validation semantics; the checks themselves are
+        :func:`~repro.service.messages.validate_report_events`, which
+        the wire front door runs against its own session registries.
         """
-        for event in events:
-            session = self.session(event.session_id)
-            if not 0 <= event.member_id < session.size:
-                raise ValueError(
-                    f"member {event.member_id} out of range for session "
-                    f"of {session.size}"
-                )
-            self._validate_probes(session, event.probes)
+        validate_report_events(
+            events, lambda session_id: self.session(session_id).size
+        )
 
     def recompute_many(
         self, session_ids: Sequence[int], cause: str = "refresh"

@@ -35,6 +35,32 @@ as their original exception types
 (:func:`~repro.service.api.raise_error_response`), so
 ``UnknownSessionError`` et al. behave exactly as in-process.
 
+Pipelining
+----------
+
+Underneath sits :class:`WireClient`, whose one primitive is
+:meth:`~WireClient.submit`: send a frame, get a :class:`Ticket`, read
+the reply when it is wanted (``ticket.result()``).  It rests on two
+facts only — :class:`~repro.transport.framing.SyncFrameStream`'s
+``send``/``recv``, and the server dispatching one connection's requests
+in arrival order — and everything else is tickets resolved at
+different moments:
+
+* ``call`` / ``control`` / ``dispatch`` resolve their ticket at once;
+* :meth:`RemoteBackend.submit_report_many` /
+  :meth:`~RemoteBackend.submit_update_pois` return the function that
+  resolves it, so :class:`~repro.transport.worker.ProcessCluster` can
+  put one wave (or churn batch) on every worker's connection before
+  waiting on any — the workers then compute at the same time;
+* :meth:`RemoteBackend.close_session` *parks* its ticket: the
+  acknowledgement carries nothing, so nobody waits for it.  Parked
+  acks are read, in order, by whichever ticket is resolved next on the
+  connection (or by ``close()``); one that turns out to be an error is
+  raised there, once that call's own reply is off the wire.  At most
+  :data:`~repro.transport.server.DEFAULT_MAX_INFLIGHT` are ever
+  parked — reaching the cap reads them all — so a burst of closes
+  cannot fill the socket buffers or engage the server's brake.
+
 :class:`AsyncWireClient` is the thin coroutine-side counterpart used
 by concurrent benchmark drivers; it shares the frame protocol but none
 of the backend conveniences.
@@ -46,7 +72,7 @@ import asyncio
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.service.api import (
     CloseSessionRequest,
@@ -65,6 +91,7 @@ from repro.service.api import (
     raise_error_response,
     response_from_dict,
 )
+from repro.service.errors import UnknownSessionError
 from repro.service.messages import (
     MemberState,
     Notification,
@@ -83,24 +110,79 @@ from repro.transport.framing import (
     read_frame,
     write_frame,
 )
+from repro.transport.server import DEFAULT_MAX_INFLIGHT
 
 
 class ControlError(RuntimeError):
     """A control call failed without a typed error envelope."""
 
 
-def _raise_if_error(response: Response) -> Response:
-    if isinstance(response, ErrorResponse):
-        raise_error_response(response)
-    return response
+def _raise_if_error(outcome):
+    """``outcome`` (a response envelope or a control result) unless it
+    is an error envelope, which is re-raised as its typed exception."""
+    if isinstance(outcome, ErrorResponse):
+        raise_error_response(outcome)
+    return outcome
+
+
+class Ticket:
+    """The reply still owed to one submitted frame (:meth:`WireClient.submit`).
+
+    Resolving a ticket reads the connection until its own reply — and
+    every parked acknowledgement — has arrived; replies that belong to
+    other tickets are kept for them, so tickets may be resolved in any
+    order.
+    """
+
+    __slots__ = ("_client", "_frame_id", "_reply", "_failure")
+
+    def __init__(self, client: "WireClient", frame_id: int):
+        self._client = client
+        self._frame_id = frame_id
+        self._reply: Optional[dict] = None
+        self._failure: Optional[BaseException] = None
+
+    def _outcome(self) -> object:
+        if self._failure is not None:
+            raise self._failure
+        reply = self._reply
+        if "response" in reply:
+            return response_from_dict(reply["response"])
+        if "result" in reply:
+            return reply["result"]
+        raise ControlError(f"reply carries no response or result: {reply!r}")
+
+    def envelope(self) -> object:
+        """Block for the reply: a response envelope (possibly an
+        :class:`ErrorResponse`, not raised) or a control op's result.
+        Connection loss raises :class:`ConnectionClosed`."""
+        self._client._gather(self)
+        return self._outcome()
+
+    def result(self) -> object:
+        """Like :meth:`envelope`, but an error envelope (a failed
+        request *or* control op) is re-raised as its typed exception."""
+        return _raise_if_error(self.envelope())
+
+    def park(self) -> None:
+        """Give up waiting: whoever resolves a ticket on this connection
+        next (or ``close()``) reads this reply first and raises *there*
+        if it is an error.  For acknowledgements that carry nothing."""
+        self._client._park(self)
 
 
 class WireClient:
     """One blocking connection speaking the frame protocol.
 
-    Sequential request/response (ids are checked, not multiplexed):
-    the simplest correct client for straight-line fleet drivers.  Use
-    :class:`AsyncWireClient` to pipeline.
+    The one primitive is :meth:`submit`: send a frame now, get a
+    :class:`Ticket`, read the reply when it is wanted.  The server
+    dispatches one connection's requests in arrival order, so several
+    submitted frames queue behind each other on the worker while this
+    side does something else — talks to *another* server, usually.
+    :meth:`dispatch`, :meth:`call` and :meth:`control` are
+    ``submit(...)`` resolved on the spot: the plain sequential client
+    for straight-line drivers.  Replies are matched to tickets by frame
+    id.  Use :class:`AsyncWireClient` to multiplex coroutines.
     """
 
     def __init__(
@@ -118,17 +200,32 @@ class WireClient:
         )
         self._ids = itertools.count()
         self._closed = False
+        self._pending: dict[int, Ticket] = {}  # sent, reply not yet read
+        self._parked: list[Ticket] = []  # resolved by the next gather
 
     @property
     def closed(self) -> bool:
         return self._closed
 
     def close(self) -> None:
-        """Close the connection; safe to call more than once."""
+        """Close the connection; safe to call more than once.
+
+        Parked acknowledgements are read first — hanging up on unread
+        replies could reset the connection under requests the server
+        has not taken yet — and a failed one raises here (the socket
+        is closed regardless); a peer that is already gone is not an
+        error.
+        """
         if self._closed:
             return
         self._closed = True
-        self._stream.close()
+        try:
+            if self._parked:
+                self._gather()
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            self._stream.close()
 
     def __enter__(self) -> "WireClient":
         return self
@@ -136,46 +233,85 @@ class WireClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _roundtrip(self, frame: dict) -> dict:
-        self._stream.send(frame)
-        while True:
+    def submit(self, frame: dict) -> Ticket:
+        """Send ``frame`` (``{"request": ...}`` or ``{"control": ...}``;
+        the id is assigned here) without waiting for the reply."""
+        ticket = Ticket(self, next(self._ids))
+        self._stream.send({"id": ticket._frame_id, **frame})
+        self._pending[ticket._frame_id] = ticket
+        return ticket
+
+    def submit_request(self, request: Request) -> Ticket:
+        """:meth:`submit` for one request envelope."""
+        return self.submit({"request": request.to_dict()})
+
+    def _read_reply(self) -> None:
+        """One frame off the wire, handed to the ticket it answers."""
+        try:
             reply = self._stream.recv()
-            if not isinstance(reply, dict):
-                raise ControlError(f"malformed server frame: {reply!r}")
-            if reply.get("id") is None and "response" in reply:
-                # A connection-level error frame (oversized/junk input
-                # attributed to no request): surface it on whoever is
-                # waiting.
-                raise_error_response(ErrorResponse.from_dict(reply["response"]))
-            if reply.get("id") != frame["id"]:
-                raise ControlError(
-                    f"out-of-order reply {reply.get('id')!r} "
-                    f"(expected {frame['id']})"
+        except ConnectionError as exc:
+            # Nothing sent on this connection will be answered now.
+            for ticket in self._pending.values():
+                ticket._failure = ConnectionClosed(
+                    f"connection lost with the reply outstanding: {exc}"
                 )
-            return reply
+            self._pending.clear()
+            return
+        if not isinstance(reply, dict):
+            raise ControlError(f"malformed server frame: {reply!r}")
+        if reply.get("id") is None and "response" in reply:
+            # A connection-level error frame (oversized/junk input
+            # attributed to no request): surface it on whoever is
+            # waiting.
+            raise_error_response(ErrorResponse.from_dict(reply["response"]))
+        ticket = self._pending.pop(reply.get("id"), None)
+        if ticket is None:
+            raise ControlError(
+                f"reply {reply.get('id')!r} answers no outstanding request "
+                f"(outstanding: {sorted(self._pending)})"
+            )
+        ticket._reply = reply
+
+    def _gather(self, ticket: Optional[Ticket] = None) -> None:
+        """Read every parked acknowledgement, then ``ticket``'s reply.
+
+        All of them are read before the first failed acknowledgement
+        (in submission order) is raised, so an error never strands an
+        unread frame on the connection.
+        """
+        parked, self._parked = self._parked, []
+        for waiting in parked if ticket is None else (*parked, ticket):
+            while waiting._frame_id in self._pending:
+                self._read_reply()
+        failure = None
+        for ack in parked:
+            try:
+                _raise_if_error(ack._outcome())
+            except Exception as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
+    def _park(self, ticket: Ticket) -> None:
+        self._parked.append(ticket)
+        # The server stops reading a connection with DEFAULT_MAX_INFLIGHT
+        # unanswered requests; staying under it means a burst of parked
+        # frames can never back up into the socket buffers.
+        if len(self._parked) >= DEFAULT_MAX_INFLIGHT:
+            self._gather()
 
     def dispatch(self, request: Request) -> Response:
         """One envelope over the wire; returns the response envelope
         (which may be an :class:`ErrorResponse` — use :meth:`call` to
         raise instead)."""
-        frame = {"id": next(self._ids), "request": request.to_dict()}
-        reply = self._roundtrip(frame)
-        if "response" not in reply:
-            raise ControlError(f"reply carries no response: {reply!r}")
-        return response_from_dict(reply["response"])
+        return self.submit_request(request).envelope()
 
     def call(self, request: Request) -> Response:
         """Like :meth:`dispatch` but re-raises error envelopes."""
-        return _raise_if_error(self.dispatch(request))
+        return self.submit_request(request).result()
 
     def control(self, op: str, **params: object) -> object:
-        frame = {"id": next(self._ids), "control": {"op": op, **params}}
-        reply = self._roundtrip(frame)
-        if "response" in reply:  # control failures come back as errors
-            raise_error_response(ErrorResponse.from_dict(reply["response"]))
-        if "result" not in reply:
-            raise ControlError(f"reply carries no result: {reply!r}")
-        return reply["result"]
+        return self.submit({"control": {"op": op, **params}}).result()
 
 
 @dataclass
@@ -374,8 +510,35 @@ class RemoteBackend:
         )
 
     def close_session(self, session_id: int) -> None:
-        self.client.call(CloseSessionRequest(session_id=session_id))
-        self._sessions.pop(session_id, None)
+        """Close a session; for one this backend registered, without
+        waiting for the acknowledgement.
+
+        The client-side state goes at once and the ack is parked
+        (:meth:`Ticket.park`): the next call on this connection reads
+        it, and is where a server-side failure of this close would
+        raise.  An id this backend never registered — another client's
+        session, or nobody's — is the server's to judge, so that close
+        waits for its answer (``UnknownSessionError`` included).
+        """
+        request = CloseSessionRequest(session_id=session_id)
+        if self._sessions.pop(session_id, None) is None:
+            self.client.call(request)
+        else:
+            self.client.submit_request(request).park()
+
+    def owns_session(self, session_id: int) -> bool:
+        """Whether this backend registered ``session_id`` (by opening,
+        importing or restoring it) and has not closed it — answered
+        from the client-side registry, no wire traffic."""
+        return session_id in self._sessions
+
+    def session_size(self, session_id: int) -> int:
+        """Group size of a session this backend registered, from the
+        client-side registry; :class:`UnknownSessionError` otherwise."""
+        try:
+            return self._sessions[session_id].size
+        except KeyError:
+            raise UnknownSessionError(session_id) from None
 
     def session_ids(self) -> list[int]:
         return [int(s) for s in self.client.control("session_ids")]
@@ -498,22 +661,32 @@ class RemoteBackend:
             for event in events
         ]
 
-    def validate_events(self, events: Sequence[ReportEvent]) -> None:
-        """Server-side all-or-nothing validation; mutates nothing."""
-        self.client.control(
-            "validate_events",
-            request=ReportManyRequest(events=tuple(events)).to_dict(),
+    def submit_report_many(
+        self, events: Sequence[ReportEvent]
+    ) -> Callable[[], list[Optional[Notification]]]:
+        """Send a wave now; call the returned function for its answers.
+
+        The split lets a front door put one wave on several workers'
+        connections before waiting on any of them.
+        """
+        events = self.attach_probes(events)
+        ticket = self.client.submit_request(
+            ReportManyRequest(events=tuple(events))
         )
+
+        def gather() -> list[Optional[Notification]]:
+            response = ticket.result()
+            return [
+                self._notification(payload, event.session_id)
+                for payload, event in zip(response.notifications, events)
+            ]
+
+        return gather
 
     def report_many(
         self, events: Sequence[ReportEvent]
     ) -> list[Optional[Notification]]:
-        events = self.attach_probes(events)
-        response = self.client.call(ReportManyRequest(events=tuple(events)))
-        return [
-            self._notification(payload, event.session_id)
-            for payload, event in zip(response.notifications, events)
-        ]
+        return self.submit_report_many(events)()
 
     def update_locations(
         self, session_id: int, members: Sequence[Union[MemberState, object]]
@@ -529,26 +702,41 @@ class RemoteBackend:
         )
         return self._notification(response.notification, session_id)
 
+    def submit_update_pois(
+        self,
+        adds: Sequence[tuple[object, object]] = (),
+        removes: Sequence[tuple[object, object]] = (),
+        space: Union[None, str, Space] = None,
+    ) -> Callable[[], list[Notification]]:
+        """Send a churn batch now; call the returned function for the
+        re-notifications (see :meth:`submit_report_many`)."""
+        mirror = self._mirror_for_ref(space)
+        ticket = self.client.submit_request(
+            UpdatePoisRequest(
+                adds=tuple(adds), removes=tuple(removes), space=space
+            )
+        )
+
+        def gather() -> list[Notification]:
+            response = ticket.result()
+            # The server accepted the whole batch; keep the local mirror
+            # in lock-step so exactness checks measure the same POI set.
+            if mirror is not None and self._mirror_updates:
+                mirror.bulk_update(adds, removes)
+            return [
+                self._notification(payload, payload.session_id)
+                for payload in response.notifications
+            ]
+
+        return gather
+
     def update_pois(
         self,
         adds: Sequence[tuple[object, object]] = (),
         removes: Sequence[tuple[object, object]] = (),
         space: Union[None, str, Space] = None,
     ) -> list[Notification]:
-        mirror = self._mirror_for_ref(space)
-        response = self.client.call(
-            UpdatePoisRequest(
-                adds=tuple(adds), removes=tuple(removes), space=space
-            )
-        )
-        # The server accepted the whole batch; keep the local mirror in
-        # lock-step so exactness checks measure the same POI set.
-        if mirror is not None and self._mirror_updates:
-            mirror.bulk_update(adds, removes)
-        return [
-            self._notification(payload, payload.session_id)
-            for payload in response.notifications
-        ]
+        return self.submit_update_pois(adds, removes, space)()
 
     def add_poi(self, p, payload=None, space=None) -> list[Notification]:
         return self.update_pois(adds=[(p, payload)], space=space)

@@ -66,7 +66,6 @@ from typing import Optional
 
 from repro.service.api import (
     ErrorResponse,
-    ReportManyRequest,
     ServiceSnapshot,
     SessionSnapshot,
     error_response_for,
@@ -401,15 +400,6 @@ class WireServer:
                 self.backend.restore, snapshot
             )
             return {"ok": True, "session_ids": list(restored)}
-        if op == "validate_events":
-            # All-or-nothing wave validation for a multi-worker front
-            # door: decode the report_many envelope, validate, mutate
-            # nothing (see MPNService.validate_events).
-            request = ReportManyRequest.from_dict(control["request"])
-            await self._dispatch_blocking(
-                self.backend.validate_events, list(request.events)
-            )
-            return {"ok": True}
         raise ValueError(f"unknown control op {op!r}")
 
 

@@ -16,20 +16,30 @@ every hop is a wire round-trip through a per-shard
 :class:`~repro.transport.client.RemoteBackend`.  Fan-out semantics
 match the in-process cluster:
 
-* **Waves** (:meth:`report_many`) are validated on every involved
-  worker first (the ``validate_events`` control op mutates nothing),
-  then each worker serves its sub-batch in request order — a bad event
-  anywhere leaves every worker untouched, the single-service
-  all-or-nothing contract.
+* **Waves** (:meth:`report_many`) are validated *at the front door*,
+  against the session sizes the per-shard backends already hold
+  client-side
+  (:func:`~repro.service.messages.validate_report_events`, the checks
+  :meth:`MPNService.validate_events` runs) — a bad event anywhere
+  raises before any worker hears anything, the single-service
+  all-or-nothing contract.  The wave is then **scattered and
+  gathered**: every involved worker is sent its sub-batch before any
+  reply is read, so the workers compute at the same time and the wave
+  costs one concurrent round-trip, not one per shard.
 * **POI churn** (:meth:`update_pois`) validates the whole batch
   against the front door's local mirror first (the index's delta layer
   raises on a bad removal before any worker hears anything), then fans
-  the batch to *every* worker; each applies it to its own replica —
-  one ``bulk_update``, hence exactly one new
-  :class:`~repro.space.SharedSpace` epoch per worker per batch — and
-  runs its own Lemma-1 re-notification sweep.  Merged notifications
-  come back in ascending session order, as a single service emits
-  them.
+  the batch to *every* worker the same submit-all/gather-all way; each
+  applies it to its own replica — one ``bulk_update``, hence exactly
+  one new :class:`~repro.space.SharedSpace` epoch per worker per batch
+  — and runs its own Lemma-1 re-notification sweep, overlapping its
+  siblings'.  Merged notifications come back in ascending session
+  order, as a single service emits them.
+* **Closes** do not wait: the shard backend drops its client-side
+  state, sends the frame and parks the acknowledgement, which the next
+  call on that worker's connection reads first
+  (:meth:`RemoteBackend.close_session
+  <repro.transport.client.RemoteBackend.close_session>`).
 * **Metrics** merge across workers exactly as shard metrics merge
   in-process — retired workers' aggregates included (their traffic was
   served).
@@ -68,9 +78,10 @@ best-effort close); ``close`` is idempotent either way.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, TypeVar, Union
 
 from repro.cluster.hashring import HashRing
 from repro.cluster.load import ShardLoad, collect_shard_loads, hot_shards
@@ -86,6 +97,7 @@ from repro.service.messages import (
     Notification,
     ReportEvent,
     SessionHandle,
+    validate_report_events,
 )
 from repro.service.session import Prober
 from repro.simulation.metrics import SimulationMetrics
@@ -96,6 +108,7 @@ from repro.transport.framing import DEFAULT_MAX_FRAME_BYTES
 from repro.transport.server import DEFAULT_MAX_INFLIGHT
 
 SpaceFactory = Callable[[], Space]
+T = TypeVar("T")
 
 
 class WorkerShutdownError(RuntimeError):
@@ -210,6 +223,36 @@ def _require_space_ref(space: Union[None, str, Space]) -> Optional[str]:
         "cluster spaces are per-worker replicas; register the space by "
         "name (extra_spaces=...) and reference it by that name"
     )
+
+
+def _scatter_gather(submits: Sequence[Callable[[], Callable[[], T]]]) -> list[T]:
+    """Run every ``submit`` (each sends one request and returns the
+    function that reads its reply), *then* read the replies, in order.
+
+    Every reply that was asked for is read before the first error — in
+    ``submits`` order — is raised, so a failure on one connection never
+    leaves an unread frame on another.
+    """
+    gathers: list[Callable[[], T]] = []
+    unsent: Optional[Exception] = None
+    for submit in submits:
+        try:
+            gathers.append(submit())
+        except Exception as exc:
+            unsent = exc
+            break
+    results: list[T] = []
+    errors: list[Exception] = []
+    for gather in gathers:
+        try:
+            results.append(gather())
+        except Exception as exc:
+            errors.append(exc)
+    if unsent is not None:
+        errors.append(unsent)
+    if errors:
+        raise errors[0]
+    return results
 
 
 class ProcessCluster:
@@ -386,11 +429,16 @@ class ProcessCluster:
         if self._closed:
             return
         self._closed = True
+        late_ack: Optional[Exception] = None
         for shard in self._shards.values():
             try:
                 shard.shutdown_server()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+            except Exception as exc:
+                # A parked close ack that failed surfaces on this, the
+                # connection's last call; every worker still drains.
+                late_ack = late_ack or exc
             shard.close()
         failed: dict[int, Optional[int]] = {}
         for shard_id in sorted(self._processes):
@@ -404,6 +452,8 @@ class ProcessCluster:
                 failed[shard_id] = process.exitcode
         if failed and raise_on_error:
             raise WorkerShutdownError(failed)
+        if late_ack is not None and raise_on_error:
+            raise late_ack
 
     def __enter__(self) -> "ProcessCluster":
         return self
@@ -592,13 +642,13 @@ class ProcessCluster:
         # Topology-aware duplicate detection: the ring's current owner
         # rejects duplicates server-side, but a reshard (or a failover
         # restore) may have parked the original on another worker —
-        # check them too before registering anything.
-        if session_id is not None:
-            for shard_id in sorted(self._shards):
-                if shard_id == owner_id:
-                    continue
-                if gid in self._shards[shard_id].session_ids():
-                    raise ValueError(f"session id {gid} is already in use")
+        # the shard backends' client-side registries know, for free.
+        if session_id is not None and any(
+            shard.owns_session(gid)
+            for shard_id, shard in self._shards.items()
+            if shard_id != owner_id
+        ):
+            raise ValueError(f"session id {gid} is already in use")
         handle = self._shards[owner_id].open_session(
             members, policy, prober=prober, space=space, session_id=gid
         )
@@ -648,43 +698,42 @@ class ProcessCluster:
     ) -> list[Optional[Notification]]:
         """A fleet wave across the workers, single-service-equivalent.
 
-        Probes are gathered client-side first (so validation sees the
-        exact events that will execute), every involved worker then
-        validates its sub-batch without mutating anything, and only
-        when all accept does any worker serve — the cross-shard
-        all-or-nothing contract of :class:`~repro.cluster.MPNCluster`.
-        Results land back in request order.
+        The whole wave is validated here first, in request order,
+        against the group sizes the shard backends hold client-side —
+        an unknown session or an out-of-range member or probe id raises
+        what :meth:`MPNService.validate_events` would, before any
+        worker (or prober) hears anything: the cross-shard
+        all-or-nothing contract of :class:`~repro.cluster.MPNCluster`
+        at no wire cost.  Every involved worker is then sent its
+        sub-batch before any reply is read, so the workers serve the
+        wave concurrently; replies are gathered in shard order and
+        results land back in request order.
         """
-        split: dict[int, list[tuple[int, ReportEvent]]] = {}
+        events = list(events)
+        split: dict[int, list[int]] = {}
+        owner: dict[int, RemoteBackend] = {}
         for index, event in enumerate(events):
-            shard_index = self._ring.shard_for(event.session_id)
-            split.setdefault(shard_index, []).append((index, event))
+            shard_id = self._ring.shard_for(event.session_id)
+            split.setdefault(shard_id, []).append(index)
+            owner[event.session_id] = self._shards[shard_id]
+        validate_report_events(
+            events,
+            lambda session_id: owner[session_id].session_size(session_id),
+        )
         ordered = sorted(split.items())
-        prepared: dict[int, list[tuple[int, ReportEvent]]] = {}
-        for shard_index, shard_events in ordered:
-            shard = self._shards[shard_index]
-            prepared[shard_index] = [
-                (event_index, with_probes)
-                for (event_index, _), with_probes in zip(
-                    shard_events,
-                    shard.attach_probes([e for _, e in shard_events]),
+        answers = _scatter_gather(
+            [
+                functools.partial(
+                    self._shards[shard_id].submit_report_many,
+                    [events[index] for index in indices],
                 )
+                for shard_id, indices in ordered
             ]
-        for shard_index, shard_events in ordered:
-            self._shards[shard_index].validate_events(
-                [event for _, event in prepared[shard_index]]
-            )
+        )
         out: list[Optional[Notification]] = [None] * len(events)
-        for shard_index, _ in ordered:
-            shard = self._shards[shard_index]
-            shard_events = prepared[shard_index]
-            notifications = shard.report_many(
-                [event for _, event in shard_events]
-            )
-            for (event_index, _), notification in zip(
-                shard_events, notifications
-            ):
-                out[event_index] = notification
+        for (_, indices), notifications in zip(ordered, answers):
+            for index, notification in zip(indices, notifications):
+                out[index] = notification
         return out
 
     # ------------------------------------------------------------------
@@ -703,24 +752,30 @@ class ProcessCluster:
         delta layer validates all-or-nothing, so a bad removal raises
         here and no worker ever observes a partial batch (workers are
         replicas of the mirror, so what the mirror accepts they
-        accept).  Each worker then applies the same batch to its own
-        index — bumping its shared space's epoch exactly once — and
-        re-notifies its own invalidated sessions.  Accepted batches
-        also land in the churn log that catches up late-spawned
-        workers (:meth:`add_shard`).  Merged notifications come back
-        in ascending session order.
+        accept).  Every worker is then sent the batch before any reply
+        is read; each applies it to its own index — bumping its shared
+        space's epoch exactly once — and re-notifies its own
+        invalidated sessions while its siblings do the same.  Accepted
+        batches also land in the churn log that catches up
+        late-spawned workers (:meth:`add_shard`).  Merged notifications
+        come back in ascending session order.
         """
         name = _require_space_ref(space)
         mirror = self.get_space(name or "default")
         mirror.bulk_update(adds, removes)
         self._churn_log.append((tuple(adds), tuple(removes), name))
-        notifications: list[Notification] = []
-        for shard in self.shards:
-            notifications.extend(
-                shard.update_pois(adds=adds, removes=removes, space=space)
-            )
-        notifications.sort(key=lambda n: n.session_id)
-        return notifications
+        answers = _scatter_gather(
+            [
+                functools.partial(
+                    shard.submit_update_pois, adds, removes, space
+                )
+                for shard in self.shards
+            ]
+        )
+        return sorted(
+            (n for notifications in answers for n in notifications),
+            key=lambda n: n.session_id,
+        )
 
     def add_poi(self, p, payload=None, space=None) -> list[Notification]:
         return self.update_pois(adds=[(p, payload)], space=space)

@@ -18,7 +18,12 @@ import pytest
 from repro.cluster import MPNCluster
 from repro.geometry.point import Point
 from repro.network_ext.monitor import network_trajectory
-from repro.service import MemberState, MPNService, ReportEvent
+from repro.service import (
+    MemberState,
+    MPNService,
+    ReportEvent,
+    UnknownSessionError,
+)
 from repro.simulation import (
     circle_policy,
     net_circle_policy,
@@ -276,26 +281,47 @@ class TestProcessClusterMatchesInProcessCluster:
 
     def test_all_or_nothing_wave_across_workers(self):
         """A bad event bound for one worker leaves every worker
-        untouched — the cross-process all-or-nothing contract."""
+        untouched — the cross-process all-or-nothing contract.  The
+        front door rejects the wave itself, with the exceptions a
+        single service raises, so *nothing* crosses the wire."""
+        single = MPNService(share_space(FACTORY()))
         with ProcessCluster(2, FACTORY) as proc:
             rng = random.Random(5)
-            ids = [
-                proc.open_session(
-                    [SMALL_WORLD.sample(rng) for _ in range(2)],
-                    circle_policy(),
-                ).session_id
-                for _ in range(6)
-            ]
-            before = counters(proc.metrics)
-            events = [
+            ids = []
+            for _ in range(6):
+                members = [SMALL_WORLD.sample(rng) for _ in range(2)]
+                single.open_session(members, circle_policy())
+                ids.append(
+                    proc.open_session(members, circle_policy()).session_id
+                )
+            assert {proc.shard_for(sid) for sid in ids} == {0, 1}
+            good = [
                 ReportEvent(sid, 0, MemberState(SMALL_WORLD.sample(rng)))
                 for sid in ids
             ]
-            events.append(
-                ReportEvent(999, 0, MemberState(SMALL_WORLD.sample(rng)))
-            )
-            with pytest.raises(Exception):
-                proc.report_many(events)
+            state = MemberState(SMALL_WORLD.sample(rng))
+            bad_events = [
+                (ReportEvent(999, 0, state), UnknownSessionError),
+                (ReportEvent(ids[2], 2, state), ValueError),
+                (
+                    ReportEvent(ids[3], 0, state, probes=((5, state),)),
+                    ValueError,
+                ),
+            ]
+            before = counters(proc.metrics)
+            served = [s["requests_served"] for s in proc.server_stats()]
+            for bad, error in bad_events:
+                with pytest.raises(error) as want:
+                    single.validate_events(good + [bad])
+                with pytest.raises(error) as got:
+                    proc.report_many(good + [bad])
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+            # Each stats read is itself one served request per worker;
+            # beyond that, the rejected waves reached nobody.
+            assert [
+                s["requests_served"] for s in proc.server_stats()
+            ] == [n + 1 for n in served]
             assert counters(proc.metrics) == before
 
     def test_network_space_replicas_fan_across_workers(self):
