@@ -551,6 +551,8 @@ class MPNCluster:
         the order a single service emits.
         """
         _require_space_ref(space)
+        # One-shot iterables must feed the index and every shard alike.
+        adds, removes = tuple(adds), tuple(removes)
         target = self._front_shard()._resolve_space(space)
         target.bulk_update(adds, removes)
         notifications: list[Notification] = []

@@ -143,7 +143,11 @@ class CompiledScenario:
         self.total_sessions = len(self.schedule)
         self.total_opened = 0
         self.peak_live = 0
-        self._net_space = None  # planning graph, built once, network only
+        # Planning graph, its sorted node list and each node's position
+        # in it: built once, network only.
+        self._net_space = None
+        self._nodes: list = []
+        self._node_pos: dict = {}
 
     @staticmethod
     def _build_schedule(spec: ScenarioSpec) -> list[_ScheduleEntry]:
@@ -175,13 +179,19 @@ class CompiledScenario:
     def _planning_space(self):
         if self._net_space is None:
             self._net_space = self.spec.space.network_space()
+            self._nodes = sorted(self._net_space.graph.nodes)
+            self._node_pos = {node: i for i, node in enumerate(self._nodes)}
         return self._net_space
+
+    def _planning_nodes(self) -> list:
+        self._planning_space()
+        return self._nodes
 
     def _venue(self, cohort_idx: int):
         """The cohort's shared convergence target (seeded, cached)."""
         rng = derive_rng(self.spec.seed, _KEY_VENUE, cohort_idx)
         if self.spec.space.kind == "network":
-            nodes = sorted(self._planning_space().graph.nodes)
+            nodes = self._planning_nodes()
             return nodes[rng.randrange(len(nodes))]
         world = self.spec.space.world_rect()
         # Keep the venue away from the walls so the crowd can mill.
@@ -211,7 +221,7 @@ class CompiledScenario:
         from repro.network_ext.monitor import network_trajectory
 
         space = self._planning_space()
-        nodes = sorted(space.graph.nodes)
+        nodes = self._nodes
         if cohort.kind == "wanderer":
             return [
                 network_trajectory(space, n, cohort.speed, rng)
@@ -228,7 +238,7 @@ class CompiledScenario:
         else:  # event_crowd converges on the cohort venue
             dest = self._venue(entry.cohort_idx)
             if dest == origin:
-                origin = nodes[(nodes.index(dest) + 1) % len(nodes)]
+                origin = nodes[(self._node_pos[dest] + 1) % len(nodes)]
         path = nx.shortest_path(space.graph, origin, dest, weight="length")
         walk = _walk_path(space, path, cohort.speed, n)
         return [_DelayedWalk(walk, m) for m in range(cohort.group_size)]
@@ -292,9 +302,10 @@ class CompiledScenario:
         """One (adds, removes) batch; mutates ``current`` to match."""
         churn = self.spec.poi_churn
         if self.spec.space.kind == "network":
-            graph = self._planning_space().graph
             present = set(current)
-            candidates = [node for node in sorted(graph.nodes) if node not in present]
+            candidates = [
+                node for node in self._planning_nodes() if node not in present
+            ]
             adds = rng.sample(candidates, min(churn.adds, len(candidates)))
         else:
             world = self.spec.space.world_rect()
@@ -303,11 +314,8 @@ class CompiledScenario:
         # every strategy still has competitors to rank.
         n_remove = min(churn.removes, max(0, len(current) - 4))
         removed = rng.sample(current, n_remove)
-        gone = set(removed) if self.spec.space.kind == "network" else removed
-        if self.spec.space.kind == "network":
-            current[:] = [p for p in current if p not in gone] + list(adds)
-        else:
-            current[:] = [p for p in current if p not in removed] + list(adds)
+        gone = set(removed)
+        current[:] = [p for p in current if p not in gone] + list(adds)
         return (
             tuple((p, None) for p in adds),
             tuple((p, None) for p in removed),

@@ -88,7 +88,7 @@ from repro.service.messages import (
     check_member_ids,
     validate_report_events,
 )
-from repro.service.session import Prober, ServiceSession
+from repro.service.session import Prober, ServiceSession, lemma1_suspects
 from repro.service.strategies import StrategyResult, get_strategy
 from repro.simulation.messages import (
     Message,
@@ -338,6 +338,7 @@ class MPNService:
             )
         session.policy = policy
         session.strategy = strategy
+        session.lemma1_bound = None  # MAX <-> SUM changes the threshold
 
     # ------------------------------------------------------------------
     # Session migration and shard snapshots (elastic operations)
@@ -764,6 +765,8 @@ class MPNService:
         even if several updates touch it.  Returns one notification
         per re-notified session.
         """
+        # One-shot iterables must feed the index and the sweep alike.
+        adds, removes = tuple(adds), tuple(removes)
         target = self._resolve_space(space)
         target.bulk_update(adds, removes)
         return self.renotify_pois(adds, removes, space=target)
@@ -784,9 +787,22 @@ class MPNService:
         inside a session's safe region), so it reads the post-update
         index state only through the recomputation of the sessions it
         selects.
+
+        Two stages: :func:`~repro.service.session.lemma1_suspects`
+        clears most (session, add) pairs in one NumPy broadcast — a
+        conservative filter: bounding circles under-estimate
+        ``min_dist`` and the threshold is padded, so no failing pair is
+        dropped — and the exact
+        :meth:`~ServiceSession.region_valid_against` decides the rest in
+        add order, so the result is the sessions x adds loop's, order
+        included.  The filter's per-session bound is reset wherever
+        ``po`` / ``regions`` / ``policy`` are written
+        (:meth:`_apply_result`, :meth:`_decode_snapshot`,
+        :meth:`update_policy`).
         """
         target = self._resolve_space(space)
         removed = {p for p, _ in removes}
+        points = [p for p, _ in adds]
         # Snapshot before recomputing: strategies may close sessions
         # reentrantly, and the recomputation wave must neither blow up
         # on dict mutation nor notify a session closed mid-batch
@@ -794,14 +810,18 @@ class MPNService:
         # Sessions are matched by the *index* they compute against, not
         # the Space wrapper's identity: two wrappers over one index see
         # the same POIs, and the churn must invalidate either way.
+        sessions = [
+            session
+            for session in self._sessions.values()
+            if session.space.index is target.index
+        ]
         invalidated = [
             session
-            for session in list(self._sessions.values())
-            if session.space.index is target.index
-            and (
-                session.po in removed
-                or any(not session.region_valid_against(p) for p, _ in adds)
+            for session, suspects in zip(
+                sessions, lemma1_suspects(sessions, points)
             )
+            if session.po in removed
+            or any(not session.region_valid_against(points[j]) for j in suspects)
         ]
         notifications = self._recompute_sessions(invalidated, cause="poi_update")
         return [n for n in notifications if n is not None]
@@ -848,6 +868,7 @@ class MPNService:
             self.metrics.result_changes += 1
         session.po = result.po
         session.regions = list(result.regions)
+        session.lemma1_bound = None  # refilled by the next churn sweep
         session.metrics.charge_update(cpu, result.stats)
         self.metrics.charge_update(cpu, result.stats)
         for values in result.region_values:

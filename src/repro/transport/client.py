@@ -710,11 +710,10 @@ class RemoteBackend:
     ) -> Callable[[], list[Notification]]:
         """Send a churn batch now; call the returned function for the
         re-notifications (see :meth:`submit_report_many`)."""
+        adds, removes = tuple(adds), tuple(removes)  # the mirror re-reads them
         mirror = self._mirror_for_ref(space)
         ticket = self.client.submit_request(
-            UpdatePoisRequest(
-                adds=tuple(adds), removes=tuple(removes), space=space
-            )
+            UpdatePoisRequest(adds=adds, removes=removes, space=space)
         )
 
         def gather() -> list[Notification]:

@@ -761,9 +761,12 @@ class ProcessCluster:
         come back in ascending session order.
         """
         name = _require_space_ref(space)
+        # One-shot iterables must feed the mirror, the churn log and
+        # every worker alike, or the replicas diverge.
+        adds, removes = tuple(adds), tuple(removes)
         mirror = self.get_space(name or "default")
         mirror.bulk_update(adds, removes)
-        self._churn_log.append((tuple(adds), tuple(removes), name))
+        self._churn_log.append((adds, removes, name))
         answers = _scatter_gather(
             [
                 functools.partial(

@@ -344,6 +344,65 @@ class TestCompiler:
         assert moves[3][sid][2] == moves[1][sid][0]
 
 
+def network_churn_spec() -> ScenarioSpec:
+    """``euclidean_spec``'s road-network twin: every network cohort kind
+    under churn.  Seed 11 puts crowd session 3's origin on the venue, so
+    the "step to the next node" branch of the materializer is covered."""
+    def cohort(name, kind, sessions, group_size, first, last):
+        return CohortSpec(
+            name=name, kind=kind, sessions=sessions, group_size=group_size,
+            first_tick=first, last_tick=last, lifetime=4, speed=1.0,
+            policies=("net_circle",),
+        )
+
+    return ScenarioSpec(
+        name="unit_net",
+        seed=11,
+        ticks=13,
+        space=CityGraphSpaceSpec(grid_size=6, n_pois=8, poi_seed=23),
+        cohorts=(
+            cohort("walkers", "wanderer", 3, 2, 0, 4),
+            cohort("commuters", "commuter", 3, 2, 0, 5),
+            cohort("crowd", "event_crowd", 4, 3, 1, 6),
+        ),
+        poi_churn=PoiChurnSpec(every=2, adds=3, removes=2),
+    )
+
+
+class TestGoldenStreamDigests:
+    """The stream itself, pinned — not just "two compiles agree".
+
+    Recorded at commit 20175f3 (CPython 3.11), before the churn planner
+    and the node-list handling were rewritten: a compiler change that
+    alters any position, id, ordering or churn batch fails here.
+    """
+
+    def test_smoke_preset(self):
+        assert stream_digest(get_preset("smoke")) == (
+            "f1e619fa0d2d07a96588173c08147b7890a70245348269a5a2abb419de6e4f6c"
+        )
+
+    def test_commuter_rush_prefix_covers_network_churn(self):
+        spec = get_preset("commuter_rush")
+        assert spec.poi_churn.every * 2 < 25  # two network batches inside
+        assert stream_digest(spec, max_ticks=25) == (
+            "733242fc9b9ceda04921a012162007a4ea17ef9f01b852afa28a53e0673df584"
+        )
+
+    def test_euclidean_churn(self):
+        spec = euclidean_spec(
+            ticks=13, poi_churn=PoiChurnSpec(every=2, adds=3, removes=2)
+        )
+        assert stream_digest(spec) == (
+            "fe2eae7eb8daa8d0789002b7366f63784da75f537b7d90f08a23a1a938540429"
+        )
+
+    def test_network_churn(self):
+        assert stream_digest(network_churn_spec()) == (
+            "ceaafb2fd0fb09929c4743d9cee360b9ad9aa77dc3429b3026fa909ee7a68947"
+        )
+
+
 class TestRecorder:
     def test_quantile_edges(self):
         assert quantiles_ms([]) == (0.0, 0.0)
