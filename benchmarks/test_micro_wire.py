@@ -20,11 +20,19 @@ loopback TCP:
   wave against the same sub-batches sent to the workers one after
   another; off CI the scatter must not be slower.
 
+* ``dispatch_hop`` — a default server serves on the thread that read
+  the bytes.  Structural, always armed: a request and a dispatched
+  control op (``session_ids``) reach the backend on the server's loop
+  thread and no executor exists.  Timed, off CI: ``session_ids`` and
+  ``ping`` (answered without touching the backend) interleaved on one
+  connection — their p50 ratio must stay <= 1.5 (it reads ~1.0; it was
+  1.7-7x when every dispatch crossed to an executor thread and back).
+
 Latency numbers print on every run and are appended to
 ``BENCH_wire.json`` by ``record_bench.py --suite wire``.  Absolute
 timings are not asserted (shared CI runners are noisy); the structural
 facts — every request answered, correct answers, backpressure engaged,
-one request per worker per wave — always arm.
+one request per worker per wave, no thread hop per request — always arm.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import asyncio
 import os
 import random
 import statistics
+import threading
 import time
 
 import pytest
@@ -60,6 +69,7 @@ MAX_INFLIGHT = 4  # small on purpose: the brake must engage
 SEQUENTIAL_REQUESTS = 120
 WAVE_SESSIONS = 80  # one event each per wave, split over two workers
 WAVES = 30  # per mode (scattered / one worker after another), interleaved
+HOP_ROUNDTRIPS = 300  # per op (session_ids / ping), interleaved
 
 FACTORY = UniformPoiSpaceFactory(n_pois=N_POIS, seed=13)
 
@@ -287,6 +297,61 @@ def test_cluster_wave_is_one_request_per_worker():
     assert p50 <= serial_p50, (
         "a scattered wave must not be slower than visiting the workers "
         "one after another"
+    )
+
+
+class _ThreadProbe:
+    """A backend wrapper noting the thread each backend call runs on."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.threads: list[int] = []
+
+    def dispatch(self, request):
+        self.threads.append(threading.get_ident())
+        return self.inner.dispatch(request)
+
+    def session_ids(self):
+        self.threads.append(threading.get_ident())
+        return self.inner.session_ids()
+
+
+def test_dispatch_crosses_no_thread_boundary():
+    """A default server: what it costs in threads (counted, always
+    armed) and in time against a backend-free ping (armed off CI)."""
+    probe = _ThreadProbe(MPNService(share_space(FACTORY())))
+    with ThreadedWireServer(probe) as server:
+        with RemoteBackend(*server.address) as backend:
+            client = backend.client
+            [(sid, _)] = _fleet(backend, 1, seed=11)  # a served request
+            assert client.control("session_ids") == [sid]
+            assert server.server._executor is None, (
+                "a default server must not own a dispatch executor"
+            )
+            assert set(probe.threads) == {server._thread.ident}, (
+                "a request or control op left the server's loop thread"
+            )
+
+            dispatched: list[float] = []
+            inline: list[float] = []
+            for _ in range(HOP_ROUNDTRIPS):
+                t0 = time.perf_counter()
+                client.control("session_ids")
+                dispatched.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                client.control("ping")
+                inline.append(time.perf_counter() - t0)
+    ids_p50, _ = _quantiles_ms(dispatched)
+    ping_p50, _ = _quantiles_ms(inline)
+    print(
+        f"\ndispatch_hop: session_ids p50 {ids_p50 * 1000:.0f} us vs ping "
+        f"p50 {ping_p50 * 1000:.0f} us -> {ids_p50 / ping_p50:.2f}x"
+    )
+    if os.environ.get("CI"):
+        pytest.skip("shared CI runner: ratio reported above, not gated")
+    assert ids_p50 <= 1.5 * ping_p50, (
+        "a dispatched control op must cost about what a ping costs; "
+        "is every dispatch crossing a thread boundary again?"
     )
 
 

@@ -29,6 +29,8 @@ Public entry points:
 * :mod:`repro.experiments` — harnesses regenerating Figures 13-19.
 """
 
+import logging
+
 from repro.core import (
     circle_msr,
     metric_circle_msr,
@@ -61,6 +63,10 @@ from repro.cluster import MPNCluster
 from repro.space import EuclideanSpace, Space, as_space, replicate_space
 
 __version__ = "1.4.0"
+
+# Library etiquette: lifecycle events (``repro.transport``) are silent
+# unless the application configures logging.
+logging.getLogger("repro").addHandler(logging.NullHandler())
 
 __all__ = [
     "circle_msr",

@@ -71,6 +71,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -111,6 +112,9 @@ from repro.transport.framing import (
     write_frame,
 )
 from repro.transport.server import DEFAULT_MAX_INFLIGHT
+
+
+log = logging.getLogger("repro.transport")
 
 
 class ControlError(RuntimeError):
@@ -290,6 +294,7 @@ class WireClient:
             except Exception as exc:
                 failure = failure or exc
         if failure is not None:
+            log.warning("a parked acknowledgement failed: %r", failure)
             raise failure
 
     def _park(self, ticket: Ticket) -> None:
@@ -429,13 +434,15 @@ class RemoteBackend:
         return self.client.control("space_epoch", space=name)["epoch"]
 
     def _mirror_for_ref(self, space: Union[None, str, Space]) -> Optional[Space]:
-        if isinstance(space, Space):
+        # None or a name on every wire path: settle those before the
+        # (slow, runtime-checked Protocol) live-space test.
+        if space is None:
+            return self._spaces.get("default")
+        if not isinstance(space, str) and isinstance(space, Space):
             raise ValueError(
                 "a live space cannot cross the wire; register it on the "
                 "server and reference it by name"
             )
-        if space is None:
-            return self._spaces.get("default")
         return self._spaces.get(space)
 
     # ------------------------------------------------------------------

@@ -107,7 +107,8 @@ def main(argv=None) -> int:
         "--request-timeout",
         type=float,
         default=None,
-        help="seconds before an in-flight dispatch times out",
+        help="seconds before an in-flight dispatch times out (moves "
+        "dispatch off the loop thread: ~0.2 ms more per request)",
     )
     args = parser.parse_args(argv)
     return asyncio.run(_serve(args))

@@ -12,14 +12,25 @@ the identical wire.
 Concurrency model
 -----------------
 
-The event loop only moves bytes; every ``dispatch`` runs on a
-**single-worker** thread pool.  That serializes backend access (the
+Every ``dispatch`` — and every control op that reads backend state —
+runs **on the event-loop thread**, the one that read the request's
+bytes: no hand-off to a second thread and back (two futex wakes and two
+GIL hand-overs, ~0.2 ms of what was a ~1 ms ``open_session``
+round-trip).  The loop thread serializes backend access by itself (the
 serving stack is synchronous, deliberately — exactness proofs care
-about event order) while the loop stays free to read, write and time
-out other connections.  Requests from *one* connection are answered in
-arrival order as a consequence; requests from different connections
-interleave at dispatch granularity, exactly like threads contending
-for one service lock.
+about event order).
+Requests from *one* connection are answered in arrival order; requests
+from different connections interleave at dispatch granularity, exactly
+like threads contending for one service lock.  The price: **while a
+dispatch runs nothing else on this server moves** — other connections'
+bytes wait in the kernel, and a ``ping`` is answered after the
+dispatch, not during it.
+
+Only ``request_timeout`` changes that.  Answering ``timeout`` while the
+work is still running needs a second thread by definition, so a server
+built with one dispatches on a single-worker ``wire-dispatch`` thread
+pool instead (the same serialization, plus the hop) and its loop stays
+free to read, write and time out other connections meanwhile.
 
 Degradation knobs
 -----------------
@@ -40,7 +51,8 @@ Degradation knobs
   The synchronous backend work itself is not cancellable — the worker
   thread finishes (its result is discarded) and later requests queue
   behind it; the timeout bounds the *caller's* wait, not the server's
-  work.
+  work.  Setting it is what selects the executor (above): the bound
+  costs every request the thread hop, ~0.2 ms.
 
 Failures a request can cause — bad envelopes, unknown sessions, bad
 removals, strategy exceptions — come back as
@@ -50,9 +62,15 @@ whose body is not valid JSON are answered with ``"id": null`` and the
 connection keeps reading (framing stayed intact).
 
 Shutdown (:meth:`WireServer.stop`) drains: the listener closes first,
-every accepted connection finishes its in-flight requests, then the
-connections close.  The ``shutdown`` control op triggers the same
-path remotely after acknowledging.
+idle connections close at once, and a connection with requests in
+flight stays open until every one of them is answered — a frame that
+arrives on it meanwhile is answered ``shutting_down`` on its id and
+never dispatched.  The ``shutdown`` control op triggers the same path
+remotely after acknowledging.
+
+Lifecycle events (listening, drain begin / end, a fired timeout, a
+refused frame) go to the ``repro.transport`` logger; nothing is logged
+per request.
 """
 
 from __future__ import annotations
@@ -60,6 +78,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -82,6 +101,13 @@ from repro.transport.framing import (
 
 DEFAULT_MAX_INFLIGHT = 32
 
+log = logging.getLogger("repro.transport")
+
+
+def _frame_id(frame: object) -> Optional[int]:
+    frame_id = frame.get("id") if isinstance(frame, dict) else None
+    return frame_id if isinstance(frame_id, int) else None
+
 
 class _Connection:
     """Book-keeping for one accepted client connection."""
@@ -91,6 +117,9 @@ class _Connection:
         self.write_lock = asyncio.Lock()  # frames must not interleave
         self.inflight = asyncio.Semaphore(max_inflight)
         self.tasks: set[asyncio.Task] = set()
+        # The _handle_connection task this is built in; the drain
+        # waits for it.
+        self.handler = asyncio.current_task()
 
     async def send(self, frame: dict, max_bytes: int) -> None:
         async with self.write_lock:
@@ -141,15 +170,24 @@ class WireServer:
     async def start(self) -> tuple[str, int]:
         if self._server is not None:
             raise RuntimeError("server is already started")
-        # One worker thread: backend access is serialized, the loop is
-        # not (see the module docstring's concurrency model).
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="wire-dispatch"
-        )
+        if self.request_timeout is not None:
+            # Answering ``timeout`` while the work still runs takes a
+            # second thread; nothing else does (see the module
+            # docstring's concurrency model).
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="wire-dispatch"
+            )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
         self.port = self.address[1]
+        log.info(
+            "listening on %s:%d, dispatch=%s",
+            *self.address,
+            "loop-thread"
+            if self._executor is None
+            else f"executor, timeout={self.request_timeout}s",
+        )
         return self.address
 
     async def serve_forever(self) -> None:
@@ -164,19 +202,24 @@ class WireServer:
             await self._stopped.wait()
             return
         self._stopping = True
+        log.info("drain begins: %d connection(s) open", len(self._connections))
         if self._server is not None:
             self._server.close()
+            await asyncio.gather(*map(self._drain, list(self._connections)))
             await self._server.wait_closed()
-        for conn in list(self._connections):
-            if conn.tasks:
-                await asyncio.gather(*conn.tasks, return_exceptions=True)
-            conn.writer.close()
-            with contextlib.suppress(Exception):
-                await conn.writer.wait_closed()
-        self._connections.clear()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
+        log.info("drain ends: %d request(s) served", self.requests_served)
         self._stopped.set()
+
+    async def _drain(self, conn: _Connection) -> None:
+        # A frame decoded just before the drain began may become a task
+        # after this wait started, so wait until none is left.
+        while conn.tasks:
+            await asyncio.wait(conn.tasks)
+        conn.writer.close()
+        # Its handler sees end-of-stream, closes up and returns.
+        await asyncio.wait([conn.handler])
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -200,7 +243,7 @@ class WireServer:
     async def _read_loop(
         self, reader: asyncio.StreamReader, conn: _Connection
     ) -> None:
-        while not self._stopping:
+        while True:
             try:
                 frame = await read_frame(reader, self.max_frame_bytes)
             except ConnectionClosed:
@@ -215,6 +258,17 @@ class WireServer:
                 continue
             except (ConnectionError, OSError):
                 return
+            if self._stopping:
+                # The drain keeps this connection open for its in-flight
+                # work only: refuse the late frame, never dispatch it.
+                log.warning("refused a frame that arrived during the drain")
+                await self._send_error(
+                    conn,
+                    _frame_id(frame),
+                    ConnectionError("server is shutting down"),
+                    code="shutting_down",
+                )
+                continue
             # Backpressure: stop reading this connection while it has
             # max_inflight unanswered requests.
             if conn.inflight.locked():
@@ -245,7 +299,6 @@ class WireServer:
 
     async def _serve_frame(self, conn: _Connection, frame: object) -> None:
         try:
-            frame_id: object = None
             if not isinstance(frame, dict):
                 await self._send_error(
                     conn,
@@ -254,9 +307,7 @@ class WireServer:
                     code="malformed_envelope",
                 )
                 return
-            frame_id = frame.get("id")
-            if not isinstance(frame_id, (int, type(None))):
-                frame_id = None
+            frame_id = _frame_id(frame)
             try:
                 if "request" in frame:
                     payload = await self._serve_request(frame["request"])
@@ -288,10 +339,13 @@ class WireServer:
     # ------------------------------------------------------------------
 
     async def _dispatch_blocking(self, fn, *args):
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(self._executor, fn, *args)
+        """The one door to the backend, and the one place that picks its
+        thread: this one, unless a ``request_timeout`` must be kept."""
         if self.request_timeout is None:
-            return await future
+            return fn(*args)
+        future = asyncio.get_running_loop().run_in_executor(
+            self._executor, fn, *args
+        )
         try:
             return await asyncio.wait_for(
                 asyncio.shield(future), self.request_timeout
@@ -299,6 +353,10 @@ class WireServer:
         except asyncio.TimeoutError:
             # The worker thread cannot be interrupted; the result is
             # discarded when it eventually lands.
+            log.warning(
+                "a dispatch outlived the %ss request timeout; it runs on",
+                self.request_timeout,
+            )
             raise TimeoutError(
                 f"request exceeded the {self.request_timeout}s server timeout"
             ) from None
@@ -324,9 +382,9 @@ class WireServer:
 
         Control operations mirror the backend accessors a fleet driver
         reads around the envelope API (``metrics``,
-        ``session_metrics``, …).  They run on the same single dispatch
-        worker as requests, so a control read never observes a
-        half-applied wave.
+        ``session_metrics``, …).  They go through the same door as
+        requests (:meth:`_dispatch_blocking`), so a control read never
+        observes a half-applied wave.
         """
         if not isinstance(control, dict) or "op" not in control:
             raise ValueError(f"malformed control frame: {control!r}")
@@ -341,7 +399,9 @@ class WireServer:
             return {"ok": True}
         if op == "stats":
             stats = {
-                "sessions": len(self.backend.session_ids()),
+                "sessions": len(
+                    await self._dispatch_blocking(self.backend.session_ids)
+                ),
                 "connections": len(self._connections),
                 "max_inflight": self.max_inflight,
                 "backpressure_waits": self.backpressure_waits,
@@ -414,8 +474,10 @@ class ThreadedWireServer:
             backend = RemoteBackend(*server.address)
             ...
 
-    ``stop()`` (or leaving the ``with`` block) runs the same graceful
-    drain as :meth:`WireServer.stop`.
+    The backend is called on that thread (``wire-server``; on
+    ``wire-dispatch`` when a ``request_timeout`` is passed), never on
+    the caller's.  ``stop()`` (or leaving the ``with`` block) runs the
+    same graceful drain as :meth:`WireServer.stop`.
     """
 
     def __init__(self, backend, **kwargs):

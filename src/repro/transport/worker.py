@@ -7,7 +7,10 @@ was rehearsing for.  Each worker process builds its shard's space from
 a picklable zero-argument factory, wraps it in an epoch-published
 :class:`repro.space.SharedSpace`, and serves a
 :class:`~repro.service.MPNService` through a
-:class:`~repro.transport.server.WireServer` on an OS-assigned port.
+:class:`~repro.transport.server.WireServer` on an OS-assigned port —
+dispatching each request on the thread that read it (the server's
+concurrency model), so a round-trip pays no thread hand-off inside the
+worker.
 
 :class:`ProcessCluster` is the front door: it mirrors
 :class:`~repro.cluster.MPNCluster`'s routing exactly — the same
@@ -73,12 +76,14 @@ requests, closes its listener, and exits 0; the front door then joins
 the processes.  A worker that outlives the timeout is terminated, and
 any terminated or non-zero exit is surfaced as a
 :class:`WorkerShutdownError` (pass ``raise_on_error=False`` for a
-best-effort close); ``close`` is idempotent either way.
+best-effort close); ``close`` is idempotent either way.  Worker spawn,
+readiness and exit codes are logged on ``repro.transport``.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar, Union
@@ -109,6 +114,8 @@ from repro.transport.server import DEFAULT_MAX_INFLIGHT
 
 SpaceFactory = Callable[[], Space]
 T = TypeVar("T")
+
+log = logging.getLogger("repro.transport")
 
 
 class WorkerShutdownError(RuntimeError):
@@ -225,6 +232,19 @@ def _require_space_ref(space: Union[None, str, Space]) -> Optional[str]:
     )
 
 
+def _reap(shard_id: int, process, timeout: float, failed: dict) -> None:
+    """Join a draining worker; one that had to be terminated, or exited
+    non-zero, lands in ``failed`` with its exit code."""
+    process.join(timeout=timeout)
+    outlived = process.is_alive()
+    if outlived:
+        process.terminate()
+        process.join(timeout=10)
+    log.info("worker %d exited with code %s", shard_id, process.exitcode)
+    if outlived or process.exitcode not in (0, None):
+        failed[shard_id] = process.exitcode
+
+
 def _scatter_gather(submits: Sequence[Callable[[], Callable[[], T]]]) -> list[T]:
     """Run every ``submit`` (each sends one request and returns the
     function that reads its reply), *then* read the replies, in order.
@@ -265,7 +285,10 @@ class ProcessCluster:
     mirror, plus any worker :meth:`add_shard` spawns later) calls it
     once.  ``ring_replicas`` defaults to
     :class:`~repro.cluster.MPNCluster`'s, so both front doors route any
-    given session id to the same shard index.
+    given session id to the same shard index.  ``request_timeout``
+    (default: none) bounds every worker dispatch at the price of a
+    thread hop per request, ~0.2 ms — see
+    :mod:`repro.transport.server`'s concurrency model.
 
     The front door also keeps client-side session state (probers, the
     mirror space for region decoding) through its per-shard
@@ -354,6 +377,7 @@ class ProcessCluster:
                 name=f"mpn-worker-{shard_id}",
             )
             process.start()
+            log.info("worker %d spawned (pid %s)", shard_id, process.pid)
             processes[shard_id] = process
         addresses: dict[int, tuple[str, int]] = {}
         try:
@@ -366,6 +390,7 @@ class ProcessCluster:
                         f"worker {shard_id} failed to start: {payload}"
                     ) from payload
                 addresses[shard_id] = tuple(payload)
+                log.info("worker %d ready on %s:%d", shard_id, *payload)
         except Exception:
             for process in processes.values():
                 if process.is_alive():
@@ -442,14 +467,7 @@ class ProcessCluster:
             shard.close()
         failed: dict[int, Optional[int]] = {}
         for shard_id in sorted(self._processes):
-            process = self._processes[shard_id]
-            process.join(timeout=timeout)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=10)
-                failed[shard_id] = process.exitcode
-            elif process.exitcode not in (0, None):
-                failed[shard_id] = process.exitcode
+            _reap(shard_id, self._processes[shard_id], timeout, failed)
         if failed and raise_on_error:
             raise WorkerShutdownError(failed)
         if late_ack is not None and raise_on_error:
@@ -539,15 +557,8 @@ class ProcessCluster:
         except (ConnectionError, OSError):  # pragma: no cover
             pass
         backend.close()
-        process = self._processes.pop(shard_id)
-        process.join(timeout=timeout)
         failed: dict[int, Optional[int]] = {}
-        if process.is_alive():  # pragma: no cover - drain timeout
-            process.terminate()
-            process.join(timeout=10)
-            failed[shard_id] = process.exitcode
-        elif process.exitcode not in (0, None):  # pragma: no cover
-            failed[shard_id] = process.exitcode
+        _reap(shard_id, self._processes.pop(shard_id), timeout, failed)
         if failed:  # pragma: no cover - drain failures
             raise WorkerShutdownError(failed)
 

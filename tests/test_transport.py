@@ -10,6 +10,10 @@ answer-equivalence proofs live in ``tests/test_wire_equivalence.py``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
+import sys
+import threading
 import time
 
 import pytest
@@ -365,6 +369,190 @@ class TestDegradation:
 
 
 # ----------------------------------------------------------------------
+# Which thread serves: the loop's own, unless a timeout must be kept
+# ----------------------------------------------------------------------
+
+
+class ProbeBackend:
+    """Records who served what, when — and refuses to be re-entered."""
+
+    def __init__(self, delay: float = 0.0):
+        self.delay = delay
+        self.threads: set[str] = set()
+        self.served: list[int] = []
+        self.started = threading.Event()
+        self.finished_at = None
+        self._busy = False
+
+    def _enter(self):
+        assert not self._busy, "backend entered by two threads at once"
+        self._busy = True
+        self.threads.add(threading.current_thread().name)
+
+    def dispatch(self, request):
+        self._enter()
+        self.started.set()
+        try:
+            time.sleep(self.delay)  # lets another thread in, if one exists
+            self.served.append(request.session_id)
+            return CloseSessionResponse(session_id=request.session_id)
+        finally:
+            self.finished_at = time.monotonic()
+            self._busy = False
+
+    def session_ids(self):
+        self._enter()
+        self._busy = False
+        return list(self.served)
+
+
+# request_timeout -> the thread every backend call must be seen on
+DISPATCH_THREADS = [(None, "wire-server"), (30.0, "wire-dispatch_0")]
+
+
+class TestDispatchThread:
+    @pytest.mark.parametrize("request_timeout, thread", DISPATCH_THREADS)
+    def test_requests_and_control_ops_share_one_thread(
+        self, request_timeout, thread
+    ):
+        backend = ProbeBackend()
+        with ThreadedWireServer(
+            backend, request_timeout=request_timeout
+        ) as server:
+            with WireClient(*server.address) as client:
+                client.call(CloseSessionRequest(session_id=1))
+                assert client.control("session_ids") == [1]
+                assert client.control("stats")["sessions"] == 1
+            # No timeout to keep, no second thread to keep it with.
+            assert (server.server._executor is None) == (
+                request_timeout is None
+            )
+        assert backend.threads == {thread}
+
+    @pytest.mark.parametrize("request_timeout, thread", DISPATCH_THREADS)
+    def test_connections_never_overlap_in_the_backend(
+        self, request_timeout, thread
+    ):
+        """Three clients (one more than this box has cores) hammer one
+        backend; ProbeBackend raises if two calls are ever inside it."""
+        backend = ProbeBackend(delay=0.0002)
+        n_clients, n_requests = 3, 60
+        failures: list[BaseException] = []
+
+        def hammer(base: int) -> None:
+            try:
+                with WireClient(*server.address, timeout=30.0) as client:
+                    for i in range(n_requests):
+                        client.call(CloseSessionRequest(session_id=base + i))
+                        client.control("session_ids")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadedWireServer(
+                backend, request_timeout=request_timeout
+            ) as server:
+                clients = [
+                    threading.Thread(target=hammer, args=(1000 * k,))
+                    for k in range(n_clients)
+                ]
+                for t in clients:
+                    t.start()
+                for t in clients:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in clients)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(backend.served) == n_clients * n_requests
+        assert backend.threads == {thread}
+
+    @pytest.mark.parametrize("request_timeout", [None, 30.0])
+    def test_ping_waits_for_an_inline_dispatch_only(self, request_timeout):
+        """The documented trade: on a default server a ping from another
+        connection is answered after the running dispatch; a server
+        keeping a request_timeout answers it meanwhile."""
+        backend = ProbeBackend(delay=0.2)
+        with ThreadedWireServer(
+            backend, request_timeout=request_timeout
+        ) as server:
+            with WireClient(*server.address) as busy, WireClient(
+                *server.address
+            ) as other:
+                ticket = busy.submit_request(CloseSessionRequest(session_id=1))
+                assert backend.started.wait(5.0)
+                assert other.control("ping") == {"ok": True}
+                finished_at, ponged_at = backend.finished_at, time.monotonic()
+                ticket.result()
+        if request_timeout is None:
+            assert finished_at is not None and finished_at <= ponged_at
+        else:
+            assert finished_at is None  # overtook the dispatch
+
+
+class TestDrain:
+    def _no_pending_task_log(self, caplog):
+        gc.collect()  # "Task was destroyed ..." is logged from __del__
+        assert not [
+            r for r in caplog.records if "was destroyed" in r.getMessage()
+        ]
+
+    def test_frame_arriving_during_the_drain_is_refused(self, caplog):
+        """Executor mode, so the loop is free while request 1 runs:
+        request 2 lands on the connection the drain holds open for
+        request 1 — answered ``shutting_down``, never dispatched."""
+        backend = ProbeBackend(delay=0.4)
+        server = ThreadedWireServer(backend, request_timeout=30.0)
+        with caplog.at_level(logging.INFO):
+            server.start()
+            with WireClient(*server.address) as a, WireClient(
+                *server.address
+            ) as b:
+                first = a.submit_request(CloseSessionRequest(session_id=1))
+                assert backend.started.wait(5.0)
+                assert b.control("shutdown") == {"ok": True}
+                second = a.submit_request(CloseSessionRequest(session_id=2))
+                assert first.result() == CloseSessionResponse(session_id=1)
+                with pytest.raises(ConnectionError, match="shutting down"):
+                    second.result()
+            server.stop()
+            assert backend.served == [1]
+            self._no_pending_task_log(caplog)
+        messages = [
+            (r.levelname, r.getMessage())
+            for r in caplog.records
+            if r.name == "repro.transport"
+        ]
+        levels = [level for level, _ in messages]
+        text = "\n".join(message for _, message in messages)
+        assert "dispatch=executor, timeout=30.0s" in text
+        assert text.index("drain begins") < text.index("drain ends")
+        assert levels.count("WARNING") == 1  # the refused frame, once
+
+    def test_late_frame_on_an_idle_connection_is_never_dispatched(
+        self, caplog
+    ):
+        """The inline twin: nothing is in flight once the loop gets to
+        the shutdown, so every connection is idle and closes as the
+        drain begins; the late frame meets a closed door."""
+        backend = ProbeBackend()
+        server = ThreadedWireServer(backend)
+        server.start()
+        with WireClient(*server.address) as a, WireClient(
+            *server.address
+        ) as b:
+            assert a.control("ping") == {"ok": True}
+            assert b.control("shutdown") == {"ok": True}
+            with pytest.raises(ConnectionError):
+                a.call(CloseSessionRequest(session_id=2))
+        server.stop()
+        assert backend.served == []
+        self._no_pending_task_log(caplog)
+
+
+# ----------------------------------------------------------------------
 # The async client multiplexes one connection
 # ----------------------------------------------------------------------
 
@@ -516,11 +704,16 @@ class TestLifecycle:
                 ra.close()
                 rb.close()
 
-    def test_process_cluster_double_close_is_idempotent(self):
-        cluster = ProcessCluster(2, FACTORY)
-        cluster.close()
-        cluster.close()
+    def test_process_cluster_double_close_is_idempotent(self, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.transport"):
+            cluster = ProcessCluster(2, FACTORY)
+            cluster.close()
+            cluster.close()
         assert cluster.worker_exitcodes() == [0, 0]
+        # ...and the workers' lives are on the record, once each.
+        for shard_id in (0, 1):
+            for event in ("spawned", "ready on 127.0.0.1", "exited with code 0"):
+                assert caplog.text.count(f"worker {shard_id} {event}") == 1
 
     def test_killed_worker_surfaces_on_close(self):
         """The regression: a worker that died (or hangs) no longer
