@@ -17,6 +17,14 @@ door must stay thin — within 2x of the unsharded batched service (the
 split/merge overhead bound; in one process the shards buy isolation,
 not parallelism).  Ratios are printed on every run; the assertions arm
 only on multi-sample local runs, never on shared CI runners.
+
+One gate is structural and always armed, CI included — the in-process
+twin of the wire gate "a ``ProcessCluster(2)`` wave costs each worker
+exactly one served request"
+(``test_wave_enters_each_involved_shard_once_by_the_front_gate``): the
+front door validates a wave once, then enters every involved shard
+exactly once through the public ``MPNService.report_many``, and an open
+reaches its owner through ``MPNService.open_session``.
 """
 
 from __future__ import annotations
@@ -132,6 +140,55 @@ def test_cluster_fleet_step_400_sessions(
     notifications = _record(benchmark, backend_name, step)
     # Every report was a genuine escape: all 400 sessions recomputed.
     assert sum(n is not None for n in notifications) == N_SESSIONS
+
+
+def test_wave_enters_each_involved_shard_once_by_the_front_gate(monkeypatch):
+    """Counted, not timed: what a wave and an open cost the shards."""
+    import repro.cluster.cluster as front_door
+
+    cluster = MPNCluster(
+        N_SHARDS,
+        lambda: as_space(build_poi_tree(clustered_pois(500, WORLD, seed=31))),
+    )
+    shard_of = {
+        id(shard): shard_id
+        for shard_id, shard in zip(cluster.shard_ids(), cluster.shards)
+    }
+    calls: list[tuple[str, int]] = []
+
+    def spy(owner, name, label, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((label, key(args[0])))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(MPNService, "open_session", "open", lambda shard: shard_of[id(shard)])
+    spy(MPNService, "report_many", "wave", lambda shard: shard_of[id(shard)])
+    spy(front_door, "validate_report_events", "validate", len)
+
+    ids = _open_fleet(cluster, 12)
+    assert calls == [("open", cluster.shard_for(sid)) for sid in ids]
+
+    idle = cluster.shard_for(ids[0])
+    rng = random.Random(9)
+    events = [
+        ReportEvent(sid, 0, MemberState(WORLD.sample(rng)))
+        for sid in ids
+        if cluster.shard_for(sid) != idle
+    ]
+    involved = sorted({cluster.shard_for(e.session_id) for e in events})
+    assert len(involved) >= 2, "the wave must span shards"
+    calls.clear()
+    answers = cluster.report_many(events)
+    assert sum(n is not None for n in answers) > len(events) // 2
+    # Validated once, at the door, before any shard is entered; then one
+    # public report_many per involved shard and none on the idle one.
+    assert calls == [("validate", len(events))] + [
+        ("wave", shard_id) for shard_id in involved
+    ]
 
 
 def test_sharded_throughput_scaling():

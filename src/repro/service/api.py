@@ -1246,10 +1246,14 @@ class ServiceBackend(Protocol):
     """Anything that serves the seven MPN operations through one door.
 
     ``dispatch`` is the transport-ready face: one envelope in, one
-    envelope out.  Both implementations in this repo —
-    :class:`repro.service.MPNService` (one process, one shard) and
-    :class:`repro.cluster.MPNCluster` (a sharded front door over many
-    services) — additionally share the in-process convenience surface
+    envelope out.  The implementations in this repo —
+    :class:`repro.service.MPNService` (one process, one shard),
+    :class:`repro.cluster.cluster.ShardedFrontDoor` (the sharded front
+    door, constructed as :class:`repro.cluster.MPNCluster` over
+    in-process services or :class:`repro.transport.ProcessCluster` over
+    worker processes) and :class:`repro.transport.RemoteBackend` (a
+    server across a connection) — additionally share the in-process
+    convenience surface
     (``open_session`` / ``report`` / ``report_many`` /
     ``update_locations`` / ``update_pois`` / ``update_policy`` /
     ``close_session`` plus the ``session*`` accessors), which is what
@@ -1264,11 +1268,11 @@ class ServiceBackend(Protocol):
 def dispatch_request(backend, request: Request) -> Response:
     """Serve one request envelope through ``backend``'s methods.
 
-    This is the single routing table both backends use to implement
-    :meth:`ServiceBackend.dispatch`, so the envelope surface and the
-    convenience surface cannot drift apart: every envelope operation is
-    *defined* as a call to the corresponding method, with live results
-    narrowed to their wire payloads.
+    This is the single routing table the service and the sharded front
+    door use to implement :meth:`ServiceBackend.dispatch`, so the
+    envelope surface and the convenience surface cannot drift apart:
+    every envelope operation is *defined* as a call to the corresponding
+    method, with live results narrowed to their wire payloads.
     """
     if isinstance(request, OpenSessionRequest):
         handle: SessionHandle = backend.open_session(

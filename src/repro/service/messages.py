@@ -78,9 +78,11 @@ def validate_report_events(
     it does not know.  Events are checked in request order, so the
     first bad one decides the exception.  One function serves
     :meth:`MPNService.validate_events` (sizes from the live sessions)
-    and the :class:`~repro.transport.worker.ProcessCluster` front door
-    (sizes from its client-side registries): a wave is rejected with
-    the same exception wherever it is validated.
+    and the sharded front door
+    (:class:`~repro.cluster.cluster.ShardedFrontDoor`: sizes from its
+    shards — live sessions in-process, client-side registries over the
+    wire): a wave is rejected with the same exception wherever it is
+    validated.
     """
     for event in events:
         check_member_ids(

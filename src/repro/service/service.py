@@ -109,6 +109,16 @@ def _as_state(member: Member) -> MemberState:
     return MemberState(point=member)
 
 
+def _check_space_kind(strategy, policy: Policy, space: Space) -> None:
+    """A strategy bound to one space kind only serves sessions there."""
+    required_kind = getattr(strategy, "space_kind", None)
+    if required_kind is not None and required_kind != space.kind:
+        raise ValueError(
+            f"strategy {policy.strategy_name!r} serves {required_kind} "
+            f"spaces, but the session space is {space.kind}"
+        )
+
+
 class MPNService:
     """Serves many concurrent monitoring sessions over one POI index.
 
@@ -188,34 +198,6 @@ class MPNService:
     # Session lifecycle
     # ------------------------------------------------------------------
 
-    def validate_open(
-        self,
-        members: Sequence[Member],
-        policy: Policy,
-        space: Union[None, str, Space] = None,
-    ):
-        """Raise exactly what :meth:`open_session` would before it
-        registers (or numbers) anything, mutating nothing.
-
-        Returns the resolved ``(strategy, space)`` pair.  The cluster
-        front door runs this on the owning shard *before* consuming a
-        global session id, so a rejected open leaves cluster numbering
-        identical to a single service's.
-        """
-        strategy = get_strategy(policy)
-        if strategy.periodic:
-            raise ValueError("periodic strategies bypass the session API")
-        if not members:
-            raise ValueError("need at least one member")
-        space = self._resolve_space(space)
-        required_kind = getattr(strategy, "space_kind", None)
-        if required_kind is not None and required_kind != space.kind:
-            raise ValueError(
-                f"strategy {policy.strategy_name!r} serves {required_kind} "
-                f"spaces, but the session space is {space.kind}"
-            )
-        return strategy, space
-
     def open_session(
         self,
         members: Sequence[Member],
@@ -238,24 +220,20 @@ class MPNService:
         plain callers leave it ``None`` and get the next free id.  The
         registration charges one location update per member plus the
         first result notification round.
-        """
-        strategy, space = self.validate_open(members, policy, space)
-        return self._open_validated(
-            members, policy, strategy, space, prober, session_id
-        )
 
-    def _open_validated(
-        self,
-        members: Sequence[Member],
-        policy: Policy,
-        strategy,
-        space: Space,
-        prober: Optional[Prober],
-        session_id: Optional[int],
-    ) -> SessionHandle:
-        """:meth:`open_session` after :meth:`validate_open` — the
-        post-validation entry the cluster uses so an open is validated
-        once, on the owning shard, not twice."""
+        Every rejection — a periodic strategy, an empty group, an
+        unknown space, a strategy that does not serve the space's kind,
+        an id already in use — raises before anything is registered or
+        numbered, so a front door that numbers sessions through this
+        method burns no id on a refused open.
+        """
+        strategy = get_strategy(policy)
+        if strategy.periodic:
+            raise ValueError("periodic strategies bypass the session API")
+        if not members:
+            raise ValueError("need at least one member")
+        space = self._resolve_space(space)
+        _check_space_kind(strategy, policy, space)
         if session_id is None:
             session_id = self._next_id
         elif session_id in self._sessions:
@@ -330,12 +308,7 @@ class MPNService:
         strategy = get_strategy(policy)
         if strategy.periodic:
             raise ValueError("periodic strategies bypass the session API")
-        required_kind = getattr(strategy, "space_kind", None)
-        if required_kind is not None and required_kind != session.space.kind:
-            raise ValueError(
-                f"strategy {policy.strategy_name!r} serves {required_kind} "
-                f"spaces, but the session space is {session.space.kind}"
-            )
+        _check_space_kind(strategy, policy, session.space)
         session.policy = policy
         session.strategy = strategy
         session.lemma1_bound = None  # MAX <-> SUM changes the threshold
@@ -386,13 +359,7 @@ class MPNService:
 
         space = self._resolve_space(snapshot.space)
         strategy = get_strategy(snapshot.policy)
-        required_kind = getattr(strategy, "space_kind", None)
-        if required_kind is not None and required_kind != space.kind:
-            raise ValueError(
-                f"strategy {snapshot.policy.strategy_name!r} serves "
-                f"{required_kind} spaces, but the session space is "
-                f"{space.kind}"
-            )
+        _check_space_kind(strategy, snapshot.policy, space)
         return ServiceSession(
             session_id=snapshot.session_id,
             policy=snapshot.policy,
@@ -553,18 +520,6 @@ class MPNService:
         """
         events = list(events)
         self.validate_events(events)
-        return self._serve_wave(events)
-
-    def _serve_wave(
-        self, events: list[ReportEvent]
-    ) -> list[Optional[Notification]]:
-        """:meth:`report_many` minus the upfront validation.
-
-        Callers must have run :meth:`validate_events` already — the
-        cluster front door validates every shard's sub-batch first and
-        then serves each through this hook, so the hot path pays the
-        session lookups once, not twice.
-        """
         out: list[Optional[Notification]] = [None] * len(events)
         pending = list(range(len(events)))
         while pending:
@@ -609,12 +564,11 @@ class MPNService:
 
         An unknown session id raises :class:`UnknownSessionError`, an
         out-of-range member id a ``ValueError`` — with every session's
-        state and metrics untouched.  The in-process cluster front door
-        runs this on every shard *before* any shard executes its
-        sub-batch, so a split wave keeps the single-service
-        all-or-nothing validation semantics; the checks themselves are
-        :func:`~repro.service.messages.validate_report_events`, which
-        the wire front door runs against its own session registries.
+        state and metrics untouched.  The checks themselves are
+        :func:`~repro.service.messages.validate_report_events`, which a
+        sharded front door (:mod:`repro.cluster.cluster`) runs once over
+        the whole wave, in request order, before any shard is entered —
+        so a split wave is refused with exactly this method's exception.
         """
         validate_report_events(
             events, lambda session_id: self.session(session_id).size

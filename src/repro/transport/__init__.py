@@ -20,10 +20,10 @@ shard.
   driver (``run_service`` included) runs unchanged against it.
   :class:`WireClient` / :class:`AsyncWireClient` are the raw callers.
 * :mod:`repro.transport.worker` — :class:`ProcessCluster`: each shard
-  an OS process serving its replica through the wire, the front door
-  fanning waves and POI churn exactly like
-  :class:`repro.cluster.MPNCluster` — with bit-identical answers,
-  proven by ``tests/test_wire_equivalence.py``.  ``add_shard`` /
+  an OS process serving its replica through the wire, behind the same
+  front door as :class:`repro.cluster.MPNCluster`
+  (:class:`repro.cluster.cluster.ShardedFrontDoor`) — with bit-identical
+  answers, proven by ``tests/test_wire_equivalence.py``.  ``add_shard`` /
   ``remove_shard`` reshape the worker fleet live, migrating sessions
   by snapshot without disturbing a single notification
   (``tests/test_elastic_equivalence.py``); a worker that fails to

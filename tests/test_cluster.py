@@ -97,6 +97,28 @@ class TestClusterConstruction:
         # ... and the shared copy is not the caller's tree.
         assert all(s.index is not tree for s in spaces)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "open_session",
+            "report_many",
+            "update_pois",
+            "import_session",
+            "export_session",
+            "restore_shard",
+            "_migrate",
+        ],
+    )
+    def test_both_front_doors_share_one_implementation(self, name):
+        """The seam cannot quietly re-fork: what a sharded backend
+        decides resolves to the *same function object* on the in-process
+        and the process door (siblings over ``ShardedFrontDoor``)."""
+        from repro.transport import ProcessCluster  # lazy; spawns nothing
+
+        assert getattr(MPNCluster, name) is getattr(ProcessCluster, name)
+        assert not issubclass(ProcessCluster, MPNCluster)
+        assert not issubclass(MPNCluster, ProcessCluster)
+
 
 class TestReplication:
     def test_euclidean_replica_is_independent(self):
