@@ -8,7 +8,7 @@ cache — the exact path recomputes rows every call.  The oracle's ALT
 landmark pruning + bounded-radius Dijkstra answers the same GNNs
 bit-identically while touching only the small ball around each group.
 
-Three gates:
+Five gates:
 
 * ``test_alt_speedup`` — ALT-pruned GNN >= 3x faster than the exact
   full-row path under the *same* row-cache byte budget (the honest
@@ -22,6 +22,17 @@ Three gates:
   wire costs what it covers (< 1 % of the edges), >= 20x faster than
   the whole-graph loop it replaced.  The equality half (same segments,
   same order, same wire size) is always armed.
+
+* ``test_churn_sweep_runs_exact_tests_on_survivors_only`` — a seeded
+  ``net_circle`` fleet under per-tick POI churn: the Lemma-1 sweep's
+  exact ``region_valid_against`` runs on the broadcast filter's
+  survivors only — under 10 % of the sessions x adds the plain double
+  loop pays for — and every notification is bit-identical to a service
+  whose sweep *is* that double loop.  Counts only, ALWAYS armed.
+* ``test_churn_sweep_computes_at_most_one_row_per_add`` — on the
+  >=10^4-node city the sweep's distances come from the add nodes' own
+  oracle rows: ``rows_computed`` grows by at most one per add, however
+  many sessions the batch is held against.  ALWAYS armed.
 
 ``CITYNET_GRID`` shrinks the graph for smoke runs (CI uses 120).
 """
@@ -38,6 +49,17 @@ import pytest
 from repro.index.oracle import OracleConfig, oracle_for
 from repro.network_ext.ball import NetworkBall
 from repro.network_ext.space import NetworkSpace
+from repro.scenarios import (
+    CityGraphSpaceSpec,
+    CohortSpec,
+    PoiChurnSpec,
+    ScenarioSpec,
+    run_scenario,
+)
+from repro.service import MPNService
+from repro.service import service as service_module
+from repro.service.session import ServiceSession, lemma1_suspects
+from repro.simulation import net_circle_policy
 from repro.space.network import NetworkPOISpace
 from repro.workloads import city_graph, city_poi_nodes, city_user_group
 
@@ -271,3 +293,118 @@ def test_ball_coverage_scales_with_ball(alt_space, graph, user_groups):
         f"small-radius ball only {ratio:.1f}x faster than the whole-graph "
         f"loop at {GRID}x{GRID} city scale (gate: >= {BALL_MIN_SPEEDUP:.0f}x)"
     )
+
+
+def _churned_city_fleet() -> ScenarioSpec:
+    """``net_circle`` groups of 3 on a 16x16 city, 5 adds + 5 removes
+    every tick — the shape of the ``citynet_circle`` bench workload."""
+
+    def cohort(name, kind, sessions, speed):
+        return CohortSpec(
+            name=name,
+            kind=kind,
+            sessions=sessions,
+            group_size=3,
+            first_tick=0,
+            last_tick=30,
+            lifetime=8,
+            speed=speed,
+            policies=("net_circle",),
+        )
+
+    return ScenarioSpec(
+        name="micro_citynet_churn",
+        seed=2013,
+        ticks=40,
+        space=CityGraphSpaceSpec(grid_size=16, graph_seed=17, n_pois=60, poi_seed=2013),
+        cohorts=(
+            cohort("commuters", "commuter", 50, 1.2),
+            cohort("match_crowd", "event_crowd", 20, 0.9),
+        ),
+        poi_churn=PoiChurnSpec(every=1, adds=5, removes=5),
+    ).validate()
+
+
+def test_churn_sweep_runs_exact_tests_on_survivors_only(monkeypatch):
+    """Structural, always armed: counts and bit-identity, no timing."""
+    spec = _churned_city_fleet()
+    tally = {"pairs": 0, "survivors": 0, "exact": 0}
+    exact = ServiceSession.region_valid_against
+
+    def counted_exact(self, p):
+        tally["exact"] += 1
+        return exact(self, p)
+
+    def counted_filter(sessions, points):
+        suspects = lemma1_suspects(sessions, points)
+        tally["pairs"] += len(sessions) * len(points)
+        tally["survivors"] += sum(len(keep) for keep in suspects)
+        return suspects
+
+    monkeypatch.setattr(ServiceSession, "region_valid_against", counted_exact)
+    monkeypatch.setattr(service_module, "lemma1_suspects", counted_filter)
+    swept = run_scenario(spec, MPNService(spec.space()), collect_notifications=True)
+    filtered = dict(tally)
+
+    # The referee: every session a suspect for every add.
+    monkeypatch.setattr(
+        service_module,
+        "lemma1_suspects",
+        lambda sessions, points: [range(len(points))] * len(sessions),
+    )
+    tally["exact"] = 0
+    looped = run_scenario(spec, MPNService(spec.space()), collect_notifications=True)
+
+    assert swept.total_churn_notifications >= 50  # the churn did hit
+    assert swept.notification_log == looped.notification_log
+    assert filtered["exact"] <= filtered["survivors"]
+    assert filtered["exact"] < 0.10 * filtered["pairs"]
+    assert tally["exact"] > 0.5 * filtered["pairs"]  # what the loop paid
+    RECORDED["churn_sweep"] = {
+        "session_add_pairs": filtered["pairs"],
+        "filter_survivors": filtered["survivors"],
+        "exact_tests": filtered["exact"],
+        "exact_tests_double_loop": tally["exact"],
+        "churn_notifications": swept.total_churn_notifications,
+    }
+    print(
+        f"\nLemma-1 churn sweep, net_circle on a 16x16 city: "
+        f"{filtered['exact']} exact tests for {filtered['pairs']} "
+        f"session x add pairs (double loop: {tally['exact']}), "
+        f"{swept.total_churn_notifications} sessions re-notified"
+    )
+
+
+def test_churn_sweep_computes_at_most_one_row_per_add(graph, pois):
+    """The sweep reads the *adds'* rows, not one per session anchor:
+    with every anchor row resident, a batch held against the whole
+    fleet computes at most one new Dijkstra row per distinct add."""
+    if graph.number_of_nodes() < 10_000:
+        pytest.skip(f"needs a >=10^4-node city (CITYNET_GRID={GRID})")
+    config = OracleConfig(alt_mode="off", bounded_mode="off")
+    space = NetworkPOISpace(NetworkSpace(graph), pois, oracle_config=config)
+    oracle = space.index.oracle
+    service = MPNService(space)
+    n_sessions = 8
+    for i in range(n_sessions):
+        service.open_session(
+            city_user_group(graph, 3, seed=300 + i), net_circle_policy()
+        )
+    rng = random.Random(43)
+    taken = set(pois)
+    fresh = [n for n in rng.sample(sorted(graph.nodes), 40) if n not in taken]
+    adds = [(node, None) for node in fresh[:10]]
+    # ... and one right next to a live meeting point, so a session is
+    # re-notified and the recomputation is inside the measurement too.
+    po = service.session(service.session_ids()[0]).po
+    adds.append((next(iter(graph[po])), None))
+    before = oracle.stats()["rows_computed"]
+    service.update_pois(adds=adds)
+    computed = oracle.stats()["rows_computed"] - before
+    assert 0 < computed <= len({node for node, _ in adds})
+    assert oracle.stats()["row_cache_evictions"] == 0  # anchors stayed resident
+    RECORDED["churn_sweep_rows"] = {
+        "sessions": n_sessions,
+        "adds": len(adds),
+        "rows_computed": computed,
+    }

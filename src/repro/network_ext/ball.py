@@ -80,6 +80,14 @@ class NetworkBall:
             )
         return d
 
+    def enclosing_ball(self) -> tuple[object, list[tuple[int, float]], float]:
+        """``(oracle, [(anchor node id, offset), ...], radius)``: a ball
+        is its own enclosure.  Read by the churn sweep's Lemma-1 filter
+        (:func:`repro.service.session.lemma1_suspects`), which bounds
+        ``min_dist`` from the *add's* distance row instead of asking
+        every ball for :meth:`node_distance`."""
+        return self._oracle, self._anchors, self.radius
+
     def _cover(self, node: Hashable) -> float:
         """``radius - distance`` as far as materialized: anything beyond
         the radius (or absent) covers zero length either way, so

@@ -18,7 +18,7 @@ regions are network balls (range regions over road segments).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, Optional, Sequence
 
 from repro.core.circle_msr import maximal_circle_radius
 from repro.gnn.aggregate import Aggregate
@@ -41,7 +41,7 @@ class NetworkCircleResult:
 
 def network_circle_msr(
     space: NetworkSpace,
-    pois: Sequence[Hashable],
+    pois: Optional[Sequence[Hashable]],
     users: Sequence[NetworkPosition],
     objective: Aggregate = Aggregate.MAX,
     index=None,
@@ -53,11 +53,15 @@ def network_circle_msr(
     neighbors through the bulk CSR distance kernels instead of the
     brute-force per-POI scan; the results are bit-identical, only the
     retrieval cost changes.  This is the serving path — the registry's
-    ``net_circle`` strategy always passes its session's index.
+    ``net_circle`` strategy always passes its session's index, and
+    ``pois=None`` with it: the index *is* the POI set, so the list is
+    never read (or built) there.
     """
     if index is not None:
         best_two = index.gnn(users, 2, objective)
     else:
+        if pois is None:
+            raise ValueError("pois is required without an index")
         best_two = network_gnn(space, pois, users, 2, objective)
     po_dist, po = best_two[0]
     if len(best_two) == 1:

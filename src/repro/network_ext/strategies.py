@@ -49,7 +49,7 @@ class NetworkCircleStrategy:
         thetas: Optional[Sequence[Optional[float]]] = None,
     ) -> StrategyResult:
         result = network_circle_msr(
-            tree.space, tree.poi_nodes(), users, self.objective, index=tree
+            tree.space, None, users, self.objective, index=tree
         )
         return StrategyResult(
             po=result.po,

@@ -29,6 +29,7 @@ from typing import Hashable, Sequence
 from repro.core.gt_verify import _exact_from_pairs
 from repro.core.types import SafeRegionStats
 from repro.gnn.aggregate import Aggregate
+from repro.index.oracle import oracle_for
 from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 
@@ -161,6 +162,27 @@ class NetworkTileRegion:
         dv = self._anchor_dist_to_node(v)
         _, high = self._interval_extremes(du, dv, EdgeInterval(u, v, lo, hi))
         self.r_up = max(self.r_up, high)
+
+    def enclosing_ball(self) -> tuple[object, list[tuple[int, float]], float]:
+        """``(oracle, [(anchor node id, offset), ...], r_up)``: the
+        network ball of radius ``r_up`` around ``anchor`` contains the
+        region, which is what the churn sweep's Lemma-1 filter
+        (:func:`repro.service.session.lemma1_suspects`) needs.
+
+        :meth:`add` raises ``r_up`` to the largest endpoint-routed
+        distance ``min(d(anchor, u) + x, d(anchor, v) + L - x)`` over
+        every interval it takes; the true distance is never above that
+        (an anchor on the interval's own edge also has the direct path,
+        which only shortens it), so every covered point is within
+        ``r_up``.  An empty region measures from the anchor itself
+        (:meth:`dist_pair_to_node`) — the ball of radius 0.  Both cases
+        are therefore bounded, not declined.
+        """
+        oracle = oracle_for(self.space)
+        anchors = [
+            (oracle.node_id[node], d0) for node, d0 in self.space.anchors(self.anchor)
+        ]
+        return oracle, anchors, self.r_up
 
     def min_dist(self, target) -> float:
         """``||target, R||_min`` for a node target (Region protocol)."""

@@ -744,12 +744,15 @@ class MPNService:
 
         Two stages: :func:`~repro.service.session.lemma1_suspects`
         clears most (session, add) pairs in one NumPy broadcast — a
-        conservative filter: bounding circles under-estimate
-        ``min_dist`` and the threshold is padded, so no failing pair is
-        dropped — and the exact
+        conservative filter: enclosing balls (bounding circles in the
+        plane; on a road network the regions' own network balls,
+        measured along the add nodes' oracle rows, one gather per
+        batch) under-estimate ``min_dist`` and the threshold is padded,
+        so no failing pair is dropped — and the exact
         :meth:`~ServiceSession.region_valid_against` decides the rest in
         add order, so the result is the sessions x adds loop's, order
-        included.  The filter's per-session bound is reset wherever
+        included.  Only custom region kinds the filter cannot enclose
+        keep every add.  The filter's per-session bound is reset wherever
         ``po`` / ``regions`` / ``policy`` are written
         (:meth:`_apply_result`, :meth:`_decode_snapshot`,
         :meth:`update_policy`).

@@ -11,6 +11,11 @@ session-state write, and on adds placed exactly on the filter's
 decision boundary.  The last class checks the paper's guarantee itself:
 after any churn batch every cached meeting point is the brute-force
 optimum over the live POI set.
+
+Road-network fleets (``net_circle`` / ``net_tile``, filtered through the
+add nodes' oracle rows) face the same referee: ``NetFleet`` mirrors
+``Fleet``, and integer edge lengths put adds exactly on
+``dominant_max(po, R) == dominant_min(p, R)``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +37,9 @@ from repro.geometry.rect import Rect
 from repro.geometry.region import PointRegion, TileRegion
 from repro.gnn.aggregate import Aggregate
 from repro.gnn.bruteforce import brute_force_gnn
+from repro.index.oracle import DistanceOracle
+from repro.network_ext.gnn import network_gnn
+from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.service import (
     MemberState,
     MPNService,
@@ -40,8 +49,15 @@ from repro.service import (
     unregister_strategy,
 )
 from repro.service.session import ServiceSession, lemma1_suspects
-from repro.simulation import circle_policy, custom_policy, tile_policy
+from repro.simulation import (
+    circle_policy,
+    custom_policy,
+    net_circle_policy,
+    net_tile_policy,
+    tile_policy,
+)
 from repro.space import as_space
+from repro.space.network import NetworkPOISpace
 from repro.transport import (
     ProcessCluster,
     RemoteBackend,
@@ -504,6 +520,362 @@ class TestExactTestsRunOnlyOnSurvivors:
         assert [list(keep) for keep in lemma1_suspects(sessions, points)] == one_block
 
 
+def net_policies():
+    return [
+        net_circle_policy(MAX),
+        net_circle_policy(SUM),
+        net_tile_policy(MAX, alpha=3, split_level=1),
+        net_circle_policy(MAX),
+        net_tile_policy(SUM, alpha=2, split_level=1),
+    ]
+
+
+def flipped(policy):
+    """MAX <-> SUM, same strategy and growth parameters."""
+    other = SUM if policy.objective is MAX else MAX
+    if policy.strategy == "net_tile":
+        cfg = policy.tile_config
+        return net_tile_policy(other, cfg.alpha, cfg.split_level, cfg.max_radius_factor)
+    return net_circle_policy(other)
+
+
+class NetFleet:
+    """``Fleet`` on a road network: ``net_circle`` / ``net_tile``
+    sessions, MAX and SUM, over one POI space; every churn batch is
+    checked against the referee, ids and order."""
+
+    OPS = Fleet.OPS
+
+    def __init__(self, seed: int, n_sessions: int = 8, policies=None):
+        self.rng = random.Random(seed)
+        self.net = NetworkSpace.from_grid(
+            grid_size=5, seed=self.rng.randrange(10**6)
+        )
+        self.nodes = sorted(self.net.graph.nodes)
+        self.poi_space = NetworkPOISpace(self.net, self.rng.sample(self.nodes, 9))
+        self.service = MPNService(self.poi_space)
+        self.policies = policies or net_policies()
+        self.opened = 0
+        self.invalidated = 0
+        self.cleared = 0
+        for _ in range(n_sessions):
+            self.open()
+
+    def _some_session(self) -> ServiceSession:
+        return self.rng.choice(list(self.service._sessions.values()))
+
+    def _position(self) -> NetworkPosition:
+        if self.rng.random() < 0.3:
+            return NetworkPosition.at_node(self.rng.choice(self.nodes))
+        return self.net.random_position(self.rng)
+
+    # -- operations ----------------------------------------------------
+
+    def open(self) -> None:
+        policy = self.policies[self.opened % len(self.policies)]
+        self.opened += 1
+        members = [self._position() for _ in range(1 + self.rng.randrange(3))]
+        self.service.open_session(members, policy)
+
+    def close(self) -> None:
+        if len(self.service._sessions) > 3:
+            self.service.close_session(self._some_session().session_id)
+
+    def migrate(self) -> None:
+        sid = self._some_session().session_id
+        snapshot = self.service.export_session(sid)
+        self.service.close_session(sid)
+        self.service.import_session(snapshot)
+
+    def restore(self) -> None:
+        snapshot = self.service.snapshot()
+        self.service = MPNService(self.poi_space)
+        self.service.restore(snapshot)
+
+    def flip(self) -> None:
+        session = self._some_session()
+        self.service.update_policy(session.session_id, flipped(session.policy))
+
+    def move(self) -> None:
+        events = [
+            ReportEvent(
+                session.session_id,
+                self.rng.randrange(session.size),
+                MemberState(self._position()),
+            )
+            for session in self.service._sessions.values()
+            if self.rng.random() < 0.5
+        ]
+        self.service.report_many(events)
+
+    def churn(self) -> None:
+        sessions = list(self.service._sessions.values())
+        adds = []
+        for _ in range(self.rng.randrange(5)):
+            if self.rng.random() < 0.6:  # aimed at a live region
+                session = self.rng.choice(sessions)
+                member = self.rng.choice(session.members).point
+                node = self.rng.choice(
+                    [n for n, _ in self.net.anchors(member)] + [session.po]
+                )
+                if self.rng.random() < 0.5:
+                    node = self.rng.choice(list(self.net.graph[node]))
+            else:
+                node = self.rng.choice(self.nodes)
+            adds.append((node, None))
+            if self.rng.random() < 0.2:  # twice on one node, one batch
+                adds.append((node, None))
+        removes = []
+        if self.poi_space.poi_count() > 6:
+            live_pos = sorted({s.po for s in sessions})
+            count = min(len(live_pos), self.rng.randrange(3))
+            removes = [(po, None) for po in self.rng.sample(live_pos, count)]
+        self.check_batch(adds, removes)
+
+    def check_batch(self, adds, removes=()) -> None:
+        sessions = list(self.service._sessions.values())
+        points = [p for p, _ in adds]
+        kept = sum(len(keep) for keep in lemma1_suspects(sessions, points))
+        self.cleared += len(sessions) * len(points) - kept
+        want = referee(self.service, adds, removes, self.poi_space)
+        got = self.service.update_pois(adds, removes)
+        assert [n.session_id for n in got] == want
+        self.invalidated += len(want)
+
+    def run(self, ops) -> "NetFleet":
+        for op in ops:
+            getattr(self, op)()
+        return self
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Count calls of ``owner.name`` from here on; ``[n]`` is live."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestNetworkSweepEqualsTheDoubleLoop:
+    @pytest.mark.parametrize("seed", [3, 41, 2013])
+    def test_seeded_network_fleets(self, seed):
+        rng = random.Random(seed * 7 + 1)
+        fleet = NetFleet(seed).run(rng.choice(NetFleet.OPS) for _ in range(60))
+        assert fleet.invalidated >= 10
+        assert fleet.cleared >= 40  # the filter did clear network pairs
+
+    @pytest.mark.parametrize("policies", [
+        [net_circle_policy(MAX)],
+        [net_circle_policy(SUM)],
+        [net_tile_policy(MAX, alpha=3, split_level=1),
+         net_tile_policy(SUM, alpha=3, split_level=1)],
+    ], ids=["net_circle-max", "net_circle-sum", "net_tile"])
+    def test_one_kind_at_a_time(self, policies):
+        rng = random.Random(11)
+        fleet = NetFleet(7, n_sessions=6, policies=policies)
+        fleet.run(rng.choice(NetFleet.OPS) for _ in range(40))
+        assert fleet.invalidated >= 5
+        assert fleet.cleared >= 20
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 2**31),
+        ops=st.lists(st.sampled_from(NetFleet.OPS), min_size=3, max_size=12),
+    )
+    def test_any_operation_sequence(self, seed, ops):
+        NetFleet(seed, n_sessions=6).run(ops + ["churn"])
+
+    def test_network_regions_are_bounded(self):
+        """Both region kinds reach the filter: no network session is a
+        suspect for every add any more."""
+        fleet = NetFleet(5)
+        sessions = list(fleet.service._sessions.values())
+        lemma1_suspects(sessions, fleet.nodes)
+        for session in sessions:
+            bound = session.lemma1_bound
+            assert bound.rhos and not bound.circles
+            assert len(bound.rhos) == session.size == len(bound.spans)
+            assert sum(bound.spans) == len(bound.anchors) == len(bound.offsets)
+
+    def test_removes_only_batches(self):
+        """No add, no filter: only sessions meeting at a removed POI are
+        recomputed, and stale bounds are left for a sweep that needs them."""
+        fleet = NetFleet(9)
+        fleet.run(["move"])
+        sessions = list(fleet.service._sessions.values())
+        stale = [s for s in sessions if s.lemma1_bound is None]
+        assert stale
+        assert lemma1_suspects(sessions, []) == [()] * len(sessions)
+        victim = sessions[0].po
+        removes = [(victim, None)]
+        want = referee(fleet.service, (), removes, fleet.poi_space)
+        assert want == [s.session_id for s in sessions if s.po == victim]
+        got = fleet.service.update_pois(removes=removes)
+        assert [n.session_id for n in got] == want
+        untouched = [s for s in stale if s.session_id not in want]
+        assert all(s.lemma1_bound is None for s in untouched)
+
+    def test_duplicate_pois_on_one_node(self):
+        """A node may hold several POIs: adding it again re-notifies as
+        any add does, and removing one copy re-notifies the sessions
+        meeting there although the node stays a POI."""
+        fleet = NetFleet(13, policies=[net_circle_policy(MAX), net_circle_policy(SUM)])
+        session = fleet._some_session()
+        po = session.po
+        fleet.check_batch([(po, None), (po, None)])  # p == po: nobody moves
+        near = next(iter(fleet.net.graph[po]))
+        fleet.check_batch([(near, None), (near, None), (near, None)])
+        assert fleet.poi_space.index.poi_nodes().count(near) >= 3
+        fleet.check_batch((), [(near, None)])
+        fleet.check_batch([(near, None)], [(near, None)])
+        assert near in fleet.poi_space.index.poi_nodes()
+
+    def test_off_graph_add_stays_a_suspect(self):
+        """An add that is no graph node cannot be measured along a row:
+        the filter keeps it for every session (``renotify_pois`` may be
+        handed one; ``update_pois`` refuses it at the index)."""
+        fleet = NetFleet(17, policies=[net_circle_policy(MAX), net_circle_policy(SUM)])
+        sessions = list(fleet.service._sessions.values())
+        points = [fleet.nodes[0], ("no", "such node"), fleet.nodes[-1]]
+        for keep in lemma1_suspects(sessions, points):
+            assert 1 in list(keep)
+        adds = [(p, None) for p in points]
+        want = referee(fleet.service, adds, (), fleet.poi_space)
+        got = fleet.service.renotify_pois(adds)
+        assert [n.session_id for n in got] == want
+
+    def test_mixed_euclidean_and_network_service(self, monkeypatch):
+        """Two spaces, one sweep each: a churn batch on either index
+        filters that space's sessions in its own metric, and only the
+        road sweep reads oracle rows — one gather for the whole batch."""
+        rng = random.Random(23)
+        service = MPNService(build_poi_tree(uniform_pois(120, SMALL_WORLD, seed=8)))
+        net = NetworkSpace.from_grid(grid_size=5, seed=31)
+        nodes = sorted(net.graph.nodes)
+        roads = NetworkPOISpace(net, rng.sample(nodes, 8))
+        service.add_space("roads", roads)
+        plane = [circle_policy(MAX), tile_policy(SUM, alpha=3, split_level=1),
+                 circle_policy(SUM)]
+        for g in range(6):
+            service.open_session(
+                [SMALL_WORLD.sample(rng) for _ in range(2)], plane[g % 3]
+            )
+            service.open_session(
+                [net.random_position(rng) for _ in range(2)],
+                net_policies()[g % 5],
+                space="roads",
+            )
+        on_roads = [s for s in service._sessions.values() if s.space is roads]
+        on_plane = [s for s in service._sessions.values() if s.space is not roads]
+        assert len(on_roads) == len(on_plane) == 6
+        gathers = count_calls(monkeypatch, DistanceOracle, "rows")
+        lemma1_suspects(on_plane, [SMALL_WORLD.sample(rng) for _ in range(4)])
+        assert gathers[0] == 0
+        lemma1_suspects(on_roads, rng.sample(nodes, 4))
+        assert gathers[0] == 1
+        renotified = 0
+        for _ in range(12):
+            po = rng.choice(on_plane).po
+            adds = [(Point(po.x + rng.uniform(-3, 3), po.y + rng.uniform(-3, 3)), None),
+                    (SMALL_WORLD.sample(rng), None)]
+            want = referee(service, adds, (), service.space)
+            assert [n.session_id for n in service.update_pois(adds)] == want
+            renotified += len(want)
+            adds = [(rng.choice(list(net.graph[rng.choice(on_roads).po])), None),
+                    (rng.choice(nodes), None)]
+            want = referee(service, adds, (), roads)
+            got = service.update_pois(adds, space="roads")
+            assert [n.session_id for n in got] == want
+            renotified += len(want)
+        assert renotified >= 12
+
+
+def integer_city(rng: random.Random, n: int) -> nx.Graph:
+    """A connected graph on ``range(n)`` with integer edge lengths:
+    distances are exact in floating point, so ties are real ties."""
+    graph = nx.Graph()
+    for v in range(1, n):
+        graph.add_edge(rng.randrange(v), v, length=float(rng.randint(1, 4)))
+    for _ in range(rng.randrange(n)):
+        u, v = rng.sample(range(n), 2)
+        if not graph.has_edge(u, v):
+            graph.add_edge(u, v, length=float(rng.randint(1, 4)))
+    return graph
+
+
+class TestNetworkFilterNeverDropsAPair:
+    """Integer road lengths and members standing on nodes: every
+    distance is an exact small integer or half-integer, so adds land
+    *exactly* on ``dominant_max(po, R) == dominant_min(p, R)`` — the
+    decision boundary itself, not an ulp beside it."""
+
+    @staticmethod
+    def on_the_boundary(session, p) -> bool:
+        if session.policy.objective is SUM:
+            top = sum(r.max_dist(session.po) for r in session.regions)
+            bottom = sum(r.min_dist(p) for r in session.regions)
+        else:
+            top = dominant_max(session.po, session.regions)
+            bottom = max(r.min_dist(p) for r in session.regions)
+        return top == bottom
+
+    def drive(self, seed: int) -> tuple[int, int]:
+        """Every node as a single-add batch, in node order, against the
+        referee; returns (boundary pairs met, failing pairs met)."""
+        rng = random.Random(seed)
+        n = rng.randint(5, 9)
+        net = NetworkSpace(integer_city(rng, n))
+        space = NetworkPOISpace(net, rng.sample(range(n), rng.randint(2, 3)))
+        service = MPNService(space)
+        policies = [net_circle_policy(MAX), net_circle_policy(SUM),
+                    net_tile_policy(MAX, alpha=2, split_level=1)]
+        for g in range(rng.randint(1, 4)):
+            members = [
+                NetworkPosition.at_node(rng.randrange(n))
+                for _ in range(rng.randint(1, 3))
+            ]
+            service.open_session(members, policies[g % 3])
+        boundary = failing = 0
+        for p in range(n):
+            sessions = list(service._sessions.values())
+            for session, keep in zip(sessions, lemma1_suspects(sessions, [p])):
+                boundary += self.on_the_boundary(session, p)
+                if not session.region_valid_against(p):
+                    failing += 1
+                    assert list(keep) == [0]  # the filter kept it
+            adds = [(p, None)]
+            want = referee(service, adds, (), space)
+            assert [n.session_id for n in service.update_pois(adds)] == want
+        return boundary, failing
+
+    def test_seeded_integer_cities(self):
+        boundary = failing = 0
+        for seed in range(40):
+            b, f = self.drive(seed)
+            boundary += b
+            failing += f
+        assert boundary >= 20  # adds did land exactly on the boundary
+        assert failing >= 20
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(seed=st.integers(0, 2**31))
+    def test_any_integer_city(self, seed):
+        self.drive(seed)
+
+
 FACTORY = UniformPoiSpaceFactory(n_pois=200, seed=19)
 
 
@@ -615,3 +987,57 @@ class TestGuaranteeUnderChurn:
             live.update(p for p, _ in adds)
             self.assert_optimal(backend, live, rng)
         assert renotified >= 60  # the batches did hit
+
+    @pytest.mark.parametrize("make", [
+        lambda space: MPNService(space),
+        lambda space: MPNCluster(2, tree=space),
+    ], ids=["service", "cluster2"])
+    def test_network_po_is_the_brute_force_optimum_after_every_batch(self, make):
+        """The same claim on a road network: after every churn batch —
+        adds next to live members and meeting points, twice on one node,
+        removals of live meeting points — each cached ``po`` is a live
+        POI whose aggregate network distance is ``network_gnn``'s
+        brute-force optimum over the live POI list."""
+        rng = random.Random(2013)
+        net = NetworkSpace.from_grid(grid_size=6, seed=37)
+        nodes = sorted(net.graph.nodes)
+        live = rng.sample(nodes, 10)
+        space = NetworkPOISpace(net, live)
+        backend = make(space)
+        policies = [net_circle_policy(MAX), net_circle_policy(SUM),
+                    net_tile_policy(MAX, alpha=3, split_level=1)]
+        for g in range(15):
+            members = [net.random_position(rng) for _ in range(1 + g % 3)]
+            backend.open_session(members, policies[g % 3])
+
+        def assert_optimal():
+            for sid in backend.session_ids():
+                session = backend.session(sid)
+                users = [m.point for m in session.members]
+                objective = session.policy.objective
+                (best, _), = network_gnn(net, live, users, 1, objective)
+                assert session.po in live
+                # Ties in distance may pick either POI; the value is exact.
+                assert space.aggregate_dist(session.po, users, objective) \
+                    == pytest.approx(best, rel=1e-12, abs=1e-9)
+
+        assert_optimal()
+        renotified = 0
+        for _ in range(25):
+            sessions = [backend.session(sid) for sid in backend.session_ids()]
+            adds = []
+            for session in rng.sample(sessions, 3):
+                member = rng.choice(session.members).point
+                near = rng.choice([n for n, _ in net.anchors(member)] + [session.po])
+                adds.append((rng.choice(list(net.graph[near])), None))
+            adds.append(adds[0])  # twice on one node
+            adds.append((rng.choice(nodes), None))
+            removes = [
+                (po, None) for po in rng.sample(sorted({s.po for s in sessions}), 2)
+            ] if len(live) > 8 else []
+            renotified += len(backend.update_pois(adds=adds, removes=removes))
+            for po, _ in removes:
+                live.remove(po)
+            live.extend(p for p, _ in adds)
+            assert_optimal()
+        assert renotified >= 40  # the batches did hit
