@@ -15,7 +15,9 @@ nearest-neighbor queries from *bulk* shortest-path distance rows:
   distances;
 * per-user node-distance rows combined from the anchor rows with one
   ``np.minimum`` pass;
-* POI scores gathered and aggregated across users in NumPy;
+* POI scores gathered and aggregated across users in NumPy — for one
+  group or a whole fleet wave of them in the same pass
+  (:meth:`NetworkIndex.gnn_many`);
 * at city scale (or when forced through
   :class:`~repro.index.oracle.OracleConfig`), an ALT landmark pass
   first: triangle-inequality lower/upper bounds from ~16 pinned
@@ -38,7 +40,7 @@ graph, matching the rest of :mod:`repro.network_ext`).
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Optional, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +54,14 @@ try:  # SciPy is optional; the fallback kernel needs only NumPy.
 except ImportError:  # pragma: no cover - exercised only without scipy
     _csr_matrix = None
     _csgraph_dijkstra = None
+
+
+# Ceiling on one chunk of stacked ``users x nodes`` float64 rows (per
+# anchor plane) in :meth:`NetworkIndex.gnn_scan`: per-group cost is flat
+# from a dozen groups up, so a larger stack buys nothing, and a
+# 2,000-session wave on a 10k-node graph must not allocate hundreds of
+# MiB at once.
+_STACK_BYTES = 8 * 1024 * 1024
 
 
 def _scipy_kernels() -> tuple:
@@ -71,6 +81,19 @@ class NetworkIndex:
     through :meth:`bulk_update` / :meth:`insert` / :meth:`delete`.
     All indexes over one space share that oracle's row cache and
     landmark rows; ``oracle_config`` tunes it on first construction.
+
+    Queries come one group or many at a time through one kernel:
+    :meth:`gnn_many` (and :meth:`gnn`, its one-group case) is
+    answer-preserving — ``gnn_many(groups, k, agg) == [gnn(g, k, agg)
+    for g in groups]``, equal to the brute-force reference bit for
+    bit — and fetches every member's anchor rows with one
+    :meth:`DistanceOracle.rows` call per chunk.  Two declines keep the
+    oracle's modes intact: with ALT engaged each group goes to the
+    landmark-pruned path first (full rows only for groups it
+    declines), and with bounded rows engaged region builders ignore
+    the full rows the kernel hands over and settle their own radius.
+    A chunk stacks at most ``_STACK_BYTES`` (~8 MiB) of ``users x
+    nodes`` float64 per anchor plane, however large the wave.
     """
 
     def __init__(
@@ -338,20 +361,27 @@ class NetworkIndex:
         Row ``i`` is the anchor-combined distance map of user ``i``:
         ``min`` over the user's (node, offset) anchors of ``offset +
         row(node)`` — the same values the brute-force reference reads
-        out of its per-anchor Dijkstra dicts.
+        out of its per-anchor Dijkstra dicts.  All anchor rows come
+        from one :meth:`DistanceOracle.rows` call, whatever ``m`` is.
         """
         anchor_lists = [self.space.anchors(user) for user in users]
-        anchor_rows = self._oracle.rows(
-            [self._node_id[node] for anchors in anchor_lists for node, _ in anchors]
-        )
-        rows = []
-        for anchors in anchor_lists:
-            combined: Optional[np.ndarray] = None
-            for node, d0 in anchors:
-                row = d0 + anchor_rows[self._node_id[node]]
-                combined = row if combined is None else np.minimum(combined, row)
-            rows.append(combined)
-        return np.vstack(rows)
+        width = max(map(len, anchor_lists))
+        # Plane ``j`` holds every user's ``j``-th anchor; a user with
+        # fewer repeats their last one: min(x, x) == x.
+        picks = [
+            anchors[min(j, len(anchors) - 1)]
+            for j in range(width)
+            for anchors in anchor_lists
+        ]
+        ids = [self._node_id[node] for node, _ in picks]
+        rows = self._oracle.rows(ids)
+        planes = np.concatenate([rows[i] for i in ids])
+        planes = planes.reshape(width, len(users), -1)
+        planes += np.array([d0 for _, d0 in picks]).reshape(width, len(users), 1)
+        combined = planes[0]
+        for j in range(1, width):
+            np.minimum(combined, planes[j], out=combined)
+        return combined
 
     # ------------------------------------------------------------------
     # Aggregate nearest neighbor
@@ -367,60 +397,116 @@ class NetworkIndex:
         runs in the same order with the same float operations) and the
         identical ``(distance, str(poi))`` tie-break.  ``agg`` is
         ``"max"`` / ``"sum"`` or an :class:`~repro.gnn.aggregate.Aggregate`.
+        The one-group case of :meth:`gnn_many`.
+        """
+        return self.gnn_many([users], k, agg)[0]
 
-        When the oracle's ALT mode is engaged the landmark-pruned path
-        runs first; it either returns the provably identical answer or
-        declines back to the exact full-row path below.
+    def gnn_many(
+        self, groups: Sequence[Sequence[object]], k: int = 1, agg: object = "max"
+    ) -> list[list[tuple[float, Hashable]]]:
+        """:meth:`gnn` for every group, off one oracle-row gather and
+        one scoring pass per chunk — ``[self.gnn(g, k, agg) for g in
+        groups]``, bit for bit.  See :meth:`gnn_scan` for the contract.
+        """
+        out: list = [None] * len(groups)
+        for i, answer, _ in self.gnn_scan(groups, k, agg):
+            out[i] = answer
+        return out
+
+    def gnn_scan(
+        self, groups: Sequence[Sequence[object]], k: int = 1, agg: object = "max"
+    ) -> Iterator[tuple[int, list[tuple[float, Hashable]], Optional[np.ndarray]]]:
+        """``(i, gnn(groups[i]), rows)`` for every group, in no fixed order.
+
+        ``rows`` is the group's ``[m, n_nodes]`` user-to-node distance
+        matrix (:meth:`user_node_distances`) when the exact full-row
+        kernel scored the group — region builders reuse it instead of
+        combining the anchor rows again — and ``None`` when the ALT
+        path answered.  It is a view into the current chunk: consume it
+        before advancing, so a chunk's matrix dies with its chunk.
+
+        Raises what :meth:`gnn` raises (unknown aggregate, an empty
+        group, an empty POI set) here, before any row is fetched;
+        ``k <= 0`` yields ``[]`` for every group.  Groups may differ in
+        size; each size is scored as its own rectangular batch.
         """
         agg_name = getattr(agg, "value", agg)
         if agg_name not in ("max", "sum"):
             raise ValueError(f"unknown aggregate: {agg!r}")
-        if not users:
+        if not all(groups):
             raise ValueError("user group must be non-empty")
-        n_live = len(self)
-        if not n_live:
+        if not len(self):
             raise ValueError("POI set must be non-empty")
+        return self._scan(groups, k, agg_name)
+
+    def _scan(self, groups, k: int, agg_name: str):
         if k <= 0:
-            return []
+            for i in range(len(groups)):
+                yield i, [], None
+            return
+        pending: Sequence[int] = range(len(groups))
+        if k < len(self) and self._oracle.alt_active:
+            # The landmark-pruned path first: it returns the provably
+            # identical answer or declines onto the full-row kernel.
+            slot_ids, live_mask = self._poi_slots()
+            pending = []
+            for i, users in enumerate(groups):
+                answer = self._gnn_alt(users, k, k, agg_name, slot_ids, live_mask)
+                if answer is None:
+                    pending.append(i)
+                else:
+                    yield i, answer, None
+        by_size: dict[int, list[int]] = {}
+        for i in pending:
+            by_size.setdefault(len(groups[i]), []).append(i)
+        for m, members in by_size.items():
+            step = max(1, _STACK_BYTES // (8 * len(self._nodes) * m))
+            for lo in range(0, len(members), step):
+                chunk = members[lo : lo + step]
+                rows = self.user_node_distances(
+                    [user for i in chunk for user in groups[i]]
+                )
+                answers = self._score(rows, m, k, agg_name)
+                for j, i in enumerate(chunk):
+                    yield i, answers[j], rows[j * m : (j + 1) * m]
+
+    def _score(
+        self, rows: np.ndarray, m: int, k: int, agg_name: str
+    ) -> list[list[tuple[float, Hashable]]]:
+        """The exact full-row scoring of ``len(rows) // m`` groups of
+        ``m`` consecutive user rows each."""
         slot_ids, live_mask = self._poi_slots()
-        kk = min(k, n_live)
-        if kk < n_live and self._oracle.alt_active:
-            result = self._gnn_alt(
-                users, k, kk, agg_name, slot_ids, live_mask
-            )
-            if result is not None:
-                return result
-        per_user = self.user_node_distances(users)[:, slot_ids]
-        scores = per_user[0].copy()
+        kk = min(k, len(self))
+        per_user = rows.take(slot_ids, axis=1).reshape(-1, m, len(slot_ids))
+        scores = per_user[:, 0].copy()
         if agg_name == "max":
-            for i in range(1, len(users)):
-                np.maximum(scores, per_user[i], out=scores)
+            for i in range(1, m):
+                np.maximum(scores, per_user[:, i], out=scores)
         else:
             # Sequential adds in user order: bit-identical to the
             # reference's ``total += d`` accumulation.
-            for i in range(1, len(users)):
-                scores += per_user[i]
+            for i in range(1, m):
+                scores += per_user[:, i]
         # Each live slot's score is elementwise-identical to what a
         # freshly repacked index would compute for the same POI, so
         # masking dead slots to inf keeps the answer bit-identical.
         if live_mask is not None:
-            scores = np.where(live_mask, scores, np.inf)
-        if kk < n_live:
-            part = np.argpartition(scores, kk - 1)[:kk]
-            candidates = np.flatnonzero(scores <= scores[part].max())
-        else:
-            candidates = (
-                np.arange(len(scores))
-                if live_mask is None
-                else np.flatnonzero(live_mask)
-            )
+            scores[:, ~live_mask] = np.inf
+        # Everything at or below the kk-th score, ties included; the
+        # shared sort below decides among them.
+        hits = scores <= np.partition(scores, kk - 1, axis=1)[:, kk - 1 : kk]
         if live_mask is not None:
-            candidates = candidates[live_mask[candidates]]
-        scored = sorted(
-            ((float(scores[i]), self._item(i)[0]) for i in candidates),
-            key=lambda t: (t[0], str(t[1])),
-        )
-        return scored[:k]
+            hits &= live_mask
+        answers: list[list[tuple[float, Hashable]]] = [[] for _ in per_user]
+        which, slots = np.nonzero(hits)
+        for g, slot, score in zip(
+            which.tolist(), slots.tolist(), scores[hits].tolist()
+        ):
+            answers[g].append((score, self._item(slot)[0]))
+        for answer in answers:
+            answer.sort(key=lambda t: (t[0], str(t[1])))
+            del answer[k:]
+        return answers
 
     # ------------------------------------------------------------------
     # The ALT-pruned path

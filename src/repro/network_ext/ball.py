@@ -17,7 +17,7 @@ O(covered), whatever the size of the graph.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -32,7 +32,19 @@ class NetworkBall:
     held as ``{node id: exact distance}`` for the nodes within the
     radius only."""
 
-    def __init__(self, space: NetworkSpace, center: NetworkPosition, radius: float):
+    def __init__(
+        self,
+        space: NetworkSpace,
+        center: NetworkPosition,
+        radius: float,
+        row: Optional[np.ndarray] = None,
+    ):
+        """``row``, when the caller already holds it, is the center's
+        exact anchor-combined distance row
+        (:meth:`repro.index.network.NetworkIndex.user_node_distances`)
+        — the very array the loop below would build from full rows, so
+        it is used as is.  With bounded rows engaged it is ignored and
+        the ball settles its own radius, as without it."""
         if radius < 0.0:
             raise ValueError("negative radius")
         self.space = space
@@ -48,15 +60,16 @@ class NetworkBall:
         # radius, so either kind of row makes each value <= radius the
         # exact min over all anchors — and only those are kept.
         bounded = oracle.bounded_active
-        dist = None
-        for anchor, d0 in self._anchors:
-            if bounded:
-                row = oracle.bounded_row(anchor, padded_cutoff(radius, d0))
-            else:
-                row = oracle.row(anchor)
-            total = d0 + row
-            dist = total if dist is None else np.minimum(dist, total)
-        inside = np.flatnonzero(dist <= radius)
+        dist = None if bounded else row
+        if dist is None:
+            for anchor, d0 in self._anchors:
+                if bounded:
+                    full = oracle.bounded_row(anchor, padded_cutoff(radius, d0))
+                else:
+                    full = oracle.row(anchor)
+                total = d0 + full
+                dist = total if dist is None else np.minimum(dist, total)
+        inside = np.nonzero(dist <= radius)[0]
         self._dist: dict[int, float] = dict(
             zip(inside.tolist(), dist[inside].tolist())
         )

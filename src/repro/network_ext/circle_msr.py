@@ -52,17 +52,51 @@ def network_circle_msr(
     same graph and POI set) retrieves the two best aggregate nearest
     neighbors through the bulk CSR distance kernels instead of the
     brute-force per-POI scan; the results are bit-identical, only the
-    retrieval cost changes.  This is the serving path — the registry's
+    retrieval cost changes.  This is the serving path — the one-group
+    case of :func:`network_circle_msr_batch`; the registry's
     ``net_circle`` strategy always passes its session's index, and
     ``pois=None`` with it: the index *is* the POI set, so the list is
-    never read (or built) there.
+    never read (or built) there.  Without an index this is the
+    reference the tests compare the serving path against: brute-force
+    GNN, balls from their own anchor rows.
     """
     if index is not None:
-        best_two = index.gnn(users, 2, objective)
-    else:
-        if pois is None:
-            raise ValueError("pois is required without an index")
-        best_two = network_gnn(space, pois, users, 2, objective)
+        return network_circle_msr_batch(space, [users], objective, index)[0]
+    if pois is None:
+        raise ValueError("pois is required without an index")
+    best_two = network_gnn(space, pois, users, 2, objective)
+    return _circles(space, users, best_two, objective, None)
+
+
+def network_circle_msr_batch(
+    space: NetworkSpace,
+    groups: Sequence[Sequence[NetworkPosition]],
+    objective: Aggregate,
+    index,
+) -> list[NetworkCircleResult]:
+    """:func:`network_circle_msr` for every group of a fleet wave.
+
+    One :meth:`~repro.index.network.NetworkIndex.gnn_scan` serves the
+    whole wave — one oracle-row gather and one scoring pass per chunk —
+    and each group's balls are cut from the distance rows that scan
+    already combined.  Bit-identical to the per-group calls.
+    """
+    results: list = [None] * len(groups)
+    for i, best_two, rows in index.gnn_scan(groups, 2, objective):
+        results[i] = _circles(space, groups[i], best_two, objective, rows)
+    return results
+
+
+def _circles(
+    space: NetworkSpace,
+    users: Sequence[NetworkPosition],
+    best_two: list[tuple[float, Hashable]],
+    objective: Aggregate,
+    rows,
+) -> NetworkCircleResult:
+    """Theorem 1 / 5 radius from the two best, one ball per user
+    (``rows``: the users' distance rows, or ``None`` to let each ball
+    fetch its own)."""
     po_dist, po = best_two[0]
     if len(best_two) == 1:
         radius = float("inf")
@@ -70,9 +104,10 @@ def network_circle_msr(
     else:
         second = best_two[1][0]
         radius = maximal_circle_radius(po_dist, second, len(users), objective)
+    reach = radius if radius != float("inf") else _diameter(space)
     balls = [
-        NetworkBall(space, u, radius if radius != float("inf") else _diameter(space))
-        for u in users
+        NetworkBall(space, u, reach, None if rows is None else rows[j])
+        for j, u in enumerate(users)
     ]
     return NetworkCircleResult(
         po=po,

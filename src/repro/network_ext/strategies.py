@@ -16,16 +16,26 @@ Both compute against the session space's
 :class:`~repro.index.network.NetworkIndex` — the ``tree`` argument of
 the strategy protocol, exactly as Euclidean strategies receive the
 R-tree — and retrieve their GNNs through its bulk CSR distance
-kernels.  Neither implements the batched hooks, so fleet waves fall
-back to the scalar path per session (the registry contract's graceful
-fallback).
+kernel.  ``net_circle`` implements the batched hooks
+(:class:`~repro.service.strategies.BatchableSafeRegionStrategy`): a
+fleet wave's bucket is one
+:func:`~repro.network_ext.circle_msr.network_circle_msr_batch` — one
+oracle-row gather and one scoring pass per chunk, the balls cut from
+the rows that pass already combined — and a lone session is the
+one-group case of the same code.  ``net_tile`` does not: its partition
+growth is data-dependent per group, so fleet waves recompute it per
+session (the registry contract's graceful fallback), each seed a
+one-group call of the same kernel.
 """
 
 from __future__ import annotations
 
 from typing import ClassVar, Optional, Sequence
 
-from repro.network_ext.circle_msr import network_circle_msr
+from repro.network_ext.circle_msr import (
+    network_circle_msr,
+    network_circle_msr_batch,
+)
 from repro.network_ext.space import NetworkPosition
 from repro.network_ext.tile_msr import NetworkTileConfig, network_tile_msr
 from repro.service.strategies import StrategyResult
@@ -48,9 +58,26 @@ class NetworkCircleStrategy:
         headings: Optional[Sequence[Optional[float]]] = None,
         thetas: Optional[Sequence[Optional[float]]] = None,
     ) -> StrategyResult:
-        result = network_circle_msr(
-            tree.space, None, users, self.objective, index=tree
+        return self._wrap(
+            network_circle_msr(tree.space, None, users, self.objective, index=tree)
         )
+
+    def batch_key(self) -> Optional[object]:
+        return self.objective
+
+    def build_regions_batch(
+        self,
+        groups: Sequence[Sequence[NetworkPosition]],
+        tree,
+        headings: Optional[Sequence[Sequence[Optional[float]]]] = None,
+        thetas: Optional[Sequence[Sequence[Optional[float]]]] = None,
+    ) -> Optional[list[StrategyResult]]:
+        """The whole bucket from one batched two-best-GNN scan."""
+        results = network_circle_msr_batch(tree.space, groups, self.objective, tree)
+        return [self._wrap(result) for result in results]
+
+    @staticmethod
+    def _wrap(result) -> StrategyResult:
         return StrategyResult(
             po=result.po,
             regions=list(result.balls),

@@ -4,8 +4,8 @@ The acceptance surface of the Space tentpole: ``open_session`` accepts
 road-network sessions under the registry strategies ``net_circle`` /
 ``net_tile`` with full feature parity — report/probe/notify,
 ``update_pois`` with Lemma-1 selective re-notification, per-session
-plus service-wide metrics, and scalar fallback from the batched fleet
-path.
+plus service-wide metrics, and ``net_circle`` on the batched fleet path
+(``net_tile`` falls back to the scalar path per session).
 """
 
 import random
@@ -14,9 +14,11 @@ import pytest
 
 from repro.gnn.aggregate import Aggregate
 from repro.network_ext.ball import NetworkBall
+from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.gnn import network_gnn
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.network_ext.tile_msr import NetworkTileRegion
+from repro.scenarios.runner import counters, notification_key
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.service.strategies import available_strategies
 from repro.simulation import circle_policy, net_circle_policy, net_tile_policy
@@ -293,44 +295,108 @@ class TestMixedSpacesOneService:
         )
 
 
-class TestBatchedPathFallback:
-    def test_report_many_matches_scalar_reports(self, net_space, net_pois):
-        """Network strategies opt out of batching: report_many must
-        fall back to the scalar path with identical results."""
-        rng = random.Random(16)
+class TestBatchedPath:
+    """``net_circle`` rides the batched fleet path: every wave and every
+    churn sweep of ``MPNService(batched=True)`` equals the scalar
+    service's, and both equal Algorithm 1 run with no index at all."""
+
+    @staticmethod
+    def twin_fleets(net_space, net_pois, n_sessions=24):
         fleets = []
         for batched in (True, False):
-            space = NetworkPOISpace(net_space, net_pois)
-            service = MPNService(space, batched=batched)
+            service = MPNService(NetworkPOISpace(net_space, net_pois), batched=batched)
             local = random.Random(17)
             ids = [
                 service.open_session(
-                    network_users(net_space, local, 2), net_circle_policy()
+                    network_users(net_space, local, 1 + g % 3),
+                    net_circle_policy(Aggregate.SUM if g % 2 else Aggregate.MAX),
                 ).session_id
-                for _ in range(6)
+                for g in range(n_sessions)
             ]
             fleets.append((service, ids))
-        (batched_service, batched_ids), (scalar_service, scalar_ids) = fleets
-        targets = [
-            NetworkPosition.at_node(n)
-            for n in rng.sample(list(net_space.graph.nodes), 6)
+        assert fleets[0][1] == fleets[1][1]
+        return fleets[0][0], fleets[1][0], fleets[0][1]
+
+    @staticmethod
+    def assert_brute_force(service, notification, reference_space):
+        """The notified session's result against ``network_circle_msr``
+        with no index: brute-force GNN on networkx Dijkstra maps, balls
+        from their own anchor rows, over an independent oracle."""
+        session = service.session(notification.session_id)
+        want = network_circle_msr(
+            reference_space,
+            session.space.index.poi_nodes(),
+            [ball.center for ball in notification.regions],
+            session.policy.objective,
+        )
+        assert notification.po == want.po
+        assert len(notification.regions) == len(want.balls) == session.size
+        nodes = list(reference_space.graph.nodes)
+        for ball, ref in zip(notification.regions, want.balls):
+            assert ball.radius == ref.radius
+            assert ball._dist == ref._dist
+            assert [ball.node_distance(n) for n in nodes] == [
+                ref.node_distance(n) for n in nodes
+            ]
+            assert ball.covered_segments() == ref.covered_segments()
+            assert ball.wire_values() == ref.wire_values()
+        assert list(notification.region_values) == [
+            ref.wire_values() for ref in want.balls
         ]
-        events = [
-            ReportEvent(sid, 0, MemberState(point=pos))
-            for sid, pos in zip(batched_ids, targets)
-        ]
-        batched_out = batched_service.report_many(events)
-        scalar_out = [
-            scalar_service.report(sid, 0, pos)
-            for sid, pos in zip(scalar_ids, targets)
-        ]
-        for b, s in zip(batched_out, scalar_out):
-            assert (b is None) == (s is None)
-            if b is not None:
-                assert b.po == s.po
-                assert b.region_values == s.region_values
-        for b_id, s_id in zip(batched_ids, scalar_ids):
-            bm = batched_service.session_metrics(b_id)
-            sm = scalar_service.session_metrics(s_id)
-            assert bm.messages_total == sm.messages_total
-            assert bm.update_events == sm.update_events
+
+    def test_waves_and_churn_match_scalar_and_brute_force(
+        self, net_space, net_pois
+    ):
+        batched, scalar, ids = self.twin_fleets(net_space, net_pois)
+        reference_space = NetworkSpace(net_space.graph)
+        rng = random.Random(16)
+        nodes = sorted(net_space.graph.nodes)
+        compared = 0
+        for _ in range(5):
+            # A wave with repeats: every session reports member 0, and
+            # every third session a second member too (duplicate session
+            # ids split into successive sub-waves).
+            events = []
+            for g, sid in enumerate(ids):
+                size = batched.session(sid).size
+                members = [0] if g % 3 or size == 1 else [0, size - 1]
+                for member in members:
+                    pos = (
+                        NetworkPosition.at_node(rng.choice(nodes))
+                        if rng.random() < 0.5
+                        else net_space.random_position(rng)
+                    )
+                    events.append(ReportEvent(sid, member, MemberState(point=pos)))
+            rng.shuffle(events)
+            got = batched.report_many(events)
+            want = scalar.report_many(events)
+            assert [n and notification_key(n) for n in got] == [
+                n and notification_key(n) for n in want
+            ]
+            # Node churn between waves: drop a live POI some session may
+            # be meeting at, plant two new ones.
+            live = batched.space.index.poi_nodes()
+            removes = [(rng.choice(live), None)]
+            adds = [(rng.choice(nodes), None), (rng.choice(nodes), None)]
+            churned = batched.update_pois(adds, removes)
+            assert [notification_key(n) for n in churned] == [
+                notification_key(n) for n in scalar.update_pois(adds, removes)
+            ]
+            for notification in churned:
+                self.assert_brute_force(batched, notification, reference_space)
+            compared += len(churned)
+            # After the churn the POI set the wave computed against is
+            # gone, so waves are refereed on a fresh one.
+            refresh = batched.recompute_many(ids + ids[:3])
+            assert [notification_key(n) for n in refresh] == [
+                notification_key(n) for n in scalar.recompute_many(ids + ids[:3])
+            ]
+            for notification in refresh:
+                self.assert_brute_force(batched, notification, reference_space)
+            compared += len(refresh)
+        assert compared >= 5 * len(ids)
+        assert counters(batched.metrics) == counters(scalar.metrics)
+        for sid in ids:
+            assert counters(batched.session_metrics(sid)) == counters(
+                scalar.session_metrics(sid)
+            )

@@ -27,9 +27,13 @@ from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.region import TileRegion
 from repro.gnn.aggregate import Aggregate
+from repro.network_ext.space import NetworkPosition, NetworkSpace
+from repro.network_ext.strategies import NetworkCircleStrategy
+from repro.scenarios.runner import notification_key as wire_notification_key
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.service.strategies import CircleMSRStrategy, TileMSRStrategy
-from repro.simulation import circle_policy, run_service, tile_policy
+from repro.simulation import circle_policy, net_circle_policy, run_service, tile_policy
+from repro.space.network import NetworkPOISpace
 from repro.workloads.datasets import DatasetSpec, build_dataset
 from repro.workloads.poi import build_poi_tree, uniform_pois
 from tests.conftest import SMALL_WORLD
@@ -126,6 +130,27 @@ def assert_services_equivalent(batched: MPNService, scalar: MPNService) -> None:
         assert session_state_key(batched.session(sid)) == session_state_key(
             scalar.session(sid)
         ), f"session {sid} state diverges"
+
+
+def net_circle_fleet(batched: bool):
+    """A road-network service with two ``net_circle`` buckets — ten MAX
+    pairs, ten SUM triples — and one escaping report per session."""
+    net = NetworkSpace.from_grid(grid_size=5, seed=23)
+    nodes = sorted(net.graph.nodes)
+    rng = random.Random(3)
+    service = MPNService(NetworkPOISpace(net, rng.sample(nodes, 8)), batched=batched)
+    ids = [
+        service.open_session(
+            [net.random_position(rng) for _ in range(2 + g % 2)],
+            net_circle_policy(Aggregate.SUM if g % 2 else Aggregate.MAX),
+        ).session_id
+        for g in range(20)
+    ]
+    events = [
+        ReportEvent(sid, 0, MemberState(NetworkPosition.at_node(rng.choice(nodes))))
+        for sid in ids
+    ]
+    return service, events
 
 
 @pytest.fixture
@@ -363,3 +388,40 @@ class TestBatchDispatchIsExercised:
             notification_key(n) for n in want
         ]
         assert_services_equivalent(batched, scalar)
+
+
+    def test_net_circle_hook_is_called_once_per_bucket(self, monkeypatch):
+        buckets = []
+        orig = NetworkCircleStrategy.build_regions_batch
+
+        def spy(self, groups, tree, headings=None, thetas=None):
+            buckets.append((self.objective, {len(g) for g in groups}, len(groups)))
+            return orig(self, groups, tree, headings, thetas)
+
+        monkeypatch.setattr(NetworkCircleStrategy, "build_regions_batch", spy)
+        service, events = net_circle_fleet(batched=True)
+        notified = [n for n in service.report_many(events) if n is not None]
+        assert len(notified) >= 4
+        # One call per (objective, group size) bucket, covering the wave.
+        assert len(buckets) == 2
+        assert {objective for objective, _, _ in buckets} == {
+            Aggregate.MAX,
+            Aggregate.SUM,
+        }
+        assert all(len(sizes) == 1 for _, sizes, _ in buckets)
+        assert sum(n for _, _, n in buckets) == len(notified)
+
+    def test_net_circle_declined_batch_falls_back_to_scalar(self, monkeypatch):
+        scalar, events = net_circle_fleet(batched=False)
+        want = scalar.report_many(events)
+        monkeypatch.setattr(
+            NetworkCircleStrategy,
+            "build_regions_batch",
+            lambda self, groups, tree, headings=None, thetas=None: None,
+        )
+        batched, _ = net_circle_fleet(batched=True)
+        got = batched.report_many(events)
+        assert [n and wire_notification_key(n) for n in got] == [
+            n and wire_notification_key(n) for n in want
+        ]
+        assert counters(batched.metrics) == counters(scalar.metrics)
