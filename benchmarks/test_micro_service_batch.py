@@ -13,6 +13,11 @@ Both paths are exact and charge identical metrics counters
 (``tests/test_service_batch_equivalence.py``); this file gates the
 *throughput* claim — batched fleet steps at least 2x faster than
 scalar at 100+ concurrent sessions.
+
+One gate here is structural and always armed, CI included: the Section
+7.1 ledger is charged per *round*, not per message, so a wave's ledger
+calls per recomputation do not grow with the group size and the wave
+path constructs no ``Message`` (``test_wave_charges_per_round``).
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ import pytest
 from repro.geometry.point import Point
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.simulation import circle_policy, tile_policy
+from repro.simulation.messages import Message
+from repro.simulation.metrics import SimulationMetrics
 from repro.workloads.datasets import WORLD
 from repro.workloads.poi import build_poi_tree, clustered_pois
 
@@ -63,7 +70,9 @@ def poi_points():
     return clustered_pois(N_POIS, WORLD, seed=31)
 
 
-def _open_fleet(service: MPNService, n_sessions: int, policy) -> list[int]:
+def _open_fleet(
+    service: MPNService, n_sessions: int, policy, group_size: int = GROUP_SIZE
+) -> list[int]:
     """Walking-distance groups scattered over the world, like the
     paper's MPN groups; identical on every service they're opened on."""
     rng = random.Random(5)
@@ -72,7 +81,7 @@ def _open_fleet(service: MPNService, n_sessions: int, policy) -> list[int]:
         cx, cy = WORLD.sample(rng)
         members = [
             Point(cx + rng.uniform(-800.0, 800.0), cy + rng.uniform(-800.0, 800.0))
-            for _ in range(GROUP_SIZE)
+            for _ in range(group_size)
         ]
         ids.append(service.open_session(members, policy).session_id)
     return ids
@@ -155,6 +164,51 @@ def test_tile_fleet_step_60_sessions(benchmark, poi_points, path):
 
     notifications = _record(benchmark, "tile_fleet_step", path, step)
     assert sum(n is not None for n in notifications) == len(ids)
+
+
+def _count_calls(monkeypatch, cls, name: str, calls: dict[str, int]) -> None:
+    original = getattr(cls, name)
+    key = f"{cls.__name__}.{name}"
+    calls[key] = 0
+
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def test_wave_charges_per_round(monkeypatch, poi_points):
+    """Structural, always armed: ledger calls per recomputation are the
+    same at m = 2 and m = 8, for circle and for tile, and the wave path
+    builds no ``Message`` — the measures are charged as round totals."""
+    tree = build_poi_tree(poi_points[:3_000])
+    calls: dict[str, int] = {}
+    for name in ("charge_round", "charge_update", "record_message"):
+        _count_calls(monkeypatch, SimulationMetrics, name, calls)
+    _count_calls(monkeypatch, Message, "__init__", calls)
+    per_recomputation = {}
+    for label, policy in [
+        ("circle", circle_policy()),
+        ("tile", tile_policy(alpha=2, split_level=0)),
+    ]:
+        for m in (2, 8):
+            service = MPNService(tree)
+            ids = _open_fleet(service, N_SESSIONS, policy, group_size=m)
+            rng = random.Random(m)
+            events = [
+                ReportEvent(sid, 0, MemberState(WORLD.sample(rng))) for sid in ids
+            ]
+            calls.update(dict.fromkeys(calls, 0))
+            before = service.metrics.update_events
+            service.report_many(events)
+            recomputed = service.metrics.update_events - before
+            assert recomputed >= N_SESSIONS // 2  # random jumps escape
+            assert calls["Message.__init__"] == 0
+            assert calls["SimulationMetrics.record_message"] == 0
+            per_recomputation[label, m] = sum(calls.values()) / recomputed
+    print(f"\nledger calls per recomputation: {per_recomputation}")
+    assert len(set(per_recomputation.values())) == 1, per_recomputation
 
 
 def test_batched_fleet_speedup():

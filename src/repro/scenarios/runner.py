@@ -38,22 +38,11 @@ from repro.scenarios.spec import ScenarioSpec, resolve_policy
 from repro.service.api import encode_position
 from repro.service.messages import MemberState, ReportEvent
 from repro.service.regions import encode_region
+from repro.simulation.metrics import counter_fields
 
 #: Every integer counter on SimulationMetrics — everything but
 #: wall-clock seconds, which never replay identically.
-COUNTER_FIELDS = (
-    "timestamps",
-    "update_events",
-    "result_changes",
-    "messages_up",
-    "messages_down",
-    "packets_up",
-    "packets_down",
-    "index_node_accesses",
-    "index_queries",
-    "tile_verifications",
-    "region_values_sent",
-)
+COUNTER_FIELDS = counter_fields()
 
 
 def counters(metrics) -> dict[str, int]:

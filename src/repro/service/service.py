@@ -15,10 +15,10 @@ exposes exactly that surface —
   index and re-notifies only the sessions whose regions fail the
   Lemma-1 test (or whose meeting point was deleted).
 
-Every message and recomputation is charged twice: to the session's own
-:class:`~repro.simulation.metrics.SimulationMetrics` and to the
-service-wide aggregate ``metrics`` — the per-tenant and whole-fleet
-views of the same traffic.
+Every protocol round and recomputation is charged twice: to the
+session's own :class:`~repro.simulation.metrics.SimulationMetrics` and
+to the service-wide aggregate ``metrics`` — the per-tenant and
+whole-fleet views of the same traffic.
 
 Spaces
 ------
@@ -91,10 +91,9 @@ from repro.service.messages import (
 from repro.service.session import Prober, ServiceSession, lemma1_suspects
 from repro.service.strategies import StrategyResult, get_strategy
 from repro.simulation.messages import (
-    Message,
-    location_update,
-    probe_request,
-    result_notify,
+    LOCATION_UPDATE_PACKETS,
+    PROBE_REQUEST_PACKETS,
+    notify_packets,
 )
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
@@ -254,8 +253,9 @@ class MPNService:
         notification = self._recompute(session, cause="register")
         self._sessions[session_id] = session
         self._next_id = max(self._next_id, session_id + 1)
-        for _ in session.members:
-            self._charge_message(session, location_update())
+        m = session.size
+        for ledger in (session.metrics, self.metrics):
+            ledger.charge_round(m, m * LOCATION_UPDATE_PACKETS, 0, 0)
         return SessionHandle(
             session_id=session_id,
             size=session.size,
@@ -468,8 +468,6 @@ class MPNService:
         session.members[member_id] = state
         if session.regions and session.regions[member_id].contains_point(point):
             return None
-        event = ReportEvent(session_id, member_id, state)
-        self._charge_message(session, event.message())
         self._probe(session, exclude=member_id, supplied=probes)
         return self._recompute(session, cause="report")
 
@@ -546,7 +544,6 @@ class MPNService:
                     event.member_id
                 ].contains_point(event.state.point):
                     continue  # in-region report: state refreshed, no traffic
-                self._charge_message(session, event.message())
                 self._probe(
                     session, exclude=event.member_id, supplied=event.probes
                 )
@@ -676,24 +673,40 @@ class MPNService:
         exclude: int,
         supplied: Optional[Sequence[tuple[int, MemberState]]] = None,
     ) -> None:
-        """Step 2: fetch every other member's state, charging the round.
+        """Steps 1-2: fetch every other member's state, charging the round.
 
         ``supplied`` holds client-gathered states (schema v2 probes); a
         supplied state wins over the session's prober, and either way
         the probed member is charged the same probe-request +
         location-update pair — the probe round's wire traffic does not
         depend on which side gathered the state.
+
+        One ``charge_round`` per ledger covers the whole escape: the
+        trigger's location update plus, for each of the ``probed``
+        members actually gathered, one location update up and one probe
+        request down.  A prober that raises at member j is charged the
+        trigger and the j pairs completed before it, nothing more.
         """
         states = dict(supplied) if supplied else {}
-        for i in range(session.size):
-            if i == exclude:
-                continue
-            if i in states:
-                session.members[i] = states[i]
-            elif session.prober is not None:
-                session.members[i] = session.prober(i)
-            self._charge_message(session, probe_request())
-            self._charge_message(session, location_update())
+        probed = 0
+        try:
+            for i in range(session.size):
+                if i == exclude:
+                    continue
+                if i in states:
+                    session.members[i] = states[i]
+                elif session.prober is not None:
+                    session.members[i] = session.prober(i)
+                probed += 1
+        finally:
+            up = 1 + probed
+            for ledger in (session.metrics, self.metrics):
+                ledger.charge_round(
+                    up,
+                    up * LOCATION_UPDATE_PACKETS,
+                    probed,
+                    probed * PROBE_REQUEST_PACKETS,
+                )
 
     # ------------------------------------------------------------------
     # Dynamic POI updates
@@ -819,19 +832,24 @@ class MPNService:
     ) -> Notification:
         """Install a strategy result and charge it — the one place both
         the scalar and the batched path account their work, so the two
-        cannot drift apart in what they charge."""
+        cannot drift apart in what they charge.
+
+        Per ledger: one ``charge_update`` (the recomputation and its
+        index work) and one ``charge_round`` for step 3 — ``m``
+        notifications down, ``sum(notify_packets(v))`` packets and
+        ``sum(v)`` region values over the members' region sizes ``v``.
+        """
         if session.po is not None and result.po != session.po:
             session.metrics.result_changes += 1
             self.metrics.result_changes += 1
         session.po = result.po
         session.regions = list(result.regions)
         session.lemma1_bound = None  # refilled by the next churn sweep
-        session.metrics.charge_update(cpu, result.stats)
-        self.metrics.charge_update(cpu, result.stats)
-        for values in result.region_values:
-            self._charge_message(session, result_notify(values))
-            session.metrics.region_values_sent += values
-            self.metrics.region_values_sent += values
+        values = result.region_values
+        packets = sum(map(notify_packets, values))
+        for ledger in (session.metrics, self.metrics):
+            ledger.charge_update(cpu, result.stats)
+            ledger.charge_round(0, 0, len(values), packets, sum(values))
         return Notification(
             session_id=session.session_id,
             po=result.po,
@@ -841,7 +859,3 @@ class MPNService:
             stats=result.stats,
             cause=cause,
         )
-
-    def _charge_message(self, session: ServiceSession, message: Message) -> None:
-        session.metrics.record_message(message)
-        self.metrics.record_message(message)

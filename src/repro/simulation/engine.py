@@ -33,7 +33,7 @@ from repro.service.messages import MemberState, Notification, ReportEvent
 from repro.service.service import MPNService
 from repro.service.strategies import SafeRegionStrategy, get_strategy
 from repro.simulation.client import SimClient
-from repro.simulation.messages import periodic_reply, periodic_report
+from repro.simulation.messages import LOCATION_UPDATE_PACKETS, notify_packets
 from repro.simulation.metrics import SimulationMetrics, average_metrics
 from repro.simulation.policies import Policy
 from repro.space import Space, as_space
@@ -82,9 +82,11 @@ def _run_periodic(
         if t > 0 and result.po != last_po:
             metrics.result_changes += 1
         last_po = result.po
-        for _ in range(m):
-            metrics.record_message(periodic_report())
-            metrics.record_message(periodic_reply())
+    # Every timestamp: m periodic reports up, m bare-point replies down.
+    total = m * steps
+    metrics.charge_round(
+        total, total * LOCATION_UPDATE_PACKETS, total, total * notify_packets(0)
+    )
     return metrics
 
 

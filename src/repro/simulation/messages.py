@@ -5,6 +5,23 @@ values since the typical maximum transmission unit (MTU) over a network
 is 576 bytes and a packet has a 40-byte header."  Shapes cost: 3 values
 per circle, 3 per square, 4 per rectangle; tile regions ship in the
 compressed form of :mod:`repro.core.compression`.
+
+Both measures are a function of the protocol *event* (Fig. 3), so the
+ledger (:meth:`~repro.simulation.metrics.SimulationMetrics.charge_round`)
+takes a whole round as plain integers rather than one :class:`Message`
+at a time.  In a group of ``m`` with per-member region sizes ``v_i``:
+
+* registration: ``m`` location updates up (``m`` packets);
+* an escape: the trigger's update plus ``m - 1`` probe replies up
+  (``m`` messages, ``m`` packets), ``m - 1`` probe requests down (one
+  packet each, an empty payload still costs a header);
+* every recomputation: ``m`` notifications down carrying
+  ``POINT_VALUES + v_i`` values, i.e. ``sum(notify_packets(v_i))``
+  packets and ``sum(v_i)`` region values.
+
+:class:`Message`, the factories below and ``record_message`` stay as the
+protocol's vocabulary and as the message-by-message reference
+``tests/test_round_accounting.py`` replays the closed form against.
 """
 
 from __future__ import annotations
@@ -52,6 +69,15 @@ def packets_for_values(values: int) -> int:
     if values < 0:
         raise ValueError("negative payload")
     return max(1, math.ceil(values / VALUES_PER_PACKET))
+
+
+def notify_packets(region_values: int) -> int:
+    """Packets of one result notification: the point plus one region."""
+    return packets_for_values(POINT_VALUES + region_values)
+
+
+LOCATION_UPDATE_PACKETS = packets_for_values(LOCATION_VALUES)
+PROBE_REQUEST_PACKETS = packets_for_values(0)
 
 
 def location_update() -> Message:

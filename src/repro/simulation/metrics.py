@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.types import SafeRegionStats
 from repro.simulation.messages import Message
@@ -36,6 +36,23 @@ class SimulationMetrics:
             self.index_queries += stats.index_queries
             self.tile_verifications += stats.tile_verifications
 
+    def charge_round(
+        self,
+        up: int,
+        packets_up: int,
+        down: int,
+        packets_down: int,
+        region_values: int = 0,
+    ) -> None:
+        """Charge one protocol step's traffic as totals (closed form in
+        :mod:`repro.simulation.messages`); equals one
+        :meth:`record_message` per message of the step."""
+        self.messages_up += up
+        self.packets_up += packets_up
+        self.messages_down += down
+        self.packets_down += packets_down
+        self.region_values_sent += region_values
+
     def record_message(self, message: Message) -> None:
         if message.upstream:
             self.messages_up += 1
@@ -67,18 +84,15 @@ class SimulationMetrics:
         return self.server_cpu_seconds / self.update_events
 
     def merge(self, other: "SimulationMetrics") -> None:
-        self.timestamps += other.timestamps
-        self.update_events += other.update_events
-        self.result_changes += other.result_changes
-        self.messages_up += other.messages_up
-        self.messages_down += other.messages_down
-        self.packets_up += other.packets_up
-        self.packets_down += other.packets_down
-        self.server_cpu_seconds += other.server_cpu_seconds
-        self.index_node_accesses += other.index_node_accesses
-        self.index_queries += other.index_queries
-        self.tile_verifications += other.tile_verifications
-        self.region_values_sent += other.region_values_sent
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+
+def counter_fields(metrics=SimulationMetrics) -> tuple[str, ...]:
+    """The integer counters of a metrics class or instance, by
+    annotation — everything but wall-clock seconds, which never replay
+    identically."""
+    return tuple(f.name for f in fields(metrics) if f.type in ("int", int))
 
 
 def average_metrics(runs: list[SimulationMetrics]) -> SimulationMetrics:
@@ -88,19 +102,7 @@ def average_metrics(runs: list[SimulationMetrics]) -> SimulationMetrics:
     total = SimulationMetrics()
     for run in runs:
         total.merge(run)
-    n = len(runs)
-    out = SimulationMetrics(
-        timestamps=round(total.timestamps / n),
-        update_events=round(total.update_events / n),
-        result_changes=round(total.result_changes / n),
-        messages_up=round(total.messages_up / n),
-        messages_down=round(total.messages_down / n),
-        packets_up=round(total.packets_up / n),
-        packets_down=round(total.packets_down / n),
-        server_cpu_seconds=total.server_cpu_seconds / n,
-        index_node_accesses=round(total.index_node_accesses / n),
-        index_queries=round(total.index_queries / n),
-        tile_verifications=round(total.tile_verifications / n),
-        region_values_sent=round(total.region_values_sent / n),
-    )
-    return out
+    mean = {f.name: getattr(total, f.name) / len(runs) for f in fields(total)}
+    for name in counter_fields():
+        mean[name] = round(mean[name])
+    return SimulationMetrics(**mean)

@@ -29,6 +29,7 @@ from repro.geometry.region import TileRegion
 from repro.gnn.aggregate import Aggregate
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.network_ext.strategies import NetworkCircleStrategy
+from repro.scenarios.runner import counters
 from repro.scenarios.runner import notification_key as wire_notification_key
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.service.strategies import CircleMSRStrategy, TileMSRStrategy
@@ -37,25 +38,6 @@ from repro.space.network import NetworkPOISpace
 from repro.workloads.datasets import DatasetSpec, build_dataset
 from repro.workloads.poi import build_poi_tree, uniform_pois
 from tests.conftest import SMALL_WORLD
-
-COUNTER_FIELDS = (
-    "timestamps",
-    "update_events",
-    "result_changes",
-    "messages_up",
-    "messages_down",
-    "packets_up",
-    "packets_down",
-    "index_node_accesses",
-    "index_queries",
-    "tile_verifications",
-    "region_values_sent",
-)
-
-
-def counters(metrics) -> dict[str, int]:
-    """Every integer counter — everything but wall-clock seconds."""
-    return {name: getattr(metrics, name) for name in COUNTER_FIELDS}
 
 
 def region_key(region) -> tuple:
