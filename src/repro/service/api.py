@@ -2,85 +2,82 @@
 
 The paper's MPN problem is a *server* problem — a central service
 notifying moving users about meeting points — so the serving API must
-be able to sit behind a wire, not just behind a Python method call.
-This module defines that wire surface:
+be able to sit behind a wire.  This module defines that wire surface:
+one frozen dataclass per operation (:class:`OpenSessionRequest`,
+:class:`ReportRequest`, :class:`ReportManyRequest`,
+:class:`UpdateLocationsRequest`, :class:`UpdatePoisRequest`,
+:class:`UpdatePolicyRequest`, :class:`CloseSessionRequest`) and one
+response envelope each, all JSON-safe through ``to_dict`` /
+``from_dict``; :class:`ServiceBackend`, the one-method protocol
+(``dispatch(request) -> Response``) every backend implements; and
+:func:`dispatch_request`, the shared router that implements ``dispatch``
+on top of a backend's convenience methods (``open_session`` /
+``report`` / …), the in-process face of the same seven operations.
 
-* one frozen dataclass per operation — :class:`OpenSessionRequest`,
-  :class:`ReportRequest`, :class:`ReportManyRequest`,
-  :class:`UpdateLocationsRequest`, :class:`UpdatePoisRequest`,
-  :class:`UpdatePolicyRequest`, :class:`CloseSessionRequest` — and one
-  response envelope each, every one with JSON-safe ``to_dict`` /
-  ``from_dict`` (schema-versioned; policies, member states and
-  positions round-trip **by value**);
-* :class:`ServiceBackend` — the one-method protocol
-  (``dispatch(request) -> Response``) that both
-  :class:`repro.service.MPNService` and
-  :class:`repro.cluster.MPNCluster` implement, so a fleet driver (or a
-  wire adapter) is written once against either;
-* :func:`dispatch_request` — the shared router that implements
-  ``dispatch`` on top of a backend's convenience methods
-  (``open_session`` / ``report`` / ``report_many`` / …), which remain
-  the in-process face of the same seven operations.
+Schema version 2 carries everything a remote client sends or needs
+back, by value: positions, member states, policies (tile configurations
+included), meeting points, work counters, causes and — new in v2 —
+safe-region geometry (:mod:`repro.service.regions`: a remote client
+decides offline whether her next position escapes, the client-side half
+of Fig. 3), front-door session ids on :class:`OpenSessionRequest`,
+client-gathered ``probes`` on :class:`ReportRequest` and
+:class:`~repro.service.messages.ReportEvent` (the wire stand-in for a
+prober callable, charged exactly like prober answers) and
+:class:`ErrorResponse` (:func:`error_response_for` maps an exception to
+a code, :func:`raise_error_response` rebuilds it client-side).  Live
+objects do not cross: ``to_dict`` refuses a prober callable or an
+unregistered live :class:`~repro.space.base.Space`
+(:class:`~repro.service.errors.EnvelopeError`); remote sessions name
+their space as registered with ``add_space``.  Every envelope carries
+``v``; decoding rejects versions it does not speak
+(:class:`~repro.service.errors.SchemaVersionError`).
 
-Wire scope (schema version 2)
------------------------------
+The codec
+---------
 
-Envelopes carry everything a remote client sends or needs back —
-positions, member states, policies (by value, including tile
-configurations), meeting points, safe-region geometry, causes and work
-counters.  Version 2 extends version 1 with exactly the fields a
-*remote* deployment needs (which is why the version bumped: a v1 peer
-would silently drop them):
+No envelope writes its own ``to_dict`` / ``from_dict``: one codec walks
+each dataclass's fields and resolved annotations once into a cached
+plan.  Three rules decide the wire form:
 
-* **Region geometry.**  :class:`NotificationPayload` ships each safe
-  region by value (:mod:`repro.service.regions`) alongside the wire
-  sizes in doubles (``region_values`` — the payload the paper's
-  message model accounts).  A remote client rebuilds her region
-  locally and decides offline whether her next position escapes it —
-  the client-side half of Fig. 3.
-* **Front-door session ids.**  :class:`OpenSessionRequest` carries an
-  optional ``session_id`` so a sharded front door
-  (:class:`repro.transport.ProcessCluster`) can register sessions on
-  remote workers under globally-routed ids, exactly like the
-  in-process cluster does.
-* **Client-gathered probe states.**  :class:`ReportRequest` and each
-  :class:`~repro.service.messages.ReportEvent` carry optional
-  ``probes`` — fresh member states the *client side* gathered at
-  report time.  A prober callable cannot cross the wire, but the probe
-  round it models is client↔server traffic anyway; the server applies
-  supplied states exactly like prober answers and charges the same
-  messages, so a remote fleet stays bit-identical to a local one.
-* **Errors.**  :class:`ErrorResponse` serializes a failed dispatch —
-  code, message and JSON-safe details — so validation failures cross
-  the wire as envelopes instead of killing connections;
-  :func:`error_response_for` maps exceptions to codes and
-  :func:`raise_error_response` reconstructs the typed exception
-  client-side.
+1. **Key order is field order** — ``op`` and ``v`` first on an
+   envelope; nested records (:class:`~repro.service.messages.MemberState`,
+   :class:`~repro.service.messages.ReportEvent`,
+   :class:`~repro.core.types.SafeRegionStats`, :class:`NotificationPayload`,
+   :class:`SessionSnapshot`) through their own plans; tuples as arrays,
+   enums as their values; callable fields (the prober) never.
+2. **A field is optional on the wire iff it has a default**; a missing
+   undefaulted field or an undeclared key is malformed.
+3. **Integers are exact**: an ``int`` field takes a JSON integer only —
+   never a bool, float or string; a ``float`` field takes either number.
 
-One thing still does **not** cross the wire: **live objects**.  A
-prober callable and an unregistered live
-:class:`~repro.space.base.Space` are in-process conveniences;
-``to_dict`` refuses to serialize an envelope holding one
-(:class:`~repro.service.errors.EnvelopeError`).  Remote sessions name
-their space by its registered name (see ``MPNService.add_space``);
-every envelope carries ``v`` and decoding rejects versions it does not
-speak (:class:`~repro.service.errors.SchemaVersionError`).
-
-Positions are polymorphic: a Euclidean
-:class:`~repro.geometry.point.Point`, a road-network
-:class:`~repro.network_ext.space.NetworkPosition` (node or edge
-offset), or a bare graph node (the network strategies' meeting points).
-Graph nodes may be JSON scalars or (nested) tuples of them — the shapes
-:func:`repro.mobility.network.build_road_network` produces.
+The leaf codecs hide tagged formats and are written out by hand, here:
+position / graph node (:func:`encode_position` / :func:`decode_position`:
+a Euclidean :class:`~repro.geometry.point.Point`, a road-network
+:class:`~repro.network_ext.space.NetworkPosition` or a bare graph node —
+a JSON scalar or nested tuple of them), tile configuration,
+:class:`Policy` (its wire order ``strategy, tile_config`` is not its
+field order), POI item (payload a JSON scalar or ``None``), space
+reference (a registered name or ``None``) and the prober refusal; the
+region codec lives in :mod:`repro.service.regions`.  Decoding has one
+error rule: version, then ``op``, then any ``KeyError`` / ``TypeError``
+/ ``ValueError`` / ``AttributeError`` becomes
+:class:`~repro.service.errors.MalformedEnvelopeError` — raised before
+the envelope exists, so a rejected one mutates nothing.
+:func:`encode_record` / :func:`decode_record` apply the same codec to
+other dataclasses, e.g. :class:`~repro.simulation.metrics.SimulationMetrics`.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Protocol, Sequence, Union, runtime_checkable
+from enum import Enum
+from typing import Callable, ClassVar, Optional, Protocol, Union, runtime_checkable
 
-from repro.core.types import Ordering, SafeRegionStats, TileMSRConfig, VerifierKind
+from repro.core.types import SafeRegionStats, TileMSRConfig
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.service.errors import (
@@ -111,10 +108,36 @@ Prober = Callable[[int], MemberState]
 
 
 # ----------------------------------------------------------------------
-# Value codecs: nodes, positions, member states, policies, payloads
+# Leaf codecs: the tagged formats, written out once
 # ----------------------------------------------------------------------
 
 _JSON_SCALARS = (str, int, float, bool)
+
+
+def _int(data: object) -> int:
+    if type(data) is not int:
+        raise TypeError(f"expected an integer, got {data!r}")
+    return data
+
+
+def _float(data: object) -> float:
+    if type(data) is float:
+        return data
+    if type(data) is int:
+        return float(data)
+    raise TypeError(f"expected a number, got {data!r}")
+
+
+def _str(data: object) -> str:
+    if type(data) is not str:
+        raise TypeError(f"expected a string, got {data!r}")
+    return data
+
+
+def _dict(data: object) -> dict:
+    if type(data) is not dict:
+        raise TypeError(f"expected an object, got {data!r}")
+    return data
 
 
 def _network_position_cls():
@@ -126,22 +149,22 @@ def _network_position_cls():
     return NetworkPosition
 
 
-def _encode_node(node: object) -> object:
+def encode_node(node: object) -> object:
     """A graph node as JSON: scalars pass through, tuples are tagged."""
     if node is None or isinstance(node, _JSON_SCALARS):
         return node
     if isinstance(node, tuple):
-        return {"tuple": [_encode_node(x) for x in node]}
+        return {"tuple": [encode_node(x) for x in node]}
     raise EnvelopeError(
         f"graph node {node!r} has no wire form (JSON scalars and tuples only)"
     )
 
 
-def _decode_node(data: object) -> object:
+def decode_node(data: object) -> object:
     if data is None or isinstance(data, _JSON_SCALARS):
         return data
     if isinstance(data, dict) and set(data) == {"tuple"}:
-        return tuple(_decode_node(x) for x in data["tuple"])
+        return tuple(decode_node(x) for x in data["tuple"])
     raise MalformedEnvelopeError(f"not a wire-encoded graph node: {data!r}")
 
 
@@ -156,14 +179,14 @@ def encode_position(position: object) -> dict:
     network_position = _network_position_cls()
     if network_position is not None and isinstance(position, network_position):
         if position.edge is None:
-            return {"space": "network", "node": _encode_node(position.node)}
+            return {"space": "network", "node": encode_node(position.node)}
         u, v = position.edge
         return {
             "space": "network",
-            "edge": [_encode_node(u), _encode_node(v)],
+            "edge": [encode_node(u), encode_node(v)],
             "offset": position.offset,
         }
-    return {"space": "node", "value": _encode_node(position)}
+    return {"space": "node", "value": encode_node(position)}
 
 
 def decode_position(data: object) -> object:
@@ -171,9 +194,9 @@ def decode_position(data: object) -> object:
         raise MalformedEnvelopeError(f"not a wire-encoded position: {data!r}")
     kind = data.get("space")
     if kind == "euclidean":
-        return Point(float(data["x"]), float(data["y"]))
+        return Point(_float(data["x"]), _float(data["y"]))
     if kind == "node":
-        return _decode_node(data["value"])
+        return decode_node(data["value"])
     if kind == "network":
         network_position = _network_position_cls()
         if network_position is None:  # pragma: no cover - no-networkx envs
@@ -182,83 +205,32 @@ def decode_position(data: object) -> object:
                 "(install the 'network' extra)"
             )
         if "node" in data:
-            return network_position.at_node(_decode_node(data["node"]))
+            return network_position.at_node(decode_node(data["node"]))
         u, v = data["edge"]
         return network_position.on_edge(
-            _decode_node(u), _decode_node(v), float(data["offset"])
+            decode_node(u), decode_node(v), _float(data["offset"])
         )
     raise MalformedEnvelopeError(f"unknown position space {kind!r}")
 
 
-def encode_member(member: MemberState) -> dict:
-    return {
-        "point": encode_position(member.point),
-        "heading": member.heading,
-        "theta": member.theta,
-    }
-
-
-def decode_member(data: object) -> MemberState:
-    if not isinstance(data, dict):
-        raise MalformedEnvelopeError(f"not a wire-encoded member state: {data!r}")
-    heading = data.get("heading")
-    theta = data.get("theta")
-    return MemberState(
-        point=decode_position(data["point"]),
-        heading=None if heading is None else float(heading),
-        theta=None if theta is None else float(theta),
-    )
-
-
-Probes = Optional[tuple[tuple[int, MemberState], ...]]
-
-
-def _encode_probes(probes: Probes) -> Optional[list]:
-    """Client-gathered probe states as ``[[member_id, state], ...]``."""
-    if probes is None:
-        return None
-    return [[member_id, encode_member(state)] for member_id, state in probes]
-
-
-def _decode_probes(data: object) -> Probes:
-    if data is None:
-        return None
-    return tuple(
-        (int(member_id), decode_member(state)) for member_id, state in data
-    )
-
-
-def _network_tile_config_cls():
+def _tile_config_kinds() -> dict[str, type]:
+    """Wire tag -> tile configuration class (network one if importable)."""
+    kinds: dict[str, type] = {"euclidean": TileMSRConfig}
     try:
         from repro.network_ext.tile_msr import NetworkTileConfig
     except ImportError:  # pragma: no cover - exercised only without networkx
-        return None
-    return NetworkTileConfig
+        return kinds
+    kinds["network"] = NetworkTileConfig
+    return kinds
 
 
 def _encode_tile_config(config: object) -> Optional[dict]:
+    """A tile configuration as ``{"type": tag, <fields>}``."""
     if config is None:
         return None
-    if isinstance(config, TileMSRConfig):
-        return {
-            "type": "euclidean",
-            "alpha": config.alpha,
-            "split_level": config.split_level,
-            "ordering": config.ordering.value,
-            "verifier": config.verifier.value,
-            "objective": config.objective.value,
-            "buffer_b": config.buffer_b,
-            "theta": config.theta,
-            "max_layer": config.max_layer,
-        }
-    network_config = _network_tile_config_cls()
-    if network_config is not None and isinstance(config, network_config):
-        return {
-            "type": "network",
-            "alpha": config.alpha,
-            "split_level": config.split_level,
-            "max_radius_factor": config.max_radius_factor,
-        }
+    for tag, cls in _tile_config_kinds().items():
+        if isinstance(config, cls):
+            return {"type": tag, **encode_record(config)}
     raise EnvelopeError(
         f"tile config {type(config).__name__} has no wire form"
     )
@@ -269,31 +241,12 @@ def _decode_tile_config(data: object) -> object:
         return None
     if not isinstance(data, dict):
         raise MalformedEnvelopeError(f"not a wire-encoded tile config: {data!r}")
-    kind = data.get("type")
-    if kind == "euclidean":
-        buffer_b = data["buffer_b"]
-        return TileMSRConfig(
-            alpha=int(data["alpha"]),
-            split_level=int(data["split_level"]),
-            ordering=Ordering(data["ordering"]),
-            verifier=VerifierKind(data["verifier"]),
-            objective=Aggregate(data["objective"]),
-            buffer_b=None if buffer_b is None else int(buffer_b),
-            theta=float(data["theta"]),
-            max_layer=int(data["max_layer"]),
-        )
-    if kind == "network":
-        network_config = _network_tile_config_cls()
-        if network_config is None:  # pragma: no cover - no-networkx envs
-            raise EnvelopeError(
-                "decoding a network tile config needs the network stack"
-            )
-        return network_config(
-            alpha=int(data["alpha"]),
-            split_level=int(data["split_level"]),
-            max_radius_factor=float(data["max_radius_factor"]),
-        )
-    raise MalformedEnvelopeError(f"unknown tile config type {kind!r}")
+    fields = dict(data)
+    kind = fields.pop("type", None)
+    cls = _tile_config_kinds().get(kind)
+    if cls is None:
+        raise MalformedEnvelopeError(f"unknown tile config type {kind!r}")
+    return _codec(cls)[1](fields)
 
 
 def encode_policy(policy: Policy) -> dict:
@@ -311,22 +264,31 @@ def decode_policy(data: object) -> Policy:
     if not isinstance(data, dict):
         raise MalformedEnvelopeError(f"not a wire-encoded policy: {data!r}")
     kind = data.get("kind")
+    strategy = data.get("strategy")
     return Policy(
-        name=data["name"],
+        name=_str(data["name"]),
         kind=None if kind is None else PolicyKind(kind),
         objective=Aggregate(data["objective"]),
         tile_config=_decode_tile_config(data.get("tile_config")),
-        strategy=data.get("strategy"),
+        strategy=None if strategy is None else _str(strategy),
     )
 
 
-def _encode_payload(payload: object) -> object:
-    """POI payloads on the wire: JSON scalars (or None) only."""
-    if payload is None or isinstance(payload, _JSON_SCALARS):
-        return payload
-    raise EnvelopeError(
-        f"POI payload {payload!r} has no wire form (JSON scalars only)"
-    )
+def _encode_poi(item: tuple[object, object]) -> dict:
+    """A POI insert/delete: its position plus a JSON-scalar payload."""
+    position, payload = item
+    if payload is not None and not isinstance(payload, _JSON_SCALARS):
+        raise EnvelopeError(
+            f"POI payload {payload!r} has no wire form (JSON scalars only)"
+        )
+    return {"position": encode_position(position), "payload": payload}
+
+
+def _decode_poi(data: object) -> tuple[object, object]:
+    payload = data["payload"]
+    if payload is not None and not isinstance(payload, _JSON_SCALARS):
+        raise TypeError(f"POI payload {payload!r} is not a JSON scalar")
+    return decode_position(data["position"]), payload
 
 
 def _encode_space_ref(space: Union[None, str, Space]) -> Optional[str]:
@@ -338,15 +300,127 @@ def _encode_space_ref(space: Union[None, str, Space]) -> Optional[str]:
     )
 
 
-# ----------------------------------------------------------------------
-# Envelope plumbing
-# ----------------------------------------------------------------------
+def _decode_space_ref(data: object) -> Optional[str]:
+    return None if data is None else _str(data)
 
 
-def _envelope(op: str, **fields: object) -> dict:
-    out = {"op": op, "v": SCHEMA_VERSION}
-    out.update(fields)
-    return out
+# ----------------------------------------------------------------------
+# The field-driven codec
+# ----------------------------------------------------------------------
+
+#: Resolved annotation -> (encode, decode); ``encode`` None = as is.
+_LEAVES: dict[object, tuple] = {
+    int: (None, _int),
+    float: (None, _float),
+    str: (None, _str),
+    dict: (None, _dict),
+    object: (encode_position, decode_position),
+    Point: (encode_position, decode_position),
+    Policy: (encode_policy, decode_policy),
+    tuple[object, object]: (_encode_poi, _decode_poi),
+    Union[None, str, Space]: (_encode_space_ref, _decode_space_ref),
+}
+
+
+@functools.cache
+def _codec(tp: object) -> tuple:
+    """The (encode, decode) pair for one resolved annotation, built once."""
+    return _LEAVES.get(tp) or _derive(tp)
+
+
+def _array(data: object) -> list:
+    if not isinstance(data, (list, tuple)):
+        raise TypeError(f"expected an array, got {data!r}")
+    return data
+
+
+def _derive(tp: object) -> tuple:
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union and type(None) in args:
+        enc, dec = _codec(Union[tuple(a for a in args if a is not type(None))])
+        return (
+            None if enc is None else (lambda v: None if v is None else enc(v)),
+            lambda d: None if d is None else dec(d),
+        )
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        return (
+            list if enc is None else (lambda v: [enc(x) for x in v]),
+            lambda d: tuple([dec(x) for x in _array(d)]),
+        )
+    if origin is tuple:
+        codecs = [_codec(a) for a in args]
+        encs = [enc or (lambda x: x) for enc, _ in codecs]
+        decs = [dec for _, dec in codecs]
+
+        def decode_fixed(d: object) -> tuple:
+            if len(_array(d)) != len(decs):
+                raise ValueError(f"expected {len(decs)} items, got {d!r}")
+            return tuple([f(x) for f, x in zip(decs, d)])
+
+        return (lambda v: [f(x) for f, x in zip(encs, v)], decode_fixed)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return (lambda e: e.value, tp)
+    if dataclasses.is_dataclass(tp):
+        return _record_codec(tp)
+    raise TypeError(f"no wire codec for {tp!r}")
+
+
+def _in_process(tp: object) -> bool:
+    """Callable-typed fields (probers) never cross the wire."""
+    options = typing.get_args(tp) if typing.get_origin(tp) is Union else (tp,)
+    return any(
+        typing.get_origin(t) is collections.abc.Callable for t in options
+    )
+
+
+def _record_codec(cls: type) -> tuple:
+    """Encode / decode a dataclass field by field, in declaration order;
+    an envelope class (one with an ``op``) adds the ``op``/``v`` header."""
+    hints = typing.get_type_hints(cls)
+    encoders, decoders, local = [], [], []
+    for f in dataclasses.fields(cls):
+        if _in_process(hints[f.name]):
+            local.append(f.name)
+            continue
+        enc, dec = _codec(hints[f.name])
+        required = (
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        )
+        encoders.append((f.name, enc))
+        decoders.append((f.name, dec, required))
+    op = getattr(cls, "op", None)
+    header = {} if op is None else {"op": op, "v": SCHEMA_VERSION}
+
+    def encode(record: object) -> dict:
+        for name in local:
+            if getattr(record, name) is not None:
+                raise EnvelopeError(
+                    f"a {name} callable is in-process only and cannot "
+                    "cross the wire"
+                )
+        out = header.copy()
+        for name, enc in encoders:
+            value = getattr(record, name)
+            out[name] = value if enc is None else enc(value)
+        return out
+
+    def decode(data: object):
+        if op is not None:
+            _check_envelope(data, op)
+        elif type(data) is not dict:
+            raise TypeError(f"not a wire-encoded {cls.__name__}: {data!r}")
+        kwargs = {}
+        for name, dec, required in decoders:
+            if required or name in data:
+                kwargs[name] = dec(data[name])
+        if len(data) != len(header) + len(kwargs):
+            unknown = sorted(set(data) - set(header) - set(kwargs))
+            raise ValueError(f"unknown {cls.__name__} field(s) {unknown}")
+        return cls(**kwargs)
+
+    return encode, decode
 
 
 def _check_envelope(data: object, op: str) -> dict:
@@ -364,21 +438,34 @@ def _check_envelope(data: object, op: str) -> dict:
     return data
 
 
-def _decoding(op: str, fn: Callable) -> Callable:
-    """Wrap a decoder body: op/version checks, then malformed-guarding."""
+def encode_record(record: object) -> dict:
+    """Any wire dataclass — envelope, payload or counter record — as a
+    JSON-safe dict, by the three rules of this module."""
+    return _codec(type(record))[0](record)
 
-    def decode(cls, data: object):
-        _check_envelope(data, op)
-        try:
-            return fn(cls, data)
-        except EnvelopeError:
-            raise
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise MalformedEnvelopeError(
-                f"malformed {op!r} envelope: {exc}"
-            ) from exc
 
-    return classmethod(decode)
+def decode_record(cls: type, data: object):
+    """The inverse of :func:`encode_record`, under the one error rule:
+    everything a broken payload raises surfaces as
+    :class:`MalformedEnvelopeError`."""
+    try:
+        return _codec(cls)[1](data)
+    except EnvelopeError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        label = getattr(cls, "op", cls.__name__)
+        raise MalformedEnvelopeError(f"malformed {label!r} envelope: {exc}") from exc
+
+
+class _Wire:
+    """Base of the wire dataclasses: both directions go through the codec."""
+
+    def to_dict(self) -> dict:
+        return encode_record(self)
+
+    @classmethod
+    def from_dict(cls, data: object):
+        return decode_record(cls, data)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +474,7 @@ def _decoding(op: str, fn: Callable) -> Callable:
 
 
 @dataclass(frozen=True)
-class OpenSessionRequest:
+class OpenSessionRequest(_Wire):
     """Register a group under a policy (``MPNService.open_session``).
 
     ``space`` names a backend-registered space (``None`` = default).
@@ -409,34 +496,12 @@ class OpenSessionRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
 
-    def to_dict(self) -> dict:
-        if self.prober is not None:
-            raise EnvelopeError(
-                "a prober callable is in-process only and cannot cross the wire"
-            )
-        return _envelope(
-            self.op,
-            members=[encode_member(m) for m in self.members],
-            policy=encode_policy(self.policy),
-            space=_encode_space_ref(self.space),
-            session_id=self.session_id,
-        )
 
-    from_dict = _decoding(
-        "open_session",
-        lambda cls, data: cls(
-            members=tuple(decode_member(m) for m in data["members"]),
-            policy=decode_policy(data["policy"]),
-            space=data.get("space"),
-            session_id=None
-            if data.get("session_id") is None
-            else int(data["session_id"]),
-        ),
-    )
+Probes = Optional[tuple[tuple[int, MemberState], ...]]
 
 
 @dataclass(frozen=True)
-class ReportRequest:
+class ReportRequest(_Wire):
     """Step 1 of Fig. 3 over the wire: one member escaped and reports.
 
     ``probes`` (schema v2) carries fresh states the client side gathered
@@ -457,28 +522,9 @@ class ReportRequest:
         if self.probes is not None:
             object.__setattr__(self, "probes", tuple(self.probes))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            member_id=self.member_id,
-            state=encode_member(self.state),
-            probes=_encode_probes(self.probes),
-        )
-
-    from_dict = _decoding(
-        "report",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            member_id=int(data["member_id"]),
-            state=decode_member(data["state"]),
-            probes=_decode_probes(data.get("probes")),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class ReportManyRequest:
+class ReportManyRequest(_Wire):
     """A whole wave of escape reports (``MPNService.report_many``)."""
 
     op: ClassVar[str] = "report_many"
@@ -488,38 +534,9 @@ class ReportManyRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            events=[
-                {
-                    "session_id": e.session_id,
-                    "member_id": e.member_id,
-                    "state": encode_member(e.state),
-                    "probes": _encode_probes(e.probes),
-                }
-                for e in self.events
-            ],
-        )
-
-    from_dict = _decoding(
-        "report_many",
-        lambda cls, data: cls(
-            events=tuple(
-                ReportEvent(
-                    session_id=int(e["session_id"]),
-                    member_id=int(e["member_id"]),
-                    state=decode_member(e["state"]),
-                    probes=_decode_probes(e.get("probes")),
-                )
-                for e in data["events"]
-            ),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdateLocationsRequest:
+class UpdateLocationsRequest(_Wire):
     """Refresh every member's state at once (the already-probed path)."""
 
     op: ClassVar[str] = "update_locations"
@@ -530,25 +547,13 @@ class UpdateLocationsRequest:
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            members=[encode_member(m) for m in self.members],
-        )
-
-    from_dict = _decoding(
-        "update_locations",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            members=tuple(decode_member(m) for m in data["members"]),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdatePoisRequest:
-    """A batch of POI inserts/deletes against one space's index."""
+class UpdatePoisRequest(_Wire):
+    """A batch of POI inserts/deletes against one space's index.
+
+    ``adds`` and ``removes`` default to empty, so either may be left
+    off the wire."""
 
     op: ClassVar[str] = "update_pois"
 
@@ -564,40 +569,9 @@ class UpdatePoisRequest:
             self, "removes", tuple((p, payload) for p, payload in self.removes)
         )
 
-    @staticmethod
-    def _encode_items(items: Sequence[tuple[object, object]]) -> list:
-        return [
-            {"position": encode_position(p), "payload": _encode_payload(payload)}
-            for p, payload in items
-        ]
-
-    @staticmethod
-    def _decode_items(items: object) -> tuple[tuple[object, object], ...]:
-        return tuple(
-            (decode_position(item["position"]), item["payload"])
-            for item in items
-        )
-
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            adds=self._encode_items(self.adds),
-            removes=self._encode_items(self.removes),
-            space=_encode_space_ref(self.space),
-        )
-
-    from_dict = _decoding(
-        "update_pois",
-        lambda cls, data: cls(
-            adds=cls._decode_items(data["adds"]),
-            removes=cls._decode_items(data["removes"]),
-            space=data.get("space"),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdatePolicyRequest:
+class UpdatePolicyRequest(_Wire):
     """Swap a session's policy (takes effect at the next recomputation)."""
 
     op: ClassVar[str] = "update_policy"
@@ -605,37 +579,14 @@ class UpdatePolicyRequest:
     session_id: int
     policy: Policy
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            policy=encode_policy(self.policy),
-        )
-
-    from_dict = _decoding(
-        "update_policy",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            policy=decode_policy(data["policy"]),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class CloseSessionRequest:
+class CloseSessionRequest(_Wire):
     """Tear a session down."""
 
     op: ClassVar[str] = "close_session"
 
     session_id: int
-
-    def to_dict(self) -> dict:
-        return _envelope(self.op, session_id=self.session_id)
-
-    from_dict = _decoding(
-        "close_session",
-        lambda cls, data: cls(session_id=int(data["session_id"])),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -643,34 +594,8 @@ class CloseSessionRequest:
 # ----------------------------------------------------------------------
 
 
-def _encode_stats(stats: SafeRegionStats) -> dict:
-    return {
-        "tile_verifications": stats.tile_verifications,
-        "point_checks": stats.point_checks,
-        "index_node_accesses": stats.index_node_accesses,
-        "index_queries": stats.index_queries,
-        "tiles_added": stats.tiles_added,
-        "tiles_rejected": stats.tiles_rejected,
-        "elapsed_seconds": stats.elapsed_seconds,
-    }
-
-
-def _decode_stats(data: object) -> SafeRegionStats:
-    if not isinstance(data, dict):
-        raise MalformedEnvelopeError(f"not wire-encoded stats: {data!r}")
-    return SafeRegionStats(
-        tile_verifications=int(data["tile_verifications"]),
-        point_checks=int(data["point_checks"]),
-        index_node_accesses=int(data["index_node_accesses"]),
-        index_queries=int(data["index_queries"]),
-        tiles_added=int(data["tiles_added"]),
-        tiles_rejected=int(data["tiles_rejected"]),
-        elapsed_seconds=float(data["elapsed_seconds"]),
-    )
-
-
 @dataclass(frozen=True)
-class NotificationPayload:
+class NotificationPayload(_Wire):
     """The wire form of a :class:`~repro.service.messages.Notification`.
 
     Carries the new meeting point, each member's safe region — both its
@@ -721,53 +646,9 @@ class NotificationPayload:
 
         return tuple(decode_region(r, space=space) for r in self.regions)
 
-    def to_dict(self) -> dict:
-        return {
-            "session_id": self.session_id,
-            "po": encode_position(self.po),
-            "region_values": list(self.region_values),
-            "cause": self.cause,
-            "cpu_seconds": self.cpu_seconds,
-            "stats": _encode_stats(self.stats),
-            "regions": list(self.regions),
-        }
-
-    @classmethod
-    def from_dict(cls, data: object) -> "NotificationPayload":
-        if not isinstance(data, dict):
-            raise MalformedEnvelopeError(
-                f"not a wire-encoded notification: {data!r}"
-            )
-        try:
-            return cls(
-                session_id=int(data["session_id"]),
-                po=decode_position(data["po"]),
-                region_values=tuple(int(v) for v in data["region_values"]),
-                cause=data["cause"],
-                cpu_seconds=float(data["cpu_seconds"]),
-                stats=_decode_stats(data["stats"]),
-                regions=tuple(data.get("regions", ())),
-            )
-        except EnvelopeError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedEnvelopeError(
-                f"malformed notification payload: {exc}"
-            ) from exc
-
-
-def _encode_optional_notification(
-    payload: Optional[NotificationPayload],
-) -> Optional[dict]:
-    return None if payload is None else payload.to_dict()
-
-
-def _decode_optional_notification(data: object) -> Optional[NotificationPayload]:
-    return None if data is None else NotificationPayload.from_dict(data)
-
 
 @dataclass(frozen=True)
-class OpenSessionResponse:
+class OpenSessionResponse(_Wire):
     """The wire form of a :class:`~repro.service.messages.SessionHandle`."""
 
     op: ClassVar[str] = "open_session.response"
@@ -778,55 +659,20 @@ class OpenSessionResponse:
     policy: Policy
     notification: NotificationPayload
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            size=self.size,
-            strategy_name=self.strategy_name,
-            policy=encode_policy(self.policy),
-            notification=self.notification.to_dict(),
-        )
-
-    from_dict = _decoding(
-        "open_session.response",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            size=int(data["size"]),
-            strategy_name=data["strategy_name"],
-            policy=decode_policy(data["policy"]),
-            notification=NotificationPayload.from_dict(data["notification"]),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class ReportResponse:
-    """``None`` notification = the reported point was still in-region."""
+class ReportResponse(_Wire):
+    """``None`` notification = the reported point was still in-region
+    (sent as an explicit ``null``: the key itself is required)."""
 
     op: ClassVar[str] = "report.response"
 
     session_id: int
     notification: Optional[NotificationPayload]
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            notification=_encode_optional_notification(self.notification),
-        )
-
-    from_dict = _decoding(
-        "report.response",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            notification=_decode_optional_notification(data.get("notification")),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class ReportManyResponse:
+class ReportManyResponse(_Wire):
     """One entry per event, aligned with the request's event order."""
 
     op: ClassVar[str] = "report_many.response"
@@ -836,43 +682,16 @@ class ReportManyResponse:
     def __post_init__(self) -> None:
         object.__setattr__(self, "notifications", tuple(self.notifications))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            notifications=[
-                _encode_optional_notification(n) for n in self.notifications
-            ],
-        )
-
-    from_dict = _decoding(
-        "report_many.response",
-        lambda cls, data: cls(
-            notifications=tuple(
-                _decode_optional_notification(n) for n in data["notifications"]
-            ),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdateLocationsResponse:
+class UpdateLocationsResponse(_Wire):
     op: ClassVar[str] = "update_locations.response"
 
     notification: NotificationPayload
 
-    def to_dict(self) -> dict:
-        return _envelope(self.op, notification=self.notification.to_dict())
-
-    from_dict = _decoding(
-        "update_locations.response",
-        lambda cls, data: cls(
-            notification=NotificationPayload.from_dict(data["notification"]),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdatePoisResponse:
+class UpdatePoisResponse(_Wire):
     """One notification per re-notified (Lemma-1-invalidated) session."""
 
     op: ClassVar[str] = "update_pois.response"
@@ -882,50 +701,19 @@ class UpdatePoisResponse:
     def __post_init__(self) -> None:
         object.__setattr__(self, "notifications", tuple(self.notifications))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            notifications=[n.to_dict() for n in self.notifications],
-        )
-
-    from_dict = _decoding(
-        "update_pois.response",
-        lambda cls, data: cls(
-            notifications=tuple(
-                NotificationPayload.from_dict(n) for n in data["notifications"]
-            ),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class UpdatePolicyResponse:
+class UpdatePolicyResponse(_Wire):
     op: ClassVar[str] = "update_policy.response"
 
     session_id: int
 
-    def to_dict(self) -> dict:
-        return _envelope(self.op, session_id=self.session_id)
-
-    from_dict = _decoding(
-        "update_policy.response",
-        lambda cls, data: cls(session_id=int(data["session_id"])),
-    )
-
 
 @dataclass(frozen=True)
-class CloseSessionResponse:
+class CloseSessionResponse(_Wire):
     op: ClassVar[str] = "close_session.response"
 
     session_id: int
-
-    def to_dict(self) -> dict:
-        return _envelope(self.op, session_id=self.session_id)
-
-    from_dict = _decoding(
-        "close_session.response",
-        lambda cls, data: cls(session_id=int(data["session_id"])),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -934,7 +722,7 @@ class CloseSessionResponse:
 
 
 @dataclass(frozen=True)
-class SessionSnapshot:
+class SessionSnapshot(_Wire):
     """One live session's full state as a schema-v2 envelope.
 
     The serialization substrate for live migration: everything a fresh
@@ -942,12 +730,16 @@ class SessionSnapshot:
     session exactly where the old shard left off.  Members carry their
     last-reported states, ``regions`` the current safe regions as
     :mod:`repro.service.regions` codecs (bit-identical on decode), and
-    ``metrics`` the per-session counters as a JSON-safe dict.  ``space``
+    ``metrics`` the per-session counters as a JSON-safe dict
+    (:func:`encode_record` of a
+    :class:`~repro.simulation.metrics.SimulationMetrics`).  ``space``
     names the backend-registered space the session runs on (``None`` =
     default); the importing side resolves it against its own registry
     and re-resolves the strategy from ``policy``, so nothing live
     crosses the wire.  Probers are in-process callables and travel
-    out-of-band (``import_session(..., prober=)``).
+    out-of-band (``import_session(..., prober=)``).  ``po``,
+    ``regions`` and ``metrics`` have no defaults, so their keys are
+    required (``po`` may be ``null``).
     """
 
     op: ClassVar[str] = "session_snapshot"
@@ -955,7 +747,7 @@ class SessionSnapshot:
     session_id: int
     policy: Policy
     members: tuple[MemberState, ...]
-    po: object
+    po: Optional[object]
     regions: tuple[dict, ...]
     metrics: dict
     space: Optional[str] = None
@@ -965,40 +757,16 @@ class SessionSnapshot:
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "metrics", dict(self.metrics))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            session_id=self.session_id,
-            policy=encode_policy(self.policy),
-            members=[encode_member(m) for m in self.members],
-            po=None if self.po is None else encode_position(self.po),
-            regions=list(self.regions),
-            metrics=dict(self.metrics),
-            space=_encode_space_ref(self.space),
-        )
-
-    from_dict = _decoding(
-        "session_snapshot",
-        lambda cls, data: cls(
-            session_id=int(data["session_id"]),
-            policy=decode_policy(data["policy"]),
-            members=tuple(decode_member(m) for m in data["members"]),
-            po=None if data.get("po") is None else decode_position(data["po"]),
-            regions=tuple(data.get("regions", ())),
-            metrics=dict(data.get("metrics") or {}),
-            space=data.get("space"),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class ServiceSnapshot:
+class ServiceSnapshot(_Wire):
     """A whole shard by value: every session plus the id watermark.
 
     The failover/restore envelope: ``MPNService.snapshot()`` produces
     one, ``restore()`` replays it into an empty (or disjoint) service.
     ``next_id`` carries the numbering watermark so a restored shard
-    never re-issues an id the snapshotted one already handed out.
+    never re-issues an id the snapshotted one already handed out;
+    ``sessions`` has no default, so its key is required.
     """
 
     op: ClassVar[str] = "service_snapshot"
@@ -1009,26 +777,9 @@ class ServiceSnapshot:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sessions", tuple(self.sessions))
 
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            sessions=[s.to_dict() for s in self.sessions],
-            next_id=self.next_id,
-        )
-
-    from_dict = _decoding(
-        "service_snapshot",
-        lambda cls, data: cls(
-            sessions=tuple(
-                SessionSnapshot.from_dict(s) for s in data.get("sessions", ())
-            ),
-            next_id=int(data.get("next_id", 0)),
-        ),
-    )
-
 
 @dataclass(frozen=True)
-class ErrorResponse:
+class ErrorResponse(_Wire):
     """A failed dispatch as a wire envelope (schema v2).
 
     In-process backends raise; a wire server cannot.  The transport
@@ -1046,23 +797,6 @@ class ErrorResponse:
     code: str
     message: str
     details: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return _envelope(
-            self.op,
-            code=self.code,
-            message=self.message,
-            details=dict(self.details),
-        )
-
-    from_dict = _decoding(
-        "error",
-        lambda cls, data: cls(
-            code=str(data["code"]),
-            message=str(data["message"]),
-            details=dict(data.get("details") or {}),
-        ),
-    )
 
 
 #: Stable error codes an :class:`ErrorResponse` may carry.  ``timeout``,
@@ -1184,32 +918,8 @@ Response = Union[
     ErrorResponse,
 ]
 
-REQUEST_TYPES: dict[str, type] = {
-    cls.op: cls
-    for cls in (
-        OpenSessionRequest,
-        ReportRequest,
-        ReportManyRequest,
-        UpdateLocationsRequest,
-        UpdatePoisRequest,
-        UpdatePolicyRequest,
-        CloseSessionRequest,
-    )
-}
-
-RESPONSE_TYPES: dict[str, type] = {
-    cls.op: cls
-    for cls in (
-        OpenSessionResponse,
-        ReportResponse,
-        ReportManyResponse,
-        UpdateLocationsResponse,
-        UpdatePoisResponse,
-        UpdatePolicyResponse,
-        CloseSessionResponse,
-        ErrorResponse,
-    )
-}
+REQUEST_TYPES: dict[str, type] = {cls.op: cls for cls in typing.get_args(Request)}
+RESPONSE_TYPES: dict[str, type] = {cls.op: cls for cls in typing.get_args(Response)}
 
 
 def _from_tagged_dict(data: object, types: dict[str, type], kind: str):

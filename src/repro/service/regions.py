@@ -41,6 +41,12 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.geometry.region import PointRegion, TileRegion
 from repro.geometry.tile import Tile
+from repro.service.api import (
+    decode_node,
+    decode_position,
+    encode_node,
+    encode_position,
+)
 from repro.service.errors import EnvelopeError, MalformedEnvelopeError
 
 
@@ -53,31 +59,6 @@ def _network_region_classes():
     except ImportError:  # pragma: no cover - exercised only without networkx
         return None
     return NetworkBall, NetworkTileRegion, EdgeInterval
-
-
-def _encode_node(node: object) -> object:
-    # Local import to avoid a cycle: api.py imports this module.
-    from repro.service.api import _encode_node as encode
-
-    return encode(node)
-
-
-def _decode_node(data: object) -> object:
-    from repro.service.api import _decode_node as decode
-
-    return decode(data)
-
-
-def _encode_position(position: object) -> dict:
-    from repro.service.api import encode_position
-
-    return encode_position(position)
-
-
-def _decode_position(data: object) -> object:
-    from repro.service.api import decode_position
-
-    return decode_position(data)
 
 
 def encode_region(region: object) -> dict:
@@ -112,18 +93,18 @@ def encode_region(region: object) -> dict:
         if isinstance(region, ball_cls):
             return {
                 "kind": "net_ball",
-                "center": _encode_position(region.center),
+                "center": encode_position(region.center),
                 "r": region.radius,
             }
         if isinstance(region, net_tiles_cls):
             return {
                 "kind": "net_tiles",
-                "anchor": _encode_position(region.anchor),
+                "anchor": encode_position(region.anchor),
                 "r_up": region.r_up,
                 "intervals": [
                     [
-                        _encode_node(iv.u),
-                        _encode_node(iv.v),
+                        encode_node(iv.u),
+                        encode_node(iv.v),
                         iv.lo,
                         iv.hi,
                     ]
@@ -206,13 +187,13 @@ def decode_region(data: object, space: Optional[object] = None) -> object:
             net_space = _network_space_of(space)
             if kind == "net_ball":
                 return ball_cls(
-                    net_space, _decode_position(data["center"]), float(data["r"])
+                    net_space, decode_position(data["center"]), float(data["r"])
                 )
-            region = net_tiles_cls(net_space, _decode_position(data["anchor"]))
+            region = net_tiles_cls(net_space, decode_position(data["anchor"]))
             for u, v, lo, hi in data["intervals"]:
                 region.add(
                     interval_cls(
-                        _decode_node(u), _decode_node(v), float(lo), float(hi)
+                        decode_node(u), decode_node(v), float(lo), float(hi)
                     )
                 )
             # r_up accrues in growth order server-side; replaying the

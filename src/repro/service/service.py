@@ -62,7 +62,6 @@ that on randomized fleets.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from typing import Optional, Sequence, Union
 
@@ -73,7 +72,9 @@ from repro.service.api import (
     Response,
     ServiceSnapshot,
     SessionSnapshot,
+    decode_record,
     dispatch_request,
+    encode_record,
 )
 from repro.service.errors import (
     EnvelopeError,
@@ -347,7 +348,7 @@ class MPNService:
             members=tuple(session.members),
             po=session.po,
             regions=tuple(encode_region(r) for r in session.regions),
-            metrics=dataclasses.asdict(session.metrics),
+            metrics=encode_record(session.metrics),
             space=self._space_name_of(session.space),
         )
 
@@ -369,7 +370,7 @@ class MPNService:
             space=space,
             po=snapshot.po,
             regions=[decode_region(r, space=space) for r in snapshot.regions],
-            metrics=SimulationMetrics(**snapshot.metrics),
+            metrics=decode_record(SimulationMetrics, snapshot.metrics),
         )
 
     def import_session(

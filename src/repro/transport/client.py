@@ -89,6 +89,7 @@ from repro.service.api import (
     UpdateLocationsRequest,
     UpdatePoisRequest,
     UpdatePolicyRequest,
+    decode_record,
     raise_error_response,
     response_from_dict,
 )
@@ -552,11 +553,11 @@ class RemoteBackend:
 
     def session_metrics(self, session_id: int) -> SimulationMetrics:
         data = self.client.control("session_metrics", session_id=session_id)
-        return SimulationMetrics(**data)
+        return decode_record(SimulationMetrics, data)
 
     @property
     def metrics(self) -> SimulationMetrics:
-        return SimulationMetrics(**self.client.control("metrics"))
+        return decode_record(SimulationMetrics, self.client.control("metrics"))
 
     def update_policy(self, session_id: int, policy: Policy) -> None:
         self.client.call(

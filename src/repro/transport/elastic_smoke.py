@@ -24,9 +24,9 @@ benchmark.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
+from repro.service.api import encode_record
 from repro.service.messages import MemberState, ReportEvent
 from repro.service.service import MPNService
 from repro.simulation.policies import circle_policy
@@ -51,7 +51,7 @@ def _note_key(notification):
 
 
 def _counters(metrics) -> dict:
-    data = dataclasses.asdict(metrics)
+    data = encode_record(metrics)
     data.pop("server_cpu_seconds", None)
     return data
 

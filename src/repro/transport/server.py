@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import dataclasses
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +86,7 @@ from repro.service.api import (
     ErrorResponse,
     ServiceSnapshot,
     SessionSnapshot,
+    encode_record,
     error_response_for,
     request_from_dict,
 )
@@ -418,12 +418,12 @@ class WireServer:
             metrics = await self._dispatch_blocking(
                 lambda: self.backend.metrics
             )
-            return dataclasses.asdict(metrics)
+            return encode_record(metrics)
         if op == "session_metrics":
             metrics = await self._dispatch_blocking(
                 self.backend.session_metrics, int(control["session_id"])
             )
-            return dataclasses.asdict(metrics)
+            return encode_record(metrics)
         if op == "session_ids":
             return await self._dispatch_blocking(self.backend.session_ids)
         if op == "space_names":

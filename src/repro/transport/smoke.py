@@ -7,10 +7,14 @@ End-to-end, across a real process boundary:
 2. drive one round-trip through **every** request op — open_session,
    report, report_many, update_locations, update_policy, update_pois,
    close_session — plus the control surface (ping / stats / metrics);
-3. trigger one :class:`~repro.service.api.ErrorResponse` (a report
+3. send three hostile raw frames — a float ``session_id``, a list
+   ``space`` and a dict POI payload — and assert each comes back as a
+   ``malformed_envelope`` error while the session stays open and the
+   server keeps serving;
+4. trigger one :class:`~repro.service.api.ErrorResponse` (a report
    against the just-closed session must come back as an
    ``unknown_session`` envelope, not a dead connection);
-4. send the ``shutdown`` control op and assert the server drains and
+5. send the ``shutdown`` control op and assert the server drains and
    exits **0**.
 
 Any assertion failure or non-zero server exit makes this script exit
@@ -24,10 +28,11 @@ import subprocess
 import sys
 
 from repro.geometry.point import Point
-from repro.service.api import ErrorResponse, ReportRequest
+from repro.service.api import SCHEMA_VERSION, ErrorResponse, ReportRequest
 from repro.service.messages import MemberState, ReportEvent
 from repro.simulation.policies import circle_policy
 from repro.transport.client import RemoteBackend
+from repro.transport.framing import connect_stream
 
 
 def _start_server() -> tuple[subprocess.Popen, str, int]:
@@ -50,6 +55,35 @@ def _start_server() -> tuple[subprocess.Popen, str, int]:
         raise RuntimeError(f"unexpected server banner: {line!r}")
     host, _, port = line.removeprefix("listening on ").rpartition(":")
     return process, host, int(port)
+
+
+def _hostile_frames(host: str, port: int, session_id: int) -> None:
+    """Envelopes the encoder never emits must be malformed, not served:
+    a float id would otherwise address ``int(id)``, a list ``space``
+    crash as ``internal`` and a dict payload reach the index."""
+    position = {"space": "euclidean", "x": 310.0, "y": 305.0}
+    frames = {
+        "float session_id": {"op": "close_session", "session_id": session_id + 0.9},
+        "list space": {"op": "update_pois", "adds": [], "removes": [], "space": ["x"]},
+        "dict payload": {
+            "op": "update_pois",
+            "adds": [{"position": position, "payload": {"k": [1]}}],
+            "removes": [],
+        },
+    }
+    stream = connect_stream(host, port)
+    try:
+        for frame_id, (what, envelope) in enumerate(frames.items()):
+            stream.send(
+                {"id": frame_id, "request": {**envelope, "v": SCHEMA_VERSION}}
+            )
+            reply = stream.recv()
+            error = ErrorResponse.from_dict(reply["response"])
+            assert reply["id"] == frame_id, reply
+            assert error.code == "malformed_envelope", (what, error)
+            print(f"hostile {what} -> {error.code}")
+    finally:
+        stream.close()
 
 
 def main() -> int:
@@ -89,6 +123,10 @@ def main() -> int:
 
         churn = backend.update_pois(adds=[(Point(310.0, 305.0), "new-poi")])
         print(f"update_pois -> {len(churn)} re-notification(s)")
+
+        _hostile_frames(host, port, handle.session_id)
+        assert backend.ping()
+        assert handle.session_id in backend.session_ids()
 
         metrics = backend.metrics
         assert metrics.messages_up > 0 and metrics.messages_down > 0

@@ -17,6 +17,7 @@ envelope pushed through JSON both ways.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -47,6 +48,7 @@ from repro.service import (
     ReportRequest,
     ReportResponse,
     SchemaVersionError,
+    ServiceSnapshot,
     UnknownSessionError,
     UnknownSpaceError,
     UnknownStrategyError,
@@ -63,8 +65,14 @@ from repro.service import (
     request_from_dict,
     response_from_dict,
 )
-from repro.service.api import decode_position, encode_position
+from repro.service.api import (
+    decode_position,
+    decode_record,
+    encode_position,
+    encode_record,
+)
 from repro.core.types import SafeRegionStats
+from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import (
     Policy,
     circle_policy,
@@ -420,6 +428,78 @@ class TestRejection:
         with pytest.raises(EnvelopeError, match="payload"):
             churn.to_dict()
 
+    @pytest.mark.parametrize("bad", [2.9, 2.0, True, "2", None])
+    def test_integer_fields_are_exact(self, bad):
+        """An int field takes a JSON integer only: 2.9 must not close
+        session 2, nor ``true`` address session 1."""
+        state = MemberState(Point(1.0, 2.0))
+        probed = ReportRequest(2, 0, state, probes=((1, state),)).to_dict()
+        note = NotificationPayload(
+            2, Point(0.0, 0.0), (3,), "report", 0.0, SafeRegionStats()
+        ).to_dict()
+        cases = [
+            (CloseSessionRequest, CloseSessionRequest(2).to_dict(), ("session_id",)),
+            (ReportRequest, probed, ("member_id",)),
+            (ReportRequest, probed, ("probes", 0, 0)),
+            (NotificationPayload, note, ("region_values", 0)),
+            (NotificationPayload, note, ("stats", "point_checks")),
+        ]
+        for cls, wire, path in cases:
+            wire = json.loads(json.dumps(wire))
+            target = wire
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = bad
+            with pytest.raises(MalformedEnvelopeError):
+                cls.from_dict(wire)
+
+    def test_float_fields_take_integers(self):
+        wire = ReportRequest(2, 0, MemberState(Point(1.0, 2.0), 0.5)).to_dict()
+        wire["state"] = {"point": {"space": "euclidean", "x": 1, "y": 2}, "heading": 3}
+        decoded = ReportRequest.from_dict(wire)
+        assert decoded.state == MemberState(Point(1.0, 2.0), 3.0)
+        assert type(decoded.state.point.x) is float
+        assert type(decoded.state.heading) is float
+        wire["state"]["heading"] = "3"
+        with pytest.raises(MalformedEnvelopeError):
+            ReportRequest.from_dict(wire)
+
+    @pytest.mark.parametrize("payload", [{"k": [1]}, [1], {}])
+    def test_poi_payload_must_be_a_json_scalar(self, payload):
+        """Decode accepts only what encode emits: a dict or list payload
+        is malformed, never inserted."""
+        for key in ("adds", "removes"):
+            wire = UpdatePoisRequest(**{key: ((Point(1.0, 1.0), None),)}).to_dict()
+            wire[key][0]["payload"] = payload
+            with pytest.raises(MalformedEnvelopeError):
+                UpdatePoisRequest.from_dict(wire)
+
+    @pytest.mark.parametrize("space", [["x"], {"name": "x"}, 3])
+    def test_space_must_be_a_name_or_null(self, space):
+        service = MPNService(
+            build_poi_tree(uniform_pois(30, SMALL_WORLD, seed=1))
+        )
+        handle = service.open_session([Point(1.0, 1.0)], circle_policy())
+        for envelope in (
+            OpenSessionRequest(members=(MemberState(Point(0, 0)),), policy=circle_policy()),
+            UpdatePoisRequest(adds=((Point(1.0, 1.0), None),)),
+            service.export_session(handle.session_id),
+        ):
+            wire = json.loads(json.dumps(envelope.to_dict()))
+            wire["space"] = space
+            with pytest.raises(MalformedEnvelopeError):
+                type(envelope).from_dict(wire)
+
+    def test_undeclared_field_rejected(self):
+        wire = CloseSessionRequest(2).to_dict()
+        wire["session_ids"] = [2]
+        with pytest.raises(MalformedEnvelopeError, match="session_ids"):
+            CloseSessionRequest.from_dict(wire)
+        wire = ReportRequest(2, 0, MemberState(Point(1.0, 2.0))).to_dict()
+        wire["state"]["speed"] = 4.0
+        with pytest.raises(MalformedEnvelopeError, match="speed"):
+            request_from_dict(wire)
+
 
 # ----------------------------------------------------------------------
 # dispatch() end to end, JSON on both legs
@@ -736,6 +816,37 @@ class TestRegionCodecs:
         assert [region_key(r) for r in live] == [
             region_key(r) for r in handle.notification.regions
         ]
+
+
+# ----------------------------------------------------------------------
+# Counter records: SimulationMetrics through the same codec
+# ----------------------------------------------------------------------
+
+
+class TestCountersCodec:
+    def test_metrics_encode_like_asdict(self):
+        metrics = SimulationMetrics(timestamps=3, messages_up=7, server_cpu_seconds=0.25)
+        wire = encode_record(metrics)
+        assert json.dumps(wire) == json.dumps(dataclasses.asdict(metrics))
+        assert decode_record(SimulationMetrics, json.loads(json.dumps(wire))) == metrics
+
+    def test_unknown_counter_is_malformed_and_restores_nothing(self, rng):
+        source = MPNService(build_poi_tree(uniform_pois(60, SMALL_WORLD, seed=3)))
+        handle = source.open_session(
+            [SMALL_WORLD.sample(rng) for _ in range(2)], circle_policy()
+        )
+        good = source.export_session(handle.session_id)
+        bad = dataclasses.replace(
+            good, session_id=good.session_id + 1, metrics={**good.metrics, "warp": 1}
+        )
+        target = MPNService(build_poi_tree(uniform_pois(60, SMALL_WORLD, seed=3)))
+        with pytest.raises(MalformedEnvelopeError, match="warp") as caught:
+            target.restore(ServiceSnapshot(sessions=(good, bad)))
+        assert error_response_for(caught.value).code == "malformed_envelope"
+        assert target.session_ids() == []
+        with pytest.raises(MalformedEnvelopeError):
+            target.import_session(bad)
+        assert target.session_ids() == []
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,47 @@ class TestHostileFrames:
         stream.close()
         sibling()
 
+    def test_float_session_id_is_malformed_not_truncated(self, served, sibling, rng):
+        """``session_id`` 2.9 must not close session 2 (``int(2.9)``)."""
+        server, service = served
+        while 2 not in service.session_ids():
+            service.open_session(
+                [SMALL_WORLD.sample(rng) for _ in range(2)], circle_policy()
+            )
+        stream = SyncFrameStream(_raw(server))
+        stream.send(
+            {
+                "id": 21,
+                "request": {"op": "close_session", "v": SCHEMA_VERSION, "session_id": 2.9},
+            }
+        )
+        frame_id, error = _error_frame(stream)
+        assert frame_id == 21
+        assert error.code == "malformed_envelope"
+        assert 2 in service.session_ids()
+        stream.close()
+        sibling()
+
+    def test_hostile_churn_mutates_nothing(self, served, sibling):
+        """A dict payload or a list ``space`` is malformed before any
+        POI is inserted."""
+        server, service = served
+        before = service.space.poi_count()
+        position = {"space": "euclidean", "x": 5.0, "y": 5.0}
+        stream = SyncFrameStream(_raw(server))
+        for frame_id, extra in (
+            (31, {"adds": [{"position": position, "payload": {"k": [1]}}]}),
+            (32, {"adds": [{"position": position, "payload": None}], "space": ["x"]}),
+        ):
+            envelope = {"op": "update_pois", "v": SCHEMA_VERSION, "removes": [], **extra}
+            stream.send({"id": frame_id, "request": envelope})
+            got_id, error = _error_frame(stream)
+            assert got_id == frame_id
+            assert error.code == "malformed_envelope"
+        assert service.space.poi_count() == before
+        stream.close()
+        sibling()
+
     def test_disconnect_with_request_in_flight(self, served, sibling, rng):
         """The client dies after sending; the server must finish the
         dispatch, swallow the failed write and move on."""
