@@ -61,7 +61,7 @@ from repro.service import service as service_module
 from repro.service.session import ServiceSession, lemma1_suspects
 from repro.simulation import net_circle_policy
 from repro.space.network import NetworkPOISpace
-from repro.workloads import city_graph, city_poi_nodes, city_user_group
+from repro.workloads.citygraph import city_graph, city_poi_nodes, city_user_group
 
 GRID = int(os.environ.get("CITYNET_GRID", "240"))
 N_POIS = 5_000

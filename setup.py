@@ -35,9 +35,13 @@ setup(
     # serving stack is built to be fast, not minimal.
     install_requires=["numpy"],
     extras_require={
-        # Road-network spaces: scipy accelerates the CSR bulk-Dijkstra
-        # kernels (a pure-python fallback exists), networkx carries the
-        # graphs themselves.
+        # Road-network spaces: networkx carries the graphs themselves
+        # (repro.network_ext, repro.space.network, repro.mobility.network,
+        # repro.workloads.citygraph), scipy accelerates the CSR
+        # bulk-Dijkstra kernels of repro.index.network / repro.index.oracle
+        # (a pure-python fallback exists).  Every Euclidean workload runs
+        # without it; those modules load only when a network space or
+        # dataset is built.
         "network": ["scipy", "networkx"],
         # repro.viz renders plain SVG with the stdlib today; the extra
         # is the named hook for future plotting dependencies.

@@ -18,7 +18,6 @@ uses for its "effect of user speed" experiment (Section 7.2).
 
 from repro.mobility.trajectory import Trajectory, scale_speed
 from repro.mobility.random_waypoint import geolife_like
-from repro.mobility.network import build_road_network, brinkhoff_like
 from repro.mobility.converge import ConvergeParams, generate_converge_trajectory
 from repro.mobility.direction import DirectionPredictor
 
@@ -26,8 +25,6 @@ __all__ = [
     "Trajectory",
     "scale_speed",
     "geolife_like",
-    "build_road_network",
-    "brinkhoff_like",
     "ConvergeParams",
     "generate_converge_trajectory",
     "DirectionPredictor",

@@ -341,7 +341,13 @@ class CompiledScenario:
         live: dict[int, list] = {}  # sid -> member position providers
         opened_tick: dict[int, int] = {}  # sid -> open tick
         churn_rng = derive_rng(spec.seed, _KEY_CHURN)
-        current_pois = list(spec.space.initial_pois()) if spec.poi_churn else []
+        if not spec.poi_churn:
+            current_pois = []
+        elif spec.space.kind == "network":
+            # Sample from the planning graph rather than build a second one.
+            current_pois = spec.space.initial_pois(self._planning_space().graph)
+        else:
+            current_pois = list(spec.space.initial_pois())
         for t in range(spec.ticks):
             churn = None
             if spec.poi_churn and t > 0 and t % spec.poi_churn.every == 0:

@@ -213,27 +213,31 @@ def decode_position(data: object) -> object:
     raise MalformedEnvelopeError(f"unknown position space {kind!r}")
 
 
-def _tile_config_kinds() -> dict[str, type]:
-    """Wire tag -> tile configuration class (network one if importable)."""
-    kinds: dict[str, type] = {"euclidean": TileMSRConfig}
+def _tile_config_class(tag: object) -> Optional[type]:
+    """Wire tag -> tile configuration class; only ``"network"`` imports
+    the network stack (None when unknown or not installed)."""
+    if tag == "euclidean":
+        return TileMSRConfig
+    if tag != "network":
+        return None
     try:
         from repro.network_ext.tile_msr import NetworkTileConfig
     except ImportError:  # pragma: no cover - exercised only without networkx
-        return kinds
-    kinds["network"] = NetworkTileConfig
-    return kinds
+        return None
+    return NetworkTileConfig
 
 
 def _encode_tile_config(config: object) -> Optional[dict]:
     """A tile configuration as ``{"type": tag, <fields>}``."""
     if config is None:
         return None
-    for tag, cls in _tile_config_kinds().items():
-        if isinstance(config, cls):
-            return {"type": tag, **encode_record(config)}
-    raise EnvelopeError(
-        f"tile config {type(config).__name__} has no wire form"
-    )
+    tag = "euclidean" if isinstance(config, TileMSRConfig) else "network"
+    cls = _tile_config_class(tag)
+    if cls is None or not isinstance(config, cls):
+        raise EnvelopeError(
+            f"tile config {type(config).__name__} has no wire form"
+        )
+    return {"type": tag, **encode_record(config)}
 
 
 def _decode_tile_config(data: object) -> object:
@@ -243,7 +247,7 @@ def _decode_tile_config(data: object) -> object:
         raise MalformedEnvelopeError(f"not a wire-encoded tile config: {data!r}")
     fields = dict(data)
     kind = fields.pop("type", None)
-    cls = _tile_config_kinds().get(kind)
+    cls = _tile_config_class(kind)
     if cls is None:
         raise MalformedEnvelopeError(f"unknown tile config type {kind!r}")
     return _codec(cls)[1](fields)

@@ -2,12 +2,6 @@
 
 from repro.workloads.poi import clustered_pois, uniform_pois, build_poi_tree
 from repro.workloads.groups import partition_groups
-from repro.workloads.citygraph import (
-    city_graph,
-    city_network_space,
-    city_poi_nodes,
-    city_user_group,
-)
 from repro.workloads.datasets import (
     Dataset,
     DatasetSpec,
@@ -22,10 +16,6 @@ __all__ = [
     "uniform_pois",
     "build_poi_tree",
     "partition_groups",
-    "city_graph",
-    "city_network_space",
-    "city_poi_nodes",
-    "city_user_group",
     "Dataset",
     "DatasetSpec",
     "WORLD",

@@ -14,7 +14,6 @@ from functools import lru_cache
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.backend import SpatialIndex
-from repro.mobility.network import NetworkParams, brinkhoff_like
 from repro.mobility.random_waypoint import WaypointParams, geolife_like
 from repro.mobility.trajectory import Trajectory, scale_speed
 from repro.workloads.groups import partition_groups
@@ -79,6 +78,8 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
             seed=spec.seed + 1,
         )
     elif spec.name == "oldenburg":
+        from repro.mobility.network import NetworkParams, brinkhoff_like
+
         scale = spec.speed / 5.0
         params = NetworkParams(
             speed_classes=tuple(v * scale for v in (2.5, 5.0, 10.0))

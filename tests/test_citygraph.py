@@ -5,7 +5,7 @@ import math
 import networkx as nx
 import pytest
 
-from repro.workloads import (
+from repro.workloads.citygraph import (
     city_graph,
     city_network_space,
     city_poi_nodes,

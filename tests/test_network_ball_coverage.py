@@ -23,7 +23,7 @@ from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.service import MPNService
 from repro.simulation import net_circle_policy
 from repro.space.network import NetworkPOISpace
-from repro.workloads import city_graph
+from repro.workloads.citygraph import city_graph
 
 INF = float("inf")
 

@@ -403,6 +403,23 @@ class TestGoldenStreamDigests:
         )
 
 
+def test_network_ticks_build_one_planning_graph(monkeypatch):
+    """The initial POI sample reuses the planning graph (churn on)."""
+    import repro.workloads.citygraph as citygraph
+
+    real = citygraph.city_network_space
+    built = []
+
+    def counting(**kwargs):
+        built.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(citygraph, "city_network_space", counting)
+    for _ in compile_spec(network_churn_spec()).ticks():
+        pass
+    assert len(built) == 1
+
+
 class TestRecorder:
     def test_quantile_edges(self):
         assert quantiles_ms([]) == (0.0, 0.0)
