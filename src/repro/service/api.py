@@ -14,22 +14,25 @@ response envelope each, all JSON-safe through ``to_dict`` /
 on top of a backend's convenience methods (``open_session`` /
 ``report`` / …), the in-process face of the same seven operations.
 
-Schema version 2 carries everything a remote client sends or needs
+Schema version 3 carries everything a remote client sends or needs
 back, by value: positions, member states, policies (tile configurations
-included), meeting points, work counters, causes and — new in v2 —
-safe-region geometry (:mod:`repro.service.regions`: a remote client
-decides offline whether her next position escapes, the client-side half
-of Fig. 3), front-door session ids on :class:`OpenSessionRequest`,
-client-gathered ``probes`` on :class:`ReportRequest` and
-:class:`~repro.service.messages.ReportEvent` (the wire stand-in for a
-prober callable, charged exactly like prober answers) and
-:class:`ErrorResponse` (:func:`error_response_for` maps an exception to
-a code, :func:`raise_error_response` rebuilds it client-side).  Live
-objects do not cross: ``to_dict`` refuses a prober callable or an
-unregistered live :class:`~repro.space.base.Space`
+included), meeting points, causes, safe-region geometry
+(:mod:`repro.service.regions`: a remote client decides offline whether
+her next position escapes, the client-side half of Fig. 3), front-door
+session ids on :class:`OpenSessionRequest`, client-gathered ``probes``
+on :class:`ReportRequest` and :class:`~repro.service.messages.ReportEvent`
+(the wire stand-in for a prober callable, charged exactly like prober
+answers) and :class:`ErrorResponse` (:func:`error_response_for` maps an
+exception to a code, :func:`raise_error_response` rebuilds it
+client-side).  Work counters and timing stay in the server's §7.1
+ledger and reach operators through the ``metrics`` / ``session_metrics``
+control ops (wall-clock, not deterministic), so a data-plane response
+is a pure function of the requests before it.  Live objects do not cross:
+``to_dict`` refuses a prober callable or an unregistered live
+:class:`~repro.space.base.Space`
 (:class:`~repro.service.errors.EnvelopeError`); remote sessions name
 their space as registered with ``add_space``.  Every envelope carries
-``v``; decoding rejects versions it does not speak
+``v``; decoding rejects every other version, v2 included
 (:class:`~repro.service.errors.SchemaVersionError`).
 
 The codec
@@ -41,8 +44,7 @@ plan.  Three rules decide the wire form:
 
 1. **Key order is field order** — ``op`` and ``v`` first on an
    envelope; nested records (:class:`~repro.service.messages.MemberState`,
-   :class:`~repro.service.messages.ReportEvent`,
-   :class:`~repro.core.types.SafeRegionStats`, :class:`NotificationPayload`,
+   :class:`~repro.service.messages.ReportEvent`, :class:`NotificationPayload`,
    :class:`SessionSnapshot`) through their own plans; tuples as arrays,
    enums as their values; callable fields (the prober) never.
 2. **A field is optional on the wire iff it has a default**; a missing
@@ -58,7 +60,9 @@ a JSON scalar or nested tuple of them), tile configuration,
 :class:`Policy` (its wire order ``strategy, tile_config`` is not its
 field order), POI item (payload a JSON scalar or ``None``), space
 reference (a registered name or ``None``) and the prober refusal; the
-region codec lives in :mod:`repro.service.regions`.  Decoding has one
+region codec lives in :mod:`repro.service.regions`.  The leaves keep
+rules 2 and 3 as well: an undeclared key is malformed
+(:func:`leaf_fields`) and numbers are read exactly.  Decoding has one
 error rule: version, then ``op``, then any ``KeyError`` / ``TypeError``
 / ``ValueError`` / ``AttributeError`` becomes
 :class:`~repro.service.errors.MalformedEnvelopeError` — raised before
@@ -77,7 +81,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, ClassVar, Optional, Protocol, Union, runtime_checkable
 
-from repro.core.types import SafeRegionStats, TileMSRConfig
+from repro.core.types import TileMSRConfig
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.service.errors import (
@@ -98,7 +102,7 @@ from repro.service.messages import (
 from repro.simulation.policies import Policy, PolicyKind
 from repro.space import Space
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # Probers supply fresh member states during probe rounds; the type is
 # re-declared here (rather than imported from repro.service.session) to
@@ -123,7 +127,7 @@ def _int(data: object) -> int:
 def _float(data: object) -> float:
     if type(data) is float:
         return data
-    if type(data) is int:
+    if type(data) is int or isinstance(data, float):  # NumPy scalars in process
         return float(data)
     raise TypeError(f"expected a number, got {data!r}")
 
@@ -137,6 +141,27 @@ def _str(data: object) -> str:
 def _dict(data: object) -> dict:
     if type(data) is not dict:
         raise TypeError(f"expected an object, got {data!r}")
+    return data
+
+
+#: The keys each hand-written leaf form declares; a network position
+#: sits on a ``node`` or on an ``edge`` at an ``offset``.
+_POSITION_KEYS = {
+    "euclidean": frozenset({"space", "x", "y"}),
+    "node": frozenset({"space", "value"}),
+    "network": frozenset({"space", "node"}),
+    "edge": frozenset({"space", "edge", "offset"}),
+}
+_POLICY_KEYS = frozenset({"name", "kind", "objective", "strategy", "tile_config"})
+_POI_KEYS = frozenset({"position", "payload"})
+
+
+def leaf_fields(data: object, what: str, keys: frozenset) -> dict:
+    """``data`` as a hand-written leaf's dict with no key outside ``keys``."""
+    if type(data) is not dict:
+        raise MalformedEnvelopeError(f"not a wire-encoded {what}: {data!r}")
+    if not data.keys() <= keys:
+        raise MalformedEnvelopeError(f"unknown {what} field(s) {sorted(data.keys() - keys)}")
     return data
 
 
@@ -190,27 +215,26 @@ def encode_position(position: object) -> dict:
 
 
 def decode_position(data: object) -> object:
-    if not isinstance(data, dict):
+    kind = data.get("space") if type(data) is dict else None
+    if kind == "network" and "node" not in data:
+        kind = "edge"
+    if type(kind) is not str or kind not in _POSITION_KEYS:
         raise MalformedEnvelopeError(f"not a wire-encoded position: {data!r}")
-    kind = data.get("space")
+    leaf_fields(data, "position", _POSITION_KEYS[kind])
     if kind == "euclidean":
         return Point(_float(data["x"]), _float(data["y"]))
     if kind == "node":
         return decode_node(data["value"])
-    if kind == "network":
-        network_position = _network_position_cls()
-        if network_position is None:  # pragma: no cover - no-networkx envs
-            raise EnvelopeError(
-                "decoding a network position needs the network stack "
-                "(install the 'network' extra)"
-            )
-        if "node" in data:
-            return network_position.at_node(decode_node(data["node"]))
-        u, v = data["edge"]
-        return network_position.on_edge(
-            decode_node(u), decode_node(v), _float(data["offset"])
+    network_position = _network_position_cls()
+    if network_position is None:  # pragma: no cover - no-networkx envs
+        raise EnvelopeError(
+            "decoding a network position needs the network stack "
+            "(install the 'network' extra)"
         )
-    raise MalformedEnvelopeError(f"unknown position space {kind!r}")
+    if kind == "network":
+        return network_position.at_node(decode_node(data["node"]))
+    u, v = data["edge"]
+    return network_position.on_edge(decode_node(u), decode_node(v), _float(data["offset"]))
 
 
 def _tile_config_class(tag: object) -> Optional[type]:
@@ -265,8 +289,7 @@ def encode_policy(policy: Policy) -> dict:
 
 
 def decode_policy(data: object) -> Policy:
-    if not isinstance(data, dict):
-        raise MalformedEnvelopeError(f"not a wire-encoded policy: {data!r}")
+    leaf_fields(data, "policy", _POLICY_KEYS)
     kind = data.get("kind")
     strategy = data.get("strategy")
     return Policy(
@@ -289,7 +312,7 @@ def _encode_poi(item: tuple[object, object]) -> dict:
 
 
 def _decode_poi(data: object) -> tuple[object, object]:
-    payload = data["payload"]
+    payload = leaf_fields(data, "POI item", _POI_KEYS)["payload"]
     if payload is not None and not isinstance(payload, _JSON_SCALARS):
         raise TypeError(f"POI payload {payload!r} is not a JSON scalar")
     return decode_position(data["position"]), payload
@@ -427,7 +450,8 @@ def _record_codec(cls: type) -> tuple:
     return encode, decode
 
 
-def _check_envelope(data: object, op: str) -> dict:
+def _check_envelope(data: object, op: Optional[str] = None) -> dict:
+    """``data`` as an envelope of this schema (and of ``op``, if given)."""
     if not isinstance(data, dict):
         raise MalformedEnvelopeError(f"envelope must be a dict, got {type(data).__name__}")
     # Version before op: a newer-schema envelope must surface as
@@ -435,7 +459,7 @@ def _check_envelope(data: object, op: str) -> dict:
     # operation this build has never heard of.
     if data.get("v") != SCHEMA_VERSION:
         raise SchemaVersionError(data.get("v"), SCHEMA_VERSION)
-    if data.get("op") != op:
+    if op is not None and data.get("op") != op:
         raise MalformedEnvelopeError(
             f"expected op {op!r}, got {data.get('op')!r}"
         )
@@ -605,8 +629,9 @@ class NotificationPayload(_Wire):
     Carries the new meeting point, each member's safe region — both its
     wire size in doubles (the payload the paper's message model
     accounts) and, since schema version 2, its *geometry* by value
-    (:mod:`repro.service.regions`) — plus the work counters and the
-    cause.  ``regions`` holds the wire-encoded dicts, aligned with
+    (:mod:`repro.service.regions`) — plus the cause: what step 3 of
+    Fig. 3 pushes to a member, and nothing the server measured.
+    ``regions`` holds the wire-encoded dicts, aligned with
     ``region_values``; :meth:`live_regions` rebuilds the live objects
     (network regions need the session's space).
     """
@@ -615,8 +640,6 @@ class NotificationPayload(_Wire):
     po: object
     region_values: tuple[int, ...]
     cause: str
-    cpu_seconds: float
-    stats: SafeRegionStats
     regions: tuple[dict, ...] = ()
 
     def __post_init__(self) -> None:
@@ -633,8 +656,6 @@ class NotificationPayload(_Wire):
             po=notification.po,
             region_values=tuple(notification.region_values),
             cause=notification.cause,
-            cpu_seconds=notification.cpu_seconds,
-            stats=dataclasses.replace(notification.stats),
             regions=tuple(
                 r if isinstance(r, dict) else encode_region(r) for r in regions
             ),
@@ -727,7 +748,7 @@ class CloseSessionResponse(_Wire):
 
 @dataclass(frozen=True)
 class SessionSnapshot(_Wire):
-    """One live session's full state as a schema-v2 envelope.
+    """One live session's full state as a wire envelope.
 
     The serialization substrate for live migration: everything a fresh
     shard — possibly a fresh worker *process* — needs to keep serving a
@@ -927,13 +948,7 @@ RESPONSE_TYPES: dict[str, type] = {cls.op: cls for cls in typing.get_args(Respon
 
 
 def _from_tagged_dict(data: object, types: dict[str, type], kind: str):
-    if not isinstance(data, dict):
-        raise MalformedEnvelopeError(
-            f"envelope must be a dict, got {type(data).__name__}"
-        )
-    if data.get("v") != SCHEMA_VERSION:  # see _check_envelope on ordering
-        raise SchemaVersionError(data.get("v"), SCHEMA_VERSION)
-    op = data.get("op")
+    op = _check_envelope(data).get("op")
     cls = types.get(op)
     if cls is None:
         raise MalformedEnvelopeError(f"unknown {kind} op {op!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from repro.core.types import SafeRegionStats
 from repro.geometry.point import Point
 from repro.geometry.region import Region
 from repro.simulation.messages import Message, location_update, result_notify
@@ -104,8 +103,6 @@ class Notification:
     po: Point
     regions: tuple[Region, ...]
     region_values: tuple[int, ...]
-    cpu_seconds: float
-    stats: SafeRegionStats
     cause: str = "report"
 
     def messages(self) -> list[Message]:

@@ -1,13 +1,9 @@
-"""Wire codecs for safe-region geometry (schema version 2).
+"""Wire codecs for safe-region geometry (since schema version 2).
 
-Schema version 1 deliberately kept region geometry server-side: a
-notification carried only the meeting point and each region's wire
-size in doubles.  That was enough for in-process fleets — the driver
-and the service share the live region objects — but a *remote* client
-is the paper's actual deployment: the client must hold her safe region
-locally to decide, offline, whether her next position escapes it
-(``contains_point`` is the client-side half of the protocol in Fig. 3).
-Schema version 2 therefore ships geometry by value.
+A remote client is the paper's actual deployment: she must hold her
+safe region locally to decide, offline, whether her next position
+escapes it (``contains_point`` is the client-side half of the protocol
+in Fig. 3), so notifications ship region geometry by value.
 
 Every region kind the serving stack produces has a wire form:
 
@@ -42,10 +38,14 @@ from repro.geometry.rect import Rect
 from repro.geometry.region import PointRegion, TileRegion
 from repro.geometry.tile import Tile
 from repro.service.api import (
+    _array,
+    _float,
+    _int,
     decode_node,
     decode_position,
     encode_node,
     encode_position,
+    leaf_fields,
 )
 from repro.service.errors import EnvelopeError, MalformedEnvelopeError
 
@@ -138,73 +138,69 @@ def _network_space_of(space: object):
     )
 
 
+_REGION_KEYS = {
+    "circle": frozenset({"kind", "cx", "cy", "r"}),
+    "point": frozenset({"kind", "x", "y"}),
+    "tiles": frozenset({"kind", "anchor", "side", "tiles"}),
+    "net_ball": frozenset({"kind", "center", "r"}),
+    "net_tiles": frozenset({"kind", "anchor", "r_up", "intervals"}),
+}
+_TILE_KEYS = frozenset({"rect", "ix", "iy", "sub_path"})
+
+
 def decode_region(data: object, space: Optional[object] = None) -> object:
     """Rebuild a live safe region from its wire form.
 
     ``space`` is required for network regions (``net_ball`` /
     ``net_tiles``): they measure against the road graph, which the
-    client holds locally.  Euclidean regions ignore it.
+    client holds locally.  Euclidean regions ignore it.  Undeclared keys
+    and inexact numbers are malformed (:mod:`repro.service.api`'s rules).
     """
-    if not isinstance(data, dict):
+    kind = data.get("kind") if type(data) is dict else None
+    if type(kind) is not str or kind not in _REGION_KEYS:
         raise MalformedEnvelopeError(f"not a wire-encoded region: {data!r}")
-    kind = data.get("kind")
+    leaf_fields(data, f"{kind!r} region", _REGION_KEYS[kind])
     try:
         if kind == "circle":
-            return Circle(
-                Point(float(data["cx"]), float(data["cy"])), float(data["r"])
-            )
+            return Circle(Point(_float(data["cx"]), _float(data["cy"])), _float(data["r"]))
         if kind == "point":
-            return PointRegion(Point(float(data["x"]), float(data["y"])))
+            return PointRegion(Point(_float(data["x"]), _float(data["y"])))
         if kind == "tiles":
             ax, ay = data["anchor"]
-            region = TileRegion(Point(float(ax), float(ay)), float(data["side"]))
+            region = TileRegion(Point(_float(ax), _float(ay)), _float(data["side"]))
             for t in data["tiles"]:
-                x_lo, y_lo, x_hi, y_hi = t["rect"]
-                region.add(
-                    Tile(
-                        Rect(
-                            float(x_lo), float(y_lo), float(x_hi), float(y_hi)
-                        ),
-                        int(t["ix"]),
-                        int(t["iy"]),
-                        tuple(int(q) for q in t["sub_path"]),
-                    )
-                )
+                rect = Rect(*map(_float, leaf_fields(t, "tile", _TILE_KEYS)["rect"]))
+                sub_path = tuple([_int(q) for q in _array(t["sub_path"])])
+                region.add(Tile(rect, _int(t["ix"]), _int(t["iy"]), sub_path))
             return region
-        if kind in ("net_ball", "net_tiles"):
-            network = _network_region_classes()
-            if network is None:  # pragma: no cover - no-networkx envs
-                raise EnvelopeError(
-                    "decoding a network region needs the network stack "
-                    "(install the 'network' extra)"
-                )
-            ball_cls, net_tiles_cls, interval_cls = network
-            if space is None:
-                raise EnvelopeError(
-                    f"decoding a {kind!r} region needs the session's "
-                    "network space"
-                )
-            net_space = _network_space_of(space)
-            if kind == "net_ball":
-                return ball_cls(
-                    net_space, decode_position(data["center"]), float(data["r"])
-                )
-            region = net_tiles_cls(net_space, decode_position(data["anchor"]))
-            for u, v, lo, hi in data["intervals"]:
-                region.add(
-                    interval_cls(
-                        decode_node(u), decode_node(v), float(lo), float(hi)
-                    )
-                )
-            # r_up accrues in growth order server-side; replaying the
-            # merged intervals can only underestimate it, so restore
-            # the recorded value for bit-identity.
-            region.r_up = float(data["r_up"])
-            return region
+        network = _network_region_classes()
+        if network is None:  # pragma: no cover - no-networkx envs
+            raise EnvelopeError(
+                "decoding a network region needs the network stack "
+                "(install the 'network' extra)"
+            )
+        ball_cls, net_tiles_cls, interval_cls = network
+        if space is None:
+            raise EnvelopeError(
+                f"decoding a {kind!r} region needs the session's "
+                "network space"
+            )
+        net_space = _network_space_of(space)
+        if kind == "net_ball":
+            return ball_cls(net_space, decode_position(data["center"]), _float(data["r"]))
+        region = net_tiles_cls(net_space, decode_position(data["anchor"]))
+        for u, v, lo, hi in data["intervals"]:
+            region.add(
+                interval_cls(decode_node(u), decode_node(v), _float(lo), _float(hi))
+            )
+        # r_up accrues in growth order server-side; replaying the
+        # merged intervals can only underestimate it, so restore
+        # the recorded value for bit-identity.
+        region.r_up = _float(data["r_up"])
+        return region
     except EnvelopeError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedEnvelopeError(
             f"malformed {kind!r} region payload: {exc}"
         ) from exc
-    raise MalformedEnvelopeError(f"unknown region kind {kind!r}")

@@ -856,7 +856,5 @@ class MPNService:
             po=result.po,
             regions=tuple(result.regions),
             region_values=tuple(result.region_values),
-            cpu_seconds=cpu,
-            stats=result.stats,
             cause=cause,
         )

@@ -462,8 +462,6 @@ class RemoteBackend:
             po=payload.po,
             regions=payload.live_regions(space=space),
             region_values=payload.region_values,
-            cpu_seconds=payload.cpu_seconds,
-            stats=payload.stats,
             cause=payload.cause,
         )
 

@@ -436,7 +436,7 @@ class WireServer:
             return {"epoch": await self._dispatch_blocking(epoch)}
         if op == "export_session":
             # Session migration, source side: the full session state as
-            # a schema-v2 snapshot envelope.  A read — the session
+            # a snapshot envelope.  A read — the session
             # keeps serving here until the front door closes it.
             snapshot = await self._dispatch_blocking(
                 self.backend.export_session, int(control["session_id"])

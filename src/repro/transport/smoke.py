@@ -7,10 +7,11 @@ End-to-end, across a real process boundary:
 2. drive one round-trip through **every** request op — open_session,
    report, report_many, update_locations, update_policy, update_pois,
    close_session — plus the control surface (ping / stats / metrics);
-3. send three hostile raw frames — a float ``session_id``, a list
-   ``space`` and a dict POI payload — and assert each comes back as a
-   ``malformed_envelope`` error while the session stays open and the
-   server keeps serving;
+3. send five hostile raw frames — a float ``session_id``, a list
+   ``space``, a dict POI payload and a policy with an undeclared key,
+   each of which must come back as ``malformed_envelope``, and a
+   ``"v": 2`` envelope, which must come back as ``schema_version`` —
+   while the session stays open and the server keeps serving;
 4. trigger one :class:`~repro.service.api.ErrorResponse` (a report
    against the just-closed session must come back as an
    ``unknown_session`` envelope, not a dead connection);
@@ -28,7 +29,7 @@ import subprocess
 import sys
 
 from repro.geometry.point import Point
-from repro.service.api import SCHEMA_VERSION, ErrorResponse, ReportRequest
+from repro.service.api import SCHEMA_VERSION, ErrorResponse, ReportRequest, encode_policy
 from repro.service.messages import MemberState, ReportEvent
 from repro.simulation.policies import circle_policy
 from repro.transport.client import RemoteBackend
@@ -58,29 +59,31 @@ def _start_server() -> tuple[subprocess.Popen, str, int]:
 
 
 def _hostile_frames(host: str, port: int, session_id: int) -> None:
-    """Envelopes the encoder never emits must be malformed, not served:
+    """Envelopes the encoder never emits must be refused, not served:
     a float id would otherwise address ``int(id)``, a list ``space``
-    crash as ``internal`` and a dict payload reach the index."""
-    position = {"space": "euclidean", "x": 310.0, "y": 305.0}
-    frames = {
-        "float session_id": {"op": "close_session", "session_id": session_id + 0.9},
-        "list space": {"op": "update_pois", "adds": [], "removes": [], "space": ["x"]},
-        "dict payload": {
-            "op": "update_pois",
-            "adds": [{"position": position, "payload": {"k": [1]}}],
-            "removes": [],
-        },
-    }
+    crash as ``internal``, a dict payload reach the index and a stray
+    policy key be dropped; a v2 envelope is a schema no longer spoken."""
+    poi = {"position": {"space": "euclidean", "x": 310.0, "y": 305.0}, "payload": {"k": [1]}}
+    policy = {**encode_policy(circle_policy()), "bogus": 1}
+    close = {"op": "close_session", "session_id": session_id}
+    bad = "malformed_envelope"
+    frames = [
+        ("float session_id", {**close, "session_id": session_id + 0.9}, bad),
+        ("list space", {"op": "update_pois", "space": ["x"]}, bad),
+        ("dict payload", {"op": "update_pois", "adds": [poi]}, bad),
+        ("undeclared policy key", {**close, "op": "update_policy", "policy": policy}, bad),
+        ("v2 envelope", {**close, "v": 2}, "schema_version"),
+    ]
     stream = connect_stream(host, port)
     try:
-        for frame_id, (what, envelope) in enumerate(frames.items()):
+        for frame_id, (what, envelope, code) in enumerate(frames):
             stream.send(
-                {"id": frame_id, "request": {**envelope, "v": SCHEMA_VERSION}}
+                {"id": frame_id, "request": {"v": SCHEMA_VERSION, **envelope}}
             )
             reply = stream.recv()
             error = ErrorResponse.from_dict(reply["response"])
             assert reply["id"] == frame_id, reply
-            assert error.code == "malformed_envelope", (what, error)
+            assert error.code == code, (what, error)
             print(f"hostile {what} -> {error.code}")
     finally:
         stream.close()

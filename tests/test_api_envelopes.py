@@ -26,7 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import Ordering, TileMSRConfig, VerifierKind
+from repro.geometry.circle import Circle
 from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.geometry.region import TileRegion
+from repro.geometry.tile import Tile
 from repro.gnn.aggregate import Aggregate
 from repro.network_ext.space import NetworkPosition
 from repro.service import (
@@ -71,7 +75,6 @@ from repro.service.api import (
     encode_position,
     encode_record,
 )
-from repro.core.types import SafeRegionStats
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import (
     Policy,
@@ -177,25 +180,12 @@ report_events = st.builds(
     probes=probes,
 )
 
-stats = st.builds(
-    SafeRegionStats,
-    tile_verifications=st.integers(0, 10**6),
-    point_checks=st.integers(0, 10**6),
-    index_node_accesses=st.integers(0, 10**6),
-    index_queries=st.integers(0, 10**6),
-    tiles_added=st.integers(0, 10**6),
-    tiles_rejected=st.integers(0, 10**6),
-    elapsed_seconds=st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-)
-
 notification_payloads = st.builds(
     NotificationPayload,
     session_id=st.integers(0, 2**31),
     po=positions,
     region_values=st.lists(st.integers(0, 10**4), max_size=6).map(tuple),
     cause=st.sampled_from(["register", "report", "refresh", "poi_update"]),
-    cpu_seconds=st.floats(min_value=0.0, max_value=1e3, allow_nan=False),
-    stats=stats,
 )
 
 optional_notifications = st.none() | notification_payloads
@@ -434,15 +424,14 @@ class TestRejection:
         session 2, nor ``true`` address session 1."""
         state = MemberState(Point(1.0, 2.0))
         probed = ReportRequest(2, 0, state, probes=((1, state),)).to_dict()
-        note = NotificationPayload(
-            2, Point(0.0, 0.0), (3,), "report", 0.0, SafeRegionStats()
-        ).to_dict()
+        note = NotificationPayload(2, Point(0.0, 0.0), (3,), "report").to_dict()
+        wave = ReportManyRequest(events=(ReportEvent(2, 0, state),)).to_dict()
         cases = [
             (CloseSessionRequest, CloseSessionRequest(2).to_dict(), ("session_id",)),
             (ReportRequest, probed, ("member_id",)),
             (ReportRequest, probed, ("probes", 0, 0)),
             (NotificationPayload, note, ("region_values", 0)),
-            (NotificationPayload, note, ("stats", "point_checks")),
+            (ReportManyRequest, wave, ("events", 0, "session_id")),
         ]
         for cls, wire, path in cases:
             wire = json.loads(json.dumps(wire))
@@ -499,6 +488,63 @@ class TestRejection:
         wire["state"]["speed"] = 4.0
         with pytest.raises(MalformedEnvelopeError, match="speed"):
             request_from_dict(wire)
+
+    def test_policy_leaf_rejects_undeclared_keys(self):
+        wire = UpdatePolicyRequest(4, circle_policy()).to_dict()
+        wire["policy"]["bogus"] = 1
+        with pytest.raises(MalformedEnvelopeError, match="bogus"):
+            request_from_dict(wire)
+
+    def test_tile_config_leaf_rejects_undeclared_keys_and_inexact_ints(self):
+        for key, value in (("bogus", 1), ("alpha", 3.7)):
+            wire = UpdatePolicyRequest(4, tile_policy(alpha=3, split_level=1)).to_dict()
+            wire["policy"]["tile_config"][key] = value
+            with pytest.raises(MalformedEnvelopeError, match="bogus|integer"):
+                request_from_dict(wire)
+
+    @pytest.mark.parametrize(
+        "position, extra",
+        [
+            (Point(1.0, 2.0), "z"),
+            ("depot", "x"),
+            (NetworkPosition.at_node((1, 2)), "offset"),
+            (NetworkPosition.on_edge("a", "b", 0.5), "node_"),
+        ],
+    )
+    def test_position_leaf_rejects_undeclared_keys(self, position, extra):
+        wire = UpdatePoisRequest(adds=((Point(0.0, 0.0), None),)).to_dict()
+        wire["adds"][0]["position"] = {**encode_position(position), extra: 5}
+        with pytest.raises(MalformedEnvelopeError, match=extra):
+            request_from_dict(wire)
+
+    def test_poi_leaf_rejects_undeclared_keys(self):
+        wire = UpdatePoisRequest(removes=((Point(1.0, 1.0), "cafe"),)).to_dict()
+        wire["removes"][0]["extra"] = 1
+        with pytest.raises(MalformedEnvelopeError, match="extra"):
+            request_from_dict(wire)
+
+    @pytest.mark.parametrize("key, bad", [("cx", "1.5"), ("cy", True), ("ghost", 1.0)])
+    def test_circle_region_leaf_is_exact(self, key, bad):
+        wire = encode_region(Circle(Point(1.5, -2.0), 3.25))
+        wire[key] = bad
+        with pytest.raises(MalformedEnvelopeError):
+            decode_region(wire)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("ix", 3.7), ("iy", True), ("sub_path", [1.9]), ("rect", [0, 0, 1, "1"]), ("w", 1)],
+    )
+    def test_tile_region_leaf_is_exact(self, key, bad):
+        region = TileRegion(Point(10.0, 20.0), 2.5)
+        region.add(Tile(Rect(8.75, 18.75, 11.25, 21.25), 3, 0, (1,)))
+        wire = encode_region(region)
+        wire["tiles"][0][key] = bad
+        with pytest.raises(MalformedEnvelopeError):
+            decode_region(wire)
+        # The same region through a notification is malformed too.
+        note = NotificationPayload(1, Point(0.0, 0.0), (7,), "report", (wire,)).to_dict()
+        with pytest.raises(MalformedEnvelopeError):
+            NotificationPayload.from_dict(note).live_regions()
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden wire bytes for every schema-v2 envelope.
+"""Golden wire bytes for every schema-v3 envelope.
 
 A fixed corpus — every request and response op, ``ErrorResponse``,
 ``NotificationPayload``, ``SessionSnapshot`` and ``ServiceSnapshot`` —
@@ -18,7 +18,7 @@ import json
 import networkx as nx
 import pytest
 
-from repro.core.types import Ordering, SafeRegionStats, TileMSRConfig, VerifierKind
+from repro.core.types import Ordering, TileMSRConfig, VerifierKind
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
@@ -105,14 +105,11 @@ def _corpus() -> dict[str, object]:
         MemberState(NetworkPosition.on_edge("a", "b", 0.25), heading=-1.5),
     )
     probes = ((0, MemberState(Point(7.0, 8.5))), (2, MemberState(Point(-1.0, 0.0), 2.0, 0.25)))
-    stats = SafeRegionStats(3, 40, 17, 2, 5, 1, 0.0125)
     circle_note = NotificationPayload(
         session_id=4,
         po=Point(5.5, 6.0),
         region_values=(3, 3),
         cause="report",
-        cpu_seconds=0.002,
-        stats=stats,
         regions=(regions["circle"], regions["circle"]),
     )
     tile_note = NotificationPayload(
@@ -120,8 +117,6 @@ def _corpus() -> dict[str, object]:
         po=(4, 7),
         region_values=(13,),
         cause="poi_update",
-        cpu_seconds=0.5,
-        stats=SafeRegionStats(),
         regions=(regions["tiles"],),
     )
     net_note = NotificationPayload(
@@ -129,8 +124,6 @@ def _corpus() -> dict[str, object]:
         po=NetworkPosition.on_edge((0, 0), (0, 1), 1.25),
         region_values=(4, 4),
         cause="register",
-        cpu_seconds=1e-05,
-        stats=SafeRegionStats(index_queries=1, elapsed_seconds=2.5),
         regions=(regions["net_ball"], regions["net_ball"]),
     )
     bare_note = NotificationPayload(
@@ -138,8 +131,6 @@ def _corpus() -> dict[str, object]:
         po="depot",
         region_values=(),
         cause="refresh",
-        cpu_seconds=0.0,
-        stats=SafeRegionStats(),
     )
     metrics = dataclasses.asdict(
         SimulationMetrics(
@@ -244,218 +235,197 @@ CORPUS = _corpus()
 
 GOLDEN: dict[str, str] = {
     'close_session': (
-        '{"op":"close_session","v":2,"session_id":12}'
+        '{"op":"close_session","v":3,"session_id":12}'
     ),
     'close_session.response': (
-        '{"op":"close_session.response","v":2,"session_id":12}'
+        '{"op":"close_session.response","v":3,"session_id":12}'
     ),
     'error.bare': (
-        '{"op":"error","v":2,"code":"internal","message":"boom","details":{}}'
+        '{"op":"error","v":3,"code":"internal","message":"boom","details":{}}'
     ),
     'error.details': (
-        '{"op":"error","v":2,"code":"unknown_space","message":"unknown space '
-        '\'mars\'","details":{"name":"mars","available":["default","roads"]}}'
+        '{"op":"error","v":3,"code":"unknown_space","message":"unknown space \'m'
+        'ars\'","details":{"name":"mars","available":["default","roads"]}}'
     ),
     'notification_payload': (
-        '{"session_id":11,"po":{"space":"network","edge":[{"tuple":[0,0]},{"t'
-        'uple":[0,1]}],"offset":1.25},"region_values":[4,4],"cause":"register'
-        '","cpu_seconds":1e-05,"stats":{"tile_verifications":0,"point_checks"'
-        ':0,"index_node_accesses":0,"index_queries":1,"tiles_added":0,"tiles_'
-        'rejected":0,"elapsed_seconds":2.5},"regions":[{"kind":"net_ball","ce'
-        'nter":{"space":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"o'
-        'ffset":0.5},"r":2.0},{"kind":"net_ball","center":{"space":"network",'
-        '"edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"offset":0.5},"r":2.0}]}'
+        '{"session_id":11,"po":{"space":"network","edge":[{"tuple":[0,0]},{"tup'
+        'le":[0,1]}],"offset":1.25},"region_values":[4,4],"cause":"register","r'
+        'egions":[{"kind":"net_ball","center":{"space":"network","edge":[{"tupl'
+        'e":[0,0]},{"tuple":[0,1]}],"offset":0.5},"r":2.0},{"kind":"net_ball","'
+        'center":{"space":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"o'
+        'ffset":0.5},"r":2.0}]}'
     ),
     'open_session.euclid': (
-        '{"op":"open_session","v":2,"members":[{"point":{"space":"euclidean",'
-        '"x":1.5,"y":-2.25},"heading":0.5,"theta":1.0},{"point":{"space":"euc'
-        'lidean","x":3,"y":4},"heading":null,"theta":null}],"policy":{"name":'
-        '"Tile-D-b","kind":"tile","objective":"sum","strategy":null,"tile_con'
-        'fig":{"type":"euclidean","alpha":12,"split_level":1,"ordering":"dire'
-        'cted","verifier":"it","objective":"sum","buffer_b":40,"theta":0.75,"'
-        'max_layer":9}},"space":"roads","session_id":7}'
+        '{"op":"open_session","v":3,"members":[{"point":{"space":"euclidean","x'
+        '":1.5,"y":-2.25},"heading":0.5,"theta":1.0},{"point":{"space":"euclide'
+        'an","x":3,"y":4},"heading":null,"theta":null}],"policy":{"name":"Tile-'
+        'D-b","kind":"tile","objective":"sum","strategy":null,"tile_config":{"t'
+        'ype":"euclidean","alpha":12,"split_level":1,"ordering":"directed","ver'
+        'ifier":"it","objective":"sum","buffer_b":40,"theta":0.75,"max_layer":9'
+        '}},"space":"roads","session_id":7}'
     ),
     'open_session.network': (
-        '{"op":"open_session","v":2,"members":[{"point":{"space":"network","n'
-        'ode":{"tuple":[2,3]}},"heading":null,"theta":null},{"point":{"space"'
-        ':"network","edge":["a","b"],"offset":0.25},"heading":-1.5,"theta":nu'
-        'll}],"policy":{"name":"Net-Tile","kind":null,"objective":"max","stra'
-        'tegy":"net_tile","tile_config":{"type":"network","alpha":6,"split_le'
-        'vel":3,"max_radius_factor":4.5}},"space":null,"session_id":null}'
+        '{"op":"open_session","v":3,"members":[{"point":{"space":"network","nod'
+        'e":{"tuple":[2,3]}},"heading":null,"theta":null},{"point":{"space":"ne'
+        'twork","edge":["a","b"],"offset":0.25},"heading":-1.5,"theta":null}],"'
+        'policy":{"name":"Net-Tile","kind":null,"objective":"max","strategy":"n'
+        'et_tile","tile_config":{"type":"network","alpha":6,"split_level":3,"ma'
+        'x_radius_factor":4.5}},"space":null,"session_id":null}'
     ),
     'open_session.response': (
-        '{"op":"open_session.response","v":2,"session_id":4,"size":2,"strateg'
-        'y_name":"tile","policy":{"name":"Tile-D-b","kind":"tile","objective"'
-        ':"sum","strategy":null,"tile_config":{"type":"euclidean","alpha":12,'
-        '"split_level":1,"ordering":"directed","verifier":"it","objective":"s'
-        'um","buffer_b":40,"theta":0.75,"max_layer":9}},"notification":{"sess'
-        'ion_id":4,"po":{"space":"euclidean","x":5.5,"y":6.0},"region_values"'
-        ':[3,3],"cause":"report","cpu_seconds":0.002,"stats":{"tile_verificat'
-        'ions":3,"point_checks":40,"index_node_accesses":17,"index_queries":2'
-        ',"tiles_added":5,"tiles_rejected":1,"elapsed_seconds":0.0125},"regio'
-        'ns":[{"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25},{"kind":"circle",'
-        '"cx":1.5,"cy":-2.0,"r":3.25}]}}'
+        '{"op":"open_session.response","v":3,"session_id":4,"size":2,"strategy_'
+        'name":"tile","policy":{"name":"Tile-D-b","kind":"tile","objective":"su'
+        'm","strategy":null,"tile_config":{"type":"euclidean","alpha":12,"split'
+        '_level":1,"ordering":"directed","verifier":"it","objective":"sum","buf'
+        'fer_b":40,"theta":0.75,"max_layer":9}},"notification":{"session_id":4,'
+        '"po":{"space":"euclidean","x":5.5,"y":6.0},"region_values":[3,3],"caus'
+        'e":"report","regions":[{"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25},{'
+        '"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25}]}}'
     ),
     'report.bare': (
-        '{"op":"report","v":2,"session_id":4,"member_id":0,"state":{"point":{'
-        '"space":"euclidean","x":-3.0,"y":2.0},"heading":0.1,"theta":0.2},"pr'
-        'obes":null}'
+        '{"op":"report","v":3,"session_id":4,"member_id":0,"state":{"point":{"s'
+        'pace":"euclidean","x":-3.0,"y":2.0},"heading":0.1,"theta":0.2},"probes'
+        '":null}'
     ),
     'report.probes': (
-        '{"op":"report","v":2,"session_id":4,"member_id":1,"state":{"point":{'
-        '"space":"euclidean","x":0.5,"y":0.25},"heading":null,"theta":null},"'
-        'probes":[[0,{"point":{"space":"euclidean","x":7.0,"y":8.5},"heading"'
-        ':null,"theta":null}],[2,{"point":{"space":"euclidean","x":-1.0,"y":0'
-        '.0},"heading":2.0,"theta":0.25}]]}'
+        '{"op":"report","v":3,"session_id":4,"member_id":1,"state":{"point":{"s'
+        'pace":"euclidean","x":0.5,"y":0.25},"heading":null,"theta":null},"prob'
+        'es":[[0,{"point":{"space":"euclidean","x":7.0,"y":8.5},"heading":null,'
+        '"theta":null}],[2,{"point":{"space":"euclidean","x":-1.0,"y":0.0},"hea'
+        'ding":2.0,"theta":0.25}]]}'
     ),
     'report.response.none': (
-        '{"op":"report.response","v":2,"session_id":4,"notification":null}'
+        '{"op":"report.response","v":3,"session_id":4,"notification":null}'
     ),
     'report.response.tiles': (
-        '{"op":"report.response","v":2,"session_id":9,"notification":{"sessio'
-        'n_id":9,"po":{"space":"node","value":{"tuple":[4,7]}},"region_values'
-        '":[13],"cause":"poi_update","cpu_seconds":0.5,"stats":{"tile_verific'
-        'ations":0,"point_checks":0,"index_node_accesses":0,"index_queries":0'
-        ',"tiles_added":0,"tiles_rejected":0,"elapsed_seconds":0.0},"regions"'
-        ':[{"kind":"tiles","anchor":[10.0,20.0],"side":2.5,"tiles":[{"rect":['
-        '8.75,18.75,11.25,21.25],"ix":0,"iy":0,"sub_path":[]},{"rect":[11.25,'
-        '18.75,12.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]}]}}'
+        '{"op":"report.response","v":3,"session_id":9,"notification":{"session_'
+        'id":9,"po":{"space":"node","value":{"tuple":[4,7]}},"region_values":[1'
+        '3],"cause":"poi_update","regions":[{"kind":"tiles","anchor":[10.0,20.0'
+        '],"side":2.5,"tiles":[{"rect":[8.75,18.75,11.25,21.25],"ix":0,"iy":0,"'
+        'sub_path":[]},{"rect":[11.25,18.75,12.5,20.0],"ix":1,"iy":0,"sub_path"'
+        ':[2]}]}]}}'
     ),
     'report_many': (
-        '{"op":"report_many","v":2,"events":[{"session_id":4,"member_id":1,"s'
-        'tate":{"point":{"space":"euclidean","x":9.0,"y":9.5},"heading":null,'
-        '"theta":null},"probes":[[0,{"point":{"space":"euclidean","x":7.0,"y"'
-        ':8.5},"heading":null,"theta":null}],[2,{"point":{"space":"euclidean"'
-        ',"x":-1.0,"y":0.0},"heading":2.0,"theta":0.25}]]},{"session_id":11,"'
-        'member_id":0,"state":{"point":{"space":"network","edge":["a","b"],"o'
-        'ffset":0.25},"heading":-1.5,"theta":null},"probes":null}]}'
+        '{"op":"report_many","v":3,"events":[{"session_id":4,"member_id":1,"sta'
+        'te":{"point":{"space":"euclidean","x":9.0,"y":9.5},"heading":null,"the'
+        'ta":null},"probes":[[0,{"point":{"space":"euclidean","x":7.0,"y":8.5},'
+        '"heading":null,"theta":null}],[2,{"point":{"space":"euclidean","x":-1.'
+        '0,"y":0.0},"heading":2.0,"theta":0.25}]]},{"session_id":11,"member_id"'
+        ':0,"state":{"point":{"space":"network","edge":["a","b"],"offset":0.25}'
+        ',"heading":-1.5,"theta":null},"probes":null}]}'
     ),
     'report_many.empty': (
-        '{"op":"report_many","v":2,"events":[]}'
+        '{"op":"report_many","v":3,"events":[]}'
     ),
     'report_many.response': (
-        '{"op":"report_many.response","v":2,"notifications":[null,{"session_i'
-        'd":11,"po":{"space":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]'
-        '}],"offset":1.25},"region_values":[4,4],"cause":"register","cpu_seco'
-        'nds":1e-05,"stats":{"tile_verifications":0,"point_checks":0,"index_n'
-        'ode_accesses":0,"index_queries":1,"tiles_added":0,"tiles_rejected":0'
-        ',"elapsed_seconds":2.5},"regions":[{"kind":"net_ball","center":{"spa'
-        'ce":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"offset":0.5}'
-        ',"r":2.0},{"kind":"net_ball","center":{"space":"network","edge":[{"t'
-        'uple":[0,0]},{"tuple":[0,1]}],"offset":0.5},"r":2.0}]},{"session_id"'
-        ':4,"po":{"space":"euclidean","x":5.5,"y":6.0},"region_values":[3,3],'
-        '"cause":"report","cpu_seconds":0.002,"stats":{"tile_verifications":3'
-        ',"point_checks":40,"index_node_accesses":17,"index_queries":2,"tiles'
-        '_added":5,"tiles_rejected":1,"elapsed_seconds":0.0125},"regions":[{"'
-        'kind":"circle","cx":1.5,"cy":-2.0,"r":3.25},{"kind":"circle","cx":1.'
-        '5,"cy":-2.0,"r":3.25}]},null]}'
+        '{"op":"report_many.response","v":3,"notifications":[null,{"session_id"'
+        ':11,"po":{"space":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"'
+        'offset":1.25},"region_values":[4,4],"cause":"register","regions":[{"ki'
+        'nd":"net_ball","center":{"space":"network","edge":[{"tuple":[0,0]},{"t'
+        'uple":[0,1]}],"offset":0.5},"r":2.0},{"kind":"net_ball","center":{"spa'
+        'ce":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"offset":0.5},"'
+        'r":2.0}]},{"session_id":4,"po":{"space":"euclidean","x":5.5,"y":6.0},"'
+        'region_values":[3,3],"cause":"report","regions":[{"kind":"circle","cx"'
+        ':1.5,"cy":-2.0,"r":3.25},{"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25}'
+        ']},null]}'
     ),
     'service_snapshot': (
-        '{"op":"service_snapshot","v":2,"sessions":[{"op":"session_snapshot",'
-        '"v":2,"session_id":4,"policy":{"name":"Tile-D-b","kind":"tile","obje'
-        'ctive":"sum","strategy":null,"tile_config":{"type":"euclidean","alph'
-        'a":12,"split_level":1,"ordering":"directed","verifier":"it","objecti'
-        've":"sum","buffer_b":40,"theta":0.75,"max_layer":9}},"members":[{"po'
-        'int":{"space":"euclidean","x":1.5,"y":-2.25},"heading":0.5,"theta":1'
-        '.0},{"point":{"space":"euclidean","x":3,"y":4},"heading":null,"theta'
-        '":null}],"po":{"space":"euclidean","x":5.5,"y":6.0},"regions":[{"kin'
-        'd":"tiles","anchor":[10.0,20.0],"side":2.5,"tiles":[{"rect":[8.75,18'
-        '.75,11.25,21.25],"ix":0,"iy":0,"sub_path":[]},{"rect":[11.25,18.75,1'
-        '2.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]},{"kind":"circle","cx":1.5,'
-        '"cy":-2.0,"r":3.25}],"metrics":{"timestamps":30,"update_events":4,"r'
-        'esult_changes":2,"messages_up":9,"messages_down":8,"packets_up":9,"p'
-        'ackets_down":12,"server_cpu_seconds":0.03125,"index_node_accesses":1'
-        '20,"index_queries":6,"tile_verifications":0,"region_values_sent":24}'
-        ',"space":"roads"},{"op":"session_snapshot","v":2,"session_id":5,"pol'
-        'icy":{"name":"Circle","kind":"circle","objective":"max","strategy":n'
-        'ull,"tile_config":null},"members":[{"point":{"space":"network","node'
-        '":{"tuple":[2,3]}},"heading":null,"theta":null},{"point":{"space":"n'
-        'etwork","edge":["a","b"],"offset":0.25},"heading":-1.5,"theta":null}'
-        '],"po":null,"regions":[],"metrics":{},"space":null}],"next_id":12}'
+        '{"op":"service_snapshot","v":3,"sessions":[{"op":"session_snapshot","v'
+        '":3,"session_id":4,"policy":{"name":"Tile-D-b","kind":"tile","objectiv'
+        'e":"sum","strategy":null,"tile_config":{"type":"euclidean","alpha":12,'
+        '"split_level":1,"ordering":"directed","verifier":"it","objective":"sum'
+        '","buffer_b":40,"theta":0.75,"max_layer":9}},"members":[{"point":{"spa'
+        'ce":"euclidean","x":1.5,"y":-2.25},"heading":0.5,"theta":1.0},{"point"'
+        ':{"space":"euclidean","x":3,"y":4},"heading":null,"theta":null}],"po":'
+        '{"space":"euclidean","x":5.5,"y":6.0},"regions":[{"kind":"tiles","anch'
+        'or":[10.0,20.0],"side":2.5,"tiles":[{"rect":[8.75,18.75,11.25,21.25],"'
+        'ix":0,"iy":0,"sub_path":[]},{"rect":[11.25,18.75,12.5,20.0],"ix":1,"iy'
+        '":0,"sub_path":[2]}]},{"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25}],"'
+        'metrics":{"timestamps":30,"update_events":4,"result_changes":2,"messag'
+        'es_up":9,"messages_down":8,"packets_up":9,"packets_down":12,"server_cp'
+        'u_seconds":0.03125,"index_node_accesses":120,"index_queries":6,"tile_v'
+        'erifications":0,"region_values_sent":24},"space":"roads"},{"op":"sessi'
+        'on_snapshot","v":3,"session_id":5,"policy":{"name":"Circle","kind":"ci'
+        'rcle","objective":"max","strategy":null,"tile_config":null},"members":'
+        '[{"point":{"space":"network","node":{"tuple":[2,3]}},"heading":null,"t'
+        'heta":null},{"point":{"space":"network","edge":["a","b"],"offset":0.25'
+        '},"heading":-1.5,"theta":null}],"po":null,"regions":[],"metrics":{},"s'
+        'pace":null}],"next_id":12}'
     ),
     'service_snapshot.empty': (
-        '{"op":"service_snapshot","v":2,"sessions":[],"next_id":0}'
+        '{"op":"service_snapshot","v":3,"sessions":[],"next_id":0}'
     ),
     'session_snapshot': (
-        '{"op":"session_snapshot","v":2,"session_id":4,"policy":{"name":"Tile'
-        '-D-b","kind":"tile","objective":"sum","strategy":null,"tile_config":'
-        '{"type":"euclidean","alpha":12,"split_level":1,"ordering":"directed"'
-        ',"verifier":"it","objective":"sum","buffer_b":40,"theta":0.75,"max_l'
-        'ayer":9}},"members":[{"point":{"space":"euclidean","x":1.5,"y":-2.25'
-        '},"heading":0.5,"theta":1.0},{"point":{"space":"euclidean","x":3,"y"'
-        ':4},"heading":null,"theta":null}],"po":{"space":"euclidean","x":5.5,'
-        '"y":6.0},"regions":[{"kind":"tiles","anchor":[10.0,20.0],"side":2.5,'
-        '"tiles":[{"rect":[8.75,18.75,11.25,21.25],"ix":0,"iy":0,"sub_path":['
-        ']},{"rect":[11.25,18.75,12.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]},{'
-        '"kind":"circle","cx":1.5,"cy":-2.0,"r":3.25}],"metrics":{"timestamps'
-        '":30,"update_events":4,"result_changes":2,"messages_up":9,"messages_'
-        'down":8,"packets_up":9,"packets_down":12,"server_cpu_seconds":0.0312'
-        '5,"index_node_accesses":120,"index_queries":6,"tile_verifications":0'
-        ',"region_values_sent":24},"space":"roads"}'
+        '{"op":"session_snapshot","v":3,"session_id":4,"policy":{"name":"Tile-D'
+        '-b","kind":"tile","objective":"sum","strategy":null,"tile_config":{"ty'
+        'pe":"euclidean","alpha":12,"split_level":1,"ordering":"directed","veri'
+        'fier":"it","objective":"sum","buffer_b":40,"theta":0.75,"max_layer":9}'
+        '},"members":[{"point":{"space":"euclidean","x":1.5,"y":-2.25},"heading'
+        '":0.5,"theta":1.0},{"point":{"space":"euclidean","x":3,"y":4},"heading'
+        '":null,"theta":null}],"po":{"space":"euclidean","x":5.5,"y":6.0},"regi'
+        'ons":[{"kind":"tiles","anchor":[10.0,20.0],"side":2.5,"tiles":[{"rect"'
+        ':[8.75,18.75,11.25,21.25],"ix":0,"iy":0,"sub_path":[]},{"rect":[11.25,'
+        '18.75,12.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]},{"kind":"circle","cx"'
+        ':1.5,"cy":-2.0,"r":3.25}],"metrics":{"timestamps":30,"update_events":4'
+        ',"result_changes":2,"messages_up":9,"messages_down":8,"packets_up":9,"'
+        'packets_down":12,"server_cpu_seconds":0.03125,"index_node_accesses":12'
+        '0,"index_queries":6,"tile_verifications":0,"region_values_sent":24},"s'
+        'pace":"roads"}'
     ),
     'session_snapshot.empty': (
-        '{"op":"session_snapshot","v":2,"session_id":5,"policy":{"name":"Circ'
-        'le","kind":"circle","objective":"max","strategy":null,"tile_config":'
-        'null},"members":[{"point":{"space":"network","node":{"tuple":[2,3]}}'
-        ',"heading":null,"theta":null},{"point":{"space":"network","edge":["a'
-        '","b"],"offset":0.25},"heading":-1.5,"theta":null}],"po":null,"regio'
-        'ns":[],"metrics":{},"space":null}'
+        '{"op":"session_snapshot","v":3,"session_id":5,"policy":{"name":"Circle'
+        '","kind":"circle","objective":"max","strategy":null,"tile_config":null'
+        '},"members":[{"point":{"space":"network","node":{"tuple":[2,3]}},"head'
+        'ing":null,"theta":null},{"point":{"space":"network","edge":["a","b"],"'
+        'offset":0.25},"heading":-1.5,"theta":null}],"po":null,"regions":[],"me'
+        'trics":{},"space":null}'
     ),
     'update_locations': (
-        '{"op":"update_locations","v":2,"session_id":3,"members":[{"point":{"'
-        'space":"euclidean","x":1.5,"y":-2.25},"heading":0.5,"theta":1.0},{"p'
-        'oint":{"space":"euclidean","x":3,"y":4},"heading":null,"theta":null}'
-        ']}'
+        '{"op":"update_locations","v":3,"session_id":3,"members":[{"point":{"sp'
+        'ace":"euclidean","x":1.5,"y":-2.25},"heading":0.5,"theta":1.0},{"point'
+        '":{"space":"euclidean","x":3,"y":4},"heading":null,"theta":null}]}'
     ),
     'update_locations.response': (
-        '{"op":"update_locations.response","v":2,"notification":{"session_id"'
-        ':2,"po":{"space":"node","value":"depot"},"region_values":[],"cause":'
-        '"refresh","cpu_seconds":0.0,"stats":{"tile_verifications":0,"point_c'
-        'hecks":0,"index_node_accesses":0,"index_queries":0,"tiles_added":0,"'
-        'tiles_rejected":0,"elapsed_seconds":0.0},"regions":[]}}'
+        '{"op":"update_locations.response","v":3,"notification":{"session_id":2'
+        ',"po":{"space":"node","value":"depot"},"region_values":[],"cause":"ref'
+        'resh","regions":[]}}'
     ),
     'update_pois': (
-        '{"op":"update_pois","v":2,"adds":[{"position":{"space":"euclidean","'
-        'x":1.0,"y":2.0},"payload":"cafe"},{"position":{"space":"network","no'
-        'de":{"tuple":[1,1]}},"payload":17},{"position":{"space":"node","valu'
-        'e":{"tuple":[0,{"tuple":[1,"x"]}]}},"payload":null}],"removes":[{"po'
-        'sition":{"space":"euclidean","x":4.5,"y":4.5},"payload":true},{"posi'
-        'tion":{"space":"network","edge":[1,2],"offset":3.5},"payload":2.5}],'
-        '"space":"roads"}'
+        '{"op":"update_pois","v":3,"adds":[{"position":{"space":"euclidean","x"'
+        ':1.0,"y":2.0},"payload":"cafe"},{"position":{"space":"network","node":'
+        '{"tuple":[1,1]}},"payload":17},{"position":{"space":"node","value":{"t'
+        'uple":[0,{"tuple":[1,"x"]}]}},"payload":null}],"removes":[{"position":'
+        '{"space":"euclidean","x":4.5,"y":4.5},"payload":true},{"position":{"sp'
+        'ace":"network","edge":[1,2],"offset":3.5},"payload":2.5}],"space":"roa'
+        'ds"}'
     ),
     'update_pois.default': (
-        '{"op":"update_pois","v":2,"adds":[],"removes":[],"space":null}'
+        '{"op":"update_pois","v":3,"adds":[],"removes":[],"space":null}'
     ),
     'update_pois.response': (
-        '{"op":"update_pois.response","v":2,"notifications":[{"session_id":9,'
-        '"po":{"space":"node","value":{"tuple":[4,7]}},"region_values":[13],"'
-        'cause":"poi_update","cpu_seconds":0.5,"stats":{"tile_verifications":'
-        '0,"point_checks":0,"index_node_accesses":0,"index_queries":0,"tiles_'
-        'added":0,"tiles_rejected":0,"elapsed_seconds":0.0},"regions":[{"kind'
-        '":"tiles","anchor":[10.0,20.0],"side":2.5,"tiles":[{"rect":[8.75,18.'
-        '75,11.25,21.25],"ix":0,"iy":0,"sub_path":[]},{"rect":[11.25,18.75,12'
-        '.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]}]},{"session_id":11,"po":{"s'
-        'pace":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"offset":1.'
-        '25},"region_values":[4,4],"cause":"register","cpu_seconds":1e-05,"st'
-        'ats":{"tile_verifications":0,"point_checks":0,"index_node_accesses":'
-        '0,"index_queries":1,"tiles_added":0,"tiles_rejected":0,"elapsed_seco'
-        'nds":2.5},"regions":[{"kind":"net_ball","center":{"space":"network",'
-        '"edge":[{"tuple":[0,0]},{"tuple":[0,1]}],"offset":0.5},"r":2.0},{"ki'
-        'nd":"net_ball","center":{"space":"network","edge":[{"tuple":[0,0]},{'
-        '"tuple":[0,1]}],"offset":0.5},"r":2.0}]}]}'
+        '{"op":"update_pois.response","v":3,"notifications":[{"session_id":9,"p'
+        'o":{"space":"node","value":{"tuple":[4,7]}},"region_values":[13],"caus'
+        'e":"poi_update","regions":[{"kind":"tiles","anchor":[10.0,20.0],"side"'
+        ':2.5,"tiles":[{"rect":[8.75,18.75,11.25,21.25],"ix":0,"iy":0,"sub_path'
+        '":[]},{"rect":[11.25,18.75,12.5,20.0],"ix":1,"iy":0,"sub_path":[2]}]}]'
+        '},{"session_id":11,"po":{"space":"network","edge":[{"tuple":[0,0]},{"t'
+        'uple":[0,1]}],"offset":1.25},"region_values":[4,4],"cause":"register",'
+        '"regions":[{"kind":"net_ball","center":{"space":"network","edge":[{"tu'
+        'ple":[0,0]},{"tuple":[0,1]}],"offset":0.5},"r":2.0},{"kind":"net_ball"'
+        ',"center":{"space":"network","edge":[{"tuple":[0,0]},{"tuple":[0,1]}],'
+        '"offset":0.5},"r":2.0}]}]}'
     ),
     'update_policy.circle': (
-        '{"op":"update_policy","v":2,"session_id":4,"policy":{"name":"Circle"'
-        ',"kind":"circle","objective":"sum","strategy":null,"tile_config":nul'
-        'l}}'
+        '{"op":"update_policy","v":3,"session_id":4,"policy":{"name":"Circle","'
+        'kind":"circle","objective":"sum","strategy":null,"tile_config":null}}'
     ),
     'update_policy.custom': (
-        '{"op":"update_policy","v":2,"session_id":6,"policy":{"name":"Mine","'
-        'kind":null,"objective":"max","strategy":"net_circle","tile_config":n'
-        'ull}}'
+        '{"op":"update_policy","v":3,"session_id":6,"policy":{"name":"Mine","ki'
+        'nd":null,"objective":"max","strategy":"net_circle","tile_config":null}'
+        '}'
     ),
     'update_policy.response': (
-        '{"op":"update_policy.response","v":2,"session_id":4}'
+        '{"op":"update_policy.response","v":3,"session_id":4}'
     ),
 }
 

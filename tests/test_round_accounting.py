@@ -29,6 +29,8 @@ from repro.service import (
     register_strategy,
     unregister_strategy,
 )
+import repro.service.service as service_module
+from repro.service.strategies import get_strategy
 from repro.simulation import (
     circle_policy,
     custom_policy,
@@ -80,11 +82,36 @@ class StubValuesStrategy:
         return [self.compute(g, tree) for g in groups]
 
 
+class RecordingStrategy:
+    """Any batchable strategy, with every result it hands the service
+    kept by its first region — the object a notification carries on —
+    so the replay charges the work counters the strategy reported."""
+
+    def __init__(self, inner, results: dict):
+        self.inner = inner
+        self.results = results
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _record(self, result):
+        self.results[id(result.regions[0])] = result
+        return result
+
+    def compute(self, users, tree, headings=None, thetas=None):
+        return self._record(self.inner.compute(users, tree, headings, thetas))
+
+    def build_regions_batch(self, groups, tree, headings=None, thetas=None):
+        results = self.inner.build_regions_batch(groups, tree, headings, thetas)
+        return None if results is None else [self._record(r) for r in results]
+
+
 class ReferenceLedger:
     """One session's ledger, replayed message by message."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, results: dict):
         self.size = size
+        self.results = results
         self.metrics = SimulationMetrics()
         self.po = None
 
@@ -104,7 +131,8 @@ class ReferenceLedger:
         if self.po is not None and notification.po != self.po:
             self.metrics.result_changes += 1
         self.po = notification.po
-        self.metrics.charge_update(0.0, notification.stats)
+        result = self.results.pop(id(notification.regions[0]))
+        self.metrics.charge_update(0.0, result.stats)
         for message in notification.messages():
             self.metrics.record_message(message)
         self.metrics.region_values_sent += sum(notification.region_values)
@@ -113,7 +141,7 @@ class ReferenceLedger:
 class Fleet:
     """A service, its sessions and one reference ledger per session."""
 
-    def __init__(self, policy, sizes, probe_mode, batched, rng):
+    def __init__(self, policy, sizes, probe_mode, batched, rng, results):
         self.rng = rng
         self.probe_mode = probe_mode
         pois = uniform_pois(300, SMALL_WORLD, seed=8)
@@ -124,7 +152,7 @@ class Fleet:
             prober = self._prober if probe_mode == "prober" else None
             handle = self.service.open_session(members, policy, prober=prober)
             assert handle.notification.cause == "register"
-            ref = self.refs[handle.session_id] = ReferenceLedger(size)
+            ref = self.refs[handle.session_id] = ReferenceLedger(size, results)
             ref.notified(handle.notification)
             ref.register()
             self.check()
@@ -255,6 +283,7 @@ def fleets(draw):
 @given(fleets())
 def test_round_accounting_equals_message_replay(drawn):
     policy, sizes, probe_mode, batched, steps, seed = drawn
+    results: dict = {}
     try:
         if isinstance(policy, list):
             values = policy
@@ -262,9 +291,15 @@ def test_round_accounting_equals_message_replay(drawn):
                 "stub-values", lambda _: StubValuesStrategy(values), replace=True
             )
             policy = custom_policy("stub", "stub-values")
-        fleet = Fleet(policy, sizes, probe_mode, batched, random.Random(seed))
-        for step, waved in steps:
-            getattr(fleet, step)(waved)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                service_module,
+                "get_strategy",
+                lambda p: RecordingStrategy(get_strategy(p), results),
+            )
+            fleet = Fleet(policy, sizes, probe_mode, batched, random.Random(seed), results)
+            for step, waved in steps:
+                getattr(fleet, step)(waved)
     finally:
         unregister_strategy("stub-values")
 

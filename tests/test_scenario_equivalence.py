@@ -6,8 +6,13 @@ whether the fleet is served by an unsharded :class:`MPNService`, the
 in-process sharded :class:`MPNCluster`, or spawned worker processes
 behind the wire (:class:`ProcessCluster`) — plus clean replay
 spot-checks everywhere, since the spot-check itself replays against a
-fourth, fresh service.
+fourth, fresh service.  Over the wire the referee is stricter still:
+every request and response frame the front door writes and reads
+replays byte for byte.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -22,6 +27,7 @@ from repro.scenarios import (
     stream_digest,
 )
 from repro.service.service import MPNService
+from repro.transport.framing import SyncFrameStream
 from repro.transport.worker import ProcessCluster
 
 
@@ -136,6 +142,74 @@ class TestNotificationEquivalence:
         second = run_with(spec, MPNService(spec.space()))
         assert first.notification_log == second.notification_log
         assert first.total_wave_events == second.total_wave_events
+
+
+def data_plane_transcript(spec, shards: int = 2) -> tuple[str, int]:
+    """Run ``spec`` on ``ProcessCluster(shards)``; return the sha256 of
+    every request / response frame the front door sent and read, each
+    tagged with its connection (in order of first use) and direction,
+    and the number of frames.
+
+    Control frames are left out: ``metrics`` / ``session_metrics``
+    answer from wall-clock ledgers.
+    """
+    digest, count = hashlib.sha256(), [0]
+    lanes: dict[int, int] = {}
+    controls: set[tuple[int, object]] = set()
+    send, recv = SyncFrameStream.send, SyncFrameStream.recv
+
+    def record(stream, direction: str, frame: dict) -> None:
+        lane = lanes.setdefault(id(stream), len(lanes))
+        line = json.dumps([lane, direction, frame], separators=(",", ":"))
+        digest.update(line.encode() + b"\n")
+        count[0] += 1
+
+    def traced_send(stream, frame):
+        if "control" in frame:
+            controls.add((id(stream), frame["id"]))
+        else:
+            record(stream, "request", frame)
+        send(stream, frame)
+
+    def traced_recv(stream):
+        reply = recv(stream)
+        if (id(stream), reply.get("id")) not in controls:
+            record(stream, "response", reply)
+        return reply
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SyncFrameStream, "send", traced_send)
+        patch.setattr(SyncFrameStream, "recv", traced_recv)
+        cluster = ProcessCluster(shards, spec.space)
+        try:
+            run_scenario(spec, cluster)
+        finally:
+            cluster.close()
+    return digest.hexdigest(), count[0]
+
+
+#: ``euclidean_spec()`` on ``ProcessCluster(2)``: a semantic change in
+#: any layer under the wire — compiler, routing, strategies, index,
+#: codec — moves this digest.
+EUCLIDEAN_TRANSCRIPT = (
+    "35df28a0ffc61f2dd10ca8ebc49b930747e46fedad008c68378d07012b0d70f8",
+    90,
+)
+
+
+class TestDataPlaneReplays:
+    """Schema v3 carries no timing, so a run's data plane is a pure
+    function of (spec, seed): two runs agree frame for frame."""
+
+    def test_euclidean_transcript_is_pinned(self):
+        first = data_plane_transcript(euclidean_spec())
+        assert first == data_plane_transcript(euclidean_spec())
+        assert first == EUCLIDEAN_TRANSCRIPT
+
+    def test_network_transcript_replays(self):
+        first = data_plane_transcript(network_spec())
+        assert first == data_plane_transcript(network_spec())
+        assert first[1] >= 40
 
 
 class TestSpotCheckCatchesDivergence:
