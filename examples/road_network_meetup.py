@@ -14,12 +14,9 @@ import random
 
 from repro.geometry.rect import Rect
 from repro.mobility.network import NetworkParams, build_road_network
-from repro.network_ext import (
-    NetworkSpace,
-    network_circle_msr,
-    run_network_simulation,
-)
-from repro.network_ext.monitor import network_trajectory
+from repro.network_ext import NetworkSpace, network_circle_msr, network_trajectory
+from repro.simulation import net_circle_policy, run_service
+from repro.space.network import NetworkPOISpace
 
 
 def main() -> None:
@@ -48,7 +45,13 @@ def main() -> None:
     trajectories = [
         network_trajectory(space, 400, speed=60.0, rng=rng) for _ in range(3)
     ]
-    metrics = run_network_simulation(space, pois, trajectories, check_every=25)
+    fleet = run_service(
+        [trajectories],
+        net_circle_policy(),
+        NetworkPOISpace(space, pois),
+        check_every=25,
+    )
+    metrics = fleet.session_metrics[0]
     print(
         f"\nmonitoring 400 timestamps: {metrics.update_events} updates, "
         f"{metrics.packets_total} packets, venue changed "

@@ -22,8 +22,8 @@ This subpackage implements that extension:
   :class:`repro.service.MPNService` (see also
   :class:`repro.space.network.NetworkPOISpace` and
   :class:`repro.index.network.NetworkIndex`);
-* :mod:`repro.network_ext.monitor` — network trajectories plus the
-  deprecated :func:`run_network_simulation` shim over the service.
+* :mod:`repro.network_ext.monitor` — network trajectories, which
+  :func:`repro.simulation.run_service` replays like planar ones.
 """
 
 from repro.network_ext.space import NetworkPosition, NetworkSpace
@@ -37,11 +37,7 @@ from repro.network_ext.tile_msr import (
     network_tile_msr,
 )
 from repro.network_ext.strategies import NetworkCircleStrategy, NetworkTileStrategy
-from repro.network_ext.monitor import (
-    NetworkTrajectory,
-    network_trajectory,
-    run_network_simulation,
-)
+from repro.network_ext.monitor import NetworkTrajectory, network_trajectory
 
 __all__ = [
     "NetworkPosition",
@@ -58,5 +54,4 @@ __all__ = [
     "NetworkTileStrategy",
     "NetworkTrajectory",
     "network_trajectory",
-    "run_network_simulation",
 ]

@@ -1,29 +1,24 @@
-"""Network trajectories plus the deprecated network monitoring loop.
+"""Network trajectories: road-graph motion for network sessions.
 
-The network-native loop this module used to own is gone: road-network
-groups are now first-class sessions of :class:`repro.service.MPNService`
-(strategies ``net_circle`` / ``net_tile`` over a
-:class:`repro.space.network.NetworkPOISpace`), and fleets of them run
-through :func:`repro.simulation.run_service` alongside Euclidean
-groups.  :func:`run_network_simulation` remains as a thin deprecated
-shim over the service, kept notification- and counter-identical to the
-old loop (``tests/test_network_shim_equivalence.py`` regresses that
-equivalence against a verbatim copy of the legacy implementation).
+Road-network groups are first-class sessions of
+:class:`repro.service.MPNService` (strategies ``net_circle`` /
+``net_tile`` over a :class:`repro.space.network.NetworkPOISpace`), and
+fleets of them run through :func:`repro.simulation.run_service`
+alongside Euclidean groups.  This module supplies what those fleets
+replay: :class:`NetworkTrajectory`, one network position per
+timestamp, and :func:`network_trajectory`, shortest-path motion at a
+fixed speed.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator
 
 import networkx as nx
 
-from repro.gnn.aggregate import Aggregate
-from repro.network_ext.gnn import network_gnn
 from repro.network_ext.space import NetworkPosition, NetworkSpace
-from repro.simulation.metrics import SimulationMetrics
 
 
 @dataclass(frozen=True)
@@ -82,82 +77,3 @@ def network_trajectory(
                 break
         current = dest
     return NetworkTrajectory(tuple(out[:n_timestamps]))
-
-
-def run_network_simulation(
-    space: NetworkSpace,
-    pois: Sequence[Hashable],
-    trajectories: Sequence[Sequence[NetworkPosition]],
-    objective: Aggregate = Aggregate.MAX,
-    check_every: int = 0,
-    method: str = "circle",
-) -> SimulationMetrics:
-    """Replay a group on the network (deprecated shim over the service).
-
-    Opens one :class:`~repro.service.MPNService` session on a
-    :class:`~repro.space.network.NetworkPOISpace` under the
-    ``net_circle`` / ``net_tile`` strategy named by ``method`` and
-    replays the trajectories against it.  Notification sequences and
-    the legacy loop's metrics counters are bit-identical to the old
-    network-native implementation; prefer driving the service (or
-    :func:`repro.simulation.run_service`) directly in new code.
-    """
-    warnings.warn(
-        "run_network_simulation is deprecated; open a net_circle/net_tile "
-        "session on MPNService (or drive fleets through run_service) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    if method not in ("circle", "tile"):
-        raise ValueError(f"unknown method: {method!r}")
-    # Deferred imports: repro.space.network imports this package, and the
-    # serving layer sits above this module in the import order.
-    from repro.service import MemberState, MPNService
-    from repro.simulation.policies import net_circle_policy, net_tile_policy
-    from repro.space.network import NetworkPOISpace
-
-    steps = min(len(t) for t in trajectories)
-    policy = (
-        net_circle_policy(objective)
-        if method == "circle"
-        else net_tile_policy(objective)
-    )
-    service = MPNService(NetworkPOISpace(space, pois))
-    current = [t[0] for t in trajectories]
-    handle = service.open_session(
-        list(current),
-        policy,
-        prober=lambda i: MemberState(point=current[i]),
-    )
-    regions = handle.notification.regions
-    current_po = handle.notification.po
-
-    for t in range(1, steps):
-        current = [traj[t] for traj in trajectories]
-        trigger = next(
-            (k for k, pos in enumerate(current) if not regions[k].contains(pos)),
-            None,
-        )
-        if trigger is None:
-            if check_every > 0 and t % check_every == 0:
-                best_dist, best = network_gnn(space, pois, current, 1, objective)[0]
-                cached = network_gnn(
-                    space, [current_po], current, 1, objective
-                )[0][0]
-                if cached > best_dist + 1e-7:
-                    raise AssertionError(
-                        f"cached meeting POI {current_po} (agg {cached}) beaten "
-                        f"by {best} (agg {best_dist}) at t={t}"
-                    )
-            continue
-        notification = service.report(
-            handle.session_id, trigger, current[trigger]
-        )
-        regions = notification.regions
-        current_po = notification.po
-
-    metrics = service.session_metrics(handle.session_id)
-    metrics.timestamps = steps
-    return metrics

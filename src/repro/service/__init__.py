@@ -23,14 +23,14 @@ This package is the public API for deploying the paper's protocol:
   :class:`repro.cluster.MPNCluster` both implement, and the shared
   dispatch router.
 
-The old ``MPNServer`` / ``MultiGroupServer`` classes in
-:mod:`repro.simulation` remain as thin deprecated shims over this
-layer.
+The trajectory drivers in :mod:`repro.simulation` play fleets against
+this layer through one ``report_many`` tick loop
+(:func:`repro.simulation.run_service`).
 """
 
 # Load the simulation layer first.  Its leaf modules (messages,
-# metrics, policies) sit below this package, while its shims (server,
-# engine, multigroup) sit above it; importing the package up front
+# metrics, policies) sit below this package, while its drivers (engine,
+# adaptive) sit above it; importing the package up front
 # makes either entry point (`import repro.service` or
 # `import repro.simulation`) resolve the cross-package imports in a
 # fully-initialized order.

@@ -1,8 +1,8 @@
 """Errors raised by the serving layer.
 
-Both errors subclass :class:`KeyError` so code written against the old
-``MPNServer`` / ``MultiGroupServer`` shims — which surfaced bare
-``KeyError`` from dictionary lookups — keeps working unchanged.
+Both errors subclass :class:`KeyError`: an unknown session id or
+strategy name is a failed lookup, so a caller's ``except KeyError``
+handler catches either.
 """
 
 from __future__ import annotations

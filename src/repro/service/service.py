@@ -480,9 +480,8 @@ class MPNService:
         """Refresh every member's state at once and recompute.
 
         The already-probed path: the caller has gathered all positions
-        itself (e.g. the ``MultiGroupServer`` shim), so no trigger or
-        probe traffic is charged — only the recomputation and the
-        result notifications.
+        itself, so no trigger or probe traffic is charged — only the
+        recomputation and the result notifications.
         """
         session = self.session(session_id)
         if len(members) != session.size:

@@ -129,11 +129,6 @@ class ServiceSession:
     def positions(self) -> list[Point]:
         return [m.point for m in self.members]
 
-    @property
-    def group_id(self) -> int:
-        """Backwards-compatible alias used by the MultiGroupServer shim."""
-        return self.session_id
-
     def region_valid_against(self, p: Point) -> bool:
         """Can the candidate POI ``p`` ever beat the cached result?
 

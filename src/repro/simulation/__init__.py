@@ -8,8 +8,9 @@ everyone of the new optimal meeting point and their new safe regions.
 Message and packet accounting follows the paper's model (576-byte MTU,
 40-byte header, 67 doubles per packet).
 
-``MPNServer`` and ``MultiGroupServer`` are retained as thin deprecated
-shims over :class:`repro.service.MPNService`.
+:func:`run_service` plays fleets through one ``report_many`` tick
+loop; :func:`run_simulation` is its one-group case, and
+:func:`run_adaptive_simulation` retunes one session between rounds.
 """
 
 from repro.simulation.messages import (
@@ -31,7 +32,6 @@ from repro.simulation.policies import (
     tile_d_policy,
     tile_d_b_policy,
 )
-from repro.simulation.server import MPNServer, ServerResponse
 from repro.simulation.client import SimClient
 from repro.simulation.engine import (
     SafeRegionViolation,
@@ -40,7 +40,6 @@ from repro.simulation.engine import (
     run_service,
     run_simulation,
 )
-from repro.simulation.multigroup import MultiGroupServer, GroupSession
 from repro.simulation.adaptive import (
     AdaptiveAlphaController,
     AdaptiveConfig,
@@ -64,16 +63,12 @@ __all__ = [
     "tile_policy",
     "tile_d_policy",
     "tile_d_b_policy",
-    "MPNServer",
-    "ServerResponse",
     "SimClient",
     "SafeRegionViolation",
     "run_simulation",
     "run_groups",
     "run_service",
     "ServiceRunResult",
-    "MultiGroupServer",
-    "GroupSession",
     "AdaptiveAlphaController",
     "AdaptiveConfig",
     "run_adaptive_simulation",

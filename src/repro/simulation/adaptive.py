@@ -33,9 +33,11 @@ from repro.index.backend import SpatialIndex
 from repro.mobility.trajectory import Trajectory
 from repro.service.service import MPNService
 from repro.simulation.engine import (
+    _advance_and_find_trigger,
     _deliver,
     _make_clients,
     _open_group_session,
+    _steps,
 )
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
@@ -107,9 +109,7 @@ def run_adaptive_simulation(
     controller = AdaptiveAlphaController(
         adaptive, base_policy.tile_config.alpha
     )
-    steps = n_timestamps if n_timestamps is not None else min(
-        len(t) for t in trajectories
-    )
+    steps = _steps([trajectories], n_timestamps)
 
     def tuned_policy() -> Policy:
         config = replace(base_policy.tile_config, alpha=controller.alpha)
@@ -122,18 +122,14 @@ def run_adaptive_simulation(
     last_update_t = 0
 
     for t in range(1, steps):
-        for client in clients:
-            client.advance(t)
-        trigger = next(
-            (i for i, c in enumerate(clients) if c.outside_region()), None
-        )
-        if trigger is None:
+        escaped = _advance_and_find_trigger(clients, t)
+        if escaped is None:
             continue
+        trigger, state = escaped
         service.update_policy(session_id, tuned_policy())
         cpu_before = metrics.server_cpu_seconds
-        client = clients[trigger]
         notification = service.report(
-            session_id, trigger, client.position, client.heading, client.theta
+            session_id, trigger, state.point, state.heading, state.theta
         )
         if notification is None:  # pragma: no cover - escape implies a round
             continue

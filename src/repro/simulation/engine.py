@@ -1,22 +1,25 @@
 """Trajectory drivers: playback of mobile groups against the service.
 
 The serving logic lives in :class:`repro.service.MPNService`; this
-module only *drives* it.  One simulated run plays a group of
-trajectories for ``n_timestamps`` steps.  Whenever some client's new
-location escapes her safe region, she fires a report event and the
-three-step protocol of Fig. 3 executes inside the service: one
-location update from the trigger client, ``m - 1`` probe requests and
-replies, and ``m`` result notifications carrying the new meeting point
-and safe regions.
+module only *drives* it: every session-based run goes through one tick
+loop (:func:`run_service`).  A run plays groups of trajectories for
+``n_timestamps`` steps.  Whenever some client's new location escapes
+her safe region, she fires a report event and the three-step protocol
+of Fig. 3 executes inside the service: one location update from the
+trigger client, ``m - 1`` probe requests and replies, and ``m`` result
+notifications carrying the new meeting point and safe regions.  Every
+tick's escape events, fleet-wide, are served with one ``report_many``
+wave.
 
 Setting ``check_every`` to a positive value asserts, every so many
-quiet timestamps, that the cached meeting point still equals the exact
+timestamps, that each cached meeting point still equals the exact
 aggregate nearest neighbor — the paper's core guarantee (Definition 3).
 This is how the integration tests establish end-to-end soundness.
 
-:func:`run_service` scales the same playback to many concurrent groups
-with interleaved timestamps and POI churn against one shared index —
-the deployment workload the single-group API cannot express.
+:func:`run_simulation` is the one-group case (the periodic strawman
+aside, which opens no session), :func:`run_groups` averages it over
+the §7 groups, and :func:`run_service` adds interleaved groups, mixed
+spaces and POI churn against one shared index.
 """
 
 from __future__ import annotations
@@ -43,6 +46,22 @@ class SafeRegionViolation(AssertionError):
     """The cached meeting point diverged from the exact one."""
 
 
+def _steps(
+    groups: Sequence[Sequence[Trajectory]], n_timestamps: Optional[int]
+) -> int:
+    """The playback length every driver validates its input against."""
+    if not groups:
+        raise ValueError("need at least one group")
+    if not all(groups):
+        raise ValueError("need at least one trajectory")
+    steps = n_timestamps if n_timestamps is not None else min(
+        len(t) for group in groups for t in group
+    )
+    if steps < 1:
+        raise ValueError("need at least one timestamp")
+    return steps
+
+
 def run_simulation(
     policy: Policy,
     trajectories: Sequence[Trajectory],
@@ -50,18 +69,17 @@ def run_simulation(
     n_timestamps: Optional[int] = None,
     check_every: int = 0,
 ) -> SimulationMetrics:
-    """Simulate one group under one policy; returns the metrics."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory")
-    steps = n_timestamps if n_timestamps is not None else min(
-        len(t) for t in trajectories
-    )
-    if steps < 1:
-        raise ValueError("need at least one timestamp")
+    """Simulate one group under one policy; returns the metrics.
+
+    A one-group :func:`run_service` fleet, except for the periodic
+    strawman, which opens no session.
+    """
+    steps = _steps([trajectories], n_timestamps)
     strategy = get_strategy(policy)
     if strategy.periodic:
         return _run_periodic(strategy, trajectories, tree, steps)
-    return _run_safe_regions(policy, trajectories, tree, steps, check_every)
+    result = run_service([trajectories], policy, tree, steps, check_every)
+    return result.session_metrics[0]
 
 
 def _run_periodic(
@@ -147,49 +165,6 @@ def _advance_and_find_trigger(
     return trigger, MemberState(client.position, client.heading, client.theta)
 
 
-def _play_timestamp(
-    service: "ServiceBackend",
-    session_id: int,
-    clients: Sequence[SimClient],
-    t: int,
-) -> Optional[Notification]:
-    """Advance one group to ``t``; fire a report if someone escaped."""
-    escaped = _advance_and_find_trigger(clients, t)
-    if escaped is None:
-        return None
-    trigger, state = escaped
-    notification = service.report(
-        session_id, trigger, state.point, state.heading, state.theta
-    )
-    if notification is not None:
-        _deliver(clients, notification)
-    return notification
-
-
-def _run_safe_regions(
-    policy: Policy,
-    trajectories: Sequence[Trajectory],
-    tree: SpatialIndex,
-    steps: int,
-    check_every: int,
-) -> SimulationMetrics:
-    clients = _make_clients(policy, trajectories)
-    service = MPNService(tree)
-    session_id, registration = _open_group_session(service, policy, clients)
-    current_po = registration.po
-
-    for t in range(1, steps):
-        notification = _play_timestamp(service, session_id, clients, t)
-        if notification is None:
-            if check_every > 0 and t % check_every == 0:
-                _assert_result_valid(policy, tree, clients, current_po)
-            continue
-        current_po = notification.po
-    metrics = service.session_metrics(session_id)
-    metrics.timestamps = steps
-    return metrics
-
-
 def _assert_result_valid(
     policy: Policy,
     tree: Union[SpatialIndex, Space],
@@ -265,11 +240,6 @@ class ServiceRunResult:
     churn_notified: list[tuple[int, list[int]]] = field(default_factory=list)
 
     @property
-    def backend(self) -> ServiceBackend:
-        """The backend the fleet ran against (alias of ``service``)."""
-        return self.service
-
-    @property
     def metrics(self) -> SimulationMetrics:
         """Service-wide traffic across every session (cluster backends
         answer with their merged cluster-wide counters)."""
@@ -292,9 +262,10 @@ def run_service(
     """Play many concurrent groups against one shared serving backend.
 
     All groups advance with interleaved timestamps: at each step every
-    group moves, and whichever members escaped their regions fire
-    report events against the same backend (and the same POI set).
-    ``policies`` is either one policy for every group or one per group.
+    group moves, and the escape events of the whole fleet are served
+    with one :meth:`~repro.service.MPNService.report_many` wave against
+    the same backend (and the same POI set).  ``policies`` is either
+    one policy for every group or one per group.
 
     ``backend`` is any :class:`~repro.service.api.ServiceBackend` with
     the in-process convenience surface — a prebuilt
@@ -331,16 +302,14 @@ def run_service(
     *current* POI set (ties tolerated) — the Definition 3 guarantee
     under concurrency and churn.
 
-    ``batched`` picks the fleet execution path: when true (the
-    default) each timestamp's escape events across ALL groups are
-    collected and served with one :meth:`MPNService.report_many` call
-    (one batched kernel dispatch per wave); when false every group
-    fires its own scalar :meth:`MPNService.report`.  The two paths are
-    verified equivalent — identical notifications and metrics counters
-    — by ``tests/test_service_batch_equivalence.py``.
+    ``batched`` is the constructor argument of the ``MPNService`` the
+    function builds: false makes that service recompute every escaped
+    session on the scalar path, which ``report_many`` keeps
+    notification- and counter-identical to sequential
+    :meth:`MPNService.report` calls
+    (``tests/test_service_batch_equivalence.py``).
     """
-    if not groups:
-        raise ValueError("need at least one group")
+    steps = _steps(groups, n_timestamps)
     if isinstance(policies, Policy):
         policies = [policies] * len(groups)
     if len(policies) != len(groups):
@@ -349,11 +318,6 @@ def run_service(
         spaces = [spaces] * len(groups)
     if len(spaces) != len(groups):
         raise ValueError("need one space per group (or a single space)")
-    steps = n_timestamps if n_timestamps is not None else min(
-        len(t) for group in groups for t in group
-    )
-    if steps < 1:
-        raise ValueError("need at least one timestamp")
     if callable(churn):
         churn_at = churn
     elif churn is not None:
@@ -365,7 +329,6 @@ def run_service(
         if tree is None:
             raise ValueError("need a tree/space (or a prebuilt backend)")
         service = MPNService(tree, batched=True if batched is None else batched)
-        batched = service.batched
     else:
         if tree is not None:
             raise ValueError("pass either tree or backend, not both")
@@ -375,7 +338,6 @@ def run_service(
                 "backend with batched=... instead of passing both"
             )
         service = backend
-        batched = getattr(backend, "batched", True)
     # The space each group's exactness checks measure in: name entries
     # resolve through the backend's registry (a cluster answers with a
     # replica — every replica holds the same POI set).
@@ -388,66 +350,57 @@ def run_service(
     initial_batch = churn_at(0)
     if initial_batch is not None:
         service.update_pois(*initial_batch)
-    fleet: list[Sequence[SimClient]] = []
-    session_ids: list[int] = []
+    fleet: dict[int, Sequence[SimClient]] = {}  # session id -> clients
     pos: dict[int, Point] = {}  # session id -> cached meeting point
-    by_session: dict[int, Sequence[SimClient]] = {}
     for policy, group, space_ref in zip(policies, groups, spaces):
         clients = _make_clients(policy, group)
         session_id, registration = _open_group_session(
             service, policy, clients, space_ref
         )
-        fleet.append(clients)
-        session_ids.append(session_id)
+        fleet[session_id] = clients
         pos[session_id] = registration.po
-        by_session[session_id] = clients
+
+    def deliver(notifications: Sequence[Optional[Notification]]) -> None:
+        for notification in notifications:
+            if notification is not None:
+                _deliver(fleet[notification.session_id], notification)
+                pos[notification.session_id] = notification.po
 
     churn_notified: list[tuple[int, list[int]]] = []
     for t in range(1, steps):
         batch = churn_at(t)
         if batch is not None:
             notifications = service.update_pois(*batch)
-            for notification in notifications:
-                _deliver(by_session[notification.session_id], notification)
-                pos[notification.session_id] = notification.po
+            deliver(notifications)
             if notifications:
                 churn_notified.append(
                     (t, [n.session_id for n in notifications])
                 )
-        if batched:
-            # Collect the tick's escape events fleet-wide, serve them
-            # with one report_many wave (one batched kernel dispatch).
-            events: list[ReportEvent] = []
-            for session_id, clients in zip(session_ids, fleet):
-                escaped = _advance_and_find_trigger(clients, t)
-                if escaped is not None:
-                    trigger, state = escaped
-                    events.append(ReportEvent(session_id, trigger, state))
-            for notification in service.report_many(events):
-                if notification is not None:
-                    _deliver(by_session[notification.session_id], notification)
-                    pos[notification.session_id] = notification.po
-        else:
-            for session_id, clients in zip(session_ids, fleet):
-                notification = _play_timestamp(service, session_id, clients, t)
-                if notification is not None:
-                    pos[session_id] = notification.po
+        # The tick's escape events, fleet-wide, served as one wave.
+        events: list[ReportEvent] = []
+        for session_id, clients in fleet.items():
+            escaped = _advance_and_find_trigger(clients, t)
+            if escaped is not None:
+                trigger, state = escaped
+                events.append(ReportEvent(session_id, trigger, state))
+        if events:
+            deliver(service.report_many(events))
         if check_every > 0 and t % check_every == 0:
-            for policy, check_space, session_id, clients in zip(
-                policies, check_spaces, session_ids, fleet
+            for policy, check_space, (session_id, clients) in zip(
+                policies, check_spaces, fleet.items()
             ):
                 _assert_result_valid(
                     policy, check_space, clients, pos[session_id]
                 )
 
     session_metrics = []
-    for session_id in session_ids:
+    for session_id in fleet:
         metrics = service.session_metrics(session_id)
         metrics.timestamps = steps
         session_metrics.append(metrics)
     return ServiceRunResult(
         service=service,
-        session_ids=session_ids,
+        session_ids=list(fleet),
         session_metrics=session_metrics,
         churn_notified=churn_notified,
     )

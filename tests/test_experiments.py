@@ -11,6 +11,9 @@ from repro.experiments.figures import (
 )
 from repro.experiments.harness import format_table
 from repro.experiments.scales import BENCH, SCALES, ExperimentScale
+from repro.simulation.adaptive import AdaptiveConfig, run_adaptive_simulation
+from repro.simulation.policies import tile_policy
+from repro.workloads.datasets import DatasetSpec, build_dataset
 
 TINY = ExperimentScale(
     name="tiny",
@@ -76,3 +79,52 @@ class TestFigureBuilders:
         seen = []
         fig13_group_size(scale=TINY, group_sizes=(2,), progress=seen.append)
         assert len(seen) == 3  # one per policy
+
+
+class TestSection7Referee:
+    """The §7 numbers, pinned as literals: whichever driver plays the
+    groups, every row's integer measures must come out unchanged."""
+
+    def test_fig13_rows_pinned(self):
+        rows = fig13_group_size(scale=TINY).rows
+        assert [
+            (r.method, r.x_label, r.update_events, r.packets) for r in rows
+        ] == [
+            ("Circle", "2", 6, 29),
+            ("Tile", "2", 8, 39),
+            ("Tile-D", "2", 3, 14),
+            ("Circle", "3", 41, 326),
+            ("Tile", "3", 45, 358),
+            ("Tile-D", "3", 24, 190),
+            ("Circle", "4", 41, 448),
+            ("Tile", "4", 45, 492),
+            ("Tile-D", "4", 25, 272),
+        ]
+
+    def test_fig16_rows_pinned(self):
+        rows = fig16_buffering(scale=TINY).rows
+        assert [
+            (r.method, r.x_label, r.update_events, r.packets) for r in rows
+        ] == [
+            (method, b, 3, 14)
+            for b in ("10", "25", "50", "75", "100")
+            for method in ("Tile-D", "Tile-D-b")
+        ]
+
+    def test_adaptive_alpha_history_pinned(self):
+        dataset = build_dataset(
+            DatasetSpec(
+                name="geolife", n_pois=300, n_trajectories=3, n_timestamps=200
+            )
+        )
+        metrics, controller = run_adaptive_simulation(
+            tile_policy(alpha=6, split_level=1),
+            dataset.trajectories,
+            dataset.tree,
+            AdaptiveConfig(alpha_min=2, alpha_max=16, target_interval=5.0),
+        )
+        assert controller.history == [
+            6, 4, 4, 4, 4, 7, 10, 15, 16, 16, 16, 16, 16, 16, 16, 16, 16,
+            16, 16, 16, 16, 12, 9, 7, 5, 4, 4, 4, 4, 4, 3, 2, 2,
+        ]
+        assert (metrics.update_events, metrics.packets_total) == (33, 262)

@@ -1,35 +1,36 @@
-"""Tests for the multi-group server and dynamic POI updates."""
+"""Multi-group serving on one shared index, and dynamic POI updates.
+
+Lemma-1 insertion, deletion of a meeting point, and the batch that
+recomputes each invalidated session once — all through
+:class:`repro.service.MPNService`.
+"""
 
 import pytest
 
 from repro.gnn.aggregate import Aggregate
 from repro.gnn.bruteforce import brute_force_gnn
 from repro.geometry.point import Point
-from repro.simulation.multigroup import MultiGroupServer, sum_verify_regions
+from repro.service import MPNService
+from repro.service.session import sum_verify_regions
 from repro.simulation.policies import circle_policy, tile_policy
 from repro.workloads.poi import build_poi_tree, uniform_pois
 from tests.conftest import SMALL_WORLD, random_users
 
-# The shim's DeprecationWarning is under test in
-# tests/test_shim_deprecation.py; here it is just noise.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-
 @pytest.fixture
 def server():
     pois = uniform_pois(300, SMALL_WORLD, seed=8)
-    return MultiGroupServer(build_poi_tree(pois)), pois
+    return MPNService(build_poi_tree(pois)), pois
 
 
 def _current_pois(server):
     return [e.point for e in server.tree.entries()]
 
 
-def _assert_group_result_exact(server, group_id, rng, samples=40):
+def _assert_group_result_exact(server, session_id, rng, samples=40):
     """The headline invariant: sampled instances inside the group's
     regions keep its cached meeting point optimal over the CURRENT
     POI set."""
-    session = server.session(group_id)
+    session = server.session(session_id)
     pois = _current_pois(server)
     objective = session.policy.objective
     for _ in range(samples):
@@ -45,7 +46,7 @@ def _assert_group_result_exact(server, group_id, rng, samples=40):
 class TestGroupLifecycle:
     def test_register_computes_result(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         session = srv.session(gid)
         assert session.po is not None
         assert len(session.regions) == 3
@@ -53,25 +54,25 @@ class TestGroupLifecycle:
 
     def test_multiple_groups_independent(self, server, rng):
         srv, _ = server
-        a = srv.register_group(random_users(rng, 2), circle_policy())
-        b = srv.register_group(random_users(rng, 3), tile_policy(alpha=4))
-        assert srv.group_ids() == [a, b]
+        a = srv.open_session(random_users(rng, 2), circle_policy()).session_id
+        b = srv.open_session(random_users(rng, 3), tile_policy(alpha=4)).session_id
+        assert srv.session_ids() == [a, b]
         assert len(srv.session(a).regions) == 2
         assert len(srv.session(b).regions) == 3
-        srv.unregister_group(a)
-        assert srv.group_ids() == [b]
+        srv.close_session(a)
+        assert srv.session_ids() == [b]
 
-    def test_report_locations_validates_count(self, server, rng):
+    def test_update_locations_validates_count(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         with pytest.raises(ValueError):
-            srv.report_locations(gid, random_users(rng, 2))
+            srv.update_locations(gid, random_users(rng, 2))
 
-    def test_report_locations_refreshes(self, server, rng):
+    def test_update_locations_refreshes(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(random_users(rng, 2), circle_policy())
-        po, regions = srv.report_locations(gid, random_users(rng, 2))
-        assert po == srv.session(gid).po
+        gid = srv.open_session(random_users(rng, 2), circle_policy()).session_id
+        notification = srv.update_locations(gid, random_users(rng, 2))
+        assert notification.po == srv.session(gid).po
         assert srv.session(gid).metrics.update_events == 2
 
 
@@ -79,18 +80,17 @@ class TestPoiInsertion:
     def test_far_poi_invalidates_nobody(self, server, rng):
         srv, _ = server
         users = [Point(100, 100), Point(150, 120)]
-        gid = srv.register_group(users, circle_policy())
-        invalidated = srv.add_poi(Point(10_000.0, 10_000.0))
-        assert invalidated == []
+        gid = srv.open_session(users, circle_policy()).session_id
+        assert srv.add_poi(Point(10_000.0, 10_000.0)) == []
         _assert_group_result_exact(srv, gid, rng)
 
     def test_poi_at_group_center_invalidates(self, server, rng):
         srv, _ = server
         users = [Point(100, 100), Point(200, 200)]
-        gid = srv.register_group(users, circle_policy())
+        gid = srv.open_session(users, circle_policy()).session_id
         # A venue right between the users beats any existing one.
-        invalidated = srv.add_poi(Point(150, 150))
-        assert gid in invalidated
+        notified = [n.session_id for n in srv.add_poi(Point(150, 150))]
+        assert gid in notified
         assert srv.session(gid).po == Point(150, 150)
         _assert_group_result_exact(srv, gid, rng)
 
@@ -98,7 +98,7 @@ class TestPoiInsertion:
         """Whether or not groups get recomputed, the invariant holds."""
         srv, _ = server
         gids = [
-            srv.register_group(random_users(rng, 3), circle_policy())
+            srv.open_session(random_users(rng, 3), circle_policy()).session_id
             for _ in range(4)
         ]
         for _ in range(15):
@@ -108,18 +108,18 @@ class TestPoiInsertion:
 
     def test_insertion_with_tile_regions(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(
+        gid = srv.open_session(
             random_users(rng, 3), tile_policy(alpha=5, split_level=1)
-        )
+        ).session_id
         for _ in range(10):
             srv.add_poi(SMALL_WORLD.sample(rng))
         _assert_group_result_exact(srv, gid, rng, samples=25)
 
     def test_insertion_sum_objective(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(
+        gid = srv.open_session(
             random_users(rng, 3), circle_policy(Aggregate.SUM)
-        )
+        ).session_id
         for _ in range(10):
             srv.add_poi(SMALL_WORLD.sample(rng))
         _assert_group_result_exact(srv, gid, rng, samples=25)
@@ -133,26 +133,25 @@ class TestPoiDeletion:
 
     def test_removing_non_result_invalidates_nobody(self, server, rng):
         srv, pois = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         victim = next(p for p in pois if p != srv.session(gid).po)
-        invalidated = srv.remove_poi(victim)
-        assert invalidated == []
+        assert srv.remove_poi(victim) == []
         assert srv.session(gid).metrics.update_events == 1
         _assert_group_result_exact(srv, gid, rng)
 
     def test_removing_result_recomputes(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         old_po = srv.session(gid).po
-        invalidated = srv.remove_poi(old_po)
-        assert gid in invalidated
+        notified = [n.session_id for n in srv.remove_poi(old_po)]
+        assert gid in notified
         assert srv.session(gid).po != old_po
         _assert_group_result_exact(srv, gid, rng)
 
     def test_mass_churn_keeps_guarantee(self, server, rng):
         srv, pois = server
         gids = [
-            srv.register_group(random_users(rng, 2), circle_policy())
+            srv.open_session(random_users(rng, 2), circle_policy()).session_id
             for _ in range(3)
         ]
         alive = list(pois)
@@ -171,7 +170,7 @@ class TestPoiDeletion:
 class TestBatchedPoiUpdates:
     def test_batch_applies_all_updates(self, server, rng):
         srv, pois = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         victims = [p for p in pois if p != srv.session(gid).po][:5]
         adds = [(SMALL_WORLD.sample(rng), None) for _ in range(5)]
         srv.update_pois(adds=adds, removes=[(v, None) for v in victims])
@@ -183,16 +182,16 @@ class TestBatchedPoiUpdates:
 
     def test_batch_recomputes_each_group_once(self, server, rng):
         srv, _ = server
-        gid = srv.register_group(random_users(rng, 3), circle_policy())
+        gid = srv.open_session(random_users(rng, 3), circle_policy()).session_id
         po = srv.session(gid).po
         before = srv.session(gid).metrics.update_events
         # Removing the result AND dropping a POI on the group both
         # invalidate it; the batch must recompute it a single time.
         center = srv.session(gid).regions[0].sample(rng)
-        invalidated = srv.update_pois(
+        notifications = srv.update_pois(
             adds=[(center, None)], removes=[(po, None)]
         )
-        assert invalidated == [gid]
+        assert [n.session_id for n in notifications] == [gid]
         assert srv.session(gid).metrics.update_events == before + 1
         _assert_group_result_exact(srv, gid, rng)
 

@@ -11,8 +11,10 @@ from repro.mobility.network import NetworkParams, build_road_network
 from repro.network_ext.ball import NetworkBall
 from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.gnn import network_gnn
-from repro.network_ext.monitor import network_trajectory, run_network_simulation
+from repro.network_ext.monitor import network_trajectory
 from repro.network_ext.space import NetworkPosition, NetworkSpace
+from repro.simulation import net_circle_policy, run_service
+from repro.space.network import NetworkPOISpace
 
 WORLD = Rect(0, 0, 1000, 1000)
 
@@ -237,12 +239,16 @@ class TestNetworkSimulation:
         trajectories = [
             network_trajectory(space, 120, speed=15.0, rng=rng) for _ in range(3)
         ]
-        metrics = run_network_simulation(
-            space, pois, trajectories, check_every=10
+        result = run_service(
+            [trajectories],
+            net_circle_policy(),
+            NetworkPOISpace(space, pois),
+            check_every=10,
         )
+        metrics = result.session_metrics[0]
         assert metrics.update_events >= 1
         assert metrics.packets_total > 0
 
     def test_empty_group_raises(self, space, pois):
-        with pytest.raises(ValueError):
-            run_network_simulation(space, pois, [])
+        with pytest.raises(ValueError, match="need at least one trajectory"):
+            run_service([[]], net_circle_policy(), NetworkPOISpace(space, pois))

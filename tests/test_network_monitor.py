@@ -1,4 +1,4 @@
-"""Tests for the network monitoring loop (both region methods)."""
+"""Road-network groups through ``run_service`` (both region methods)."""
 
 import random
 
@@ -6,8 +6,14 @@ import pytest
 
 from repro.geometry.rect import Rect
 from repro.mobility.network import NetworkParams, build_road_network
-from repro.network_ext import NetworkSpace, run_network_simulation
-from repro.network_ext.monitor import network_trajectory
+from repro.network_ext import NetworkSpace, network_trajectory
+from repro.simulation import (
+    circle_policy,
+    net_circle_policy,
+    net_tile_policy,
+    run_service,
+)
+from repro.space.network import NetworkPOISpace
 
 WORLD = Rect(0, 0, 2000, 2000)
 
@@ -24,37 +30,39 @@ def setup():
     return space, pois, trajectories
 
 
+def run_network_group(setup, policy, check_every=0):
+    space, pois, trajectories = setup
+    result = run_service(
+        [trajectories],
+        policy,
+        NetworkPOISpace(space, pois),
+        check_every=check_every,
+    )
+    return result.session_metrics[0]
+
+
 class TestNetworkMonitor:
-    def test_unknown_method_rejected(self, setup):
-        space, pois, trajectories = setup
-        with pytest.raises(ValueError):
-            run_network_simulation(space, pois, trajectories, method="square")
+    def test_euclidean_strategy_rejected(self, setup):
+        with pytest.raises(ValueError, match="serves euclidean spaces"):
+            run_network_group(setup, circle_policy())
 
     def test_circle_method_with_checks(self, setup):
-        space, pois, trajectories = setup
-        metrics = run_network_simulation(
-            space, pois, trajectories, check_every=10, method="circle"
-        )
+        metrics = run_network_group(setup, net_circle_policy(), check_every=10)
         assert metrics.update_events >= 1
-        assert metrics.messages_up >= len(trajectories)
+        assert metrics.messages_up >= len(setup[2])
 
     def test_tile_method_with_checks(self, setup):
-        space, pois, trajectories = setup
-        metrics = run_network_simulation(
-            space, pois, trajectories, check_every=10, method="tile"
-        )
+        metrics = run_network_group(setup, net_tile_policy(), check_every=10)
         assert metrics.update_events >= 1
 
     def test_tile_updates_not_worse_than_circle(self, setup):
         """Recursive partitions extend balls, so they cannot trigger
         more updates on the same trajectories."""
-        space, pois, trajectories = setup
-        circle = run_network_simulation(space, pois, trajectories, method="circle")
-        tile = run_network_simulation(space, pois, trajectories, method="tile")
+        circle = run_network_group(setup, net_circle_policy())
+        tile = run_network_group(setup, net_tile_policy())
         assert tile.update_events <= circle.update_events
 
     def test_region_values_accounted(self, setup):
-        space, pois, trajectories = setup
-        metrics = run_network_simulation(space, pois, trajectories)
+        metrics = run_network_group(setup, net_circle_policy())
         assert metrics.region_values_sent > 0
-        assert metrics.packets_down >= metrics.update_events * len(trajectories)
+        assert metrics.packets_down >= metrics.update_events * len(setup[2])

@@ -1,11 +1,12 @@
 """Equivalence regression: the old network loop vs. the service path.
 
-``run_network_simulation`` used to be a self-contained network-native
-monitoring loop; it is now a deprecated shim that opens a
-``net_circle`` / ``net_tile`` session on :class:`MPNService`.  This
-file keeps a verbatim copy of the legacy implementation (instrumented
-to record its notification sequence) and holds the service path to
-**bit-identical** behavior on seeded workloads:
+Road-network groups used to run in a self-contained network-native
+monitoring loop; they are now ``net_circle`` / ``net_tile`` sessions
+on :class:`MPNService`, driven like any other group by
+:func:`repro.simulation.run_service`.  This file keeps a verbatim copy
+of the legacy loop (instrumented to record its notification sequence)
+as the reference, and holds the service path to **bit-identical**
+behavior on seeded workloads:
 
 * the same escape events at the same timestamps, triggered by the same
   members;
@@ -21,7 +22,6 @@ import random
 import pytest
 
 from repro.gnn.aggregate import Aggregate
-from repro.network_ext import run_network_simulation
 from repro.network_ext.ball import NetworkBall
 from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.gnn import network_gnn
@@ -29,6 +29,7 @@ from repro.network_ext.monitor import network_trajectory
 from repro.network_ext.space import NetworkSpace
 from repro.network_ext.tile_msr import network_tile_msr
 from repro.service import MemberState, MPNService
+from repro.simulation import run_service
 from repro.simulation.messages import (
     location_update,
     probe_request,
@@ -66,7 +67,7 @@ def region_signature(region):
     )
 
 
-def legacy_run_network_simulation(
+def legacy_network_loop(
     space,
     pois,
     trajectories,
@@ -74,7 +75,7 @@ def legacy_run_network_simulation(
     check_every=0,
     method="circle",
 ):
-    """The pre-shim implementation, verbatim, plus an event recorder.
+    """The legacy network loop, verbatim, plus an event recorder.
 
     Events are ``(t, trigger_member, po, region signatures, wire
     values)`` — ``trigger_member`` is None for the registration round.
@@ -157,7 +158,7 @@ def legacy_run_network_simulation(
     return metrics, events
 
 
-def service_run_network_simulation(
+def service_network_loop(
     space, pois, trajectories, objective, method
 ):
     """The new serving path, recording the same event tuples."""
@@ -225,39 +226,32 @@ class TestShimEquivalence:
         self, workload, method, objective
     ):
         space, pois, trajectories = workload
-        _, legacy_events = legacy_run_network_simulation(
+        _, legacy_events = legacy_network_loop(
             space, pois, trajectories, objective, method=method
         )
-        _, service_events = service_run_network_simulation(
+        _, service_events = service_network_loop(
             space, pois, trajectories, objective, method
         )
         assert len(legacy_events) > 1  # the workload actually escapes
         assert service_events == legacy_events
 
-    def test_shim_metrics_match_legacy_counters(
+    def test_run_service_metrics_match_legacy_counters(
         self, workload, method, objective
     ):
         space, pois, trajectories = workload
-        legacy_metrics, _ = legacy_run_network_simulation(
+        legacy_metrics, _ = legacy_network_loop(
             space, pois, trajectories, objective, check_every=10, method=method
         )
-        with pytest.warns(DeprecationWarning):
-            shim_metrics = run_network_simulation(
-                space, pois, trajectories, objective,
-                check_every=10, method=method,
-            )
+        policy = (
+            net_circle_policy(objective)
+            if method == "circle"
+            else net_tile_policy(objective)
+        )
+        result = run_service(
+            [trajectories], policy, NetworkPOISpace(space, pois), check_every=10
+        )
+        service_metrics = result.session_metrics[0]
         for counter in LEGACY_COUNTERS:
-            assert getattr(shim_metrics, counter) == getattr(
+            assert getattr(service_metrics, counter) == getattr(
                 legacy_metrics, counter
             ), counter
-
-
-class TestShimSurface:
-    def test_validation_preserved(self, workload):
-        space, pois, trajectories = workload
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                run_network_simulation(space, pois, trajectories, method="square")
-        with pytest.raises(ValueError):
-            with pytest.warns(DeprecationWarning):
-                run_network_simulation(space, pois, [])

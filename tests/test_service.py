@@ -18,8 +18,6 @@ from repro.service import (
     unregister_strategy,
 )
 from repro.simulation import (
-    MPNServer,
-    MultiGroupServer,
     circle_policy,
     custom_policy,
     periodic_policy,
@@ -256,30 +254,33 @@ class TestPolicyUpdate:
             service.update_policy(handle.session_id, periodic_policy())
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestShims:
-    def test_mpnserver_resolves_strategy_once(self, service):
-        server = MPNServer(service.tree, circle_policy())
-        first = server.strategy
-        server.compute([Point(100, 100), Point(200, 200)])
-        assert server.strategy is first
+class TestStrategyResolvedOnce:
+    def test_report_keeps_the_session_strategy(self, service):
+        handle = service.open_session(
+            [Point(100, 100), Point(200, 200)], circle_policy()
+        )
+        first = service.session(handle.session_id).strategy
+        notification = service.report(handle.session_id, 0, Point(900, 900))
+        assert notification is not None  # the report escaped: a recompute
+        assert service.session(handle.session_id).strategy is first
 
-    def test_multigroup_unknown_session_error(self):
-        pois = uniform_pois(100, SMALL_WORLD, seed=3)
-        server = MultiGroupServer(build_poi_tree(pois))
-        with pytest.raises(UnknownSessionError):
-            server.unregister_group(42)
-        with pytest.raises(UnknownSessionError):
-            server.session(42)
-        # Pre-existing callers caught KeyError; that still works.
-        with pytest.raises(KeyError):
-            server.session(42)
+    def test_refresh_and_churn_keep_the_session_strategy(self, service, rng):
+        sid = service.open_session(
+            random_users(rng, 2), circle_policy()
+        ).session_id
+        strategy = service.session(sid).strategy
+        service.update_locations(sid, random_users(rng, 2))
+        service.add_poi(SMALL_WORLD.sample(rng))
+        assert service.session(sid).strategy is strategy
 
-    def test_multigroup_session_strategy_hoisted(self, rng):
-        pois = uniform_pois(100, SMALL_WORLD, seed=3)
-        server = MultiGroupServer(build_poi_tree(pois))
-        gid = server.register_group(random_users(rng, 2), circle_policy())
-        strategy = server.session(gid).strategy
-        server.report_locations(gid, random_users(rng, 2))
-        server.add_poi(SMALL_WORLD.sample(rng))
-        assert server.session(gid).strategy is strategy
+
+class TestNoDeprecationWarning:
+    def test_mpnservice_does_not_warn(self, rng):
+        """The serving facade itself must stay warning-clean."""
+        import warnings
+
+        pois = uniform_pois(120, SMALL_WORLD, seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            fresh = MPNService(build_poi_tree(pois))
+            fresh.open_session(random_users(rng, 2), circle_policy())

@@ -11,8 +11,10 @@ import pytest
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.mobility.trajectory import Trajectory
+from repro.service import MPNService
 from repro.simulation.client import SimClient
-from repro.simulation.engine import run_groups, run_simulation
+from repro.simulation.adaptive import run_adaptive_simulation
+from repro.simulation.engine import run_groups, run_service, run_simulation
 from repro.simulation.policies import (
     circle_policy,
     periodic_policy,
@@ -20,7 +22,6 @@ from repro.simulation.policies import (
     tile_d_policy,
     tile_policy,
 )
-from repro.simulation.server import MPNServer
 from repro.workloads.datasets import DatasetSpec, build_dataset
 
 
@@ -61,23 +62,18 @@ class TestSimClient:
         assert client.theta is None
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestServer:
-    def test_periodic_policy_rejected(self, small_dataset):
-        with pytest.raises(ValueError):
-            MPNServer(small_dataset.tree, periodic_policy())
-
     def test_circle_response(self, small_dataset):
-        server = MPNServer(small_dataset.tree, circle_policy())
+        service = MPNService(small_dataset.tree)
         users = [Point(100, 100), Point(200, 150)]
-        response = server.compute(users)
+        response = service.open_session(users, circle_policy()).notification
         assert len(response.regions) == 2
-        assert response.region_values == [3, 3]
+        assert response.region_values == (3, 3)
 
     def test_tile_response_compressed_values(self, small_dataset):
-        server = MPNServer(small_dataset.tree, tile_policy(alpha=5))
+        service = MPNService(small_dataset.tree)
         users = [Point(100, 100), Point(200, 150)]
-        response = server.compute(users)
+        response = service.open_session(users, tile_policy(alpha=5)).notification
         assert len(response.regions) == 2
         assert all(v >= 4 for v in response.region_values)
 
@@ -163,3 +159,24 @@ class TestEngine:
             circle_policy(), group, small_dataset.tree, n_timestamps=60
         )
         assert metrics.server_cpu_seconds > 0.0
+
+
+class TestDriverInputChecks:
+    """Every driver validates its groups and playback length alike."""
+
+    def test_adaptive_rejects_an_empty_group(self, small_dataset):
+        with pytest.raises(ValueError, match="need at least one trajectory"):
+            run_adaptive_simulation(tile_policy(), [], small_dataset.tree)
+
+    def test_adaptive_rejects_zero_timestamps(self, small_dataset):
+        with pytest.raises(ValueError, match="need at least one timestamp"):
+            run_adaptive_simulation(
+                tile_policy(),
+                small_dataset.trajectories[:2],
+                small_dataset.tree,
+                n_timestamps=0,
+            )
+
+    def test_run_service_rejects_an_empty_group(self, small_dataset):
+        with pytest.raises(ValueError, match="need at least one trajectory"):
+            run_service([[]], circle_policy(), small_dataset.tree)
