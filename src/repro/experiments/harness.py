@@ -21,7 +21,14 @@ class SweepPoint:
 
 @dataclass
 class ExperimentRow:
-    """One (method, x-value) cell with the paper's three measures."""
+    """One (method, x-value) cell with the paper's three measures.
+
+    ``cpu_seconds`` is the server wall clock charged to each group's
+    session for its recomputations, averaged over the groups: per wave,
+    the session's equal share of that wave's wall clock.  The §7 harness
+    plays one group per service, so every share is a whole one-session
+    computation.
+    """
 
     method: str
     x_label: str

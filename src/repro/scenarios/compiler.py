@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,8 +52,9 @@ class OpenEvent:
 
     session_id: int
     cohort: str
-    policy: str  # policy-mix entry name; resolve via spec.resolve_policy
+    policy: Any  # policy-mix entry name or Policy; spec.resolve_policy
     positions: tuple
+    space: Any = field(default=None, repr=False)  # None: backend default
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,8 @@ class MoveEvent:
 
     session_id: int
     positions: tuple
+    # Per member (heading, theta) for directed tile orderings, or None.
+    directions: Optional[tuple] = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -73,7 +76,7 @@ class TickEvents:
     """
 
     tick: int
-    churn: Optional[tuple[tuple, tuple]]  # (adds, removes) or None
+    churn: Optional[tuple]  # (adds, removes[, space]) or None
     opens: tuple[OpenEvent, ...]
     moves: tuple[MoveEvent, ...]
     closes: tuple[int, ...]
@@ -148,6 +151,10 @@ class CompiledScenario:
         self._net_space = None
         self._nodes: list = []
         self._node_pos: dict = {}
+
+    @property
+    def name(self) -> str:
+        return self.spec.name
 
     @staticmethod
     def _build_schedule(spec: ScenarioSpec) -> list[_ScheduleEntry]:

@@ -1,14 +1,16 @@
-"""Stream a compiled scenario through any ``ServiceBackend``.
+"""Stream a tick stream through any ``ServiceBackend``.
 
-The runner owns the client side of the fleet: it consumes the
-compiler's kinematic tick stream, keeps each live session's assigned
-safe regions, detects escapes client-side (the first escaped member of
-a group reports, exactly like :func:`repro.simulation.run_service`'s
-clients), and drives the backend with the batched dispatch surface —
-one ``report_many`` wave per tick, one ``update_pois`` batch per churn
-event.  Because everything the backend sees is derived from the
-backend-independent stream plus the backend's own notifications, any
-two bit-identical backends produce bit-identical runs.
+The runner owns the client side of the fleet: it consumes a kinematic
+tick stream (the compiler's, or the §7 drivers'
+:class:`repro.simulation.TrajectoryGroups`), keeps each live session's
+assigned safe regions, detects escapes client-side (the first escaped
+member of a group reports), and drives the backend with the batched
+dispatch surface — one ``report_many`` wave per tick, one
+``update_pois`` batch per churn event.  It is the one loop that turns
+escapes into waves.  Because everything the backend sees is derived
+from the backend-independent stream plus the backend's own
+notifications, any two bit-identical backends produce bit-identical
+runs.
 
 Exactness spot-checks: a seeded sample of sessions is recorded (their
 opens, their report events with the probe states that were shipped,
@@ -27,12 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.scenarios.compiler import (
-    KEY_SPOT_CHECK,
-    CompiledScenario,
-    compile_spec,
-    derive_rng,
-)
+from repro.scenarios.compiler import KEY_SPOT_CHECK, compile_spec, derive_rng
 from repro.scenarios.recorder import ScenarioRecorder
 from repro.scenarios.spec import ScenarioSpec, resolve_policy
 from repro.service.api import encode_position
@@ -100,10 +97,9 @@ class ScenarioResult:
 class _Session:
     """The runner's client-side view of one live session."""
 
-    __slots__ = ("positions", "regions", "sampled")
+    __slots__ = ("regions", "sampled")
 
-    def __init__(self, positions, regions, sampled: bool):
-        self.positions = list(positions)
+    def __init__(self, regions, sampled: bool):
         self.regions = regions
         self.sampled = sampled
 
@@ -147,8 +143,7 @@ class _SpotCheck:
         for entry in self.log:
             op = entry[0]
             if op == "churn":
-                _, adds, removes = entry
-                for note in service.update_pois(adds=adds, removes=removes):
+                for note in service.update_pois(*entry[1:]):
                     replay_keys[note.session_id].append(
                         notification_key(note)
                     )
@@ -190,7 +185,7 @@ class _SpotCheck:
 
 
 def run_scenario(
-    spec_or_compiled,
+    spec_or_stream,
     backend,
     *,
     recorder: Optional[ScenarioRecorder] = None,
@@ -201,24 +196,29 @@ def run_scenario(
 ) -> ScenarioResult:
     """Stream the scenario through ``backend``; return the run's result.
 
-    ``spot_check_fraction`` > 0 samples that fraction of sessions (up
-    to ``spot_check_cap``) for the replay exactness check.
-    ``collect_notifications`` keeps the full ``(tick, key)`` log —
-    equivalence tests only; it defeats the memory bound at fleet scale.
+    ``spec_or_stream`` is a :class:`ScenarioSpec` (compiled here) or
+    any stream with a ``name`` and ``ticks()`` yielding
+    :class:`~repro.scenarios.compiler.TickEvents` numbered like the
+    backend's sessions.  ``spot_check_fraction`` > 0 samples that
+    fraction of sessions (up to ``spot_check_cap``) for the replay
+    exactness check, which rebuilds the space from a compiled stream's
+    ``spec``.  ``collect_notifications`` keeps the full ``(tick, key)``
+    log — equivalence tests only; it defeats the memory bound at fleet
+    scale.
     """
-    compiled: CompiledScenario = (
-        spec_or_compiled
-        if isinstance(spec_or_compiled, CompiledScenario)
-        else compile_spec(spec_or_compiled)
+    stream = (
+        compile_spec(spec_or_stream)
+        if isinstance(spec_or_stream, ScenarioSpec)
+        else spec_or_stream
     )
-    spec = compiled.spec
     spot = (
-        _SpotCheck(spec, spot_check_fraction, spot_check_cap)
+        _SpotCheck(stream.spec, spot_check_fraction, spot_check_cap)
         if spot_check_fraction > 0.0
         else None
     )
     sessions: dict[int, _Session] = {}
     notification_log: Optional[list] = [] if collect_notifications else None
+    ticks = total_opened = peak_live = 0
     total_waves = 0
     total_notes = 0
     total_churn_notes = 0
@@ -248,19 +248,17 @@ def run_scenario(
                 (tick, key if key is not None else notification_key(note))
             )
 
-    for events in compiled.ticks():
+    for events in stream.ticks():
+        ticks += 1
         stats = recorder.begin_tick(events.tick) if recorder else None
         notes_before = total_notes
         churn_before = total_churn_notes
 
         # 1. POI churn: the world changes under every live session.
         if events.churn is not None:
-            adds, removes = events.churn
             if spot is not None:
-                spot.log.append(("churn", adds, removes))
-            for note in timed(
-                stats, backend.update_pois, adds=adds, removes=removes
-            ):
+                spot.log.append(("churn", *events.churn))
+            for note in timed(stats, backend.update_pois, *events.churn):
                 deliver(note, events.tick, churn=True)
 
         # 2. Group formation: open this tick's new sessions.
@@ -272,7 +270,9 @@ def run_scenario(
                 spot.log.append(
                     ("open", ev.session_id, ev.positions, ev.policy)
                 )
-            handle = timed(stats, backend.open_session, members, policy)
+            handle = timed(
+                stats, backend.open_session, members, policy, space=ev.space
+            )
             if handle.session_id != ev.session_id:
                 raise RuntimeError(
                     f"backend numbered session {handle.session_id}, "
@@ -280,10 +280,12 @@ def run_scenario(
                     "not fresh (sessions were opened outside the scenario)"
                 )
             sessions[ev.session_id] = _Session(
-                ev.positions, handle.notification.regions, sampled
+                handle.notification.regions, sampled
             )
             deliver(handle.notification, events.tick, churn=False)
 
+        total_opened += len(events.opens)
+        peak_live = max(peak_live, len(sessions))
         if stats:
             stats.opens = len(events.opens)
             stats.live = len(sessions)
@@ -292,7 +294,6 @@ def run_scenario(
         wave: list[ReportEvent] = []
         for move in events.moves:
             state = sessions[move.session_id]
-            state.positions = list(move.positions)
             trigger = None
             for m, position in enumerate(move.positions):
                 if not state.regions[m].contains_point(position, escape_eps):
@@ -300,15 +301,30 @@ def run_scenario(
                     break
             if trigger is None:
                 continue
-            probes = tuple(
-                (j, MemberState(move.positions[j]))
-                for j in range(len(move.positions))
-                if j != trigger
-            )
+            if move.directions is None:
+                reporter = MemberState(move.positions[trigger])
+                probes = tuple(
+                    (j, MemberState(move.positions[j]))
+                    for j in range(len(move.positions))
+                    if j != trigger
+                )
+            else:
+                states = [
+                    MemberState(p, heading, theta)
+                    for p, (heading, theta) in zip(
+                        move.positions, move.directions
+                    )
+                ]
+                reporter = states[trigger]
+                probes = tuple(
+                    (j, member)
+                    for j, member in enumerate(states)
+                    if j != trigger
+                )
             event = ReportEvent(
                 session_id=move.session_id,
                 member_id=trigger,
-                state=MemberState(move.positions[trigger]),
+                state=reporter,
                 probes=probes,
             )
             wave.append(event)
@@ -359,10 +375,10 @@ def run_scenario(
 
     elapsed = time.perf_counter() - started
     return ScenarioResult(
-        spec_name=spec.name,
-        ticks=spec.ticks,
-        total_opened=compiled.total_opened,
-        peak_live=compiled.peak_live,
+        spec_name=stream.name,
+        ticks=ticks,
+        total_opened=total_opened,
+        peak_live=peak_live,
         total_wave_events=total_waves,
         total_notifications=total_notes,
         total_churn_notifications=total_churn_notes,

@@ -47,8 +47,11 @@ EUCLIDEAN_POLICIES = ("circle", "tile")
 NETWORK_POLICIES = ("net_circle", "net_tile")
 
 
-def resolve_policy(name: str) -> Policy:
-    """The :class:`Policy` object a spec's policy-mix entry names."""
+def resolve_policy(name: Union[str, Policy]) -> Policy:
+    """The :class:`Policy` object a spec's policy-mix entry names (a
+    :class:`Policy` passes through)."""
+    if isinstance(name, Policy):
+        return name
     try:
         return POLICY_FACTORIES[name]()
     except KeyError:

@@ -8,7 +8,9 @@ everyone of the new optimal meeting point and their new safe regions.
 Message and packet accounting follows the paper's model (576-byte MTU,
 40-byte header, 67 doubles per packet).
 
-:func:`run_service` plays fleets through one ``report_many`` tick
+:func:`run_service` plays fleets of fixed trajectory groups — a
+:class:`TrajectoryGroups` tick stream — through
+:func:`repro.scenarios.run_scenario`, the one ``report_many`` tick
 loop; :func:`run_simulation` is its one-group case, and
 :func:`run_adaptive_simulation` retunes one session between rounds.
 """
@@ -32,10 +34,10 @@ from repro.simulation.policies import (
     tile_d_policy,
     tile_d_b_policy,
 )
-from repro.simulation.client import SimClient
 from repro.simulation.engine import (
     SafeRegionViolation,
     ServiceRunResult,
+    TrajectoryGroups,
     run_groups,
     run_service,
     run_simulation,
@@ -63,12 +65,12 @@ __all__ = [
     "tile_policy",
     "tile_d_policy",
     "tile_d_b_policy",
-    "SimClient",
     "SafeRegionViolation",
     "run_simulation",
     "run_groups",
     "run_service",
     "ServiceRunResult",
+    "TrajectoryGroups",
     "AdaptiveAlphaController",
     "AdaptiveConfig",
     "run_adaptive_simulation",

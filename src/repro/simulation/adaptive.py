@@ -18,27 +18,24 @@ increase/decrease rule on the *observed inter-update interval*:
   usefulness; shrink alpha and save CPU;
 * an optional hard ``cpu_budget`` per update overrides growth.
 
-The driver retunes the session through
-:meth:`repro.service.MPNService.update_policy` before each
-recomputation — the alpha swap is a policy update on a live session,
-not a new server.
+The driver plays its one group as a
+:class:`~repro.simulation.engine.TrajectoryGroups` stream through
+:func:`repro.scenarios.run_scenario`, like every other session-based
+run.  A thin proxy around the service retunes the session through
+:meth:`repro.service.MPNService.update_policy` before each of its
+waves and feeds the controller after it — the alpha swap is a policy
+update on a live session, not a new server.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.index.backend import SpatialIndex
 from repro.mobility.trajectory import Trajectory
 from repro.service.service import MPNService
-from repro.simulation.engine import (
-    _advance_and_find_trigger,
-    _deliver,
-    _make_clients,
-    _open_group_session,
-    _steps,
-)
+from repro.simulation.engine import TrajectoryGroups, _steps
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
 
@@ -89,6 +86,43 @@ class AdaptiveAlphaController:
         return self.alpha
 
 
+class _Retuned:
+    """:func:`run_adaptive_simulation`'s backend: before each wave of
+    its one session, the policy takes the controller's alpha; after it,
+    the controller observes the interval since the last wave and the
+    wave's server time.  Everything else passes through."""
+
+    def __init__(
+        self,
+        service: MPNService,
+        stream: TrajectoryGroups,
+        controller: AdaptiveAlphaController,
+        tuned_policy: Callable[[], Policy],
+    ):
+        self._service = service
+        self._stream = stream
+        self._controller = controller
+        self._tuned_policy = tuned_policy
+        self._last_update_t = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self._service, name)
+
+    def report_many(self, events):
+        (event,) = events
+        self._service.update_policy(event.session_id, self._tuned_policy())
+        metrics = self._service.session_metrics(event.session_id)
+        cpu_before = metrics.server_cpu_seconds
+        notifications = self._service.report_many(events)
+        t = self._stream.tick
+        self._controller.observe_update(
+            float(t - self._last_update_t),
+            metrics.server_cpu_seconds - cpu_before,
+        )
+        self._last_update_t = t
+        return notifications
+
+
 def run_adaptive_simulation(
     base_policy: Policy,
     trajectories: Sequence[Trajectory],
@@ -102,6 +136,8 @@ def run_adaptive_simulation(
     controller and the session's policy is retuned before every
     recomputation.
     """
+    from repro.scenarios.runner import run_scenario
+
     if base_policy.tile_config is None:
         raise ValueError("adaptive tuning applies to tile policies only")
     if adaptive is None:
@@ -115,27 +151,9 @@ def run_adaptive_simulation(
         config = replace(base_policy.tile_config, alpha=controller.alpha)
         return replace(base_policy, tile_config=config)
 
-    clients = _make_clients(base_policy, trajectories)
     service = MPNService(tree)
-    session_id, _ = _open_group_session(service, tuned_policy(), clients)
-    metrics = service.session_metrics(session_id)
-    last_update_t = 0
-
-    for t in range(1, steps):
-        escaped = _advance_and_find_trigger(clients, t)
-        if escaped is None:
-            continue
-        trigger, state = escaped
-        service.update_policy(session_id, tuned_policy())
-        cpu_before = metrics.server_cpu_seconds
-        notification = service.report(
-            session_id, trigger, state.point, state.heading, state.theta
-        )
-        if notification is None:  # pragma: no cover - escape implies a round
-            continue
-        _deliver(clients, notification)
-        cpu_spent = metrics.server_cpu_seconds - cpu_before
-        controller.observe_update(float(t - last_update_t), cpu_spent)
-        last_update_t = t
+    stream = TrajectoryGroups([trajectories], [tuned_policy()], steps)
+    run_scenario(stream, _Retuned(service, stream, controller, tuned_policy))
+    metrics = service.session_metrics(0)
     metrics.timestamps = steps
     return metrics, controller

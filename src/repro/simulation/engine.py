@@ -1,15 +1,15 @@
 """Trajectory drivers: playback of mobile groups against the service.
 
-The serving logic lives in :class:`repro.service.MPNService`; this
-module only *drives* it: every session-based run goes through one tick
-loop (:func:`run_service`).  A run plays groups of trajectories for
-``n_timestamps`` steps.  Whenever some client's new location escapes
-her safe region, she fires a report event and the three-step protocol
-of Fig. 3 executes inside the service: one location update from the
-trigger client, ``m - 1`` probe requests and replies, and ``m`` result
-notifications carrying the new meeting point and safe regions.  Every
-tick's escape events, fleet-wide, are served with one ``report_many``
-wave.
+The serving logic lives in :class:`repro.service.MPNService` and the
+client side in :func:`repro.scenarios.runner.run_scenario`, the one
+tick loop; this module feeds it :class:`TrajectoryGroups`, a stream of
+fixed groups of trajectories played for ``n_timestamps`` steps.
+Whenever some client's new location escapes her safe region, she fires
+a report event and the three-step protocol of Fig. 3 executes inside
+the service: one location update from the trigger client, ``m - 1``
+probe requests and replies, and ``m`` result notifications carrying the
+new meeting point and safe regions.  Every tick's escape events,
+fleet-wide, are served with one ``report_many`` wave.
 
 Setting ``check_every`` to a positive value asserts, every so many
 timestamps, that each cached meeting point still equals the exact
@@ -19,23 +19,24 @@ This is how the integration tests establish end-to-end soundness.
 :func:`run_simulation` is the one-group case (the periodic strawman
 aside, which opens no session), :func:`run_groups` averages it over
 the §7 groups, and :func:`run_service` adds interleaved groups, mixed
-spaces and POI churn against one shared index.
+spaces and POI churn against one shared index.  The runner is imported
+at call time, since ``repro.scenarios`` imports this package.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
+from repro.core.types import Ordering
 from repro.geometry.point import Point
 from repro.index.backend import SpatialIndex
+from repro.mobility.direction import DirectionPredictor
 from repro.mobility.trajectory import Trajectory
 from repro.service.api import ServiceBackend
-from repro.service.messages import MemberState, Notification, ReportEvent
 from repro.service.service import MPNService
 from repro.service.strategies import SafeRegionStrategy, get_strategy
-from repro.simulation.client import SimClient
 from repro.simulation.messages import LOCATION_UPDATE_PACKETS, notify_packets
 from repro.simulation.metrics import SimulationMetrics, average_metrics
 from repro.simulation.policies import Policy
@@ -108,78 +109,21 @@ def _run_periodic(
     return metrics
 
 
-def _make_clients(
-    policy: Policy, trajectories: Sequence[Trajectory]
-) -> list[SimClient]:
-    # ``ordering`` only exists on the Euclidean tile config; network
-    # tile configs (and custom ones) never track direction.
-    ordering = getattr(policy.tile_config, "ordering", None)
-    track_direction = ordering is not None and ordering.value == "directed"
-    return [SimClient(traj, track_direction) for traj in trajectories]
-
-
-def _client_prober(clients: Sequence[SimClient]) -> Callable[[int], MemberState]:
-    """Probe replies (step 2): read the probed client's live state."""
-
-    def prober(i: int) -> MemberState:
-        client = clients[i]
-        return MemberState(client.position, client.heading, client.theta)
-
-    return prober
-
-
-def _open_group_session(
-    service: "ServiceBackend",
-    policy: Policy,
-    clients: Sequence[SimClient],
-    space: Union[None, str, Space] = None,
-) -> tuple[int, Notification]:
-    handle = service.open_session(
-        [MemberState(c.position, c.heading, c.theta) for c in clients],
-        policy,
-        prober=_client_prober(clients),
-        space=space,
-    )
-    _deliver(clients, handle.notification)
-    return handle.session_id, handle.notification
-
-
-def _deliver(clients: Sequence[SimClient], notification: Notification) -> None:
-    """Step 3 lands client-side: each member caches her new region."""
-    for client, region in zip(clients, notification.regions):
-        client.assign_region(region)
-
-
-def _advance_and_find_trigger(
-    clients: Sequence[SimClient], t: int
-) -> Optional[tuple[int, MemberState]]:
-    """Advance one group to ``t``; the escaping member's report, if any."""
-    for client in clients:
-        client.advance(t)
-    trigger = next(
-        (i for i, c in enumerate(clients) if c.outside_region()), None
-    )
-    if trigger is None:
-        return None
-    client = clients[trigger]
-    return trigger, MemberState(client.position, client.heading, client.theta)
-
-
 def _assert_result_valid(
     policy: Policy,
     tree: Union[SpatialIndex, Space],
-    clients: Sequence[SimClient],
+    users: Sequence[object],
     current_po: object,
 ) -> None:
     """The headline guarantee: quiet users => the result is still exact.
 
     Space-generic (``tree`` is a space or a bare Euclidean index): the
     exact best aggregate distance over the space's current POI set must
-    equal the cached point's aggregate distance.  Ties are tolerated —
-    the optimal point need not be unique.
+    equal the cached point's aggregate distance at the members'
+    positions ``users``.  Ties are tolerated — the optimal point need
+    not be unique.
     """
     space = as_space(tree)
-    users = [c.position for c in clients]
     best_dist, best_poi = space.gnn(users, 1, policy.objective)[0]
     cached_dist = space.aggregate_dist(current_po, users, policy.objective)
     if cached_dist > best_dist + 1e-7:
@@ -230,6 +174,113 @@ def _no_churn(t: int) -> Optional[ChurnBatch]:
     return None
 
 
+def _observe(
+    predictors: Sequence[DirectionPredictor], positions: Sequence[Point]
+) -> tuple:
+    """Feed each member's new position; every member's (heading, theta)."""
+    for predictor, position in zip(predictors, positions):
+        predictor.observe(position)
+    return tuple((p.heading, p.theta) for p in predictors)
+
+
+class TrajectoryGroups:
+    """Fixed trajectory groups as a ``run_scenario`` tick stream.
+
+    Group ``g`` is session ``g`` of a fresh backend.  Tick 0 applies its
+    churn, then opens every group at its first positions under
+    ``policies[g]`` in ``spaces[g]``; each later tick applies its churn,
+    then moves every group.  Groups under a directed tile policy also
+    carry each member's predicted ``(heading, theta)``.  ``check(t,
+    positions)`` runs once each tick ``t >= 1`` has been served.
+    """
+
+    name = "trajectory groups"
+
+    def __init__(
+        self,
+        groups: Sequence[Sequence[Trajectory]],
+        policies: Sequence[Policy],
+        steps: int,
+        spaces: Optional[Sequence[Union[None, str, Space]]] = None,
+        churn: Callable[[int], Optional[ChurnBatch]] = _no_churn,
+        check: Optional[Callable[[int, list[tuple]], None]] = None,
+    ):
+        self.groups = groups
+        self.policies = policies
+        self.steps = steps
+        self.spaces = spaces or [None] * len(groups)
+        self.churn = churn
+        self.check = check
+        self.tick = -1  # the tick being served
+
+    def ticks(self) -> Iterator:
+        from repro.scenarios.compiler import MoveEvent, OpenEvent, TickEvents
+
+        # Only the Euclidean tile config has an ``ordering``.
+        predictors = [
+            [DirectionPredictor() for _ in group]
+            if getattr(policy.tile_config, "ordering", None) is Ordering.DIRECTED
+            else None
+            for group, policy in zip(self.groups, self.policies)
+        ]
+        for t in range(self.steps):
+            self.tick = t
+            moves = []
+            for g, (group, preds) in enumerate(zip(self.groups, predictors)):
+                pos = tuple([traj.at(t) for traj in group])
+                dirs = None if preds is None else _observe(preds, pos)
+                moves.append(MoveEvent(g, pos, dirs))
+            if t == 0:
+                opens = tuple(
+                    OpenEvent(g, self.name, policy, move.positions, space)
+                    for g, (policy, move, space) in enumerate(
+                        zip(self.policies, moves, self.spaces)
+                    )
+                )
+                yield TickEvents(t, self.churn(t), opens, (), ())
+                continue
+            yield TickEvents(t, self.churn(t), (), tuple(moves), ())
+            if self.check is not None:
+                self.check(t, [move.positions for move in moves])
+
+
+class _Fleet:
+    """:func:`run_service`'s backend proxy: it keeps each session's
+    meeting point and the sessions each churn batch re-notified, which
+    a wire backend does not hold client-side."""
+
+    def __init__(self, backend: ServiceBackend, stream: TrajectoryGroups):
+        self._backend = backend
+        self._stream = stream
+        self.po: dict[int, object] = {}
+        self.churn_notified: list[tuple[int, list[int]]] = []
+
+    def __getattr__(self, name: str):
+        return getattr(self._backend, name)
+
+    def _keep(self, notifications):
+        for n in notifications:
+            if n is not None:
+                self.po[n.session_id] = n.po
+        return notifications
+
+    def open_session(self, *args, **kwargs):
+        handle = self._backend.open_session(*args, **kwargs)
+        self._keep([handle.notification])
+        return handle
+
+    def report_many(self, events):
+        return self._keep(self._backend.report_many(events))
+
+    def update_pois(self, *args, **kwargs):
+        notified = self._keep(self._backend.update_pois(*args, **kwargs))
+        if notified:
+            self.churn_notified.append(
+                (self._stream.tick, [n.session_id for n in notified])
+            )
+        return notified
+
+
 @dataclass
 class ServiceRunResult:
     """Outcome of :func:`run_service`."""
@@ -253,7 +304,6 @@ def run_service(
     n_timestamps: Optional[int] = None,
     check_every: int = 0,
     churn: Optional[ChurnSchedule] = None,
-    batched: Optional[bool] = None,
     spaces: Optional[
         Union[str, Space, Sequence[Union[None, str, Space]]]
     ] = None,
@@ -264,18 +314,18 @@ def run_service(
     All groups advance with interleaved timestamps: at each step every
     group moves, and the escape events of the whole fleet are served
     with one :meth:`~repro.service.MPNService.report_many` wave against
-    the same backend (and the same POI set).  ``policies`` is either
-    one policy for every group or one per group.
+    the same backend (and the same POI set) — :func:`run_scenario
+    <repro.scenarios.run_scenario>` plays the groups as a
+    :class:`TrajectoryGroups` stream.  ``policies`` is either one
+    policy for every group or one per group.
 
-    ``backend`` is any :class:`~repro.service.api.ServiceBackend` with
-    the in-process convenience surface — a prebuilt
-    :class:`MPNService` or a sharded
-    :class:`repro.cluster.MPNCluster`; the whole fleet runs unchanged
-    against either.  When ``backend`` is ``None`` the function builds
-    a single ``MPNService(tree, batched=batched)`` (``tree`` is
-    required exactly in that case).  A prebuilt backend already chose
-    its fleet path, so combining ``backend=`` with an explicit
-    ``batched=`` raises instead of silently overriding either.
+    ``backend`` is any fresh :class:`~repro.service.api.ServiceBackend`
+    with the in-process convenience surface — a prebuilt
+    :class:`MPNService` (``MPNService(tree, batched=False)`` is the
+    scalar reference path), a sharded :class:`repro.cluster.MPNCluster`
+    or a wire backend; group ``g`` becomes its session ``g``.  When
+    ``backend`` is ``None`` the function builds ``MPNService(tree)``
+    (``tree`` is required exactly in that case).
 
     ``spaces`` makes the fleet *mixed-metric*: one space per group (or
     a single one for all; ``None`` entries mean the backend's default
@@ -301,14 +351,9 @@ def run_service(
     session's cached meeting point is still exactly optimal over the
     *current* POI set (ties tolerated) — the Definition 3 guarantee
     under concurrency and churn.
-
-    ``batched`` is the constructor argument of the ``MPNService`` the
-    function builds: false makes that service recompute every escaped
-    session on the scalar path, which ``report_many`` keeps
-    notification- and counter-identical to sequential
-    :meth:`MPNService.report` calls
-    (``tests/test_service_batch_equivalence.py``).
     """
+    from repro.scenarios.runner import run_scenario
+
     steps = _steps(groups, n_timestamps)
     if isinstance(policies, Policy):
         policies = [policies] * len(groups)
@@ -318,89 +363,44 @@ def run_service(
         spaces = [spaces] * len(groups)
     if len(spaces) != len(groups):
         raise ValueError("need one space per group (or a single space)")
-    if callable(churn):
-        churn_at = churn
-    elif churn is not None:
-        churn_at = churn.get
-    else:
-        churn_at = _no_churn
-
+    if churn is None:
+        churn = _no_churn
+    elif not callable(churn):
+        churn = churn.get
     if backend is None:
         if tree is None:
             raise ValueError("need a tree/space (or a prebuilt backend)")
-        service = MPNService(tree, batched=True if batched is None else batched)
-    else:
-        if tree is not None:
-            raise ValueError("pass either tree or backend, not both")
-        if batched is not None:
-            raise ValueError(
-                "batched is the backend's own setting; construct the "
-                "backend with batched=... instead of passing both"
-            )
-        service = backend
+        backend = MPNService(tree)
+    elif tree is not None:
+        raise ValueError("pass either tree or backend, not both")
     # The space each group's exactness checks measure in: name entries
     # resolve through the backend's registry (a cluster answers with a
     # replica — every replica holds the same POI set).
     check_spaces = [
-        service.get_space(s) if isinstance(s, str)
-        else (s if s is not None else service.space)
+        backend.get_space(s) if isinstance(s, str)
+        else (s if s is not None else backend.space)
         for s in spaces
     ]
-    # Churn scheduled for t=0 lands before any session registers.
-    initial_batch = churn_at(0)
-    if initial_batch is not None:
-        service.update_pois(*initial_batch)
-    fleet: dict[int, Sequence[SimClient]] = {}  # session id -> clients
-    pos: dict[int, Point] = {}  # session id -> cached meeting point
-    for policy, group, space_ref in zip(policies, groups, spaces):
-        clients = _make_clients(policy, group)
-        session_id, registration = _open_group_session(
-            service, policy, clients, space_ref
-        )
-        fleet[session_id] = clients
-        pos[session_id] = registration.po
 
-    def deliver(notifications: Sequence[Optional[Notification]]) -> None:
-        for notification in notifications:
-            if notification is not None:
-                _deliver(fleet[notification.session_id], notification)
-                pos[notification.session_id] = notification.po
-
-    churn_notified: list[tuple[int, list[int]]] = []
-    for t in range(1, steps):
-        batch = churn_at(t)
-        if batch is not None:
-            notifications = service.update_pois(*batch)
-            deliver(notifications)
-            if notifications:
-                churn_notified.append(
-                    (t, [n.session_id for n in notifications])
-                )
-        # The tick's escape events, fleet-wide, served as one wave.
-        events: list[ReportEvent] = []
-        for session_id, clients in fleet.items():
-            escaped = _advance_and_find_trigger(clients, t)
-            if escaped is not None:
-                trigger, state = escaped
-                events.append(ReportEvent(session_id, trigger, state))
-        if events:
-            deliver(service.report_many(events))
-        if check_every > 0 and t % check_every == 0:
-            for policy, check_space, (session_id, clients) in zip(
-                policies, check_spaces, fleet.items()
+    def check(t: int, positions: list[tuple]) -> None:
+        if t % check_every == 0:
+            for g, (policy, space, users) in enumerate(
+                zip(policies, check_spaces, positions)
             ):
-                _assert_result_valid(
-                    policy, check_space, clients, pos[session_id]
-                )
+                _assert_result_valid(policy, space, users, fleet.po[g])
 
-    session_metrics = []
-    for session_id in fleet:
-        metrics = service.session_metrics(session_id)
+    stream = TrajectoryGroups(
+        groups, policies, steps, spaces, churn, check if check_every > 0 else None
+    )
+    fleet = _Fleet(backend, stream)
+    run_scenario(stream, fleet)
+    session_ids = list(range(len(groups)))
+    session_metrics = [backend.session_metrics(g) for g in session_ids]
+    for metrics in session_metrics:
         metrics.timestamps = steps
-        session_metrics.append(metrics)
     return ServiceRunResult(
-        service=service,
-        session_ids=list(fleet),
+        service=backend,
+        session_ids=session_ids,
         session_metrics=session_metrics,
-        churn_notified=churn_notified,
+        churn_notified=fleet.churn_notified,
     )

@@ -320,11 +320,10 @@ class TestRunServiceClusterEquivalence:
         want = run_service(
             groups,
             fleet_policies(n_groups),
-            dataset.tree,
             n_timestamps=steps,
             check_every=5,
             churn=churn,
-            batched=batched,
+            backend=MPNService(dataset.tree, batched=batched),
         )
 
         dataset, groups, churn = build()

@@ -14,6 +14,7 @@ import pytest
 
 from repro.network_ext.monitor import network_trajectory
 from repro.network_ext.space import NetworkSpace
+from repro.service import MPNService
 from repro.simulation import (
     circle_policy,
     net_circle_policy,
@@ -79,12 +80,11 @@ class TestMixedFleet:
         result = run_service(
             groups,
             policies,
-            dataset.tree,
             n_timestamps=steps,
             check_every=4,
             churn=churn,
-            batched=batched,
             spaces=spaces,
+            backend=MPNService(dataset.tree, batched=batched),
         )
         assert len(result.session_ids) == 8
         assert all(m.timestamps == steps for m in result.session_metrics)
@@ -132,10 +132,9 @@ class TestMixedFleet:
                 run_service(
                     groups,
                     policies,
-                    dataset.tree,
                     n_timestamps=steps,
-                    batched=batched,
                     spaces=[None, None, poi_space, poi_space],
+                    backend=MPNService(dataset.tree, batched=batched),
                 )
             )
         batched_run, scalar_run = results

@@ -181,13 +181,7 @@ class TestSelectiveInvalidation:
             _assert_result_valid(
                 policy,
                 result.service.tree,
-                [_FixedClient(p) for p in session.positions],
+                session.positions,
                 session.po,
             )
 
-
-class _FixedClient:
-    """Adapter: expose stored positions through the SimClient surface."""
-
-    def __init__(self, position):
-        self.position = position

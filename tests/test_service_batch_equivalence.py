@@ -296,11 +296,10 @@ class TestRunServiceEquivalence:
             results[batched] = run_service(
                 groups,
                 fleet_policies(n_groups),
-                dataset.tree,
                 n_timestamps=steps,
                 check_every=5,
                 churn=churn,
-                batched=batched,
+                backend=MPNService(dataset.tree, batched=batched),
             )
         got, want = results[True], results[False]
         assert got.session_ids == want.session_ids

@@ -11,10 +11,16 @@ import pytest
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate
 from repro.mobility.trajectory import Trajectory
+from repro.scenarios import run_scenario
 from repro.service import MPNService
-from repro.simulation.client import SimClient
+from repro.service.messages import Notification, SessionHandle
 from repro.simulation.adaptive import run_adaptive_simulation
-from repro.simulation.engine import run_groups, run_service, run_simulation
+from repro.simulation.engine import (
+    TrajectoryGroups,
+    run_groups,
+    run_service,
+    run_simulation,
+)
 from repro.simulation.policies import (
     circle_policy,
     periodic_policy,
@@ -32,34 +38,83 @@ def small_dataset():
     )
 
 
-class TestSimClient:
-    def test_initially_outside(self):
-        client = SimClient(Trajectory((Point(0, 0), Point(1, 0))))
-        assert client.outside_region()
+class _OriginRegions:
+    """Backend stub for one session: every member's region is the
+    radius-5 circle about the origin; it keeps the waves it is sent."""
 
-    def test_region_assignment(self):
+    def __init__(self):
+        self.waves = []
+
+    @staticmethod
+    def _notification(size, cause):
         from repro.geometry.circle import Circle
 
-        client = SimClient(Trajectory((Point(0, 0), Point(1, 0), Point(50, 0))))
-        client.assign_region(Circle(Point(0, 0), 5.0))
-        assert not client.outside_region()
-        client.advance(1)
-        assert not client.outside_region()
-        client.advance(2)
-        assert client.outside_region()
+        region = Circle(Point(0, 0), 5.0)
+        return Notification(0, Point(0, 0), (region,) * size, (3,) * size, cause)
+
+    def open_session(self, members, policy, space=None):
+        return SessionHandle(
+            0, len(members), policy, "stub",
+            self._notification(len(members), "register"),
+        )
+
+    def report_many(self, events):
+        self.waves.append(events)
+        return [self._notification(1 + len(e.probes), "report") for e in events]
+
+
+def _waves(trajectories, policy):
+    backend = _OriginRegions()
+    steps = min(len(t) for t in trajectories)
+    run_scenario(TrajectoryGroups([trajectories], [policy], steps), backend)
+    return backend.waves
+
+
+class TestTrajectoryGroups:
+    """The §7 drivers' client side: the group stream plus the runner's
+    escape test."""
+
+    def test_every_member_reports_before_any_region(self):
+        traj = Trajectory((Point(0, 0), Point(1, 0)))
+        first, second = TrajectoryGroups(
+            [[traj, traj]], [circle_policy()], 2
+        ).ticks()
+        (opened,) = first.opens
+        assert opened.session_id == 0
+        assert opened.positions == (Point(0, 0), Point(0, 0))
+        assert first.moves == ()
+        assert second.opens == ()
+        assert [m.session_id for m in second.moves] == [0]
+
+    def test_region_covers_within_tolerance(self):
+        traj = Trajectory(
+            (Point(0, 0), Point(1, 0), Point(5.0 + 5e-10, 0), Point(50, 0))
+        )
+        (wave,) = _waves([traj], circle_policy())
+        (event,) = wave
+        assert event.member_id == 0
+        assert event.state.point == Point(50, 0)
 
     def test_direction_tracking(self):
-        traj = Trajectory(tuple(Point(float(i), 0.0) for i in range(5)))
-        client = SimClient(traj, track_direction=True)
-        for t in range(1, 5):
-            client.advance(t)
-        assert client.heading == pytest.approx(0.0)
-        assert client.theta is not None
+        along_x = tuple(Point(float(i), 0.0) for i in range(5))
+        escapes = Trajectory(along_x[:4] + (Point(50, 0),))
+        stays = Trajectory(along_x)
+        (wave,) = _waves([escapes, stays], tile_d_policy())
+        (event,) = wave
+        ((probed, probe),) = event.probes
+        assert probed == 1
+        for state in (event.state, probe):
+            assert state.heading == pytest.approx(0.0)
+            assert state.theta is not None
 
     def test_no_direction_tracking(self):
-        client = SimClient(Trajectory((Point(0, 0),)))
-        assert client.heading is None
-        assert client.theta is None
+        traj = Trajectory((Point(0, 0), Point(1, 0), Point(50, 0)))
+        *_, last = TrajectoryGroups([[traj]], [tile_policy()], 3).ticks()
+        assert last.moves[0].directions is None
+        (wave,) = _waves([traj], circle_policy())
+        (event,) = wave
+        assert event.state.heading is None
+        assert event.state.theta is None
 
 
 class TestServer:

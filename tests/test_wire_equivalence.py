@@ -29,6 +29,7 @@ from repro.simulation import (
     net_circle_policy,
     net_tile_policy,
     run_service,
+    tile_d_policy,
 )
 from repro.space import as_space, share_space
 from repro.transport import (
@@ -182,11 +183,10 @@ class TestRemoteBackendMatchesLocalService:
         want = run_service(
             groups,
             fleet_policies(n_groups),
-            dataset.tree,
             n_timestamps=steps,
             check_every=4,
             churn=churn,
-            batched=batched,
+            backend=MPNService(dataset.tree, batched=batched),
         )
 
         dataset, groups, churn = build()
@@ -392,8 +392,12 @@ class TestProcessClusterMatchesInProcessCluster:
 
     def test_run_service_drives_a_process_cluster(self):
         """The full engine against spawned workers == the in-process
-        cluster, end to end."""
-        n_groups, steps, seed = 5, 10, 42
+        cluster == one service, end to end.  The last group runs Tile-D,
+        so every report event and probe ships a heading and a theta."""
+        n_groups, steps, seed = 6, 10, 42
+        policies = fleet_policies(n_groups - 1) + [
+            tile_d_policy(alpha=5, split_level=1)
+        ]
 
         def build():
             dataset = build_dataset(
@@ -420,10 +424,20 @@ class TestProcessClusterMatchesInProcessCluster:
             return dataset, groups, churn
 
         dataset, groups, churn = build()
+        single = run_service(
+            groups,
+            policies,
+            n_timestamps=steps,
+            check_every=5,
+            churn=churn,
+            backend=MPNService(FACTORY()),
+        )
+
+        dataset, groups, churn = build()
         in_proc = MPNCluster(2, FACTORY)
         want = run_service(
             groups,
-            fleet_policies(n_groups),
+            policies,
             n_timestamps=steps,
             check_every=5,
             churn=churn,
@@ -434,7 +448,7 @@ class TestProcessClusterMatchesInProcessCluster:
         with ProcessCluster(2, FACTORY) as proc:
             got = run_service(
                 groups,
-                fleet_policies(n_groups),
+                policies,
                 n_timestamps=steps,
                 check_every=5,
                 churn=churn,
@@ -443,9 +457,11 @@ class TestProcessClusterMatchesInProcessCluster:
             got_metrics = counters(got.metrics)
         assert proc.worker_exitcodes() == [0, 0]
 
-        assert got.session_ids == want.session_ids
-        assert got.churn_notified == want.churn_notified
-        assert [counters(m) for m in got.session_metrics] == [
-            counters(m) for m in want.session_metrics
-        ]
+        for run in (got, want):
+            assert run.session_ids == single.session_ids
+            assert run.churn_notified == single.churn_notified
+            assert [counters(m) for m in run.session_metrics] == [
+                counters(m) for m in single.session_metrics
+            ]
         assert got_metrics == counters(want.metrics)
+        assert counters(want.metrics) == counters(single.metrics)
