@@ -1,14 +1,15 @@
-"""Micro-benchmarks for the substrates: spatial backends, GNN, compression.
+"""Micro-benchmarks for the substrates: spatial index, GNN, compression.
 
 Not paper figures, but the substrate costs that everything above is
 built on; regressions here show up multiplied in every experiment.
 
 The spatial-primitive benchmarks (knn, range, find_gnn, Theorem-3/6
-pruning) run at 50k POIs on BOTH backends — the vectorized flat R-tree
-and the pointer-based object reference — and the final test computes
-the flat-over-object speedup ratios from the recorded timings and
-asserts the floors the backend refactor promises (>= 3x on knn, range
-and find_gnn).
+pruning) run at 50k POIs on the flat R-tree and on an exhaustive NumPy
+scan of the same points — every query scores every point in one
+vectorized call — and the final test computes the flat-over-scan
+speedup ratios from the recorded timings and asserts per-op floors:
+the index must keep paying for itself against the simplest correct
+answer.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.compression import compress_region, decompress_region
@@ -28,15 +30,73 @@ from repro.index.backend import build_index
 from repro.workloads.datasets import WORLD
 from repro.workloads.poi import build_poi_tree, clustered_pois
 
-BACKENDS = ["object", "flat"]
+IMPLS = ["scan", "flat"]
 N_POIS = 50_000
 
-# op -> backend -> (best wall-clock seconds, samples), filled in by the
+# Flat-over-scan floors at 50k POIs: half the smallest ratio of three
+# multi-sample runs on a 2-vCPU x86-64 host (knn 67.0x, range 9.61x,
+# find_gnn_max 191.7x, find_gnn_sum 99.0x).
+SPEEDUP_FLOORS = {"knn": 33.5, "range": 4.8, "find_gnn_max": 95.8, "find_gnn_sum": 49.5}
+
+# op -> impl -> (best wall-clock seconds, samples), filled in by the
 # parametrized benchmarks below and consumed by the speedup test.
 RECORDED: dict[str, dict[str, tuple[float, int]]] = {}
 
 
-def _record(benchmark, op: str, backend: str, fn):
+class ExhaustiveScan:
+    """The comparator: each query scores all n points in NumPy.
+
+    Answers the same batched calls as the tree (knn / range / k-GNN /
+    Theorem-3/6 candidates) with point indices instead of entries.
+    """
+
+    def __init__(self, points):
+        self.xy = np.asarray([[p.x, p.y] for p in points], dtype=np.float64)
+
+    def __len__(self) -> int:
+        return len(self.xy)
+
+    def _dists(self, users) -> np.ndarray:
+        """Point-to-user distances, shape ``(n, m)``."""
+        u = np.asarray([[p.x, p.y] for p in users], dtype=np.float64)
+        return np.hypot(
+            self.xy[:, 0, None] - u[None, :, 0], self.xy[:, 1, None] - u[None, :, 1]
+        )
+
+    @staticmethod
+    def _best(scores: np.ndarray, k: int) -> list[int]:
+        top = np.argpartition(scores, k)[:k]
+        return top[np.argsort(scores[top])].tolist()
+
+    def knn_many(self, queries, k):
+        return [self._best(self._dists([q])[:, 0], k) for q in queries]
+
+    def range_many(self, windows):
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        return [
+            np.flatnonzero(
+                (x >= w.x_lo) & (x <= w.x_hi) & (y >= w.y_lo) & (y <= w.y_hi)
+            ).tolist()
+            for w in windows
+        ]
+
+    def gnn_many(self, groups, k, agg):
+        reduce = np.max if agg == "max" else np.sum
+        return [self._best(reduce(self._dists(g), axis=1), k) for g in groups]
+
+    def intersect_balls(self, centers, radii):
+        inside = self._dists(centers) <= np.asarray(radii)[None, :]
+        return np.flatnonzero(inside.all(axis=1)).tolist()
+
+    def within_dist_sum(self, centers, threshold):
+        return np.flatnonzero(self._dists(centers).sum(axis=1) <= threshold).tolist()
+
+
+def _build(impl: str, points):
+    return ExhaustiveScan(points) if impl == "scan" else build_index(points)
+
+
+def _record(benchmark, op: str, impl: str, fn):
     """Run ``fn`` under pytest-benchmark while keeping our own best time.
 
     The self-measured minimum keeps the speedup computation independent
@@ -51,10 +111,10 @@ def _record(benchmark, op: str, backend: str, fn):
         return out
 
     result = benchmark(wrapper)
-    RECORDED.setdefault(op, {})[backend] = (min(times), len(times))
-    other = RECORDED[op].get("object")
-    if backend == "flat" and other:
-        benchmark.extra_info["speedup_vs_object"] = other[0] / min(times)
+    RECORDED.setdefault(op, {})[impl] = (min(times), len(times))
+    other = RECORDED[op].get("scan")
+    if impl == "flat" and other:
+        benchmark.extra_info["speedup_vs_scan"] = other[0] / min(times)
     return result
 
 
@@ -65,7 +125,7 @@ def big_points():
 
 @pytest.fixture(scope="module")
 def trees(big_points):
-    return {name: build_index(big_points, backend=name) for name in BACKENDS}
+    return {impl: _build(impl, big_points) for impl in IMPLS}
 
 
 @pytest.fixture(scope="module")
@@ -97,42 +157,40 @@ def groups():
     return out
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_bulk_load_50k(benchmark, big_points, backend):
-    tree = _record(
-        benchmark, "bulk_load", backend, lambda: build_index(big_points, backend=backend)
-    )
+@pytest.mark.parametrize("impl", IMPLS)
+def test_bulk_load_50k(benchmark, big_points, impl):
+    tree = _record(benchmark, "bulk_load", impl, lambda: _build(impl, big_points))
     assert len(tree) == len(big_points)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_knn_50k(benchmark, trees, queries, backend):
-    tree = trees[backend]
-    result = _record(benchmark, "knn", backend, lambda: tree.knn_many(queries, 10))
+@pytest.mark.parametrize("impl", IMPLS)
+def test_knn_50k(benchmark, trees, queries, impl):
+    tree = trees[impl]
+    result = _record(benchmark, "knn", impl, lambda: tree.knn_many(queries, 10))
     assert all(len(r) == 10 for r in result)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_range_50k(benchmark, trees, windows, backend):
-    tree = trees[backend]
-    result = _record(benchmark, "range", backend, lambda: tree.range_many(windows))
+@pytest.mark.parametrize("impl", IMPLS)
+def test_range_50k(benchmark, trees, windows, impl):
+    tree = trees[impl]
+    result = _record(benchmark, "range", impl, lambda: tree.range_many(windows))
     assert sum(len(r) for r in result) > 0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_max_gnn_50k(benchmark, trees, groups, backend):
-    tree = trees[backend]
+@pytest.mark.parametrize("impl", IMPLS)
+def test_max_gnn_50k(benchmark, trees, groups, impl):
+    tree = trees[impl]
     result = _record(
-        benchmark, "find_gnn_max", backend, lambda: tree.gnn_many(groups, 2, "max")
+        benchmark, "find_gnn_max", impl, lambda: tree.gnn_many(groups, 2, "max")
     )
     assert all(len(r) == 2 for r in result)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sum_gnn_50k(benchmark, trees, groups, backend):
-    tree = trees[backend]
+@pytest.mark.parametrize("impl", IMPLS)
+def test_sum_gnn_50k(benchmark, trees, groups, impl):
+    tree = trees[impl]
     result = _record(
-        benchmark, "find_gnn_sum", backend, lambda: tree.gnn_many(groups, 2, "sum")
+        benchmark, "find_gnn_sum", impl, lambda: tree.gnn_many(groups, 2, "sum")
     )
     assert all(len(r) == 2 for r in result)
 
@@ -151,10 +209,10 @@ def pruning_scenarios(trees, groups):
     return balls, sums
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pruning_50k(benchmark, trees, pruning_scenarios, backend):
+@pytest.mark.parametrize("impl", IMPLS)
+def test_pruning_50k(benchmark, trees, pruning_scenarios, impl):
     """Theorem-3/6 candidate scans: intersect_balls + within_dist_sum."""
-    tree = trees[backend]
+    tree = trees[impl]
     balls, sums = pruning_scenarios
 
     def prune():
@@ -165,49 +223,47 @@ def test_pruning_50k(benchmark, trees, pruning_scenarios, backend):
             out += len(tree.within_dist_sum(centers, threshold))
         return out
 
-    result = _record(benchmark, "pruning", backend, prune)
+    result = _record(benchmark, "pruning", impl, prune)
     assert result > 0
 
 
 def test_incremental_insert_5k(benchmark, big_points):
-    """Guttman insert path — object backend only (flat rebuilds)."""
+    """Per-item insert path: 5k single inserts through the delta layer."""
     subset = big_points[:5000]
 
     def build():
-        tree = build_index([], backend="object", max_entries=16)
+        tree = build_index([], max_entries=16)
         for i, p in enumerate(subset):
             tree.insert(p, i)
         return tree
 
     tree = benchmark.pedantic(build, rounds=1, iterations=1)
+    assert len(tree) == len(subset)
     tree.validate()
 
 
-def test_backend_speedup_ratios():
-    """The refactor's headline numbers, computed from the runs above."""
-    gated = ("knn", "range", "find_gnn_max", "find_gnn_sum")
+def test_speedup_over_scan():
+    """The index's headline numbers, computed from the runs above."""
     missing = [
-        op
-        for op in gated
-        if not {"object", "flat"} <= set(RECORDED.get(op, {}))
+        op for op in SPEEDUP_FLOORS if not set(IMPLS) <= set(RECORDED.get(op, {}))
     ]
     if missing:
-        pytest.skip(f"benchmarks did not run for both backends: {missing}")
+        pytest.skip(f"benchmarks did not run for both the tree and the scan: {missing}")
     ratios = {
-        op: rec["object"][0] / rec["flat"][0]
+        op: rec["scan"][0] / rec["flat"][0]
         for op, rec in RECORDED.items()
-        if "object" in rec and "flat" in rec
+        if set(IMPLS) <= set(rec)
     }
-    print("\nflat-over-object speedup at 50k POIs:")
+    print("\nflat-over-scan speedup at 50k POIs:")
     for op, ratio in sorted(ratios.items()):
-        print(f"  {op:14s} {ratio:5.2f}x")
+        print(f"  {op:14s} {ratio:7.2f}x")
     samples = min(min(s for _, s in rec.values()) for rec in RECORDED.values())
     if samples < 3:
         pytest.skip("single-shot run (--benchmark-disable): ratios too noisy")
     if os.environ.get("CI"):
         pytest.skip("shared CI runner: ratios reported above, not gated")
-    for op in gated:
-        assert ratios[op] >= 3.0, f"{op} speedup {ratios[op]:.2f}x < 3x"
+    for op, floor in SPEEDUP_FLOORS.items():
+        assert ratios[op] >= floor, f"{op} speedup {ratios[op]:.2f}x < {floor:g}x"
 
 
 def test_compression_roundtrip(benchmark):

@@ -55,13 +55,14 @@ from repro.service import (
 from repro.simulation.policies import circle_policy
 from repro.space import share_space
 from repro.transport import (
-    AsyncWireClient,
     ProcessCluster,
     RemoteBackend,
     ThreadedWireServer,
     UniformPoiSpaceFactory,
     WireClient,
 )
+from tests.async_wire_client import AsyncWireClient
+
 N_POIS = 2_000
 N_CLIENTS = 8  # the ISSUE's ">= 8 concurrent clients" bar
 REQUESTS_PER_CLIENT = 40

@@ -41,14 +41,7 @@ from repro.core import (
 )
 from repro.gnn import Aggregate, find_max_gnn, find_sum_gnn
 from repro.geometry import Point, Rect, Circle, Tile, TileRegion
-from repro.index import (
-    DEFAULT_BACKEND,
-    FlatRTree,
-    RTree,
-    SpatialIndex,
-    available_backends,
-    build_index,
-)
+from repro.index import FlatRTree, SpatialIndex, build_index
 from repro.service import (
     MPNService,
     Notification,
@@ -83,12 +76,9 @@ __all__ = [
     "Circle",
     "Tile",
     "TileRegion",
-    "RTree",
     "FlatRTree",
     "SpatialIndex",
     "build_index",
-    "available_backends",
-    "DEFAULT_BACKEND",
     "MPNService",
     "MPNCluster",
     "ServiceBackend",

@@ -1,9 +1,9 @@
 """Axis-aligned rectangles (MBRs) with min/max distance semantics.
 
-``Rect`` doubles as the MBR type of the R-tree (:mod:`repro.index.rtree`)
-and as the geometric footprint of a tile.  ``min_dist`` / ``max_dist``
-implement ``||p, S||_min`` and ``||p, S||_max`` of Definition 1 for a
-rectangular region ``S``.
+``Rect`` doubles as the window type of the R-tree's range queries
+(:mod:`repro.index.flat`) and as the geometric footprint of a tile.
+``min_dist`` / ``max_dist`` implement ``||p, S||_min`` and
+``||p, S||_max`` of Definition 1 for a rectangular region ``S``.
 """
 
 from __future__ import annotations

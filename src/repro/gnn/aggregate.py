@@ -6,10 +6,9 @@ MAX and SUM are monotone in each argument), so a best-first traversal
 ordered by that bound retrieves POIs in exactly increasing aggregate
 distance — the MBM method of Papadias et al. (ref. [24]).
 
-The traversal itself lives with the spatial backends: the flat backend
+The traversal itself lives with the spatial index: the flat R-tree
 batches the per-user ``min_dist`` lower bounds over whole sibling sets
-(:mod:`repro.index.kernels`), the object backend walks node children
-(:func:`repro.index.rtree.best_first_search`).  This module owns the
+(:mod:`repro.index.kernels`).  This module owns the
 :class:`Aggregate` objective and the ``FindMaxGNN``/``FindSumGNN``
 entry points of the paper.
 """
@@ -21,7 +20,7 @@ from typing import Iterator, Sequence
 
 from repro.geometry.point import Point
 from repro.index.backend import SpatialIndex
-from repro.index.rtree import Entry
+from repro.index.entries import Entry
 
 
 class Aggregate(Enum):

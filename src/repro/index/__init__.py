@@ -2,34 +2,20 @@
 
 The paper's server "manages a data set P of points-of-interest and
 indexes it by an R-tree" (Section 3.1).  This subpackage provides that
-index behind a pluggable backend layer (:mod:`repro.index.backend`):
-the vectorized flat R-tree (:mod:`repro.index.flat`) is the default,
-and the pointer-based object R-tree (:mod:`repro.index.rtree`) is the
-reference.  Construct indexes via :func:`build_index`; the aggregate
-(group) nearest-neighbor search of ref. [24] lives in :mod:`repro.gnn`
-and dispatches to whichever backend built the tree.
+index: the vectorized flat R-tree (:mod:`repro.index.flat`), typed
+against the :class:`SpatialIndex` protocol of
+:mod:`repro.index.backend` and constructed via :func:`build_index`.
+The aggregate (group) nearest-neighbor search of ref. [24] lives in
+:mod:`repro.gnn` and runs on the tree's batched kernels.
 """
 
-from repro.index.backend import (
-    DEFAULT_BACKEND,
-    FlatRTree,  # None when NumPy is unavailable; see repro.index.backend
-    SpatialIndex,
-    available_backends,
-    build_index,
-)
-from repro.index.knn import knn, nearest, range_query
-from repro.index.rtree import Entry, RTree, RTreeNode
+from repro.index.backend import SpatialIndex, build_index
+from repro.index.entries import Entry
+from repro.index.flat import FlatRTree
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "SpatialIndex",
-    "available_backends",
     "build_index",
     "FlatRTree",
-    "RTree",
-    "RTreeNode",
     "Entry",
-    "knn",
-    "nearest",
-    "range_query",
 ]

@@ -1,23 +1,15 @@
-"""Pluggable spatial-index backends and the construction factory.
+"""The spatial-index protocol and its one constructor.
 
 The paper's server "manages a data set P of points-of-interest and
 indexes it by an R-tree" (Section 3.1), and every layer above — k-GNN
 retrieval (gnn), Theorem-3/6 candidate pruning (core), the monitoring
 loop and multi-group server (simulation), the figure harnesses
 (experiments) — consumes that index only through the
-:class:`SpatialIndex` protocol defined here.  Two implementations are
-registered:
-
-* ``"flat"`` — :class:`repro.index.flat.FlatRTree`, an STR-packed
-  structure-of-arrays R-tree with vectorized NumPy kernels; the
-  default wherever NumPy is available.
-* ``"object"`` — :class:`repro.index.rtree.RTree`, the pointer-based
-  reference implementation, also the only backend with in-place
-  (non-rebuilding) Guttman insert/delete.
-
-All call sites outside :mod:`repro.index` construct indexes through
-:func:`build_index`; nothing else in the codebase names a concrete
-tree class.
+:class:`SpatialIndex` protocol defined here.  The implementation is
+:class:`repro.index.flat.FlatRTree`, an STR-packed structure-of-arrays
+R-tree with vectorized NumPy kernels; :func:`build_index` bulk-loads
+one.  Exhaustive scans (:mod:`repro.gnn.bruteforce`) referee it in the
+test suite.
 """
 
 from __future__ import annotations
@@ -26,17 +18,13 @@ from typing import Any, Iterator, Optional, Protocol, Sequence, runtime_checkabl
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.index.rtree import Entry, RTree
-
-try:  # NumPy is an optional dependency; the object backend needs none.
-    from repro.index.flat import FlatRTree
-except ImportError:  # pragma: no cover - exercised only without numpy
-    FlatRTree = None  # type: ignore[assignment]
+from repro.index.entries import Entry
+from repro.index.flat import FlatRTree
 
 
 @runtime_checkable
 class SpatialIndex(Protocol):
-    """What every spatial backend must answer.
+    """What the spatial index must answer.
 
     The first block is bookkeeping; the second block is the query
     surface the upper layers are written against.  ``agg`` takes the
@@ -109,38 +97,18 @@ class SpatialIndex(Protocol):
     def scan(self, exclude: Optional[Point] = None, stats=None) -> list[Point]: ...
 
 
-_BACKENDS: dict[str, Any] = {"object": RTree}
-if FlatRTree is not None:
-    _BACKENDS["flat"] = FlatRTree
-
-DEFAULT_BACKEND = "flat" if FlatRTree is not None else "object"
-
-
-def available_backends() -> list[str]:
-    return sorted(_BACKENDS)
-
-
 def build_index(
     points: Sequence[Point],
     payloads: Optional[Sequence[Any]] = None,
-    backend: Optional[str] = None,
     max_entries: Optional[int] = None,
 ) -> SpatialIndex:
-    """Bulk-load a spatial index over ``points``.
+    """Bulk-load a :class:`FlatRTree` over ``points``.
 
-    ``backend`` is ``"flat"`` or ``"object"`` (None = the environment
-    default, flat when NumPy is importable).  ``max_entries`` of None
-    picks the backend's own packing default — the object tree mirrors
-    the paper's page-sized nodes, the flat tree favors wide nodes so
-    each vectorized kernel call amortizes over a larger sibling set.
+    ``payloads`` default to each point's index in ``points``;
+    ``max_entries`` of None keeps the tree's own packing width (wide
+    nodes, so each vectorized kernel call amortizes over a larger
+    sibling set).
     """
-    name = backend if backend is not None else DEFAULT_BACKEND
-    try:
-        cls = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown spatial backend {name!r}; available: {available_backends()}"
-        ) from None
     if max_entries is None:
-        return cls.bulk_load(list(points), payloads=payloads)
-    return cls.bulk_load(list(points), payloads=payloads, max_entries=max_entries)
+        return FlatRTree.bulk_load(list(points), payloads=payloads)
+    return FlatRTree.bulk_load(list(points), payloads=payloads, max_entries=max_entries)

@@ -1,9 +1,9 @@
 """A vectorized flat R-tree: STR packing into structure-of-arrays.
 
-The object R-tree (:mod:`repro.index.rtree`) allocates one Python
-object per node and per entry, so every traversal chases pointers and
-re-enters the interpreter per child.  :class:`FlatRTree` stores the
-same STR-packed tree in contiguous NumPy arrays instead:
+A pointer-based R-tree allocates one Python object per node and per
+entry, so every traversal chases pointers and re-enters the
+interpreter per child.  :class:`FlatRTree` stores the STR-packed tree
+in contiguous NumPy arrays instead:
 
 * all leaf points live in one ``(n, 2)`` float64 array, permuted so
   each leaf owns a contiguous slice;
@@ -46,7 +46,7 @@ point.  ``delta_fraction=0.0`` forces a repack after every batch —
 the rebuild-per-batch behavior this layer replaces, kept reachable as
 the baseline for the churn benchmarks.  Removal batches resolve
 against an incrementally-maintained point -> live-ids map (the shared
-:func:`repro.index.rtree.resolve_removals_indexed` contract), so a
+:func:`repro.index.entries.resolve_removals_indexed` contract), so a
 small batch costs O(batch), not O(n).
 """
 
@@ -61,7 +61,7 @@ import numpy as np
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index import kernels
-from repro.index.rtree import Entry, resolve_removals_indexed
+from repro.index.entries import Entry, resolve_removals_indexed
 
 DEFAULT_FLAT_MAX_ENTRIES = 64
 
@@ -132,8 +132,6 @@ class FlatRTree:
     smaller folds deltas sooner (0.0 = repack every batch, the
     rebuild-per-batch baseline), larger lets the arena grow.
     """
-
-    backend_name = "flat"
 
     def __init__(
         self,
@@ -264,7 +262,7 @@ class FlatRTree:
         Removals tombstone packed (or arena) slots and insertions land
         in the arena; the packed epoch is untouched until the delta
         debt crosses the :meth:`repack` threshold.  All removals are
-        resolved (shared :func:`repro.index.rtree.resolve_removals_indexed`
+        resolved (shared :func:`repro.index.entries.resolve_removals_indexed`
         contract) before anything mutates, so a ``KeyError`` for a
         missing entry leaves the index untouched.
         """

@@ -555,11 +555,11 @@ def pruned_scan(
 
     Level-wise frontier traversal: at each level the surviving nodes'
     children are gathered in one shot and masked in one vectorized
-    call.  Node accesses are counted exactly as the object backend
-    does — every node whose MBR is examined is one access (arena
-    points are not nodes and count nothing).  Tombstoned ids are
-    dropped before the final point mask; arena survivors are appended
-    after the packed ones.
+    call.  Every node whose MBR is examined counts as one index node
+    access, the paper's accounting for Theorems 3/6 (arena points are
+    not nodes and count nothing).  Tombstoned ids are dropped before
+    the final point mask; arena survivors are appended after the
+    packed ones.
     """
     alive, buf_pts, buf_ids = tree.delta_view()
     levels = tree._levels

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.index.flat import DEFAULT_DELTA_FRACTION
 from repro.index.oracle import OracleConfig, oracle_for, padded_cutoff
-from repro.index.rtree import resolve_removals_indexed
+from repro.index.entries import resolve_removals_indexed
 
 try:  # SciPy is optional; the fallback kernel needs only NumPy.
     from scipy.sparse import csr_matrix as _csr_matrix
@@ -235,8 +235,8 @@ class NetworkIndex:
         Removals tombstone their slot and insertions land in the
         buffered arena; the packed store is rebuilt only when the delta
         debt crosses the ``delta_fraction`` threshold (0.0 = repack
-        every batch).  Same all-or-nothing contract as the Euclidean
-        backends (:func:`repro.index.rtree.resolve_removals_indexed`):
+        every batch).  Same all-or-nothing contract as the flat R-tree
+        (:func:`repro.index.entries.resolve_removals_indexed`):
         add nodes are validated against the graph and every removal is
         matched before anything mutates, so an error for a bad entry
         leaves the index untouched.  Distance rows are unaffected —

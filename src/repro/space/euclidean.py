@@ -1,6 +1,6 @@
 """The Euclidean plane as a :class:`~repro.space.base.Space`.
 
-A thin adapter over the spatial backends of :mod:`repro.index`: the
+A thin adapter over the spatial index of :mod:`repro.index`: the
 positions are :class:`~repro.geometry.point.Point`, the metric is L2,
 the balls are :class:`~repro.geometry.circle.Circle` and the POI index
 is whatever :func:`repro.index.backend.build_index` produced.  This is

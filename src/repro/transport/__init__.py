@@ -18,7 +18,7 @@ shard.
 * :mod:`repro.transport.client` — :class:`RemoteBackend`, a
   ``ServiceBackend`` whose methods speak TCP; every existing fleet
   driver (``run_service`` included) runs unchanged against it.
-  :class:`WireClient` / :class:`AsyncWireClient` are the raw callers.
+  :class:`WireClient` is the raw caller.
 * :mod:`repro.transport.worker` — :class:`ProcessCluster`: each shard
   an OS process serving its replica through the wire, behind the same
   front door as :class:`repro.cluster.MPNCluster`
@@ -33,7 +33,6 @@ shard.
 """
 
 from repro.transport.client import (
-    AsyncWireClient,
     ControlError,
     RemoteBackend,
     WireClient,
@@ -79,7 +78,6 @@ __all__ = [
     "WireServer",
     "ThreadedWireServer",
     "WireClient",
-    "AsyncWireClient",
     "ControlError",
     "RemoteBackend",
     "ProcessCluster",

@@ -33,7 +33,6 @@ class DatasetSpec:
     n_timestamps: int = 2000
     speed: float = 60.0  # the paper's V, in world units per timestamp
     seed: int = 42
-    backend: str | None = None  # spatial backend; None = environment default
 
 
 @dataclass
@@ -55,7 +54,7 @@ class Dataset:
             spec=self.spec,
             pois=subset,
             trajectories=self.trajectories,
-            tree=build_poi_tree(subset, backend=self.spec.backend),
+            tree=build_poi_tree(subset),
         )
 
     def with_speed_fraction(self, fraction: float) -> "Dataset":
@@ -97,7 +96,7 @@ def build_dataset(spec: DatasetSpec) -> Dataset:
         spec=spec,
         pois=pois,
         trajectories=trajectories,
-        tree=build_poi_tree(pois, backend=spec.backend),
+        tree=build_poi_tree(pois),
     )
 
 

@@ -61,16 +61,13 @@ def clustered_pois(
 
 
 def build_poi_tree(
-    points: Sequence[Point],
-    max_entries: int | None = None,
-    backend: str | None = None,
+    points: Sequence[Point], max_entries: int | None = None
 ) -> SpatialIndex:
     """Bulk-load the POI index the server uses (Section 3.1).
 
-    ``backend``/``max_entries`` of None pick the environment defaults
-    (the vectorized flat R-tree with its own packing width).
+    ``max_entries`` of None keeps the flat R-tree's own packing width.
     """
-    return build_index(points, backend=backend, max_entries=max_entries)
+    return build_index(points, max_entries=max_entries)
 
 
 def subset_fraction(points: Sequence[Point], fraction: float, seed: int = 5) -> list[Point]:

@@ -1,0 +1,307 @@
+"""Unit and property tests for the flat R-tree: construction, insert,
+delete, and kNN / range queries against brute force."""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.geometry.point import Point
+from repro.geometry.rect import Rect
+from repro.index.backend import build_index
+from repro.index.entries import Entry
+
+coord = st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False)
+point_lists = st.lists(
+    st.tuples(coord, coord).map(lambda t: Point(*t)), min_size=0, max_size=120
+)
+small_coord = st.floats(-500.0, 500.0, allow_nan=False, allow_infinity=False)
+nonempty_point_lists = st.lists(
+    st.tuples(small_coord, small_coord).map(lambda t: Point(*t)),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _tree(points, build="packed"):
+    """A fan-out-5 tree over ``points``, STR-packed or grown by inserts."""
+    if build == "packed":
+        return build_index(points, max_entries=5)
+    tree = build_index([], max_entries=5)
+    for i, p in enumerate(points):
+        tree.insert(p, i)
+    return tree
+
+
+@pytest.fixture(params=["packed", "inserted"])
+def build(request):
+    return request.param
+
+
+class TestConstruction:
+    def test_max_entries_validation(self):
+        with pytest.raises(ValueError):
+            build_index([], max_entries=3)
+
+    def test_empty_tree(self):
+        tree = build_index([])
+        assert len(tree) == 0
+        assert list(tree.entries()) == []
+        tree.validate()
+
+    def test_bulk_load_empty(self):
+        tree = build_index([], payloads=[])
+        assert len(tree) == 0
+        assert tree.range_query(Rect(-1, -1, 1, 1)) == []
+        tree.validate()
+
+    def test_bulk_load_payload_mismatch(self):
+        with pytest.raises(ValueError):
+            build_index([Point(0, 0)], payloads=[1, 2])
+
+    def test_bulk_load_default_payloads_are_indices(self):
+        points = [Point(i, i) for i in range(10)]
+        tree = build_index(points)
+        payloads = sorted(e.payload for e in tree.entries())
+        assert payloads == list(range(10))
+
+    def test_bulk_load_custom_payloads(self):
+        points = [Point(0, 0), Point(1, 1)]
+        tree = build_index(points, payloads=["a", "b"])
+        assert {e.payload for e in tree.entries()} == {"a", "b"}
+
+    def test_bulk_load_preserves_all_points(self):
+        rng = random.Random(0)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(500)]
+        tree = build_index(points, max_entries=8)
+        assert len(tree) == 500
+        assert sorted(p.as_tuple() for p in tree.points()) == sorted(
+            p.as_tuple() for p in points
+        )
+        tree.validate()
+
+    def test_bulk_load_height_logarithmic(self):
+        points = [Point(i % 40, i // 40) for i in range(1600)]
+        tree = build_index(points, max_entries=16)
+        assert tree.height() <= 4
+        tree.validate()
+
+
+class TestInsertion:
+    def test_insert_single(self):
+        tree = build_index([])
+        tree.insert(Point(1, 2), "x")
+        assert len(tree) == 1
+        assert list(tree.entries())[0].payload == "x"
+        tree.validate()
+
+    def test_insert_many_validates(self):
+        rng = random.Random(1)
+        tree = build_index([], max_entries=6)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(300)]
+        for i, p in enumerate(points):
+            tree.insert(p, i)
+        assert len(tree) == 300
+        tree.validate()
+        assert sorted(e.payload for e in tree.entries()) == list(range(300))
+
+    def test_insert_duplicate_locations(self):
+        tree = build_index([], max_entries=4)
+        for i in range(50):
+            tree.insert(Point(5, 5), i)
+        assert len(tree) == 50
+        tree.validate()
+
+    def test_insert_collinear(self):
+        tree = build_index([], max_entries=4)
+        for i in range(100):
+            tree.insert(Point(float(i), 0.0), i)
+        assert len(tree) == 100
+        tree.validate()
+
+    @settings(max_examples=40, deadline=None)
+    @given(point_lists)
+    def test_insert_arbitrary_sets(self, points):
+        tree = build_index([], max_entries=5)
+        for i, p in enumerate(points):
+            tree.insert(p, i)
+        assert len(tree) == len(points)
+        tree.validate()
+
+
+class TestStructure:
+    def test_entry_rect_degenerate(self):
+        e = Entry(Point(3, 4), None)
+        assert e.rect == Rect(3, 4, 3, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(point_lists)
+    def test_bulk_load_structure(self, points):
+        tree = build_index(points, max_entries=4)
+        assert len(tree) == len(points)
+        tree.validate()
+
+    def test_bounding_rect_query_returns_everything(self):
+        rng = random.Random(2)
+        points = [Point(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(200)]
+        tree = build_index(points)
+        bounds = Rect(
+            min(p.x for p in points),
+            min(p.y for p in points),
+            max(p.x for p in points),
+            max(p.y for p in points),
+        )
+        got = sorted(e.point.as_tuple() for e in tree.range_query(bounds))
+        assert got == sorted(p.as_tuple() for p in points)
+
+
+class TestDelete:
+    def test_delete_missing_returns_false(self):
+        tree = build_index([Point(0, 0)])
+        assert not tree.delete(Point(5, 5))
+        assert len(tree) == 1
+
+    def test_delete_single(self):
+        tree = build_index([Point(0, 0), Point(1, 1)])
+        assert tree.delete(Point(0, 0))
+        assert len(tree) == 1
+        assert [e.point for e in tree.entries()] == [Point(1, 1)]
+        tree.validate()
+
+    def test_delete_by_payload(self):
+        tree = build_index([])
+        tree.insert(Point(2, 2), "a")
+        tree.insert(Point(2, 2), "b")
+        assert tree.delete(Point(2, 2), "b")
+        assert [e.payload for e in tree.entries()] == ["a"]
+
+    def test_delete_to_empty(self):
+        tree = build_index([Point(i, 0) for i in range(5)], max_entries=4)
+        for i in range(5):
+            assert tree.delete(Point(i, 0))
+        assert len(tree) == 0
+        tree.validate()
+
+    def test_delete_half_of_large_tree(self):
+        rng = random.Random(5)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(400)]
+        tree = build_index(points, max_entries=8)
+        keep = points[200:]
+        for p in points[:200]:
+            assert tree.delete(p), f"failed to delete {p}"
+            tree.validate()
+        assert len(tree) == 200
+        assert sorted(p.as_tuple() for p in tree.points()) == sorted(
+            p.as_tuple() for p in keep
+        )
+
+    def test_queries_correct_after_deletions(self):
+        rng = random.Random(9)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(150)]
+        tree = build_index(points, max_entries=6)
+        removed = set()
+        for p in rng.sample(points, 70):
+            tree.delete(p)
+            removed.add(p.as_tuple())
+        remaining = [p for p in points if p.as_tuple() not in removed]
+        q = Point(50, 50)
+        got = [e.point.dist(q) for e in tree.knn(q, 10)]
+        want = sorted(p.dist(q) for p in remaining)[:10]
+        assert got == pytest.approx(want)
+
+    def test_interleaved_insert_delete(self):
+        rng = random.Random(13)
+        tree = build_index([], max_entries=5)
+        live: list[Point] = []
+        for step in range(500):
+            if live and rng.random() < 0.45:
+                victim = live.pop(rng.randrange(len(live)))
+                assert tree.delete(victim)
+            else:
+                p = Point(rng.uniform(0, 100), rng.uniform(0, 100))
+                tree.insert(p)
+                live.append(p)
+            if step % 50 == 0:
+                tree.validate()
+        assert len(tree) == len(live)
+        tree.validate()
+
+    @settings(max_examples=30, deadline=None)
+    @given(nonempty_point_lists, st.integers(0, 2**31))
+    def test_delete_random_subset_property(self, points, seed):
+        tree = build_index(points, max_entries=4)
+        rng = random.Random(seed)
+        victims = rng.sample(points, len(points) // 2)
+        # Deleting by point removes one matching entry per call.
+        for v in victims:
+            assert tree.delete(v)
+        assert len(tree) == len(points) - len(victims)
+        tree.validate()
+
+
+class TestKnn:
+    def test_k_zero(self, tree_200):
+        assert tree_200.knn(Point(0, 0), 0) == []
+
+    def test_k_exceeds_size(self, build):
+        tree = _tree([Point(0, 0), Point(1, 1)], build)
+        assert len(tree.knn(Point(0, 0), 10)) == 2
+
+    def test_nearest_empty_tree(self, build):
+        assert _tree([], build).nearest(Point(0, 0)) is None
+
+    def test_nearest_trivial(self, build):
+        tree = _tree([Point(0, 0), Point(10, 10), Point(5, 5)], build)
+        assert tree.nearest(Point(4, 4)).point == Point(5, 5)
+
+    def test_incremental_order_is_nondecreasing(self, tree_200, pois_200):
+        q = Point(500, 500)
+        dists = [e.point.dist(q) for e in tree_200.incremental_nearest(q)]
+        assert dists == sorted(dists)
+        assert len(dists) == len(pois_200)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(nonempty_point_lists, small_coord, small_coord, st.integers(1, 20))
+    def test_matches_brute_force(self, build, points, qx, qy, k):
+        tree = _tree(points, build)
+        q = Point(qx, qy)
+        result = [e.point.dist(q) for e in tree.knn(q, k)]
+        expected = sorted(p.dist(q) for p in points)[:k]
+        assert result == pytest.approx(expected)
+
+
+class TestRangeQueries:
+    def test_window_query_brute_force(self, tree_200, pois_200, rng):
+        for _ in range(25):
+            x1, x2 = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            y1, y2 = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
+            window = Rect(x1, y1, x2, y2)
+            got = sorted(e.point.as_tuple() for e in tree_200.range_query(window))
+            want = sorted(
+                p.as_tuple() for p in pois_200 if window.contains_point(p)
+            )
+            assert got == want
+
+    def test_circle_query_brute_force(self, tree_200, pois_200, rng):
+        for _ in range(25):
+            center = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            radius = rng.uniform(10, 400)
+            got = sorted(
+                e.point.as_tuple()
+                for e in tree_200.circle_range_query(center, radius)
+            )
+            want = sorted(
+                p.as_tuple() for p in pois_200 if p.dist(center) <= radius
+            )
+            assert got == want
+
+    def test_empty_window(self, tree_200):
+        assert tree_200.range_query(Rect(-10, -10, -5, -5)) == []
+
+    def test_window_covering_everything(self, tree_200, pois_200):
+        assert len(tree_200.range_query(Rect(-1, -1, 1001, 1001))) == len(pois_200)

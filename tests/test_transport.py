@@ -35,7 +35,6 @@ from repro.service import (
 from repro.simulation.policies import circle_policy, tile_policy
 from repro.space import Space, share_space
 from repro.transport import (
-    AsyncWireClient,
     ConnectionClosed,
     FrameDecodeError,
     FrameTooLargeError,
@@ -47,6 +46,7 @@ from repro.transport import (
     decode_body,
     encode_frame,
 )
+from tests.async_wire_client import AsyncWireClient
 from tests.conftest import SMALL_WORLD
 
 FACTORY = UniformPoiSpaceFactory(n_pois=250, seed=9)
