@@ -2,8 +2,9 @@
 
 Each figure has a config builder in :mod:`repro.experiments.figures`
 and runs through :func:`repro.experiments.harness.run_experiment`,
-which produces the same series the paper plots (update frequency,
-communication cost in packets, CPU time) as printable rows.
+which plays each sweep point as one ``run_service`` stream and produces
+the same series the paper plots (update frequency, communication cost
+in packets, CPU time) as printable rows.
 """
 
 from repro.experiments.scales import ExperimentScale, SCALES

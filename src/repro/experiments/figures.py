@@ -9,6 +9,7 @@ substitute.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.experiments.harness import ExperimentResult, SweepPoint, run_experiment
@@ -177,24 +178,24 @@ def _buffering_figure(
     """Figs. 16/19: Tile-D vs Tile-D-b as a function of b.
 
     Tile-D is b-independent; the paper plots it as a flat reference
-    line, which we reproduce by running it once per x-value.
+    line.  One point plays Tile-D and every Tile-D-b together, and the
+    one Tile-D row is reported at every x-value.
     """
     ds = _dataset(scale, dataset_name)
-    m = scale.default_group_size
-    groups = ds.groups(m, scale.max_groups)
+    groups = ds.groups(scale.default_group_size, scale.max_groups)
     kwargs = dict(
         objective=objective, alpha=scale.alpha, split_level=scale.split_level
     )
+    point = SweepPoint(label=",".join(map(str, b_values)), groups=groups, tree=ds.tree)
+    policies = [tile_d_policy(**kwargs)]
+    policies += [tile_d_b_policy(b=b, **kwargs) for b in b_values]
+    reference, *buffered = run_experiment(
+        figure, "b", [point], policies, progress=progress
+    ).rows
     rows = []
-    reference = tile_d_policy(**kwargs)
-    for b in b_values:
-        point = SweepPoint(label=str(b), groups=groups, tree=ds.tree)
-        buffered = tile_d_b_policy(b=b, **kwargs)
-        buffered = Policy("Tile-D-b", buffered.kind, buffered.objective, buffered.tile_config)
-        result = run_experiment(
-            figure, "b", [point], [reference, buffered], progress=progress
-        )
-        rows.extend(result.rows)
+    for b, row in zip(b_values, buffered):
+        rows.append(replace(reference, x_label=str(b)))
+        rows.append(replace(row, method="Tile-D-b", x_label=str(b)))
     return ExperimentResult(figure=figure, x_name="b", rows=rows)
 
 

@@ -7,7 +7,8 @@ from typing import Callable, Sequence
 
 from repro.index.backend import SpatialIndex
 from repro.mobility.trajectory import Trajectory
-from repro.simulation import Policy, SimulationMetrics, run_groups
+from repro.simulation import Policy, SimulationMetrics, run_service
+from repro.simulation.metrics import average_metrics
 
 
 @dataclass(frozen=True)
@@ -23,11 +24,10 @@ class SweepPoint:
 class ExperimentRow:
     """One (method, x-value) cell with the paper's three measures.
 
-    ``cpu_seconds`` is the server wall clock charged to each group's
-    session for its recomputations, averaged over the groups: per wave,
-    the session's equal share of that wave's wall clock.  The §7 harness
-    plays one group per service, so every share is a whole one-session
-    computation.
+    ``cpu_seconds`` is the server wall clock charged to the cell's
+    sessions for their recomputations, averaged over its groups: the
+    cell's equal share of each batched wave (a bucket never mixes
+    strategy configs, so never two figure cells).
     """
 
     method: str
@@ -69,19 +69,28 @@ def run_experiment(
     x_name: str,
     points: Sequence[SweepPoint],
     policies: Sequence[Policy],
-    n_timestamps: int | None = None,
     check_every: int = 0,
     progress: Callable[[str], None] | None = None,
 ) -> ExperimentResult:
-    """Run every policy at every sweep point; collect the figure rows."""
+    """Run every policy at every sweep point; collect the figure rows.
+
+    A point is one ``run_service`` stream (one ``report_many`` wave per
+    tick) on a fresh ``MPNService(point.tree)``, playing every group
+    under every policy; each row averages its own cell's sessions.
+    """
     rows: list[ExperimentRow] = []
     for point in points:
-        for policy in policies:
+        n = len(point.groups)
+        result = run_service(
+            [group for _ in policies for group in point.groups],
+            [policy for policy in policies for _ in point.groups],
+            point.tree,
+            check_every=check_every,
+        )
+        for i, policy in enumerate(policies):
             if progress is not None:
                 progress(f"{figure}: {policy.name} @ {x_name}={point.label}")
-            metrics = run_groups(
-                policy, point.groups, point.tree, n_timestamps, check_every
-            )
+            metrics = average_metrics(result.session_metrics[i * n : (i + 1) * n])
             rows.append(
                 ExperimentRow(
                     method=policy.name,

@@ -11,7 +11,8 @@ Message and packet accounting follows the paper's model (576-byte MTU,
 :func:`run_service` plays fleets of fixed trajectory groups — a
 :class:`TrajectoryGroups` tick stream — through
 :func:`repro.scenarios.run_scenario`, the one ``report_many`` tick
-loop; :func:`run_simulation` is its one-group case, and
+loop — the §7 harness plays each sweep point as one such stream;
+:func:`run_simulation` is its one-group case, and
 :func:`run_adaptive_simulation` retunes one session between rounds.
 """
 
@@ -38,7 +39,6 @@ from repro.simulation.engine import (
     SafeRegionViolation,
     ServiceRunResult,
     TrajectoryGroups,
-    run_groups,
     run_service,
     run_simulation,
 )
@@ -67,7 +67,6 @@ __all__ = [
     "tile_d_b_policy",
     "SafeRegionViolation",
     "run_simulation",
-    "run_groups",
     "run_service",
     "ServiceRunResult",
     "TrajectoryGroups",

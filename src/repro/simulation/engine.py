@@ -16,11 +16,12 @@ timestamps, that each cached meeting point still equals the exact
 aggregate nearest neighbor — the paper's core guarantee (Definition 3).
 This is how the integration tests establish end-to-end soundness.
 
-:func:`run_simulation` is the one-group case (the periodic strawman
-aside, which opens no session), :func:`run_groups` averages it over
-the §7 groups, and :func:`run_service` adds interleaved groups, mixed
-spaces and POI churn against one shared index.  The runner is imported
-at call time, since ``repro.scenarios`` imports this package.
+:func:`run_service` plays interleaved groups, mixed spaces and POI
+churn against one shared index — the §7 harness plays each sweep
+point's groups × policies as one such stream — and
+:func:`run_simulation` is its one-group case (the periodic strawman
+aside, which opens no session).  The runner is imported at call time,
+since ``repro.scenarios`` imports this package.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.service.api import ServiceBackend
 from repro.service.service import MPNService
 from repro.service.strategies import SafeRegionStrategy, get_strategy
 from repro.simulation.messages import LOCATION_UPDATE_PACKETS, notify_packets
-from repro.simulation.metrics import SimulationMetrics, average_metrics
+from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
 from repro.space import Space, as_space
 
@@ -131,21 +132,6 @@ def _assert_result_valid(
             f"cached meeting point {current_po} has aggregate distance "
             f"{cached_dist}, but {best_poi} achieves {best_dist}"
         )
-
-
-def run_groups(
-    policy: Policy,
-    groups: Sequence[Sequence[Trajectory]],
-    tree: SpatialIndex,
-    n_timestamps: Optional[int] = None,
-    check_every: int = 0,
-) -> SimulationMetrics:
-    """Average metrics across user groups, as reported in Section 7.1."""
-    runs = [
-        run_simulation(policy, group, tree, n_timestamps, check_every)
-        for group in groups
-    ]
-    return average_metrics(runs)
 
 
 # ----------------------------------------------------------------------

@@ -484,6 +484,8 @@ class ThreadedWireServer:
         self.server = WireServer(backend, **kwargs)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        self._serving: Optional[asyncio.Task] = None  # None once exiting
+        self._exit_lock = threading.Lock()
         self.address: Optional[tuple[str, int]] = None
 
     def start(self) -> tuple[str, int]:
@@ -503,10 +505,17 @@ class ThreadedWireServer:
                 failure.append(exc)
                 started.set()
                 return
+            self._serving = self._loop.create_task(self.server.serve_forever())
             started.set()
             try:
-                self._loop.run_until_complete(self.server.serve_forever())
+                self._loop.run_until_complete(self._serving)
+            except asyncio.CancelledError:
+                pass  # stop() asked for the drain
             finally:
+                with self._exit_lock:  # stop() schedules nothing from here
+                    self._serving = None
+                # The drain (already done after the ``shutdown`` op).
+                self._loop.run_until_complete(self.server.stop())
                 self._loop.run_until_complete(
                     self._loop.shutdown_asyncgens()
                 )
@@ -526,25 +535,12 @@ class ThreadedWireServer:
     def stop(self, timeout: float = 30.0) -> None:
         if self._thread is None:
             return
-        # The ``shutdown`` control op stops the server from inside the
-        # loop; the serving thread then closes the loop on its way out.
-        # Racing that, ``run_coroutine_threadsafe`` can land on a
-        # closed loop — the drain already happened, so just join.
-        coro = self.server.stop()
-        try:
-            future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        except RuntimeError:
-            coro.close()
-            future = None
-        if future is not None:
-            try:
-                future.result(timeout)
-            except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-                pass
-            except RuntimeError:
-                # Loop closed between scheduling and completion: the
-                # serve thread finished its own stop() concurrently.
-                pass
+        # Wake the serve thread to drain and close its own loop: a plain
+        # callback, harmless if it lands after serving ended, and never
+        # scheduled once the loop is closing.
+        with self._exit_lock:
+            if self._serving is not None:
+                self._loop.call_soon_threadsafe(self._serving.cancel)
         self._thread.join(timeout)
         self._thread = None
 

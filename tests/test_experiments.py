@@ -1,5 +1,7 @@
 """Tests for the experiment harness and figure builders (tiny scale)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.figures import (
@@ -9,10 +11,15 @@ from repro.experiments.figures import (
     fig15_speed,
     fig16_buffering,
 )
-from repro.experiments.harness import format_table
+from repro.experiments.harness import SweepPoint, format_table, run_experiment
 from repro.experiments.scales import BENCH, SCALES, ExperimentScale
+from repro.scenarios.runner import counters
+from repro.service import MPNService
+from repro.simulation import engine
 from repro.simulation.adaptive import AdaptiveConfig, run_adaptive_simulation
-from repro.simulation.policies import tile_policy
+from repro.simulation.engine import run_simulation
+from repro.simulation.metrics import average_metrics
+from repro.simulation.policies import circle_policy, tile_d_policy, tile_policy
 from repro.workloads.datasets import DatasetSpec, build_dataset
 
 TINY = ExperimentScale(
@@ -25,6 +32,8 @@ TINY = ExperimentScale(
     split_level=1,
     default_group_size=2,
 )
+# The same size, with two groups at each of fig13's m = 2, 3, 4.
+TWO_GROUPS = replace(TINY, n_trajectories=8, max_groups=2)
 
 
 class TestScales:
@@ -81,6 +90,105 @@ class TestFigureBuilders:
         assert len(seen) == 3  # one per policy
 
 
+def _main_policies():
+    return [
+        circle_policy(),
+        tile_policy(alpha=4, split_level=1),
+        tile_d_policy(alpha=4, split_level=1),
+    ]
+
+
+class TestRunExperiment:
+    """A sweep point is one shared-service stream; a row averages its
+    own cell's sessions."""
+
+    @pytest.fixture(scope="class")
+    def point(self):
+        ds = build_dataset(
+            DatasetSpec(name="geolife", n_pois=300, n_trajectories=4, n_timestamps=80)
+        )
+        return SweepPoint(label="2", groups=ds.groups(2, 2), tree=ds.tree)
+
+    def test_rows_average_their_cells(self, point):
+        policies = _main_policies()
+        rows = run_experiment("f", "m", [point], policies).rows
+        assert [r.method for r in rows] == ["Circle", "Tile", "Tile-D"]
+        for row, policy in zip(rows, policies):
+            alone = average_metrics(
+                [run_simulation(policy, g, point.tree) for g in point.groups]
+            )
+            assert counters(row.metrics) == counters(alone)
+            assert (row.update_events, row.packets) == (
+                alone.update_events,
+                alone.packets_total,
+            )
+
+    def test_check_every_checks_every_session(self, point, monkeypatch):
+        """Definition 3 holds for every session of the shared
+        multi-policy service, on every tick after the opens."""
+        checked = []
+        exact = engine._assert_result_valid
+
+        def spy(policy, space, users, po):
+            checked.append(policy.name)
+            exact(policy, space, users, po)
+
+        monkeypatch.setattr(engine, "_assert_result_valid", spy)
+        rows = run_experiment(
+            "f", "m", [point], _main_policies(), check_every=1
+        ).rows
+        ticks = len(point.groups[0][0]) - 1
+        assert sorted(set(checked)) == ["Circle", "Tile", "Tile-D"]
+        assert len(checked) == 3 * len(point.groups) * ticks
+        assert all(r.update_events >= 1 for r in rows)
+
+
+class _CountingService(MPNService):
+    """An ``MPNService`` that logs itself and counts opens and waves."""
+
+    built: list["_CountingService"] = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.opens = self.waves = 0
+        self.built.append(self)
+
+    def open_session(self, *args, **kwargs):
+        self.opens += 1
+        return super().open_session(*args, **kwargs)
+
+    def report_many(self, events):
+        self.waves += 1
+        return super().report_many(events)
+
+
+class TestOneStreamPerPoint:
+    """Structure, not timing: one service and at most one wave per tick
+    per sweep point."""
+
+    @pytest.fixture
+    def services(self, monkeypatch):
+        monkeypatch.setattr(_CountingService, "built", [])
+        monkeypatch.setattr(engine, "MPNService", _CountingService)
+        return _CountingService.built
+
+    def test_fig13_one_service_per_point(self, services):
+        fig13_group_size(scale=TWO_GROUPS, group_sizes=(2, 3, 4))
+        assert len(services) == 3
+        for service in services:
+            assert service.opens == 2 * 3  # groups x policies
+            assert service.waves <= TWO_GROUPS.n_timestamps - 1
+
+    def test_fig16_plays_tile_d_once(self, services):
+        b_values = (10, 25, 50, 75, 100)
+        rows = fig16_buffering(scale=TINY, b_values=b_values).rows
+        assert len(rows) == 2 * len(b_values)
+        (service,) = services
+        n_groups = TINY.max_groups
+        assert service.opens == n_groups * (1 + len(b_values))
+        assert service.waves <= TINY.n_timestamps - 1
+
+
 class TestSection7Referee:
     """The §7 numbers, pinned as literals: whichever driver plays the
     groups, every row's integer measures must come out unchanged."""
@@ -109,6 +217,24 @@ class TestSection7Referee:
             (method, b, 3, 14)
             for b in ("10", "25", "50", "75", "100")
             for method in ("Tile-D", "Tile-D-b")
+        ]
+
+    def test_fig13_two_group_rows_pinned(self):
+        """Every point averages two groups — recorded while each group
+        still played on a service of its own."""
+        rows = fig13_group_size(scale=TWO_GROUPS, group_sizes=(2, 3, 4)).rows
+        assert [
+            (r.method, r.x_label, r.update_events, r.packets) for r in rows
+        ] == [
+            ("Circle", "2", 32, 157),
+            ("Tile", "2", 34, 167),
+            ("Tile-D", "2", 22, 109),
+            ("Circle", "3", 24, 186),
+            ("Tile", "3", 26, 210),
+            ("Tile-D", "3", 14, 110),
+            ("Circle", "4", 28, 300),
+            ("Tile", "4", 32, 349),
+            ("Tile-D", "4", 20, 217),
         ]
 
     def test_adaptive_alpha_history_pinned(self):

@@ -17,7 +17,6 @@ from repro.service.messages import Notification, SessionHandle
 from repro.simulation.adaptive import run_adaptive_simulation
 from repro.simulation.engine import (
     TrajectoryGroups,
-    run_groups,
     run_service,
     run_simulation,
 )
@@ -200,13 +199,6 @@ class TestEngine:
             n_timestamps=200,
         )
         assert tile.update_events <= circle.update_events
-
-    def test_run_groups_averages(self, small_dataset):
-        groups = [small_dataset.trajectories[:2], small_dataset.trajectories[2:4]]
-        metrics = run_groups(
-            circle_policy(), groups, small_dataset.tree, n_timestamps=80
-        )
-        assert metrics.timestamps == 80
 
     def test_cpu_time_recorded(self, small_dataset):
         group = small_dataset.trajectories[:2]

@@ -15,6 +15,7 @@ import logging
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -550,6 +551,51 @@ class TestDrain:
         server.stop()
         assert backend.served == []
         self._no_pending_task_log(caplog)
+
+    def test_stop_racing_the_exit_path_leaves_nothing_on_the_loop(
+        self, monkeypatch
+    ):
+        """The ``shutdown`` op ended serving; ``stop()`` runs while the
+        serve thread is held in its exit path with the loop still open.
+        Nothing may be scheduled onto that loop — no coroutine dropped
+        unawaited, no future that will never resolve."""
+        server = ThreadedWireServer(ProbeBackend())
+        server.start()
+        loop, thread = server._loop, server._thread
+        in_exit_path, release = threading.Event(), threading.Event()
+        close, join = loop.close, thread.join
+
+        def held_close():
+            in_exit_path.set()
+            release.wait()
+            close()
+
+        def join_releasing(timeout=None):
+            release.set()  # stop() got as far as waiting for the thread
+            join(timeout)
+
+        loop.close, thread.join = held_close, join_releasing
+        with WireClient(*server.address) as client:
+            assert client.control("shutdown") == {"ok": True}
+        assert in_exit_path.wait(10.0)
+
+        scheduled = []
+        call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def spy(callback, *args, **kwargs):
+            scheduled.append(callback)
+            return call_soon_threadsafe(callback, *args, **kwargs)
+
+        loop.call_soon_threadsafe = spy
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            server.stop()
+            gc.collect()  # an unawaited coroutine warns from __del__
+        assert scheduled == []
+        assert loop.is_closed() and not thread.is_alive()
+        assert unraisable == []
 
 
 # ----------------------------------------------------------------------
