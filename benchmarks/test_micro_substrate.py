@@ -3,8 +3,9 @@
 Not paper figures, but the substrate costs that everything above is
 built on; regressions here show up multiplied in every experiment.
 
-The spatial-primitive benchmarks (knn, range, find_gnn, Theorem-3/6
-pruning) run at 50k POIs on the flat R-tree and on an exhaustive NumPy
+The spatial-primitive benchmarks (batched MAX / SUM k-GNN and the
+Theorem-3/6 candidate scans — the queries the paper's server sends
+its index) run at 50k POIs on the flat R-tree and on an exhaustive NumPy
 scan of the same points — every query scores every point in one
 vectorized call — and the final test computes the flat-over-scan
 speedup ratios from the recorded timings and asserts per-op floors:
@@ -25,7 +26,6 @@ from repro.core.compression import compress_region, decompress_region
 from repro.core.tile_msr import tile_msr
 from repro.core.types import TileMSRConfig
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.index.backend import build_index
 from repro.workloads.datasets import WORLD
 from repro.workloads.poi import build_poi_tree, clustered_pois
@@ -34,9 +34,9 @@ IMPLS = ["scan", "flat"]
 N_POIS = 50_000
 
 # Flat-over-scan floors at 50k POIs: half the smallest ratio of three
-# multi-sample runs on a 2-vCPU x86-64 host (knn 67.0x, range 9.61x,
-# find_gnn_max 191.7x, find_gnn_sum 99.0x).
-SPEEDUP_FLOORS = {"knn": 33.5, "range": 4.8, "find_gnn_max": 95.8, "find_gnn_sum": 49.5}
+# multi-sample runs on a 2-vCPU x86-64 host (find_gnn_max 191.7x,
+# find_gnn_sum 99.0x).
+SPEEDUP_FLOORS = {"find_gnn_max": 95.8, "find_gnn_sum": 49.5}
 
 # op -> impl -> (best wall-clock seconds, samples), filled in by the
 # parametrized benchmarks below and consumed by the speedup test.
@@ -46,8 +46,8 @@ RECORDED: dict[str, dict[str, tuple[float, int]]] = {}
 class ExhaustiveScan:
     """The comparator: each query scores all n points in NumPy.
 
-    Answers the same batched calls as the tree (knn / range / k-GNN /
-    Theorem-3/6 candidates) with point indices instead of entries.
+    Answers the same batched calls as the tree (k-GNN / Theorem-3/6
+    candidates) with point indices instead of entries.
     """
 
     def __init__(self, points):
@@ -67,18 +67,6 @@ class ExhaustiveScan:
     def _best(scores: np.ndarray, k: int) -> list[int]:
         top = np.argpartition(scores, k)[:k]
         return top[np.argsort(scores[top])].tolist()
-
-    def knn_many(self, queries, k):
-        return [self._best(self._dists([q])[:, 0], k) for q in queries]
-
-    def range_many(self, windows):
-        x, y = self.xy[:, 0], self.xy[:, 1]
-        return [
-            np.flatnonzero(
-                (x >= w.x_lo) & (x <= w.x_hi) & (y >= w.y_lo) & (y <= w.y_hi)
-            ).tolist()
-            for w in windows
-        ]
 
     def gnn_many(self, groups, k, agg):
         reduce = np.max if agg == "max" else np.sum
@@ -129,19 +117,6 @@ def trees(big_points):
 
 
 @pytest.fixture(scope="module")
-def queries():
-    rng = random.Random(1)
-    return [WORLD.sample(rng) for _ in range(200)]
-
-
-@pytest.fixture(scope="module")
-def windows(queries):
-    wx = (WORLD.x_hi - WORLD.x_lo) * 0.05
-    wy = (WORLD.y_hi - WORLD.y_lo) * 0.05
-    return [Rect(q.x, q.y, q.x + wx, q.y + wy) for q in queries]
-
-
-@pytest.fixture(scope="module")
 def groups():
     """Walking-distance user groups, like the paper's MPN groups."""
     rng = random.Random(2)
@@ -161,20 +136,6 @@ def groups():
 def test_bulk_load_50k(benchmark, big_points, impl):
     tree = _record(benchmark, "bulk_load", impl, lambda: _build(impl, big_points))
     assert len(tree) == len(big_points)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-def test_knn_50k(benchmark, trees, queries, impl):
-    tree = trees[impl]
-    result = _record(benchmark, "knn", impl, lambda: tree.knn_many(queries, 10))
-    assert all(len(r) == 10 for r in result)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-def test_range_50k(benchmark, trees, windows, impl):
-    tree = trees[impl]
-    result = _record(benchmark, "range", impl, lambda: tree.range_many(windows))
-    assert sum(len(r) for r in result) > 0
 
 
 @pytest.mark.parametrize("impl", IMPLS)

@@ -1,7 +1,7 @@
 """Axis-aligned rectangles (MBRs) with min/max distance semantics.
 
-``Rect`` doubles as the window type of the R-tree's range queries
-(:mod:`repro.index.flat`) and as the geometric footprint of a tile.
+``Rect`` serves as the world box of the workloads and mobility
+models and as the geometric footprint of a tile.
 ``min_dist`` / ``max_dist`` implement ``||p, S||_min`` and
 ``||p, S||_max`` of Definition 1 for a rectangular region ``S``.
 """

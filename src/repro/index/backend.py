@@ -5,7 +5,12 @@ indexes it by an R-tree" (Section 3.1), and every layer above — k-GNN
 retrieval (gnn), Theorem-3/6 candidate pruning (core), the monitoring
 loop and multi-group server (simulation), the figure harnesses
 (experiments) — consumes that index only through the
-:class:`SpatialIndex` protocol defined here.  The implementation is
+:class:`SpatialIndex` protocol defined here.  The protocol asks for
+what the paper asks of the R-tree and nothing more: the k best
+aggregate nearest neighbors of a group (Algorithm 1 with k = 2, the
+Section 5.4 buffer with k = b + 1) and the Theorem-3/6 candidate scans
+of Tile-MSR (Algorithm 3), plus delta-layer maintenance under POI
+churn.  The implementation is
 :class:`repro.index.flat.FlatRTree`, an STR-packed structure-of-arrays
 R-tree with vectorized NumPy kernels; :func:`build_index` bulk-loads
 one.  Exhaustive scans (:mod:`repro.gnn.bruteforce`) referee it in the
@@ -17,7 +22,6 @@ from __future__ import annotations
 from typing import Any, Iterator, Optional, Protocol, Sequence, runtime_checkable
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.index.entries import Entry
 from repro.index.flat import FlatRTree
 
@@ -51,20 +55,6 @@ class SpatialIndex(Protocol):
     def height(self) -> int: ...
 
     def validate(self) -> None: ...
-
-    def incremental_nearest(self, query: Point) -> Iterator[Entry]: ...
-
-    def knn(self, query: Point, k: int) -> list[Entry]: ...
-
-    def knn_many(self, queries: Sequence[Point], k: int) -> list[list[Entry]]: ...
-
-    def nearest(self, query: Point) -> Optional[Entry]: ...
-
-    def range_query(self, window: Rect) -> list[Entry]: ...
-
-    def range_many(self, windows: Sequence[Rect]) -> list[list[Entry]]: ...
-
-    def circle_range_query(self, center: Point, radius: float) -> list[Entry]: ...
 
     def incremental_gnn(
         self, users: Sequence[Point], agg: str = "max"

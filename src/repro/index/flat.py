@@ -13,8 +13,10 @@ in contiguous NumPy arrays instead:
 * there are no node objects at all; a node is an index into its
   level's arrays.
 
-Every query — knn, range, circle range, aggregate GNN, candidate
-pruning — runs through the shared kernels of
+The tree answers the two query kinds the paper's server sends: the k
+best aggregate nearest neighbors of a group (FindMaxGNN / FindSumGNN;
+plain k-NN is the one-user group) and the Theorem-3/6 candidate
+scans of Tile-MSR.  Both run through the shared kernels of
 :mod:`repro.index.kernels`, which score or mask whole sibling sets per
 NumPy call.
 
@@ -59,7 +61,6 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.index import kernels
 from repro.index.entries import Entry, resolve_removals_indexed
 
@@ -506,92 +507,6 @@ class FlatRTree:
             mapped = sorted(i for ids in self._live_map.values() for i in ids)
             if mapped != sorted(self._live_ids()):
                 raise AssertionError("live map out of sync with live ids")
-
-    # ------------------------------------------------------------------
-    # Nearest-neighbor and range primitives
-    # ------------------------------------------------------------------
-
-    def incremental_nearest(self, query: Point) -> Iterator[Entry]:
-        """Live leaf entries in increasing distance from ``query``.
-
-        Scored in squared-distance space — the ordering is identical
-        and no square root is ever taken.
-        """
-        qx, qy = query.x, query.y
-        stream = kernels.best_first(
-            self,
-            lambda b: kernels.min_dists_sq(b, qx, qy),
-            lambda p: kernels.point_dists_sq(p, qx, qy),
-        )
-        cache = self._materialized()
-        for _, i in stream:
-            yield cache[i]
-
-    def knn(self, query: Point, k: int) -> list[Entry]:
-        if k <= 0:
-            return []
-        return list(itertools.islice(self.incremental_nearest(query), k))
-
-    def knn_many(self, queries: Sequence[Point], k: int) -> list[list[Entry]]:
-        """k-NN for many query points in one vectorized pass."""
-        if k <= 0 or not queries:
-            return [[] for _ in queries]
-        U = np.asarray([[[q.x, q.y]] for q in queries], dtype=np.float64)
-        out = kernels.gnn_batch(self, U, k, "max")
-        if out is None:
-            return [self.knn(q, k) for q in queries]
-        cache = self._materialized()
-        return [[cache[i] for i in row] for row in out[1].tolist()]
-
-    def nearest(self, query: Point) -> Entry | None:
-        result = self.knn(query, 1)
-        return result[0] if result else None
-
-    def range_many(self, windows: Sequence[Rect]) -> list[list[Entry]]:
-        """Window queries for many windows in one frontier traversal."""
-        W = np.asarray(
-            [[w.x_lo, w.y_lo, w.x_hi, w.y_hi] for w in windows], dtype=np.float64
-        ).reshape(len(windows), 4)
-        qid, pid = kernels.range_batch(self, W)
-        cache = self._materialized()
-        # qid is sorted by window; slice each window's run out of pid.
-        cuts = np.searchsorted(qid, np.arange(len(windows) + 1))
-        pid = pid.tolist()
-        get = cache.__getitem__
-        return [
-            list(map(get, pid[lo:hi])) for lo, hi in zip(cuts[:-1], cuts[1:])
-        ]
-
-    def range_query(self, window: Rect) -> list[Entry]:
-        """All live entries whose point lies inside ``window``."""
-        idx = kernels.pruned_scan(
-            self,
-            lambda b: ~(
-                (b[:, 2] < window.x_lo)
-                | (b[:, 0] > window.x_hi)
-                | (b[:, 3] < window.y_lo)
-                | (b[:, 1] > window.y_hi)
-            ),
-            lambda p: (
-                (p[:, 0] >= window.x_lo)
-                & (p[:, 0] <= window.x_hi)
-                & (p[:, 1] >= window.y_lo)
-                & (p[:, 1] <= window.y_hi)
-            ),
-        )
-        cache = self._materialized()
-        return [cache[i] for i in idx.tolist()]
-
-    def circle_range_query(self, center: Point, radius: float) -> list[Entry]:
-        """All live entries within ``radius`` of ``center``."""
-        cx, cy = center.x, center.y
-        idx = kernels.pruned_scan(
-            self,
-            lambda b: kernels.min_dists(b, cx, cy) <= radius,
-            lambda p: kernels.point_dists(p, cx, cy) <= radius,
-        )
-        cache = self._materialized()
-        return [cache[i] for i in idx.tolist()]
 
     # ------------------------------------------------------------------
     # Aggregate (group) nearest neighbor

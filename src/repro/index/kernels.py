@@ -1,13 +1,15 @@
 """Vectorized traversal kernels over the flat (SoA) R-tree layout.
 
-One best-first kernel and one pruned-scan kernel serve every spatial
-primitive in the system: k-NN and incremental NN (index layer), k-GNN
-with batched per-user ``min_dist`` lower bounds (gnn layer), window and
-circle range queries, and the Theorem-3/6 candidate pruning scans (core
-layer).  Callers parameterize the kernels with small closures that map
-packed node bounds / point arrays to scores or masks; the traversal
-logic itself — heap discipline, level-wise frontier expansion, node
-access accounting — is written exactly once.
+Three kernels serve the two query kinds the paper's server sends to
+its POI index.  The aggregate nearest neighbors of a group (FindMaxGNN
+/ FindSumGNN, gnn layer) come from ``best_first`` — one group,
+incremental — or from ``gnn_batch`` — a whole wave of equal-size
+groups in one pass.  The Theorem-3/6 candidate sets of Tile-MSR (core
+layer) come from ``pruned_scan``.  Callers parameterize ``best_first``
+and ``pruned_scan`` with small closures that map packed node bounds /
+point arrays to scores or masks; the traversal logic itself — heap
+discipline, level-wise frontier expansion, node access accounting —
+is written once per kernel.
 
 The node layout these kernels consume is documented in
 :mod:`repro.index.flat`: per level, ``bounds`` is ``(k, 4)`` float64
@@ -42,20 +44,6 @@ ScoreFn = Callable[[np.ndarray], np.ndarray]
 MaskFn = Callable[[np.ndarray], np.ndarray]
 
 
-def min_dists(bounds: np.ndarray, x: float, y: float) -> np.ndarray:
-    """``||q, N||_min`` for every node MBR in ``bounds`` at once."""
-    dx = np.maximum(bounds[:, 0] - x, 0.0) + np.maximum(x - bounds[:, 2], 0.0)
-    dy = np.maximum(bounds[:, 1] - y, 0.0) + np.maximum(y - bounds[:, 3], 0.0)
-    return np.hypot(dx, dy)
-
-
-def min_dists_sq(bounds: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Squared ``||q, N||_min`` — same ordering, no square roots."""
-    dx = np.maximum(bounds[:, 0] - x, 0.0) + np.maximum(x - bounds[:, 2], 0.0)
-    dy = np.maximum(bounds[:, 1] - y, 0.0) + np.maximum(y - bounds[:, 3], 0.0)
-    return dx * dx + dy * dy
-
-
 def min_dists_sq_multi(bounds: np.ndarray, users: np.ndarray) -> np.ndarray:
     """Squared per-user node ``min_dist`` matrix, shape ``(m, k)``."""
     ux = users[:, 0][:, None]
@@ -66,13 +54,6 @@ def min_dists_sq_multi(bounds: np.ndarray, users: np.ndarray) -> np.ndarray:
     dy = np.maximum(bounds[None, :, 1] - uy, 0.0) + np.maximum(
         uy - bounds[None, :, 3], 0.0
     )
-    return dx * dx + dy * dy
-
-
-def point_dists_sq(pts: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Squared distances from ``(x, y)`` to every packed point."""
-    dx = pts[:, 0] - x
-    dy = pts[:, 1] - y
     return dx * dx + dy * dy
 
 
@@ -101,11 +82,6 @@ def min_dists_multi(bounds: np.ndarray, users: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def point_dists(pts: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Distances from ``(x, y)`` to every packed point."""
-    return np.hypot(pts[:, 0] - x, pts[:, 1] - y)
-
-
 def point_dists_multi(pts: np.ndarray, users: np.ndarray) -> np.ndarray:
     """Point-to-user distance matrix, shape ``(k, m)``."""
     return np.hypot(
@@ -132,8 +108,8 @@ def best_first(tree, node_bound: BoundFn, point_score: ScoreFn) -> Iterator[tupl
 
     Generic best-first search: node lower bounds and point scores are
     computed vectorized per sibling set, then fed through one priority
-    queue.  Serves plain NN (score = distance to one query point) and
-    aggregate GNN (score = MAX/SUM over the group) alike.  Callers may
+    queue.  Scores are aggregate GNN distances (MAX / SUM over the
+    group; a one-user group is plain NN).  Callers may
     score with any monotone transform of the target metric (e.g.
     squared distances) as long as ``node_bound`` stays a lower bound of
     ``point_score`` over the node's subtree.
@@ -229,12 +205,9 @@ def _scorers(tree, U: np.ndarray, agg: str):
     ``buffer_points`` scores the arena's ``(nb, 2)`` point array
     against every group at once, shape ``(g, nb)``.  The packed
     closures gather from the level/point *column* arrays (contiguous
-    1-D), which beats row gathers of the packed 2-D layouts.
-    Single-user MAX groups (plain k-NN) skip the per-user axis and its
-    reductions entirely and score in squared space; returns
-    ``(block_bounds, block_points, pair_bounds, pair_points,
-    buffer_points, out_sqrt)`` with ``out_sqrt`` telling the caller
-    whether final scores still need the square root.
+    1-D), which beats row gathers of the packed 2-D layouts.  MAX
+    closures score in squared space, so the caller takes the square
+    root of the final MAX scores.
 
     Rounding parity: SUM scores use ``np.hypot`` exactly like the
     scalar traversal's ``min_dists_multi`` / ``point_dists_multi``, so
@@ -246,46 +219,8 @@ def _scorers(tree, U: np.ndarray, agg: str):
     ops verbatim, so arena and packed copies of the same point always
     score identically.
     """
-    g, m, _ = U.shape
     squared = agg == "max"  # max is monotone under squaring; sum is not
     xs, ys = tree.point_columns()
-    if m == 1 and squared:
-        qx = np.ascontiguousarray(U[:, 0, 0])
-        qy = np.ascontiguousarray(U[:, 0, 1])
-
-        def block_bounds(lvl, cidx: np.ndarray) -> np.ndarray:
-            lo_x, lo_y, hi_x, hi_y = lvl.columns()
-            bx = qx[:, None]
-            by = qy[:, None]
-            dx = np.maximum(np.maximum(lo_x[cidx] - bx, bx - hi_x[cidx]), 0.0)
-            dy = np.maximum(np.maximum(lo_y[cidx] - by, by - hi_y[cidx]), 0.0)
-            return dx * dx + dy * dy
-
-        def block_points(pidx: np.ndarray) -> np.ndarray:
-            dx = xs[pidx] - qx[:, None]
-            dy = ys[pidx] - qy[:, None]
-            return dx * dx + dy * dy
-
-        def pair_bounds(lvl, nid: np.ndarray, gidx: np.ndarray) -> np.ndarray:
-            lo_x, lo_y, hi_x, hi_y = lvl.columns()
-            gx = qx[gidx]
-            gy = qy[gidx]
-            dx = np.maximum(np.maximum(lo_x[nid] - gx, gx - hi_x[nid]), 0.0)
-            dy = np.maximum(np.maximum(lo_y[nid] - gy, gy - hi_y[nid]), 0.0)
-            return dx * dx + dy * dy
-
-        def pair_points(nid: np.ndarray, gidx: np.ndarray) -> np.ndarray:
-            dx = xs[nid] - qx[gidx]
-            dy = ys[nid] - qy[gidx]
-            return dx * dx + dy * dy
-
-        def buffer_points(bpts: np.ndarray) -> np.ndarray:
-            dx = bpts[:, 0][None, :] - qx[:, None]
-            dy = bpts[:, 1][None, :] - qy[:, None]
-            return dx * dx + dy * dy
-
-        return block_bounds, block_points, pair_bounds, pair_points, buffer_points, True
-
     qxm = np.ascontiguousarray(U[:, :, 0])  # (g, m)
     qym = np.ascontiguousarray(U[:, :, 1])
     ux3 = qxm[:, :, None]  # (g, m, 1)
@@ -343,7 +278,7 @@ def _scorers(tree, U: np.ndarray, agg: str):
             return d.max(axis=1)
         return np.hypot(dx, dy).sum(axis=1)
 
-    return block_bounds, block_points, pair_bounds, pair_points, buffer_points, squared
+    return block_bounds, block_points, pair_bounds, pair_points, buffer_points
 
 
 def gnn_batch(
@@ -351,8 +286,7 @@ def gnn_batch(
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Exact k-GNN for many groups in one vectorized pass.
 
-    ``U`` is ``(g, m, 2)`` — ``g`` groups of ``m`` users each (plain
-    k-NN is the ``m = 1`` case).  Strategy: (1) greedy batched descent
+    ``U`` is ``(g, m, 2)`` — ``g`` groups of ``m`` users each.  Strategy: (1) greedy batched descent
     from the root, each group following its minimum-lower-bound child,
     lands every group on its most promising *seed leaf*; (2) the k-th
     best aggregate distance over the seed leaf's live points plus the
@@ -373,14 +307,9 @@ def gnn_batch(
     alive, buf_pts, buf_ids = tree.delta_view()
     leaf = levels[0]
     g = U.shape[0]
-    (
-        block_bounds,
-        block_points,
-        pair_bounds,
-        pair_points,
-        buffer_points,
-        out_sqrt,
-    ) = _scorers(tree, U, agg)
+    block_bounds, block_points, pair_bounds, pair_points, buffer_points = _scorers(
+        tree, U, agg
+    )
 
     # (1) greedy descent: per group, repeatedly step into the child
     # with the smallest aggregate lower bound.  Each level scores one
@@ -467,82 +396,9 @@ def gnn_batch(
     sel = pos < k
     scores = sc[order][sel].reshape(g, k)
     ids = nid[order][sel].reshape(g, k)
-    if out_sqrt:
+    if agg == "max":
         scores = np.sqrt(scores)
     return scores, ids
-
-
-def range_batch(tree, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Window queries for many windows in one frontier traversal.
-
-    ``W`` is ``(w, 4)`` float64 ``[x_lo, y_lo, x_hi, y_hi]``.  The
-    frontier is a flat array of (window, node) pairs; each level prunes
-    and expands ALL pairs in a constant number of NumPy calls, so the
-    per-level cost is independent of how many windows are in flight.
-    Arena points are window-tested as one broadcast containment mask.
-    Returns ``(window_ids, point_ids)`` of the surviving live points,
-    sorted by window then point id (packed ids precede arena ids).
-    """
-    if len(W) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    alive, buf_pts, buf_ids = tree.delta_view()
-    levels = tree._levels
-    wlx = np.ascontiguousarray(W[:, 0])
-    wly = np.ascontiguousarray(W[:, 1])
-    whx = np.ascontiguousarray(W[:, 2])
-    why = np.ascontiguousarray(W[:, 3])
-    qid_p = np.empty(0, dtype=np.int64)
-    pid_p = np.empty(0, dtype=np.int64)
-    if levels:
-        qid = np.arange(len(W), dtype=np.int64)
-        nid = np.zeros(len(W), dtype=np.int64)
-        for level in range(len(levels) - 1, -1, -1):
-            lvl = levels[level]
-            lo_x, lo_y, hi_x, hi_y = lvl.columns()
-            keep = (
-                (hi_x[nid] >= wlx[qid])
-                & (lo_x[nid] <= whx[qid])
-                & (hi_y[nid] >= wly[qid])
-                & (lo_y[nid] <= why[qid])
-            )
-            qid = qid[keep]
-            nid = nid[keep]
-            if nid.size == 0:
-                break
-            counts = lvl.count[nid]
-            qid = np.repeat(qid, counts)
-            nid = expand_ranges(lvl.start[nid], counts)
-        else:
-            if alive is not None:
-                keep = alive[nid]
-                qid = qid[keep]
-                nid = nid[keep]
-            xs, ys = tree.point_columns()
-            px = xs[nid]
-            py = ys[nid]
-            mask = (
-                (px >= wlx[qid])
-                & (px <= whx[qid])
-                & (py >= wly[qid])
-                & (py <= why[qid])
-            )
-            qid_p = qid[mask]
-            pid_p = nid[mask]
-    if buf_pts is None:
-        return qid_p, pid_p
-    bx = buf_pts[:, 0]
-    by = buf_pts[:, 1]
-    inside = (
-        (bx[None, :] >= wlx[:, None])
-        & (bx[None, :] <= whx[:, None])
-        & (by[None, :] >= wly[:, None])
-        & (by[None, :] <= why[:, None])
-    )
-    qb, jb = np.nonzero(inside)
-    qid_all = np.concatenate([qid_p, qb.astype(np.int64)])
-    pid_all = np.concatenate([pid_p, buf_ids[jb]])
-    order = np.lexsort((pid_all, qid_all))
-    return qid_all[order], pid_all[order]
 
 
 def pruned_scan(

@@ -42,6 +42,12 @@ from repro.simulation.metrics import counter_fields
 COUNTER_FIELDS = counter_fields()
 
 
+#: Containment slack of the client-side escape test: a member still
+#: within this distance of its safe region has not escaped, so a
+#: position on the region's boundary never reports on rounding alone.
+ESCAPE_EPS = 1e-9
+
+
 def counters(metrics) -> dict[str, int]:
     return {name: getattr(metrics, name) for name in COUNTER_FIELDS}
 
@@ -192,7 +198,6 @@ def run_scenario(
     spot_check_fraction: float = 0.0,
     spot_check_cap: int = 64,
     collect_notifications: bool = False,
-    escape_eps: float = 1e-9,
 ) -> ScenarioResult:
     """Stream the scenario through ``backend``; return the run's result.
 
@@ -296,7 +301,7 @@ def run_scenario(
             state = sessions[move.session_id]
             trigger = None
             for m, position in enumerate(move.positions):
-                if not state.regions[m].contains_point(position, escape_eps):
+                if not state.regions[m].contains_point(position, ESCAPE_EPS):
                     trigger = m
                     break
             if trigger is None:

@@ -3,15 +3,14 @@
 Seeded randomized suites assert that the flat R-tree returns what an
 exhaustive scan of the same points returns — modulo ties, which are
 compared in distance space — for every query primitive of the
-``SpatialIndex`` protocol: knn, window range, circle range, k-GNN (MAX
-and SUM, refereed by :mod:`repro.gnn.bruteforce`), the Theorem-3/6
-candidate scans, and the batched many-query variants.  The worlds hold
-duplicate POIs on purpose, so ties are always in play.
+``SpatialIndex`` protocol: k-GNN (MAX and SUM, refereed by
+:mod:`repro.gnn.bruteforce`; plain k-NN is the one-user group), its
+batched many-group variant, and the Theorem-3/6 candidate scans.  The
+worlds hold duplicate POIs on purpose, so ties are always in play.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -25,6 +24,7 @@ from repro.geometry.tile import tile_at
 from repro.gnn.aggregate import Aggregate, find_gnn
 from repro.gnn.bruteforce import brute_force_gnn
 from repro.index.backend import build_index
+from repro.index.flat import FlatRTree
 
 WORLD = Rect(0.0, 0.0, 1000.0, 1000.0)
 
@@ -40,27 +40,8 @@ def _point_key(p: Point) -> tuple[float, float]:
     return (p.x, p.y)
 
 
-def _dist_profile(points, score) -> list[float]:
-    """Sorted rounded scores — the tie-insensitive result signature."""
-    return sorted(round(score(p), 9) for p in points)
-
-
-def _knn_profile(pois, q: Point, k: int) -> list[float]:
-    """The exhaustive k-NN answer's signature."""
-    return _dist_profile(pois, q.dist)[:k]
-
-
-def _window_scan(pois, window: Rect) -> list[tuple[float, float]]:
-    return sorted(_point_key(p) for p in pois if window.contains_point(p))
-
-
 def _gnn_scores(pois, users, k: int, agg: str) -> list[float]:
     return [s for s, _ in brute_force_gnn(pois, users, k, Aggregate(agg))]
-
-
-def _random_window(rng: random.Random) -> Rect:
-    a, b = WORLD.sample(rng), WORLD.sample(rng)
-    return Rect(min(a.x, b.x), min(a.y, b.y), max(a.x, b.x), max(a.y, b.y))
 
 
 @pytest.fixture(scope="module", params=[0, 1, 2])
@@ -68,61 +49,6 @@ def seeded_world(request):
     rng = random.Random(1000 + request.param)
     pois = _pois(rng, 400)
     return rng, pois, build_index(pois)
-
-
-class TestKnnEquivalence:
-    def test_knn_distance_profiles_match(self, seeded_world):
-        rng, pois, tree = seeded_world
-        for _ in range(20):
-            q = WORLD.sample(rng)
-            k = rng.randint(1, 12)
-            got = _dist_profile((e.point for e in tree.knn(q, k)), q.dist)
-            assert got == pytest.approx(_knn_profile(pois, q, k))
-
-    def test_incremental_nearest_prefixes_match(self, seeded_world):
-        rng, pois, tree = seeded_world
-        q = WORLD.sample(rng)
-        got = [e.point.dist(q) for e in itertools.islice(tree.incremental_nearest(q), 50)]
-        assert got == pytest.approx(sorted(p.dist(q) for p in pois)[:50])
-
-    def test_knn_many_matches_singles(self, seeded_world):
-        rng, pois, tree = seeded_world
-        queries = [WORLD.sample(rng) for _ in range(15)]
-        batched = tree.knn_many(queries, 5)
-        for q, batch in zip(queries, batched):
-            profile = _dist_profile((e.point for e in batch), q.dist)
-            single = _dist_profile((e.point for e in tree.knn(q, 5)), q.dist)
-            assert profile == pytest.approx(single)
-            assert profile == pytest.approx(_knn_profile(pois, q, 5))
-
-
-class TestRangeEquivalence:
-    def test_window_ranges_match(self, seeded_world):
-        rng, pois, tree = seeded_world
-        for _ in range(20):
-            window = _random_window(rng)
-            got = sorted(_point_key(e.point) for e in tree.range_query(window))
-            assert got == _window_scan(pois, window)
-
-    def test_circle_ranges_match(self, seeded_world):
-        rng, pois, tree = seeded_world
-        for _ in range(20):
-            center = WORLD.sample(rng)
-            radius = rng.uniform(5.0, 300.0)
-            got = sorted(
-                _point_key(e.point) for e in tree.circle_range_query(center, radius)
-            )
-            want = sorted(_point_key(p) for p in pois if p.dist(center) <= radius)
-            assert got == want
-
-    def test_range_many_matches_singles(self, seeded_world):
-        rng, pois, tree = seeded_world
-        windows = [_random_window(rng) for _ in range(12)]
-        batched = tree.range_many(windows)
-        for window, batch in zip(windows, batched):
-            got = sorted(_point_key(e.point) for e in batch)
-            assert got == sorted(_point_key(e.point) for e in tree.range_query(window))
-            assert got == _window_scan(pois, window)
 
 
 class TestGnnEquivalence:
@@ -136,15 +62,29 @@ class TestGnnEquivalence:
             want = [round(s, 9) for s in _gnn_scores(pois, users, k, objective.value)]
             assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("m", [1, 4])
     @pytest.mark.parametrize("agg", ["max", "sum"])
-    def test_gnn_many_matches_singles(self, seeded_world, agg):
+    def test_gnn_many_matches_singles(self, seeded_world, agg, m):
+        # Bit for bit: the batched kernel scores one-user groups (plain
+        # k-NN) with the same float ops as every other group size.
         rng, pois, tree = seeded_world
-        groups = [[WORLD.sample(rng) for _ in range(4)] for _ in range(10)]
+        groups = [[WORLD.sample(rng) for _ in range(m)] for _ in range(10)]
         batched = tree.gnn_many(groups, 3, agg)
+        key = lambda row: [(s, e.point, e.payload) for s, e in row]
         for group, batch in zip(groups, batched):
+            assert key(batch) == key(tree.gnn(group, 3, agg))
             scores = [s for s, _ in batch]
-            assert scores == pytest.approx([s for s, _ in tree.gnn(group, 3, agg)])
             assert scores == pytest.approx(_gnn_scores(pois, group, 3, agg))
+
+    @pytest.mark.parametrize("agg", ["max", "sum"])
+    def test_gnn_many_buffer_depth(self, seeded_world, agg):
+        # The Section 5.4 buffer asks for k = b + 1 (here b = 8): deep
+        # batched answers must still be the exhaustive scan's prefix.
+        rng, pois, tree = seeded_world
+        groups = [[WORLD.sample(rng) for _ in range(3)] for _ in range(8)]
+        for group, batch in zip(groups, tree.gnn_many(groups, 9, agg)):
+            scores = [s for s, _ in batch]
+            assert scores == pytest.approx(_gnn_scores(pois, group, 9, agg))
 
     @pytest.mark.parametrize("agg", ["max", "sum"])
     def test_gnn_many_ragged_groups_fall_back(self, seeded_world, agg):
@@ -239,7 +179,7 @@ class TestStructuralParity:
         n = len(tree)
         tree.insert(extra, "extra")
         assert len(tree) == n + 1
-        assert tree.nearest(Point(-6.0, -6.0)).point == extra
+        assert tree.gnn([Point(-6.0, -6.0)])[0][1].point == extra
         assert tree.delete(extra, "extra")
         assert len(tree) == n
         tree.validate()
@@ -250,7 +190,7 @@ class TestStructuralParity:
         n = len(tree)
         tree.bulk_update(adds=adds)
         assert len(tree) == n + 5
-        assert tree.nearest(Point(-11.0, -10.0)).point == adds[1][0]
+        assert tree.gnn([Point(-11.0, -10.0)])[0][1].point == adds[1][0]
         tree.bulk_update(removes=adds)
         assert len(tree) == n
         tree.validate()
@@ -265,4 +205,77 @@ class TestStructuralParity:
         assert len(tree) == n
         assert sorted(_point_key(p) for p in tree.points()) == sorted(
             _point_key(p) for p in pois
+        )
+
+
+class TestDeltaEquivalence:
+    """Answers read through the delta layer — tombstoned packed slots
+    and arena inserts, before any repack — match an exhaustive scan of
+    the live point set, and a repack leaves them unchanged."""
+
+    @pytest.fixture
+    def churned(self, seeded_world):
+        rng, pois, _ = seeded_world
+        # A delta fraction this large never repacks on its own.
+        tree = FlatRTree.bulk_load(pois, delta_fraction=10.0)
+        removed = set(rng.sample(range(len(pois)), 40))
+        adds = [(WORLD.sample(rng), f"new{i}") for i in range(30)]
+        tree.bulk_update(adds=adds, removes=[(pois[i], i) for i in sorted(removed)])
+        live = [p for i, p in enumerate(pois) if i not in removed]
+        live.extend(p for p, _ in adds)
+        assert tree.delta_debt() == 70
+        return rng, live, tree
+
+    def test_gnn_matches_live_points(self, churned):
+        rng, live, tree = churned
+        for agg in ("max", "sum"):
+            for _ in range(6):
+                users = [WORLD.sample(rng) for _ in range(rng.randint(1, 5))]
+                scores = [s for s, _ in tree.gnn(users, 4, agg)]
+                assert scores == pytest.approx(_gnn_scores(live, users, 4, agg))
+
+    def test_gnn_many_matches_live_points(self, churned):
+        rng, live, tree = churned
+        for agg in ("max", "sum"):
+            groups = [[WORLD.sample(rng) for _ in range(3)] for _ in range(8)]
+            for group, batch in zip(groups, tree.gnn_many(groups, 4, agg)):
+                scores = [s for s, _ in batch]
+                assert scores == pytest.approx(_gnn_scores(live, group, 4, agg))
+
+    def test_scans_match_live_points(self, churned):
+        rng, live, tree = churned
+        users = [WORLD.sample(rng) for _ in range(3)]
+        radii = [350.0, 400.0, 450.0]
+        got = sorted(_point_key(p) for p in tree.intersect_balls(users, radii))
+        want = sorted(
+            _point_key(p)
+            for p in live
+            if all(p.dist(u) <= r for u, r in zip(users, radii))
+        )
+        assert got == want
+        threshold = 1500.0
+        got = sorted(_point_key(p) for p in tree.within_dist_sum(users, threshold))
+        want = sorted(
+            _point_key(p) for p in live if sum(p.dist(u) for u in users) <= threshold
+        )
+        assert got == want
+        assert sorted(_point_key(p) for p in tree.scan()) == sorted(
+            _point_key(p) for p in live
+        )
+
+    def test_repack_preserves_answers(self, churned):
+        rng, live, tree = churned
+        groups = [[WORLD.sample(rng) for _ in range(2)] for _ in range(6)]
+        key = lambda rows: [[(s, e.point) for s, e in row] for row in rows]
+        before = key(tree.gnn_many(groups, 3, "sum"))
+        builds = tree.build_count
+        tree.repack()
+        assert tree.build_count == builds + 1
+        assert tree.delta_debt() == 0
+        tree.validate()
+        # Arena and packed copies of a point score with the same float
+        # ops, so the repacked answers are bit-identical.
+        assert key(tree.gnn_many(groups, 3, "sum")) == before
+        assert sorted(_point_key(p) for p in tree.points()) == sorted(
+            _point_key(p) for p in live
         )

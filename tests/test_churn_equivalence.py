@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
-from repro.geometry.rect import Rect
 from repro.index.flat import FlatRTree
 from repro.index.network import NetworkIndex
 from repro.network_ext.space import NetworkPosition, NetworkSpace
@@ -72,26 +71,6 @@ def assert_query_equivalence(rng, tree: FlatRTree, reference: FlatRTree):
     k = rng.randint(1, min(8, len(reference)))
     key = lambda e: (e.point.x, e.point.y, e.payload)
 
-    assert [key(e) for e in tree.knn(q, k)] == [
-        key(e) for e in reference.knn(q, k)
-    ]
-    queries = [SMALL_WORLD.sample(rng) for _ in range(4)]
-    assert [
-        [key(e) for e in row] for row in tree.knn_many(queries, k)
-    ] == [[key(e) for e in row] for row in reference.knn_many(queries, k)]
-
-    window = Rect(q.x - 150.0, q.y - 150.0, q.x + 150.0, q.y + 150.0)
-    assert sorted(key(e) for e in tree.range_query(window)) == sorted(
-        key(e) for e in reference.range_query(window)
-    )
-    windows = [window, Rect(0.0, 0.0, 220.0, 330.0)]
-    assert [
-        sorted(key(e) for e in row) for row in tree.range_many(windows)
-    ] == [sorted(key(e) for e in row) for row in reference.range_many(windows)]
-    assert sorted(key(e) for e in tree.circle_range_query(q, 200.0)) == sorted(
-        key(e) for e in reference.circle_range_query(q, 200.0)
-    )
-
     groups = [random_users(rng, 3) for _ in range(3)]
     for agg in ("max", "sum"):
         assert [
@@ -118,8 +97,8 @@ def assert_query_equivalence(rng, tree: FlatRTree, reference: FlatRTree):
 
     # Full incremental enumeration: exactly the live points, in
     # distance order, dead slots never surfacing.
-    stream = [key(e) for e in tree.incremental_nearest(q)]
-    assert stream == [key(e) for e in reference.incremental_nearest(q)]
+    stream = [(s, key(e)) for s, e in tree.incremental_gnn([q])]
+    assert stream == [(s, key(e)) for s, e in reference.incremental_gnn([q])]
     assert len(stream) == len(reference)
 
 
@@ -190,8 +169,7 @@ class TestEuclideanChurnEquivalence:
         tree.bulk_update(removes=[(p, i) for i, p in enumerate(pois)])
         assert len(tree) == 0
         q = SMALL_WORLD.sample(rng)
-        assert tree.knn(q, 3) == []
-        assert tree.range_query(SMALL_WORLD) == []
+        assert tree.gnn([q], 3) == []
         assert tree.scan() == []
         assert tree.gnn_many([[q]], k=1) == [[]] or tree.gnn_many([[q]], k=1)
         # Rise from the dead through the arena alone.
@@ -200,7 +178,7 @@ class TestEuclideanChurnEquivalence:
         assert_query_equivalence(rng, tree, fresh_copy(tree))
         empty = FlatRTree.bulk_load([], payloads=[])
         empty.insert(Point(5.0, 5.0), "only")
-        assert [e.payload for e in empty.knn(Point(0.0, 0.0), 2)] == ["only"]
+        assert [e.payload for _, e in empty.gnn([Point(0.0, 0.0)], 2)] == ["only"]
 
     def test_removal_batches_are_all_or_nothing(self):
         pois = uniform_pois(20, SMALL_WORLD, seed=4)
@@ -347,17 +325,17 @@ def test_hypothesis_schedules(initial, schedule, delta_fraction, seed):
     if live:
         k = min(3, len(live))
         assert sorted(
-            e.point.dist(q) for e in tree.knn(q, k)
-        ) == sorted(e.point.dist(q) for e in reference.knn(q, k))
-        got = tree.knn_many([q], k)[0]
-        want = reference.knn_many([q], k)[0]
-        assert [e.point.dist(q) for e in got] == [
-            e.point.dist(q) for e in want
+            e.point.dist(q) for _, e in tree.gnn([q], k)
+        ) == sorted(e.point.dist(q) for _, e in reference.gnn([q], k))
+        got = tree.gnn_many([[q]], k)[0]
+        want = reference.gnn_many([[q]], k)[0]
+        assert [e.point.dist(q) for _, e in got] == [
+            e.point.dist(q) for _, e in want
         ]
-    window = Rect(200.0, 200.0, 800.0, 800.0)
-    assert sorted((e.point.x, e.point.y) for e in tree.range_query(window)) == sorted(
-        (e.point.x, e.point.y) for e in reference.range_query(window)
-    )
+    center, radius = [Point(500.0, 500.0)], [300.0]
+    assert sorted(
+        (p.x, p.y) for p in tree.intersect_balls(center, radius)
+    ) == sorted((p.x, p.y) for p in reference.intersect_balls(center, radius))
 
 
 class TestLemma1RenotificationParity:

@@ -1,5 +1,6 @@
 """Unit and property tests for the flat R-tree: construction, insert,
-delete, and kNN / range queries against brute force."""
+delete, k-NN (the one-user GNN) and the candidate scans against brute
+force."""
 
 import random
 
@@ -53,7 +54,8 @@ class TestConstruction:
     def test_bulk_load_empty(self):
         tree = build_index([], payloads=[])
         assert len(tree) == 0
-        assert tree.range_query(Rect(-1, -1, 1, 1)) == []
+        assert tree.scan() == []
+        assert tree.gnn([Point(0, 0)], 3) == []
         tree.validate()
 
     def test_bulk_load_payload_mismatch(self):
@@ -142,17 +144,11 @@ class TestStructure:
         assert len(tree) == len(points)
         tree.validate()
 
-    def test_bounding_rect_query_returns_everything(self):
+    def test_counted_scan_returns_everything(self):
         rng = random.Random(2)
         points = [Point(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(200)]
         tree = build_index(points)
-        bounds = Rect(
-            min(p.x for p in points),
-            min(p.y for p in points),
-            max(p.x for p in points),
-            max(p.y for p in points),
-        )
-        got = sorted(e.point.as_tuple() for e in tree.range_query(bounds))
+        got = sorted(p.as_tuple() for p in tree.scan())
         assert got == sorted(p.as_tuple() for p in points)
 
 
@@ -206,7 +202,7 @@ class TestDelete:
             removed.add(p.as_tuple())
         remaining = [p for p in points if p.as_tuple() not in removed]
         q = Point(50, 50)
-        got = [e.point.dist(q) for e in tree.knn(q, 10)]
+        got = [e.point.dist(q) for _, e in tree.gnn([q], 10)]
         want = sorted(p.dist(q) for p in remaining)[:10]
         assert got == pytest.approx(want)
 
@@ -241,23 +237,26 @@ class TestDelete:
 
 
 class TestKnn:
+    """k-NN is the one-user GNN: the traversal's edge cases, read
+    through ``gnn`` / ``incremental_gnn`` on a single-member group."""
+
     def test_k_zero(self, tree_200):
-        assert tree_200.knn(Point(0, 0), 0) == []
+        assert tree_200.gnn([Point(0, 0)], 0) == []
 
     def test_k_exceeds_size(self, build):
         tree = _tree([Point(0, 0), Point(1, 1)], build)
-        assert len(tree.knn(Point(0, 0), 10)) == 2
+        assert len(tree.gnn([Point(0, 0)], 10)) == 2
 
     def test_nearest_empty_tree(self, build):
-        assert _tree([], build).nearest(Point(0, 0)) is None
+        assert _tree([], build).gnn([Point(0, 0)]) == []
 
     def test_nearest_trivial(self, build):
         tree = _tree([Point(0, 0), Point(10, 10), Point(5, 5)], build)
-        assert tree.nearest(Point(4, 4)).point == Point(5, 5)
+        assert tree.gnn([Point(4, 4)])[0][1].point == Point(5, 5)
 
     def test_incremental_order_is_nondecreasing(self, tree_200, pois_200):
         q = Point(500, 500)
-        dists = [e.point.dist(q) for e in tree_200.incremental_nearest(q)]
+        dists = [e.point.dist(q) for _, e in tree_200.incremental_gnn([q])]
         assert dists == sorted(dists)
         assert len(dists) == len(pois_200)
 
@@ -270,38 +269,81 @@ class TestKnn:
     def test_matches_brute_force(self, build, points, qx, qy, k):
         tree = _tree(points, build)
         q = Point(qx, qy)
-        result = [e.point.dist(q) for e in tree.knn(q, k)]
+        result = [e.point.dist(q) for _, e in tree.gnn([q], k)]
         expected = sorted(p.dist(q) for p in points)[:k]
         assert result == pytest.approx(expected)
 
 
-class TestRangeQueries:
-    def test_window_query_brute_force(self, tree_200, pois_200, rng):
-        for _ in range(25):
-            x1, x2 = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
-            y1, y2 = sorted((rng.uniform(0, 1000), rng.uniform(0, 1000)))
-            window = Rect(x1, y1, x2, y2)
-            got = sorted(e.point.as_tuple() for e in tree_200.range_query(window))
-            want = sorted(
-                p.as_tuple() for p in pois_200 if window.contains_point(p)
-            )
-            assert got == want
+class TestScans:
+    """The Theorem-3/6 candidate scans against a direct filter of the
+    point list, on both packed and insert-grown trees."""
 
-    def test_circle_query_brute_force(self, tree_200, pois_200, rng):
-        for _ in range(25):
-            center = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
-            radius = rng.uniform(10, 400)
-            got = sorted(
-                e.point.as_tuple()
-                for e in tree_200.circle_range_query(center, radius)
-            )
-            want = sorted(
-                p.as_tuple() for p in pois_200 if p.dist(center) <= radius
-            )
-            assert got == want
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        nonempty_point_lists,
+        st.lists(st.tuples(small_coord, small_coord), min_size=1, max_size=4),
+        st.floats(0.0, 600.0),
+    )
+    def test_intersect_balls_brute_force(self, build, points, centers, r):
+        tree = _tree(points, build)
+        cs = [Point(x, y) for x, y in centers]
+        radii = [r + 10.0 * i for i in range(len(cs))]
+        got = sorted(p.as_tuple() for p in tree.intersect_balls(cs, radii))
+        want = sorted(
+            p.as_tuple()
+            for p in points
+            if all(p.dist(c) <= ri for c, ri in zip(cs, radii))
+        )
+        assert got == want
 
-    def test_empty_window(self, tree_200):
-        assert tree_200.range_query(Rect(-10, -10, -5, -5)) == []
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        nonempty_point_lists,
+        st.lists(st.tuples(small_coord, small_coord), min_size=1, max_size=4),
+        st.floats(0.0, 2000.0),
+    )
+    def test_within_dist_sum_brute_force(self, build, points, centers, threshold):
+        tree = _tree(points, build)
+        cs = [Point(x, y) for x, y in centers]
+        got = sorted(p.as_tuple() for p in tree.within_dist_sum(cs, threshold))
+        want = sorted(
+            p.as_tuple()
+            for p in points
+            if sum(p.dist(c) for c in cs) <= threshold
+        )
+        assert got == want
 
-    def test_window_covering_everything(self, tree_200, pois_200):
-        assert len(tree_200.range_query(Rect(-1, -1, 1001, 1001))) == len(pois_200)
+    def test_scans_on_empty_tree(self, build):
+        tree = _tree([], build)
+        assert tree.intersect_balls([Point(0, 0)], [100.0]) == []
+        assert tree.within_dist_sum([Point(0, 0)], 100.0) == []
+        assert tree.scan(exclude=Point(0, 0)) == []
+
+    def test_exclude_drops_every_copy(self):
+        points = [Point(1, 1), Point(1, 1), Point(2, 2), Point(3, 3)]
+        tree = build_index(points, max_entries=4)
+        assert sorted(p.as_tuple() for p in tree.scan(exclude=Point(1, 1))) == [
+            (2, 2),
+            (3, 3),
+        ]
+        got = tree.intersect_balls([Point(0, 0)], [10.0], exclude=Point(2, 2))
+        assert sorted(p.as_tuple() for p in got) == [(1, 1), (1, 1), (3, 3)]
+
+    def test_zero_radius_ball_keeps_coincident_points(self):
+        points = [Point(5, 5), Point(5, 5), Point(5, 6)]
+        tree = build_index(points, max_entries=4)
+        got = tree.intersect_balls([Point(5, 5)], [0.0])
+        assert [p.as_tuple() for p in got] == [(5, 5), (5, 5)]
+
+    def test_disjoint_balls_return_nothing(self, tree_200):
+        # Two balls that do not meet: no point lies in both.
+        got = tree_200.intersect_balls([Point(0, 0), Point(1000, 1000)], [100.0, 100.0])
+        assert got == []
