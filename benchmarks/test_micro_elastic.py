@@ -12,8 +12,8 @@ Two shapes:
   metrics, and removing the shard we just added restores the exact
   prior placement.
 * ``elastic_wire_handoff`` — sessions hand off one by one between two
-  live wire servers (``export_session`` / ``import_session`` control
-  round-trips): p50/p99 per-session handoff latency over TCP.
+  live wire servers (export → import → close: two control round-trips
+  plus a parked close): p50/p99 per-session handoff latency over TCP.
 
 Absolute timings are not asserted (CI runners are noisy); the
 structural facts always arm.  Recorded numbers are appended to
@@ -151,7 +151,8 @@ def test_elastic_wire_handoff_latency(benchmark):
                 latencies = []
                 for sid in ids:
                     t0 = time.perf_counter()
-                    ra.handoff_session(sid, rb)
+                    rb.import_session(ra.export_session(sid))
+                    ra.close_session(sid)
                     latencies.append(time.perf_counter() - t0)
                 assert ra.session_ids() == []
                 assert rb.session_ids() == sorted(ids)

@@ -49,7 +49,7 @@ Routing and exactness
   group sizes the shards hold — no wire traffic): the first bad event
   decides the exception exactly as on one
   :meth:`MPNService.report_many <repro.service.MPNService.report_many>`
-  and no shard, session or prober hears anything — the single-service
+  and no shard or session hears anything — the single-service
   all-or-nothing contract.  The wave is then split per shard with
   intra-shard order preserved (per-session sequential semantics hold
   and each sub-wave still flows through the batched
@@ -77,8 +77,8 @@ Routing and exactness
   :meth:`~ShardedFrontDoor.remove_shard` move exactly the consistent-hash
   ring's minimal remap set, one session at a time through the
   :class:`~repro.service.api.SessionSnapshot` codec — members, meeting
-  point, safe regions and per-session counters resume verbatim, probers
-  ride along.  Migration recomputes nothing and charges nothing, the
+  point, safe regions and per-session counters resume verbatim.
+  Migration recomputes nothing and charges nothing, the
   session is never absent (the old shard serves it until the import has
   landed) and the ring is committed only after every move, so a fleet
   replayed across a reshard emits bit-identical notifications.
@@ -121,7 +121,7 @@ from repro.service.messages import (
     validate_report_events,
 )
 from repro.service.service import Member, MPNService
-from repro.service.session import Prober, ServiceSession
+from repro.service.session import ServiceSession
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
 from repro.space import (
@@ -229,10 +229,6 @@ class ShardedFrontDoor:
         function reads its re-notifications."""
         raise NotImplementedError
 
-    def _handoff(self, source: Shard, target: Shard, session_id: int) -> None:
-        """Export → import → close one session, prober riding along."""
-        raise NotImplementedError
-
     def _require_space_ref(self, space: Union[None, str, Space]) -> Optional[str]:
         """Cluster space arguments must be ``None`` or a registered name.
 
@@ -307,7 +303,6 @@ class ShardedFrontDoor:
         self,
         members: Sequence[Member],
         policy: Policy,
-        prober: Optional[Prober] = None,
         space: Union[None, str, Space] = None,
         session_id: Optional[int] = None,
     ) -> SessionHandle:
@@ -323,7 +318,7 @@ class ShardedFrontDoor:
         if session_id is not None and self._owner_of(gid) not in (None, owner_id):
             raise ValueError(f"session id {gid} is already in use")
         handle = self._shards[owner_id].open_session(
-            members, policy, prober=prober, space=space, session_id=gid
+            members, policy, space=space, session_id=gid
         )
         self._next_id = max(self._next_id, gid + 1)
         return handle
@@ -391,14 +386,17 @@ class ShardedFrontDoor:
         self, moved: dict[int, tuple[int, int]], joining: dict[int, Shard]
     ) -> None:
         """Hand each session in the plan from its old shard to its new
-        one.  ``joining`` holds not-yet-installed targets (the
-        ``add_shard`` case); the caller commits the ring only after
-        every move, so a failed migration leaves routing on the old
-        topology."""
+        one: export → import → close, so the old shard serves it until
+        the import has landed.  ``joining`` holds not-yet-installed
+        targets (the ``add_shard`` case); the caller commits the ring
+        only after every move, so a failed migration leaves routing on
+        the old topology."""
         for session_id in sorted(moved):
             source_id, target_id = moved[session_id]
+            source = self._shards[source_id]
             target = joining.get(target_id) or self._shards[target_id]
-            self._handoff(self._shards[source_id], target, session_id)
+            target.import_session(source.export_session(session_id))
+            source.close_session(session_id)
 
     def export_session(self, session_id: int) -> SessionSnapshot:
         """Snapshot one session off whichever shard actually holds it
@@ -408,17 +406,13 @@ class ShardedFrontDoor:
             raise UnknownSessionError(session_id)
         return self._shards[owner].export_session(session_id)
 
-    def import_session(
-        self, snapshot: SessionSnapshot, prober: Optional[Prober] = None
-    ) -> None:
+    def import_session(self, snapshot: SessionSnapshot) -> None:
         """Install a migrated session on its ring-routed owner shard."""
         if self._owner_of(snapshot.session_id) is not None:
             raise ValueError(
                 f"session id {snapshot.session_id} is already in use"
             )
-        self._shard(snapshot.session_id).import_session(
-            snapshot, prober=prober
-        )
+        self._shard(snapshot.session_id).import_session(snapshot)
         self._next_id = max(self._next_id, snapshot.session_id + 1)
 
     def shard_snapshot(self, shard_id: int) -> ServiceSnapshot:
@@ -427,14 +421,11 @@ class ShardedFrontDoor:
         return self.shard(shard_id).snapshot()
 
     def restore_shard(
-        self,
-        shard_id: int,
-        snapshot: ServiceSnapshot,
-        probers: Optional[dict[int, Prober]] = None,
+        self, shard_id: int, snapshot: ServiceSnapshot
     ) -> list[int]:
         """Replay a shard snapshot into ``shard_id`` (e.g. a fresh
         replacement after a failover); returns the restored ids."""
-        restored = self.shard(shard_id).restore(snapshot, probers)
+        restored = self.shard(shard_id).restore(snapshot)
         for session_id in restored:
             self._next_id = max(self._next_id, session_id + 1)
         return restored
@@ -643,13 +634,6 @@ class MPNCluster(ShardedFrontDoor):
         # only sweeps its own sessions for Lemma-1 invalidation.
         answer = shard.renotify_pois(adds=adds, removes=removes, space=space)
         return lambda: answer
-
-    def _handoff(
-        self, source: MPNService, target: MPNService, session_id: int
-    ) -> None:
-        prober = source.session(session_id).prober
-        target.import_session(source.export_session(session_id), prober=prober)
-        source.close_session(session_id)
 
     # ------------------------------------------------------------------
     # Spaces (epoch-shared publications, referenced by name)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
@@ -104,10 +104,3 @@ class TileMSRResult:
     regions: list[TileRegion]
     objective: Aggregate
     stats: SafeRegionStats = field(default_factory=SafeRegionStats)
-
-
-def region_extents(
-    users: Sequence[Point], regions: Sequence[TileRegion]
-) -> list[float]:
-    """Per-user ``r_up`` values (max anchor-to-boundary distances)."""
-    return [r.r_up for r in regions]

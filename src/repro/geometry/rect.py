@@ -103,25 +103,6 @@ class Rect:
             max(self.y_hi, other.y_hi),
         )
 
-    def extend_point(self, p: Point) -> "Rect":
-        return Rect(
-            min(self.x_lo, p.x),
-            min(self.y_lo, p.y),
-            max(self.x_hi, p.x),
-            max(self.y_hi, p.y),
-        )
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to absorb ``other`` (R-tree ChooseLeaf)."""
-        return self.union(other).area - self.area
-
-    def overlap_area(self, other: "Rect") -> float:
-        w = min(self.x_hi, other.x_hi) - max(self.x_lo, other.x_lo)
-        h = min(self.y_hi, other.y_hi) - max(self.y_lo, other.y_lo)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
-
     def min_dist(self, p: Point) -> float:
         """``||p, S||_min``: 0 if ``p`` is inside the rectangle."""
         dx = max(self.x_lo - p.x, 0.0, p.x - self.x_hi)
@@ -133,11 +114,6 @@ class Rect:
         dx = max(p.x - self.x_lo, self.x_hi - p.x)
         dy = max(p.y - self.y_lo, self.y_hi - p.y)
         return math.hypot(dx, dy)
-
-    def min_dist_sq(self, p: Point) -> float:
-        dx = max(self.x_lo - p.x, 0.0, p.x - self.x_hi)
-        dy = max(self.y_lo - p.y, 0.0, p.y - self.y_hi)
-        return dx * dx + dy * dy
 
     def quadrants(self) -> tuple["Rect", "Rect", "Rect", "Rect"]:
         """Split into four equal sub-rectangles (Divide-Verify, Alg. 2)."""

@@ -412,9 +412,6 @@ class FlatRTree:
             )
         return self._entry_cache
 
-    def _entry(self, i: int) -> Entry:
-        return self._materialized()[i]
-
     def _live_ids(self) -> list[int]:
         """Live id slots, packed (tree) order then arena order."""
         n_packed = len(self._pts)

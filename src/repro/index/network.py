@@ -348,13 +348,6 @@ class NetworkIndex:
         row = self._oracle.row(self._node_id[node_a])
         return float(row[self._node_id[node_b]])
 
-    def _row(self, node_id: int) -> np.ndarray:
-        return self._oracle.row(node_id)
-
-    def _compute_rows(self, node_ids: Sequence[int]) -> None:
-        """Warm the oracle's cache with one multi-source dispatch."""
-        self._oracle.rows(node_ids)
-
     def user_node_distances(self, users: Sequence[object]) -> np.ndarray:
         """``[m, n_nodes]`` matrix of exact user-to-node distances.
 

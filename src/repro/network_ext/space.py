@@ -172,9 +172,6 @@ class NetworkSpace:
             raise ValueError(f"offset {pos.offset} outside edge of length {length}")
         return [(u, pos.offset), (v, length - pos.offset)]
 
-    # Backwards-compatible private alias (pre-Space-abstraction name).
-    _anchors = anchors
-
     def distance(self, a: NetworkPosition, b: NetworkPosition) -> float:
         """Exact shortest-path distance between two positions."""
         # Same-edge shortcut: the direct along-edge path is a candidate
@@ -186,8 +183,8 @@ class NetworkSpace:
                 length = self.edge_length(u, v)
                 b_off = b.offset if a.edge == b.edge else length - b.offset
                 best = abs(a.offset - b_off)
-        for node_a, d_a in self._anchors(a):
-            for node_b, d_b in self._anchors(b):
+        for node_a, d_a in self.anchors(a):
+            for node_b, d_b in self.anchors(b):
                 via = d_a + self._pair_distance(node_a, node_b) + d_b
                 best = min(best, via)
         return best
@@ -207,9 +204,6 @@ class NetworkSpace:
         if self._pair_provider is not None:
             return self._pair_provider(node_a, node_b)
         return self.node_distances(node_a).get(node_b, float("inf"))
-
-    def distance_to_node(self, pos: NetworkPosition, node: Hashable) -> float:
-        return self.distance(pos, NetworkPosition.at_node(node))
 
     def random_position(self, rng) -> NetworkPosition:
         """A uniformly random position along a random edge."""

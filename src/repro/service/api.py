@@ -21,15 +21,14 @@ included), meeting points, causes, safe-region geometry
 her next position escapes, the client-side half of Fig. 3), front-door
 session ids on :class:`OpenSessionRequest`, client-gathered ``probes``
 on :class:`ReportRequest` and :class:`~repro.service.messages.ReportEvent`
-(the wire stand-in for a prober callable, charged exactly like prober
-answers) and :class:`ErrorResponse` (:func:`error_response_for` maps an
+(the other members' fresh states, the probe round's answers) and
+:class:`ErrorResponse` (:func:`error_response_for` maps an
 exception to a code, :func:`raise_error_response` rebuilds it
 client-side).  Work counters and timing stay in the server's §7.1
 ledger and reach operators through the ``metrics`` / ``session_metrics``
 control ops (wall-clock, not deterministic), so a data-plane response
 is a pure function of the requests before it.  Live objects do not cross:
-``to_dict`` refuses a prober callable or an unregistered live
-:class:`~repro.space.base.Space`
+``to_dict`` refuses a live :class:`~repro.space.base.Space` object
 (:class:`~repro.service.errors.EnvelopeError`); remote sessions name
 their space as registered with ``add_space``.  Every envelope carries
 ``v``; decoding rejects every other version, v2 included
@@ -46,7 +45,7 @@ plan.  Three rules decide the wire form:
    envelope; nested records (:class:`~repro.service.messages.MemberState`,
    :class:`~repro.service.messages.ReportEvent`, :class:`NotificationPayload`,
    :class:`SessionSnapshot`) through their own plans; tuples as arrays,
-   enums as their values; callable fields (the prober) never.
+   enums as their values.
 2. **A field is optional on the wire iff it has a default**; a missing
    undefaulted field or an undeclared key is malformed.
 3. **Integers are exact**: an ``int`` field takes a JSON integer only —
@@ -58,9 +57,8 @@ a Euclidean :class:`~repro.geometry.point.Point`, a road-network
 :class:`~repro.network_ext.space.NetworkPosition` or a bare graph node —
 a JSON scalar or nested tuple of them), tile configuration,
 :class:`Policy` (its wire order ``strategy, tile_config`` is not its
-field order), POI item (payload a JSON scalar or ``None``), space
-reference (a registered name or ``None``) and the prober refusal; the
-region codec lives in :mod:`repro.service.regions`.  The leaves keep
+field order), POI item (payload a JSON scalar or ``None``) and space
+reference (a registered name or ``None``); the region codec lives in :mod:`repro.service.regions`.  The leaves keep
 rules 2 and 3 as well: an undeclared key is malformed
 (:func:`leaf_fields`) and numbers are read exactly.  Decoding has one
 error rule: version, then ``op``, then any ``KeyError`` / ``TypeError``
@@ -73,13 +71,12 @@ other dataclasses, e.g. :class:`~repro.simulation.metrics.SimulationMetrics`.
 
 from __future__ import annotations
 
-import collections.abc
 import dataclasses
 import functools
 import typing
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, ClassVar, Optional, Protocol, Union, runtime_checkable
+from typing import ClassVar, Optional, Protocol, Union, runtime_checkable
 
 from repro.core.types import TileMSRConfig
 from repro.geometry.point import Point
@@ -103,12 +100,6 @@ from repro.simulation.policies import Policy, PolicyKind
 from repro.space import Space
 
 SCHEMA_VERSION = 3
-
-# Probers supply fresh member states during probe rounds; the type is
-# re-declared here (rather than imported from repro.service.session) to
-# keep this module importable from leaf code without pulling strategy
-# machinery in.
-Prober = Callable[[int], MemberState]
 
 
 # ----------------------------------------------------------------------
@@ -393,23 +384,12 @@ def _derive(tp: object) -> tuple:
     raise TypeError(f"no wire codec for {tp!r}")
 
 
-def _in_process(tp: object) -> bool:
-    """Callable-typed fields (probers) never cross the wire."""
-    options = typing.get_args(tp) if typing.get_origin(tp) is Union else (tp,)
-    return any(
-        typing.get_origin(t) is collections.abc.Callable for t in options
-    )
-
-
 def _record_codec(cls: type) -> tuple:
     """Encode / decode a dataclass field by field, in declaration order;
     an envelope class (one with an ``op``) adds the ``op``/``v`` header."""
     hints = typing.get_type_hints(cls)
-    encoders, decoders, local = [], [], []
+    encoders, decoders = [], []
     for f in dataclasses.fields(cls):
-        if _in_process(hints[f.name]):
-            local.append(f.name)
-            continue
         enc, dec = _codec(hints[f.name])
         required = (
             f.default is dataclasses.MISSING
@@ -421,12 +401,6 @@ def _record_codec(cls: type) -> tuple:
     header = {} if op is None else {"op": op, "v": SCHEMA_VERSION}
 
     def encode(record: object) -> dict:
-        for name in local:
-            if getattr(record, name) is not None:
-                raise EnvelopeError(
-                    f"a {name} callable is in-process only and cannot "
-                    "cross the wire"
-                )
         out = header.copy()
         for name, enc in encoders:
             value = getattr(record, name)
@@ -506,8 +480,8 @@ class OpenSessionRequest(_Wire):
     """Register a group under a policy (``MPNService.open_session``).
 
     ``space`` names a backend-registered space (``None`` = default).
-    ``prober`` and live ``space`` objects are in-process extras:
-    ``dispatch`` honors them, ``to_dict`` refuses to serialize them.
+    A live ``space`` object is an in-process extra: ``dispatch``
+    honors it, ``to_dict`` refuses to serialize it.
     ``session_id`` pins the id the session registers under (schema v2;
     ``None`` = let the backend number it) — the hook a sharded front
     door uses to keep globally-routed numbering on remote workers.
@@ -518,7 +492,6 @@ class OpenSessionRequest(_Wire):
     members: tuple[MemberState, ...]
     policy: Policy
     space: Union[None, str, Space] = None
-    prober: Optional[Prober] = field(default=None, compare=False)
     session_id: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -533,10 +506,10 @@ class ReportRequest(_Wire):
     """Step 1 of Fig. 3 over the wire: one member escaped and reports.
 
     ``probes`` (schema v2) carries fresh states the client side gathered
-    for the *other* members at report time — the remote stand-in for an
-    in-process prober callable.  The server applies them exactly like
-    prober answers and charges the same probe messages, so remote
-    fleets account identically to local ones.
+    for the *other* members at report time.  The server applies them in
+    the probe round, which charges the same probe messages whichever
+    states ride along, so remote fleets account identically to local
+    ones.
     """
 
     op: ClassVar[str] = "report"
@@ -761,8 +734,7 @@ class SessionSnapshot(_Wire):
     names the backend-registered space the session runs on (``None`` =
     default); the importing side resolves it against its own registry
     and re-resolves the strategy from ``policy``, so nothing live
-    crosses the wire.  Probers are in-process callables and travel
-    out-of-band (``import_session(..., prober=)``).  ``po``,
+    crosses the wire: the snapshot is the session's whole state.  ``po``,
     ``regions`` and ``metrics`` have no defaults, so their keys are
     required (``po`` may be ``null``).
     """
@@ -1007,7 +979,6 @@ def dispatch_request(backend, request: Request) -> Response:
         handle: SessionHandle = backend.open_session(
             list(request.members),
             request.policy,
-            prober=request.prober,
             space=request.space,
             session_id=request.session_id,
         )

@@ -53,8 +53,8 @@ class EnvelopeError(ServiceError):
     """A request/response envelope cannot cross the wire as asked.
 
     Raised by ``to_dict`` when an envelope holds in-process-only state
-    (a prober callable, an unregistered live space, a non-scalar POI
-    payload) and by the codecs when a value has no wire form.
+    (a live space object, a non-scalar POI payload) and by the codecs
+    when a value has no wire form.
     """
 
 

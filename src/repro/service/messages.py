@@ -33,9 +33,10 @@ class ReportEvent:
     """Step 1 of Fig. 3: a member escaped her region and reports.
 
     ``probes`` optionally carries fresh states for the session's *other*
-    members, gathered client-side at report time — the wire stand-in
-    for a prober callable (schema v2).  The service applies them exactly
-    like prober answers and charges the same probe messages.
+    members, gathered client-side at report time (schema v2) — the
+    answers to the probe round of step 2.  A member without one keeps
+    her last reported state; the round charges the same probe messages
+    either way.
     """
 
     session_id: int

@@ -10,7 +10,8 @@ exposes exactly that surface —
 * :meth:`report` is the escape event: the three-step protocol runs
   (trigger -> probe -> notify) and the caller gets back a typed
   :class:`~repro.service.messages.Notification`, or ``None`` when the
-  reported point is still covered by the member's region;
+  reported point is still covered by the member's region.  The other
+  members' fresh states (step 2) ride the report as its ``probes``;
 * :meth:`update_pois` applies batched POI churn against the shared
   index and re-notifies only the sessions whose regions fail the
   Lemma-1 test (or whose meeting point was deleted).
@@ -89,7 +90,7 @@ from repro.service.messages import (
     check_member_ids,
     validate_report_events,
 )
-from repro.service.session import Prober, ServiceSession, lemma1_suspects
+from repro.service.session import ServiceSession, lemma1_suspects
 from repro.service.strategies import StrategyResult, get_strategy
 from repro.simulation.messages import (
     LOCATION_UPDATE_PACKETS,
@@ -202,15 +203,12 @@ class MPNService:
         self,
         members: Sequence[Member],
         policy: Policy,
-        prober: Optional[Prober] = None,
         space: Union[None, str, Space] = None,
         session_id: Optional[int] = None,
     ) -> SessionHandle:
         """Register a group; computes its first result and regions.
 
-        ``prober`` supplies fresh member states during probe rounds;
-        without one the probe round reuses each member's last reported
-        state.  ``space`` is the metric space the session lives in —
+        ``space`` is the metric space the session lives in —
         ``None`` for the service's default space, a registered name
         (see :meth:`add_space`), or a live space object; member
         positions must be of that space's position type, and the
@@ -243,7 +241,6 @@ class MPNService:
             policy=policy,
             strategy=strategy,
             members=[_as_state(m) for m in members],
-            prober=prober,
             space=space,
         )
         # Register only after the first computation succeeds, so a
@@ -335,9 +332,7 @@ class MPNService:
         """The session's full state as a wire-safe snapshot envelope.
 
         Mutates nothing and charges nothing: exporting is a read.  The
-        session keeps serving here until :meth:`close_session`; the
-        prober (an in-process callable) is the one thing not captured —
-        hand it to the importing side out-of-band.
+        session keeps serving here until :meth:`close_session`.
         """
         from repro.service.regions import encode_region
 
@@ -352,9 +347,7 @@ class MPNService:
             space=self._space_name_of(session.space),
         )
 
-    def _decode_snapshot(
-        self, snapshot: SessionSnapshot, prober: Optional[Prober]
-    ) -> ServiceSession:
+    def _decode_snapshot(self, snapshot: SessionSnapshot) -> ServiceSession:
         """A live :class:`ServiceSession` from its snapshot, unregistered."""
         from repro.service.regions import decode_region
 
@@ -366,16 +359,13 @@ class MPNService:
             policy=snapshot.policy,
             strategy=strategy,
             members=[_as_state(m) for m in snapshot.members],
-            prober=prober,
             space=space,
             po=snapshot.po,
             regions=[decode_region(r, space=space) for r in snapshot.regions],
             metrics=decode_record(SimulationMetrics, snapshot.metrics),
         )
 
-    def import_session(
-        self, snapshot: SessionSnapshot, prober: Optional[Prober] = None
-    ) -> None:
+    def import_session(self, snapshot: SessionSnapshot) -> None:
         """Install a migrated session exactly where its export left off.
 
         The notification-invariance half of live migration: importing
@@ -392,7 +382,7 @@ class MPNService:
             raise ValueError(
                 f"session id {snapshot.session_id} is already in use"
             )
-        session = self._decode_snapshot(snapshot, prober)
+        session = self._decode_snapshot(snapshot)
         self._sessions[session.session_id] = session
         self._next_id = max(self._next_id, session.session_id + 1)
 
@@ -405,18 +395,13 @@ class MPNService:
             next_id=self._next_id,
         )
 
-    def restore(
-        self,
-        snapshot: ServiceSnapshot,
-        probers: Optional[dict[int, Prober]] = None,
-    ) -> list[int]:
+    def restore(self, snapshot: ServiceSnapshot) -> list[int]:
         """Replay a whole-shard snapshot into this service, atomically.
 
         Every session is decoded (and checked for id collisions) before
         any is installed, so a bad snapshot leaves the service
         untouched.  Returns the restored session ids.
         """
-        probers = probers or {}
         decoded: list[ServiceSession] = []
         seen: set[int] = set()
         for entry in snapshot.sessions:
@@ -425,9 +410,7 @@ class MPNService:
                     f"session id {entry.session_id} is already in use"
                 )
             seen.add(entry.session_id)
-            decoded.append(
-                self._decode_snapshot(entry, probers.get(entry.session_id))
-            )
+            decoded.append(self._decode_snapshot(entry))
         for session in decoded:
             self._sessions[session.session_id] = session
             self._next_id = max(self._next_id, session.session_id + 1)
@@ -457,11 +440,10 @@ class MPNService:
         recomputes, and everyone is re-notified (step 3).
 
         ``probes`` optionally supplies fresh ``(member_id, state)``
-        pairs gathered client-side — the wire stand-in for a prober
-        callable.  The probe round prefers a supplied state over the
-        session's prober and charges the identical probe traffic, so a
-        remote fleet accounts exactly like a local one.  Probes are
-        ignored (like a prober) when the report is still in-region.
+        pairs gathered client-side; a member without one keeps her last
+        reported state.  The probe round charges every other member
+        either way, so a fleet accounts the same whichever states it
+        ships.  Probes are ignored when the report is still in-region.
         """
         session = self.session(session_id)
         check_member_ids(session.size, member_id, probes)
@@ -675,38 +657,28 @@ class MPNService:
     ) -> None:
         """Steps 1-2: fetch every other member's state, charging the round.
 
-        ``supplied`` holds client-gathered states (schema v2 probes); a
-        supplied state wins over the session's prober, and either way
-        the probed member is charged the same probe-request +
-        location-update pair — the probe round's wire traffic does not
-        depend on which side gathered the state.
+        ``supplied`` holds the states the report ships (its ``probes``);
+        each one replaces that member's stored state, and a member
+        without one keeps her last reported state.  A state supplied
+        for the trigger itself is ignored.
 
         One ``charge_round`` per ledger covers the whole escape: the
-        trigger's location update plus, for each of the ``probed``
-        members actually gathered, one location update up and one probe
-        request down.  A prober that raises at member j is charged the
-        trigger and the j pairs completed before it, nothing more.
+        trigger's location update plus, for each of the m − 1 other
+        members, one location update up and one probe request down —
+        the probe round's traffic does not depend on which states the
+        report shipped.
         """
-        states = dict(supplied) if supplied else {}
-        probed = 0
-        try:
-            for i in range(session.size):
-                if i == exclude:
-                    continue
-                if i in states:
-                    session.members[i] = states[i]
-                elif session.prober is not None:
-                    session.members[i] = session.prober(i)
-                probed += 1
-        finally:
-            up = 1 + probed
-            for ledger in (session.metrics, self.metrics):
-                ledger.charge_round(
-                    up,
-                    up * LOCATION_UPDATE_PACKETS,
-                    probed,
-                    probed * PROBE_REQUEST_PACKETS,
-                )
+        for i, state in supplied or ():
+            if i != exclude:
+                session.members[i] = state
+        m = session.size
+        for ledger in (session.metrics, self.metrics):
+            ledger.charge_round(
+                m,
+                m * LOCATION_UPDATE_PACKETS,
+                m - 1,
+                (m - 1) * PROBE_REQUEST_PACKETS,
+            )
 
     # ------------------------------------------------------------------
     # Dynamic POI updates

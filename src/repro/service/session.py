@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ from repro.service.messages import MemberState
 from repro.service.strategies import SafeRegionStrategy
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
-
-# Supplies a member's fresh state during the probe round (step 2 of
-# Fig. 3).  ``None`` falls back to the member's last reported state.
-Prober = Callable[[int], MemberState]
 
 
 def sum_verify_regions(regions: Sequence[Region], po: Point, p: Point) -> bool:
@@ -113,7 +109,6 @@ class ServiceSession:
     policy: Policy
     strategy: SafeRegionStrategy
     members: list[MemberState]
-    prober: Optional[Prober] = None
     space: Optional[object] = None
     po: Optional[Point] = None
     regions: list[Region] = field(default_factory=list)

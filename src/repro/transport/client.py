@@ -11,13 +11,8 @@ fleet driver runs unchanged against a remote server::
     backend = RemoteBackend(host, port, space=local_mirror_space)
     run_service(groups, policies, backend=backend, check_every=5)
 
-Three in-process conveniences need a client-side stand-in:
+Two in-process conveniences need a client-side stand-in:
 
-* **Probers.**  A prober callable cannot cross the wire; the backend
-  keeps it locally and, at report time, gathers the other members'
-  states and ships them as the request's ``probes`` (schema v2).  The
-  server applies them exactly like prober answers and charges the same
-  probe traffic, so metrics stay bit-identical.
 * **Live regions.**  Responses carry region geometry by value; the
   backend decodes it (:func:`repro.service.regions.decode_region`)
   into live objects, so ``notification.regions[i].contains_point``
@@ -64,7 +59,6 @@ different moments:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 from dataclasses import dataclass
@@ -95,7 +89,6 @@ from repro.service.messages import (
     ReportEvent,
     SessionHandle,
 )
-from repro.service.session import Prober
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
 from repro.space import Space
@@ -318,7 +311,6 @@ class _RemoteSession:
     """Client-side per-session state a wire backend must keep."""
 
     size: int
-    prober: Optional[Prober]
     space: Optional[Space]  # local mirror, for network-region decoding
 
 
@@ -332,8 +324,6 @@ class RemoteBackend:
     every ``update_pois`` batch this backend sends, so they track the
     server's POI set exactly.
     """
-
-    batched = True  # report_many crosses the wire as one envelope
 
     def __init__(
         self,
@@ -458,18 +448,6 @@ class RemoteBackend:
             cause=payload.cause,
         )
 
-    def _gather_probes(
-        self, session_id: int, exclude: int
-    ) -> Optional[tuple[tuple[int, MemberState], ...]]:
-        session = self._sessions.get(session_id)
-        if session is None or session.prober is None:
-            return None
-        return tuple(
-            (i, session.prober(i))
-            for i in range(session.size)
-            if i != exclude
-        )
-
     # ------------------------------------------------------------------
     # The convenience surface (what run_service drives)
     # ------------------------------------------------------------------
@@ -478,7 +456,6 @@ class RemoteBackend:
         self,
         members: Sequence[Union[MemberState, object]],
         policy: Policy,
-        prober: Optional[Prober] = None,
         space: Union[None, str, Space] = None,
         session_id: Optional[int] = None,
     ) -> SessionHandle:
@@ -496,7 +473,7 @@ class RemoteBackend:
             )
         )
         self._sessions[response.session_id] = _RemoteSession(
-            size=response.size, prober=prober, space=mirror
+            size=response.size, space=mirror
         )
         return SessionHandle(
             session_id=response.session_id,
@@ -565,56 +542,30 @@ class RemoteBackend:
             self.client.control("export_session", session_id=session_id)
         )
 
-    def import_session(
-        self, snapshot: SessionSnapshot, prober: Optional[Prober] = None
-    ) -> None:
+    def import_session(self, snapshot: SessionSnapshot) -> None:
         """Install a migrated session on this backend's server.
 
         The server resumes the session verbatim (no recomputation, no
-        metric charges); this side registers the client-side stand-ins
-        — the prober and the mirror space named by the snapshot — so
-        probe gathering and region decoding keep working here.
+        metric charges); this side registers the client-side state —
+        the group size and the mirror space named by the snapshot — so
+        wave validation and region decoding keep working here.
         """
         self.client.control("import_session", snapshot=snapshot.to_dict())
         self._sessions[snapshot.session_id] = _RemoteSession(
             size=len(snapshot.members),
-            prober=prober,
             space=self._mirror_for_ref(snapshot.space),
         )
-
-    def handoff_session(
-        self, session_id: int, target: "RemoteBackend"
-    ) -> SessionSnapshot:
-        """Migrate one session from this server to ``target``'s.
-
-        Export → import → close, with the client-side state (prober,
-        mirror) moving along.  The session is never absent: this server
-        keeps serving it until the import has landed.
-        """
-        snapshot = self.export_session(session_id)
-        state = self._sessions.get(session_id)
-        target.import_session(
-            snapshot, prober=None if state is None else state.prober
-        )
-        self.close_session(session_id)
-        return snapshot
 
     def snapshot(self) -> ServiceSnapshot:
         """The whole remote shard as a failover envelope (a read)."""
         return ServiceSnapshot.from_dict(self.client.control("snapshot"))
 
-    def restore(
-        self,
-        snapshot: ServiceSnapshot,
-        probers: Optional[dict[int, Prober]] = None,
-    ) -> list[int]:
+    def restore(self, snapshot: ServiceSnapshot) -> list[int]:
         """Replay a shard snapshot into this backend's server."""
         result = self.client.control("restore", snapshot=snapshot.to_dict())
-        probers = probers or {}
         for entry in snapshot.sessions:
             self._sessions[entry.session_id] = _RemoteSession(
                 size=len(entry.members),
-                prober=probers.get(entry.session_id),
                 space=self._mirror_for_ref(entry.space),
             )
         return [int(session_id) for session_id in result["session_ids"]]
@@ -628,8 +579,6 @@ class RemoteBackend:
         theta: Optional[float] = None,
         probes: Optional[Sequence[tuple[int, MemberState]]] = None,
     ) -> Optional[Notification]:
-        if probes is None:
-            probes = self._gather_probes(session_id, member_id)
         response = self.client.call(
             ReportRequest(
                 session_id=session_id,
@@ -640,26 +589,6 @@ class RemoteBackend:
         )
         return self._notification(response.notification, session_id)
 
-    def attach_probes(
-        self, events: Sequence[ReportEvent]
-    ) -> list[ReportEvent]:
-        """Fill each event's ``probes`` from its session's local prober.
-
-        Events that already carry probes (or whose session has no
-        prober) pass through unchanged.
-        """
-        return [
-            event
-            if event.probes is not None
-            else dataclasses.replace(
-                event,
-                probes=self._gather_probes(
-                    event.session_id, event.member_id
-                ),
-            )
-            for event in events
-        ]
-
     def submit_report_many(
         self, events: Sequence[ReportEvent]
     ) -> Callable[[], list[Optional[Notification]]]:
@@ -668,16 +597,16 @@ class RemoteBackend:
         The split lets a front door put one wave on several workers'
         connections before waiting on any of them.
         """
-        events = self.attach_probes(events)
-        ticket = self.client.submit_request(
-            ReportManyRequest(events=tuple(events))
-        )
+        request = ReportManyRequest(events=tuple(events))
+        ticket = self.client.submit_request(request)
 
         def gather() -> list[Optional[Notification]]:
             response = ticket.result()
             return [
                 self._notification(payload, event.session_id)
-                for payload, event in zip(response.notifications, events)
+                for payload, event in zip(
+                    response.notifications, request.events
+                )
             ]
 
         return gather

@@ -57,8 +57,8 @@ churn log (each ``update_pois`` batch, in order, so its index — and its
 epoch counter — catches up with the incumbents; the log grows with
 churn, the price of factory-built replicas), and then receives the
 ring's minimal remap set, each session crossing the wire through the
-``export_session`` / ``import_session`` control ops with its prober
-and mirror state moving along client-side.
+``export_session`` / ``import_session`` control ops with its mirror
+state moving along client-side.
 :meth:`ProcessCluster.remove_shard` is the reverse, after which the
 departing process drains and exits
 (``tests/test_elastic_equivalence.py``).
@@ -223,8 +223,8 @@ class ProcessCluster(ShardedFrontDoor):
     thread hop per request, ~0.2 ms — see
     :mod:`repro.transport.server`'s concurrency model.
 
-    The front door also keeps client-side session state (probers, the
-    mirror space for region decoding) through its per-shard
+    The front door also keeps client-side session state (group sizes,
+    the mirror space for region decoding) through its per-shard
     :class:`~repro.transport.client.RemoteBackend` objects, so
     :func:`repro.simulation.run_service` drives a process cluster
     exactly like an in-process backend.
@@ -362,11 +362,6 @@ class ProcessCluster(ShardedFrontDoor):
 
     def _submit_churn(self, shard: RemoteBackend, adds, removes, space):
         return shard.submit_update_pois(adds, removes, space)
-
-    def _handoff(
-        self, source: RemoteBackend, target: RemoteBackend, session_id: int
-    ) -> None:
-        source.handoff_session(session_id, target)
 
     # ------------------------------------------------------------------
     # Lifecycle: close, reshard, drain

@@ -154,7 +154,7 @@ def render_network_scene(
         p = positions[q]
         canvas.circle(p.x, p.y, marker * 0.6, fill="#888888", stroke="none")
     for k, user in enumerate(users):
-        anchors = space._anchors(user)
+        anchors = space.anchors(user)
         node, _ = anchors[0]
         if user.edge is not None:
             u, v = user.edge

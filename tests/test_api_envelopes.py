@@ -6,8 +6,8 @@ Every request/response envelope must
 * survive an actual JSON ``dumps``/``loads`` hop unchanged;
 * reject unknown schema versions (:class:`SchemaVersionError`) and
   structurally broken payloads (:class:`MalformedEnvelopeError`);
-* refuse to serialize in-process-only state (probers, live spaces,
-  non-scalar POI payloads) instead of silently dropping it.
+* refuse to serialize in-process-only state (live spaces, non-scalar
+  POI payloads) instead of silently dropping it.
 
 Positions, member states and policies — Euclidean and road-network —
 are generated by Hypothesis; the end-to-end class at the bottom drives
@@ -390,15 +390,6 @@ class TestRejection:
         with pytest.raises(MalformedEnvelopeError):
             ReportRequest.from_dict(wire)
 
-    def test_prober_refuses_the_wire(self):
-        request = OpenSessionRequest(
-            members=(MemberState(Point(0, 0)),),
-            policy=circle_policy(),
-            prober=lambda i: MemberState(Point(0, 0)),
-        )
-        with pytest.raises(EnvelopeError, match="prober"):
-            request.to_dict()
-
     def test_live_space_refuses_the_wire(self):
         tree = build_poi_tree(uniform_pois(30, SMALL_WORLD, seed=1))
         service = MPNService(tree)
@@ -633,26 +624,16 @@ class TestDispatchEndToEnd:
         assert service.session_ids() == []
 
     def test_dispatch_honors_in_process_extras(self, service, rng):
-        """prober/live-space ride dispatch() in process, not the wire."""
-        probed = []
-
-        def prober(i):
-            state = MemberState(SMALL_WORLD.sample(rng))
-            probed.append(i)
-            return state
-
+        """A live space rides dispatch() in process, not the wire."""
         request = OpenSessionRequest(
             members=(MemberState(SMALL_WORLD.sample(rng)),) * 2,
             policy=circle_policy(),
-            prober=prober,
+            space=service.space,
         )
         response = service.dispatch(request)
-        service.dispatch(
-            ReportRequest(
-                response.session_id, 0, MemberState(SMALL_WORLD.sample(rng))
-            )
-        )
-        assert probed  # the probe round consulted the live callable
+        assert service.session(response.session_id).space is service.space
+        with pytest.raises(EnvelopeError, match="live space"):
+            request.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -896,7 +877,7 @@ class TestCountersCodec:
 
 
 # ----------------------------------------------------------------------
-# Probes: the wire stand-in for an in-process prober (schema v2)
+# Probes: the other members' fresh states ride the report (schema v2)
 # ----------------------------------------------------------------------
 
 
@@ -908,60 +889,39 @@ class TestSuppliedProbes:
             MPNService(build_poi_tree(pois)),
         )
 
-    def test_supplied_probes_match_prober_answers(self, rng):
-        """report(probes=...) must be bit-identical — notification and
-        metrics — to an in-process prober returning the same states."""
+    def _report_twins(self, rng, probed):
+        """The same escape served as ``report(probes=...)`` on one twin
+        and as a one-event ``report_many`` wave on the other."""
         from tests.test_cluster_equivalence import notification_key
         from tests.test_service_batch_equivalence import counters
 
-        with_prober, with_probes = self._twins()
+        single, waved = self._twins()
         members = [SMALL_WORLD.sample(rng) for _ in range(3)]
         fresh = [MemberState(SMALL_WORLD.sample(rng)) for _ in range(3)]
-
-        h1 = with_prober.open_session(
-            members, circle_policy(), prober=lambda i: fresh[i]
-        )
-        h2 = with_probes.open_session(members, circle_policy())
-        target = SMALL_WORLD.sample(rng)
-        want = with_prober.report(h1.session_id, 0, target)
-        got = with_probes.report(
-            h2.session_id,
-            0,
-            target,
-            probes=[(1, fresh[1]), (2, fresh[2])],
+        probes = tuple((i, fresh[i]) for i in probed)
+        h1 = single.open_session(members, circle_policy())
+        h2 = waved.open_session(members, circle_policy())
+        target = MemberState(SMALL_WORLD.sample(rng))
+        want = single.report(h1.session_id, 0, target.point, probes=probes)
+        (got,) = waved.report_many(
+            [ReportEvent(h2.session_id, 0, target, probes=probes)]
         )
         assert notification_key(got) == notification_key(want)
-        assert counters(with_prober.metrics) == counters(with_probes.metrics)
+        assert counters(single.metrics) == counters(waved.metrics)
+        stored = waved.session(h2.session_id).members
+        assert stored == single.session(h1.session_id).members
+        for i in (1, 2):
+            assert stored[i] == (
+                fresh[i] if i in probed else MemberState(members[i])
+            )
 
     def test_probes_ride_report_many_events(self, rng):
-        from tests.test_cluster_equivalence import notification_key
-        from tests.test_service_batch_equivalence import counters
+        self._report_twins(rng, probed=(1, 2))
 
-        with_prober, with_probes = self._twins()
-        members = [SMALL_WORLD.sample(rng) for _ in range(3)]
-        fresh = [MemberState(SMALL_WORLD.sample(rng)) for _ in range(3)]
-        h1 = with_prober.open_session(
-            members, circle_policy(), prober=lambda i: fresh[i]
-        )
-        h2 = with_probes.open_session(members, circle_policy())
-        target = MemberState(SMALL_WORLD.sample(rng))
-        want = with_prober.report_many(
-            [ReportEvent(h1.session_id, 0, target)]
-        )
-        got = with_probes.report_many(
-            [
-                ReportEvent(
-                    h2.session_id,
-                    0,
-                    target,
-                    probes=((1, fresh[1]), (2, fresh[2])),
-                )
-            ]
-        )
-        assert [notification_key(n) for n in got] == [
-            notification_key(n) for n in want
-        ]
-        assert counters(with_prober.metrics) == counters(with_probes.metrics)
+    def test_partial_probes_ride_report_many_events(self, rng):
+        """A member without a probe keeps her last state, and the round
+        still charges all m − 1 probe pairs on both paths."""
+        self._report_twins(rng, probed=(2,))
 
     def test_out_of_range_probes_rejected_before_mutation(self, rng):
         service, _ = self._twins()

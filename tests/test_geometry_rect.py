@@ -79,15 +79,6 @@ class TestRectBasics:
         u = Rect(0, 0, 1, 1).union(Rect(2, 2, 3, 3))
         assert (u.x_lo, u.y_lo, u.x_hi, u.y_hi) == (0, 0, 3, 3)
 
-    def test_enlargement(self):
-        r = Rect(0, 0, 1, 1)
-        assert r.enlargement(Rect(0, 0, 1, 1)) == 0.0
-        assert r.enlargement(Rect(1, 0, 2, 1)) == pytest.approx(1.0)
-
-    def test_overlap_area(self):
-        assert Rect(0, 0, 2, 2).overlap_area(Rect(1, 1, 3, 3)) == 1.0
-        assert Rect(0, 0, 1, 1).overlap_area(Rect(2, 2, 3, 3)) == 0.0
-
     def test_min_dist_inside_is_zero(self):
         assert Rect(0, 0, 2, 2).min_dist(Point(1, 1)) == 0.0
 
@@ -124,12 +115,6 @@ class TestRectDistanceProperties:
         sample = r.sample(rnd)
         d = p.dist(sample)
         assert r.min_dist(p) - 1e-6 <= d <= r.max_dist(p) + 1e-6
-
-    @given(rects(), points())
-    def test_min_dist_sq_consistent(self, r, p):
-        assert math.isclose(
-            r.min_dist(p) ** 2, r.min_dist_sq(p), rel_tol=1e-9, abs_tol=1e-9
-        )
 
     @given(rects(), points())
     def test_corners_bound_max(self, r, p):

@@ -170,9 +170,7 @@ def service_network_loop(
     )
     service = MPNService(NetworkPOISpace(space, pois))
     current = [t[0] for t in trajectories]
-    handle = service.open_session(
-        list(current), policy, prober=lambda i: MemberState(point=current[i])
-    )
+    handle = service.open_session(list(current), policy)
     events = [
         (
             0,
@@ -191,7 +189,14 @@ def service_network_loop(
         )
         if trigger is None:
             continue
-        notification = service.report(handle.session_id, trigger, current[trigger])
+        probes = [
+            (j, MemberState(point=current[j]))
+            for j in range(len(current))
+            if j != trigger
+        ]
+        notification = service.report(
+            handle.session_id, trigger, current[trigger], probes=probes
+        )
         assert notification is not None
         regions = notification.regions
         events.append(

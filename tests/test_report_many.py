@@ -140,27 +140,39 @@ class TestReportManyEdgeCases:
 
 
 class TestReportManyReentrancy:
-    def test_prober_closing_sibling_mid_wave_is_safe(self, service, rng):
-        """A sibling closed reentrantly during the wave is skipped."""
-        victim = service.open_session(random_users(rng, 2), circle_policy())
-
-        def closing_prober(i):
-            if victim.session_id in service.session_ids():
-                service.close_session(victim.session_id)
-            return MemberState(Point(300.0, 300.0))
-
-        closer = service.open_session(
-            random_users(rng, 2), circle_policy(), prober=closing_prober
-        )
-        out = service.report_many(
-            [
-                ReportEvent(closer.session_id, 0, MemberState(Point(5000.0, 5000.0))),
-                ReportEvent(victim.session_id, 0, MemberState(Point(6000.0, 6000.0))),
-            ]
-        )
-        assert out[0] is not None and out[0].session_id == closer.session_id
-        assert out[1] is None  # victim vanished mid-wave: skipped, not crashed
-        assert service.session_ids() == [closer.session_id]
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_closing_sibling_mid_wave_is_safe(self, batched):
+        """A sibling closed reentrantly during the wave is skipped, both
+        in the wave whose recompute closed it and in the later wave its
+        second event lands in."""
+        register_strategy("closing", ClosingStrategy)
+        try:
+            pois = uniform_pois(300, SMALL_WORLD, seed=8)
+            service = MPNService(build_poi_tree(pois), batched=batched)
+            policy = custom_policy("Closing", "closing")
+            users = [Point(100.0, 100.0), Point(200.0, 200.0)]
+            closer = service.open_session(users, policy)
+            victim = service.open_session(users, policy)
+            strategy = service.session(closer.session_id).strategy
+            strategy.service = service
+            strategy.victim = victim.session_id
+            victim_metrics = service.session_metrics(victim.session_id)
+            update_events = victim_metrics.update_events
+            out = service.report_many(
+                [
+                    ReportEvent(closer.session_id, 0, MemberState(Point(500.0, 500.0))),
+                    ReportEvent(victim.session_id, 0, MemberState(Point(600.0, 600.0))),
+                    ReportEvent(victim.session_id, 1, MemberState(Point(700.0, 700.0))),
+                ]
+            )
+            assert out[0] is not None and out[0].session_id == closer.session_id
+            # The victim vanished mid-wave: skipped, not crashed, never
+            # recomputed or notified.
+            assert out[1:] == [None, None]
+            assert victim_metrics.update_events == update_events
+            assert service.session_ids() == [closer.session_id]
+        finally:
+            unregister_strategy("closing")
 
 
 class ShortBatchStrategy:

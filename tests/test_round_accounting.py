@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.core.circle_msr import circle_msr
 from repro.geometry.circle import Circle
-from repro.geometry.point import Point
 from repro.scenarios.runner import COUNTER_FIELDS, counters
 from repro.service import (
     MemberState,
@@ -149,24 +148,25 @@ class Fleet:
         self.refs: dict[int, ReferenceLedger] = {}
         for size in sizes:
             members = [SMALL_WORLD.sample(rng) for _ in range(size)]
-            prober = self._prober if probe_mode == "prober" else None
-            handle = self.service.open_session(members, policy, prober=prober)
+            handle = self.service.open_session(members, policy)
             assert handle.notification.cause == "register"
             ref = self.refs[handle.session_id] = ReferenceLedger(size, results)
             ref.notified(handle.notification)
             ref.register()
             self.check()
 
-    def _prober(self, member_id: int) -> MemberState:
-        return MemberState(SMALL_WORLD.sample(self.rng))
-
     def _probes(self, size: int, trigger: int):
-        if self.probe_mode != "supplied":
+        """Fresh states for every other member (``supplied``), for a
+        seeded subset of them (``partial``) or none at all."""
+        if self.probe_mode == "neither":
             return None
+        others = [i for i in range(size) if i != trigger]
+        if self.probe_mode == "partial":
+            others = sorted(
+                self.rng.sample(others, self.rng.randrange(len(others) + 1))
+            )
         return tuple(
-            (i, MemberState(SMALL_WORLD.sample(self.rng)))
-            for i in range(size)
-            if i != trigger
+            (i, MemberState(SMALL_WORLD.sample(self.rng))) for i in others
         )
 
     def check(self) -> None:
@@ -185,6 +185,9 @@ class Fleet:
         self.check()
 
     def report(self, waved: bool) -> None:
+        before = {
+            sid: list(self.service.session(sid).members) for sid in self.refs
+        }
         events = []
         for sid, ref in self.refs.items():
             trigger = self.rng.randrange(ref.size)
@@ -206,8 +209,15 @@ class Fleet:
                 for e in events
             ]
         for event, answer in zip(events, answers):
+            # The reporter's state is stored either way; the probes only
+            # when she escaped, and an unprobed member keeps her last one.
+            expected = before[event.session_id]
+            expected[event.member_id] = event.state
             if answer is not None:  # an in-region report is free
                 self.refs[event.session_id].escape()
+                for i, state in event.probes or ():
+                    expected[i] = state
+            assert self.service.session(event.session_id).members == expected
         self._answered([a for a in answers if a is not None], "report")
 
     def refresh(self, waved: bool) -> None:
@@ -259,7 +269,7 @@ def fleets(draw):
     return (
         policy,
         draw(st.lists(st.integers(1, max_size), min_size=1, max_size=3)),
-        draw(st.sampled_from(["supplied", "prober", "neither"])),
+        draw(st.sampled_from(["supplied", "partial", "neither"])),
         draw(st.booleans()),
         draw(
             st.lists(
@@ -304,21 +314,6 @@ def test_round_accounting_equals_message_replay(drawn):
         unregister_strategy("stub-values")
 
 
-# ----------------------------------------------------------------------
-# A prober that raises mid-round
-# ----------------------------------------------------------------------
-
-
-class FlakyProber:
-    def __init__(self, fail_at: int):
-        self.fail_at = fail_at
-
-    def __call__(self, member_id: int) -> MemberState:
-        if member_id == self.fail_at:
-            raise ConnectionError(f"member {member_id} unreachable")
-        return MemberState(Point(500.0 + member_id, 500.0))
-
-
 def traffic(metrics) -> tuple[int, int, int, int]:
     return (
         metrics.messages_up,
@@ -326,49 +321,6 @@ def traffic(metrics) -> tuple[int, int, int, int]:
         metrics.messages_down,
         metrics.packets_down,
     )
-
-
-@pytest.mark.parametrize("batched", [False, True])
-@pytest.mark.parametrize("waved", [False, True])
-def test_prober_raising_mid_round_charges_completed_pairs_only(batched, waved):
-    """m = 5, trigger 0, the prober dies on member 3: the trigger's
-    update and the two pairs gathered before it (members 1 and 2) are
-    charged; no update event, no notification."""
-    pois = uniform_pois(300, SMALL_WORLD, seed=8)
-    service = MPNService(build_poi_tree(pois), batched=batched)
-    prober = FlakyProber(fail_at=3)
-    members = [Point(100.0 + 10 * i, 100.0) for i in range(5)]
-    bystander = service.open_session(members[:2], circle_policy()).session_id
-    sid = service.open_session(members, circle_policy(), prober=prober).session_id
-    session = service.session_metrics(sid)
-    # Registration: 5 updates up, 5 one-packet circle notifications down.
-    assert traffic(session) == (5, 5, 5, 5)
-    assert traffic(service.metrics) == (7, 7, 7, 7)
-    assert (session.update_events, session.region_values_sent) == (1, 15)
-
-    far = Point(900.0, 900.0)
-    with pytest.raises(ConnectionError):
-        if waved:
-            service.report_many([ReportEvent(sid, 0, MemberState(far))])
-        else:
-            service.report(sid, 0, far)
-    # + trigger (1 up) + 2 completed pairs (2 up, 2 down), 1 packet each.
-    assert traffic(session) == (8, 8, 7, 7)
-    assert traffic(service.metrics) == (10, 10, 9, 9)
-    assert (session.update_events, session.region_values_sent) == (1, 15)
-    assert service.metrics.update_events == 2
-    assert traffic(service.session_metrics(bystander)) == (2, 2, 2, 2)
-
-    # The session keeps serving: a full round is 5 up, 4 + 5 down.
-    prober.fail_at = -1
-    if waved:
-        (answer,) = service.report_many([ReportEvent(sid, 0, MemberState(far))])
-    else:
-        answer = service.report(sid, 0, far)
-    assert answer is not None and answer.cause == "report"
-    assert traffic(session) == (13, 13, 16, 16)
-    assert traffic(service.metrics) == (15, 15, 18, 18)
-    assert (session.update_events, session.region_values_sent) == (2, 30)
 
 
 @pytest.mark.parametrize("m", [1, 3])

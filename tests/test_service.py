@@ -1,5 +1,7 @@
 """Tests for the session-oriented service layer and strategy registry."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.circle_msr import circle_msr
@@ -9,6 +11,7 @@ from repro.service import (
     MPNService,
     MemberState,
     Notification,
+    ReportEvent,
     StrategyResult,
     UnknownSessionError,
     UnknownStrategyError,
@@ -17,6 +20,7 @@ from repro.service import (
     register_strategy,
     unregister_strategy,
 )
+from repro.service.session import ServiceSession
 from repro.simulation import (
     circle_policy,
     custom_policy,
@@ -34,6 +38,16 @@ from tests.conftest import SMALL_WORLD, random_users
 def service():
     pois = uniform_pois(300, SMALL_WORLD, seed=8)
     return MPNService(build_poi_tree(pois))
+
+
+def report(service, session_id, member_id, point, probes, waved):
+    """One report, as a scalar ``report`` or as a one-event wave."""
+    if waved:
+        (answer,) = service.report_many(
+            [ReportEvent(session_id, member_id, MemberState(point), probes)]
+        )
+        return answer
+    return service.report(session_id, member_id, point, probes=probes)
 
 
 class HalfCircleStrategy:
@@ -206,17 +220,51 @@ class TestReportProtocol:
         with pytest.raises(ValueError):
             service.report(handle.session_id, 5, Point(0, 0))
 
-    def test_prober_supplies_fresh_positions(self, service):
-        users = [Point(100, 100), Point(200, 150)]
-        moved = {1: MemberState(Point(210, 160))}
-
-        def prober(i):
-            return moved.get(i, MemberState(users[i]))
-
-        handle = service.open_session(users, circle_policy(), prober=prober)
-        service.report(handle.session_id, 0, Point(5000.0, 5000.0))
+    def test_probes_supply_fresh_positions(self, service):
+        users = [Point(100, 100), Point(200, 150), Point(300, 120)]
+        handle = service.open_session(users, circle_policy())
+        service.report(
+            handle.session_id,
+            0,
+            Point(5000.0, 5000.0),
+            probes=[(1, MemberState(Point(210, 160)))],
+        )
         session = service.session(handle.session_id)
         assert session.positions[1] == Point(210, 160)
+        # A member the report ships no state for keeps her last one.
+        assert session.positions[2] == Point(300, 120)
+
+    @pytest.mark.parametrize("waved", [False, True])
+    def test_probe_for_the_trigger_is_ignored(self, service, waved):
+        users = [Point(100, 100), Point(200, 150)]
+        sid = service.open_session(users, circle_policy()).session_id
+        far = Point(5000.0, 5000.0)
+        probes = ((0, MemberState(Point(1.0, 1.0))),)
+        assert report(service, sid, 0, far, probes, waved) is not None
+        assert service.session(sid).positions == [far, Point(200, 150)]
+
+    @pytest.mark.parametrize("waved", [False, True])
+    def test_last_probe_of_a_member_wins(self, service, waved):
+        users = [Point(100, 100), Point(200, 150)]
+        sid = service.open_session(users, circle_policy()).session_id
+        probes = (
+            (1, MemberState(Point(210, 160))),
+            (1, MemberState(Point(220, 170))),
+        )
+        report(service, sid, 0, Point(5000.0, 5000.0), probes, waved)
+        assert service.session(sid).positions[1] == Point(220, 170)
+
+    @pytest.mark.parametrize("waved", [False, True])
+    def test_in_region_report_ignores_probes(self, service, rng, waved):
+        users = [Point(100, 100), Point(200, 150)]
+        sid = service.open_session(users, circle_policy()).session_id
+        session = service.session(sid)
+        before = session.metrics.messages_total
+        inside = session.regions[0].sample(rng)
+        probes = ((1, MemberState(Point(900.0, 900.0))),)
+        assert report(service, sid, 0, inside, probes, waved) is None
+        assert session.positions == [inside, Point(200, 150)]
+        assert session.metrics.messages_total == before
 
     def test_update_locations_validates_count(self, service, rng):
         handle = service.open_session(random_users(rng, 3), circle_policy())
@@ -237,6 +285,25 @@ class TestReportProtocol:
         assert service.metrics.update_events == sum(
             m.update_events for m in per_session
         )
+
+
+class TestSessionSnapshot:
+    def test_a_snapshot_is_the_whole_session(self, service, rng):
+        """Export -> import on a fresh service rebuilds every field of
+        the session; nothing has to be handed over beside the snapshot."""
+        sid = service.open_session(random_users(rng, 3), circle_policy()).session_id
+        service.report(
+            sid, 0, Point(5000.0, 5000.0), probes=[(2, MemberState(Point(7, 8)))]
+        )
+        target = MPNService(service.space)
+        target.import_session(service.export_session(sid))
+        source, copy = service.session(sid), target.session(sid)
+        for f in dataclasses.fields(ServiceSession):
+            want, got = getattr(source, f.name), getattr(copy, f.name)
+            if f.name == "strategy":  # re-resolved from the policy
+                assert type(got) is type(want)
+            else:
+                assert got == want, f.name
 
 
 class TestPolicyUpdate:

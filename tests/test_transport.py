@@ -230,28 +230,48 @@ class TestRemoteBackend:
         finally:
             backend.close()
 
-    def test_prober_is_kept_client_side(self, served, rng):
+    def test_report_probes_reach_the_server_by_value(self, served, rng):
         server, service = served
         backend = RemoteBackend(*server.address)
         try:
             fresh = [MemberState(SMALL_WORLD.sample(rng)) for _ in range(3)]
-            probed = []
-
-            def prober(i):
-                probed.append(i)
-                return fresh[i]
-
             handle = backend.open_session(
-                [SMALL_WORLD.sample(rng) for _ in range(3)],
-                circle_policy(),
-                prober=prober,
+                [SMALL_WORLD.sample(rng) for _ in range(3)], circle_policy()
             )
-            backend.report(handle.session_id, 0, SMALL_WORLD.sample(rng))
-            assert sorted(probed) == [1, 2]
-            # The server observed the probed states by value.
-            session = service.session(handle.session_id)
-            assert session.members[1].point == fresh[1].point
-            backend.close_session(handle.session_id)
+            sid = handle.session_id
+            backend.report(
+                sid, 0, Point(9000.0, 9000.0), probes=[(1, fresh[1])]
+            )
+            session = service.session(sid)
+            assert session.members[1] == fresh[1]
+            backend.report_many(
+                [
+                    ReportEvent(
+                        sid, 1, MemberState(Point(-9000.0, -9000.0)),
+                        probes=((2, fresh[2]),),
+                    )
+                ]
+            )
+            assert session.members[2] == fresh[2]
+            backend.close_session(sid)
+        finally:
+            backend.close()
+
+    def test_report_without_probes_charges_the_full_round(self, served, rng):
+        """No probes shipped: the server keeps the other members' last
+        states and still charges all m - 1 probe pairs."""
+        server, service = served
+        backend = RemoteBackend(*server.address)
+        try:
+            members = [SMALL_WORLD.sample(rng) for _ in range(3)]
+            sid = backend.open_session(members, circle_policy()).session_id
+            metrics = service.session_metrics(sid)
+            up, down = metrics.messages_up, metrics.messages_down
+            assert backend.report(sid, 0, Point(9000.0, 9000.0)) is not None
+            # Trigger + 2 probe replies up; 2 probe requests + 3 notifies down.
+            assert (metrics.messages_up, metrics.messages_down) == (up + 3, down + 5)
+            assert service.session(sid).positions[1:] == members[1:]
+            backend.close_session(sid)
         finally:
             backend.close()
 
@@ -730,7 +750,9 @@ class TestLifecycle:
                 n_wire = ra.report(sid, 0, step)
                 assert (n_twin is None) == (n_wire is None)
 
-                snapshot = ra.handoff_session(sid, rb)
+                snapshot = ra.export_session(sid)
+                rb.import_session(snapshot)
+                ra.close_session(sid)
                 assert snapshot.session_id == sid
                 assert ra.session_ids() == [] and rb.session_ids() == [sid]
                 # migration charged nothing

@@ -151,8 +151,8 @@ class TestRemoteBackendMatchesLocalService:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_run_service_over_tcp_matches_in_process(self, batched):
-        """The engine itself — probers, exactness checks, churn — runs
-        unchanged against a TCP backend and lands identical results."""
+        """The engine itself — shipped probes, exactness checks, churn —
+        runs unchanged against a TCP backend and lands identical results."""
         n_groups, steps, seed = 6, 12, 31
 
         def build():
