@@ -212,7 +212,7 @@ def test_row_cache_byte_ceiling(exact_space, graph):
     rng = random.Random(41)
     sweep = rng.sample(sorted(graph.nodes), 3 * CACHE_ROWS)
     for node in sweep:
-        exact_space.index.distance_row(node)
+        oracle.row(oracle.node_id[node])
         assert oracle.resident_bytes <= budget
     assert oracle.resident_rows <= CACHE_ROWS
     assert oracle.evictions > 0, "sweep never overflowed the budget"

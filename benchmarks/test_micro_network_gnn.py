@@ -1,8 +1,8 @@
 """Micro-benchmark: CSR distance-kernel GNN vs the brute-force scan.
 
 The road-network GNN used to be :func:`repro.network_ext.gnn.network_gnn`
-— one networkx Dijkstra map per user anchor plus an O(users x POIs)
-Python aggregation loop.  The serving path now retrieves GNNs through
+— one distance map per user anchor plus an O(users x POIs) Python
+aggregation loop.  The serving path now retrieves GNNs through
 :class:`repro.index.network.NetworkIndex`: CSR-packed adjacency, bulk
 per-anchor distance rows and NumPy aggregation over the POI id array.
 Both are exact and bit-identical (``tests/test_network_index.py``);
@@ -108,8 +108,9 @@ def test_network_gnn_10k_edges_5k_pois(
     benchmark, space, pois, index, user_groups, kind
 ):
     """One two-best MAX-GNN call at serving scale (warm caches both
-    sides: the brute force reuses networkx Dijkstra maps exactly like
-    the index reuses its CSR rows — the aggregation is what differs)."""
+    sides: the brute force reads the same oracle rows as the index,
+    through ``NetworkSpace.node_distances`` views — the aggregation is
+    what differs)."""
     groups = itertools.cycle(user_groups)
     if kind == "bruteforce":
         fn = lambda: network_gnn(space, pois, next(groups), 2)  # noqa: E731

@@ -37,11 +37,12 @@ setup(
     extras_require={
         # Road-network spaces: networkx carries the graphs themselves
         # (repro.network_ext, repro.space.network, repro.mobility.network,
-        # repro.workloads.citygraph), scipy accelerates the CSR
-        # bulk-Dijkstra kernels of repro.index.network / repro.index.oracle
-        # (a pure-python fallback exists).  Every Euclidean workload runs
-        # without it; those modules load only when a network space or
-        # dataset is built.
+        # repro.workloads.citygraph), scipy runs the Dijkstra of
+        # repro.index.oracle, the one engine every road-network distance
+        # comes from (no fallback: the network modules fail to import
+        # without it).  Every Euclidean workload runs without the extra;
+        # those modules load only when a network space or dataset is
+        # built.
         "network": ["scipy", "networkx"],
         # repro.viz renders plain SVG with the stdlib today; the extra
         # is the named hook for future plotting dependencies.

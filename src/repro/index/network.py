@@ -2,17 +2,15 @@
 
 The network analogue of the flat R-tree: where the Euclidean backend
 packs POI coordinates into structure-of-arrays and answers GNN queries
-with vectorized frontier kernels, this index packs the road graph into
-CSR adjacency arrays (``indptr`` / ``indices`` / ``weights``), buckets
-the POIs by the graph node they sit on, and answers aggregate
-nearest-neighbor queries from *bulk* shortest-path distance rows:
+with vectorized frontier kernels, this index reads the road graph's
+CSR packing off the space's shared
+:class:`~repro.index.oracle.DistanceOracle`, buckets the POIs by the
+graph node they sit on, and answers aggregate nearest-neighbor queries
+from *bulk* shortest-path distance rows:
 
-* one Dijkstra run per distinct anchor node (SciPy's C implementation
-  when available, a heap-based CSR traversal otherwise), cached in a
-  byte-budgeted LRU behind the shared
-  :class:`~repro.index.oracle.DistanceOracle` — users sliding along an
-  edge keep their endpoint anchors, and POI updates never invalidate
-  distances;
+* one SciPy Dijkstra run per distinct anchor node, cached in the
+  oracle's byte-budgeted LRU — users sliding along an edge keep their
+  endpoint anchors, and POI updates never invalidate distances;
 * per-user node-distance rows combined from the anchor rows with one
   ``np.minimum`` pass;
 * POI scores gathered and aggregated across users in NumPy — for one
@@ -48,27 +46,12 @@ from repro.index.flat import DEFAULT_DELTA_FRACTION
 from repro.index.oracle import OracleConfig, oracle_for, padded_cutoff
 from repro.index.entries import resolve_removals_indexed
 
-try:  # SciPy is optional; the fallback kernel needs only NumPy.
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _csr_matrix = None
-    _csgraph_dijkstra = None
-
-
 # Ceiling on one chunk of stacked ``users x nodes`` float64 rows (per
 # anchor plane) in :meth:`NetworkIndex.gnn_scan`: per-group cost is flat
 # from a dozen groups up, so a larger stack buys nothing, and a
 # 2,000-session wave on a 10k-node graph must not allocate hundreds of
 # MiB at once.
 _STACK_BYTES = 8 * 1024 * 1024
-
-
-def _scipy_kernels() -> tuple:
-    """The SciPy pair read from *this* module's globals at call time,
-    so tests monkeypatching ``_csgraph_dijkstra`` here flip the shared
-    oracle onto the pure-python kernels too."""
-    return _csr_matrix, _csgraph_dijkstra
 
 
 class NetworkIndex:
@@ -112,7 +95,7 @@ class NetworkIndex:
         # repacks vs delta batches absorbed without one.
         self.build_count = 0
         self.delta_batches = 0
-        self._oracle = oracle_for(space, oracle_config, _scipy_kernels)
+        self._oracle = oracle_for(space, oracle_config)
         self._nodes: list[Hashable] = self._oracle.nodes
         self._node_id: dict[Hashable, int] = self._oracle.node_id
         self._lm_slot_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
@@ -126,20 +109,6 @@ class NetworkIndex:
         if len(payloads) != len(pois):
             raise ValueError("payloads length does not match pois")
         self._install([(p, pl) for p, pl in zip(pois, payloads)])
-
-    # The CSR arrays live on the shared oracle; these views keep the
-    # packing introspectable where it always was.
-    @property
-    def indptr(self) -> np.ndarray:
-        return self._oracle.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self._oracle.indices
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._oracle.weights
 
     @property
     def oracle(self):
@@ -200,7 +169,7 @@ class NetworkIndex:
         return len(self._nodes)
 
     def edge_count(self) -> int:
-        return len(self.indices) // 2
+        return self._oracle.edge_count()
 
     def poi_nodes(self) -> list[Hashable]:
         """The live POI nodes in insertion order (duplicates preserved)."""
@@ -329,32 +298,13 @@ class NetworkIndex:
     # Bulk shortest-path distance kernels
     # ------------------------------------------------------------------
 
-    def distance_row(self, node: Hashable) -> np.ndarray:
-        """Distances from ``node`` to every graph node (LRU-cached)."""
-        return self._oracle.row(self._node_id[node])
-
-    def distance_map(self, node: Hashable) -> dict[Hashable, float]:
-        """:meth:`distance_row` as a dict — a drop-in for the networkx
-        map :meth:`NetworkSpace.node_distances` would compute, so the
-        space can source its maps from the CSR kernel
-        (:meth:`repro.network_ext.space.NetworkSpace.set_distance_provider`)
-        instead of running a second Dijkstra per anchor."""
-        return dict(zip(self._nodes, self.distance_row(node).tolist()))
-
-    def node_pair_distance(self, node_a: Hashable, node_b: Hashable) -> float:
-        """Exact node-to-node distance off one LRU row — the space's
-        pair provider, avoiding a 100k-entry dict per anchor at city
-        scale (:meth:`NetworkSpace.set_pair_distance_provider`)."""
-        row = self._oracle.row(self._node_id[node_a])
-        return float(row[self._node_id[node_b]])
-
     def user_node_distances(self, users: Sequence[object]) -> np.ndarray:
         """``[m, n_nodes]`` matrix of exact user-to-node distances.
 
         Row ``i`` is the anchor-combined distance map of user ``i``:
         ``min`` over the user's (node, offset) anchors of ``offset +
         row(node)`` — the same values the brute-force reference reads
-        out of its per-anchor Dijkstra dicts.  All anchor rows come
+        out of its per-anchor distance maps.  All anchor rows come
         from one :meth:`DistanceOracle.rows` call, whatever ``m`` is.
         """
         anchor_lists = [self.space.anchors(user) for user in users]

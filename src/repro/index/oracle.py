@@ -1,11 +1,12 @@
-"""The pluggable distance oracle behind the road-network index.
+"""The one shortest-path engine of a road graph.
 
-:class:`NetworkIndex` used to keep every Dijkstra row it ever computed
-in an unbounded dict — at 100k+ nodes each cached source costs ~800 KB
-of float64, so the jump from 10k-edge grids to real city graphs was
-blocked on memory, not CPU.  This module is the "smarter distance
-oracle" the ROADMAP calls for, three cooperating mechanisms behind one
-object:
+Every road-network distance — the POI index's GNN kernel, network
+balls, ``net_tile`` verification, and
+:meth:`repro.network_ext.space.NetworkSpace.node_distances` /
+``distance`` — is computed and cached here, by SciPy's C Dijkstra over
+the graph packed once into CSR arrays.  At 100k+ nodes each cached
+source costs ~800 KB of float64, so memory, not CPU, is what bounds
+city-scale graphs; three cooperating mechanisms sit behind one object:
 
 * an **LRU row cache** with a configurable byte budget
   (``row_cache_bytes``): full distance rows are exact and reusable but
@@ -20,10 +21,9 @@ object:
   discard almost every POI before a single exact row is computed;
 * **bounded-radius Dijkstra**: an early-exit single-source run that
   settles only the ball of radius ``cutoff`` around the source
-  (SciPy's ``dijkstra(limit=...)`` when available, a heap traversal
-  otherwise).  Entries beyond the cutoff are masked to ``inf`` —
-  settled entries are bit-identical to the full row's, tentative ones
-  never leak.
+  (SciPy's ``dijkstra(limit=...)``).  Entries beyond the cutoff are
+  masked to ``inf`` — settled entries are bit-identical to the full
+  row's, tentative ones never leak.
 
 One oracle serves one road graph: :func:`oracle_for` hangs the oracle
 off the :class:`~repro.network_ext.space.NetworkSpace`, so POI
@@ -40,19 +40,13 @@ bounded paths bit-identical to the full-row baseline.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
-
-try:  # SciPy is optional; the fallback kernels need only NumPy.
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _csr_matrix = None
-    _csgraph_dijkstra = None
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 DEFAULT_ROW_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_LANDMARKS = 16
@@ -117,24 +111,10 @@ class DistanceOracle:
     shortest-path values.  Next to the CSR arrays sits the undirected
     edge table (``edge_u`` / ``edge_v`` / :meth:`incident_edges`) that
     network regions read their coverage from.
-
-    ``scipy_hook`` is a zero-argument callable returning the
-    ``(csr_matrix, dijkstra)`` pair to use — resolved at *compute*
-    time, so tests that monkeypatch the SciPy symbols away (e.g. in
-    :mod:`repro.index.network`) flip the oracle onto the pure-python
-    kernels too.
     """
 
-    def __init__(
-        self,
-        space,
-        config: Optional[OracleConfig] = None,
-        scipy_hook: Optional[Callable[[], tuple]] = None,
-    ):
+    def __init__(self, space, config: Optional[OracleConfig] = None):
         self.config = config or OracleConfig()
-        self._scipy_hook = scipy_hook or (
-            lambda: (_csr_matrix, _csgraph_dijkstra)
-        )
         graph = space.graph
         self.nodes: list[Hashable] = list(graph.nodes)
         self.node_id: dict[Hashable, int] = {
@@ -166,7 +146,9 @@ class DistanceOracle:
         self.edge_u = src_arr[0::2].copy()
         self.edge_v = src_arr[1::2].copy()
         self.slot_edge = order // 2
-        self._csgraph = None  # scipy matrix view, built on first use
+        self._csgraph = csr_matrix(
+            (self.weights, self.indices, self.indptr), shape=(n, n)
+        )
         self.row_bytes = n * np.dtype(np.float64).itemsize
         self._max_rows = (
             self.config.row_cache_bytes // self.row_bytes if n else 0
@@ -290,19 +272,7 @@ class DistanceOracle:
 
     def _compute_raw(self, node_ids: Sequence[int]) -> np.ndarray:
         """``[len(node_ids), n]`` exact rows, no cache interaction."""
-        csr_matrix, csgraph_dijkstra = self._scipy_hook()
-        if csgraph_dijkstra is not None:
-            if self._csgraph is None:
-                n = len(self.nodes)
-                self._csgraph = csr_matrix(
-                    (self.weights, self.indices, self.indptr), shape=(n, n)
-                )
-            return np.atleast_2d(
-                csgraph_dijkstra(self._csgraph, indices=list(node_ids))
-            )
-        return np.vstack(
-            [self._dijkstra_python(i, float("inf")) for i in node_ids]
-        )
+        return np.atleast_2d(dijkstra(self._csgraph, indices=list(node_ids)))
 
     def bounded_row(self, node_id: int, cutoff: float) -> np.ndarray:
         """Distances from ``node_id``, exact up to ``cutoff``.
@@ -313,62 +283,23 @@ class DistanceOracle:
         rows are query-radius-specific.
         """
         self.bounded_queries += 1
-        n = len(self.nodes)
         if cutoff < 0.0:
-            return np.full(n, np.inf)
+            return np.full(len(self.nodes), np.inf)
         cached = self.cached_row(node_id)
         if cached is not None:
             self.hits += 1
             row = cached.copy()
         else:
-            csr_matrix, csgraph_dijkstra = self._scipy_hook()
-            if csgraph_dijkstra is not None:
-                if self._csgraph is None:
-                    self._csgraph = csr_matrix(
-                        (self.weights, self.indices, self.indptr),
-                        shape=(n, n),
-                    )
-                # nextafter: scipy's ``limit`` contract on the exact
-                # boundary is version-dependent; overshoot by one ulp
-                # and let the mask below enforce ours.
-                row = np.atleast_2d(
-                    csgraph_dijkstra(
-                        self._csgraph,
-                        indices=[node_id],
-                        limit=float(np.nextafter(cutoff, np.inf)),
-                    )
-                )[0]
-            else:
-                row = self._dijkstra_python(node_id, cutoff)
+            # nextafter: scipy's ``limit`` contract on the exact boundary
+            # is version-dependent; overshoot by one ulp and let the
+            # mask below enforce ours.
+            row = dijkstra(
+                self._csgraph,
+                indices=[node_id],
+                limit=float(np.nextafter(cutoff, np.inf)),
+            )[0]
         row[row > cutoff] = np.inf
         return row
-
-    def _dijkstra_python(self, source: int, cutoff: float) -> np.ndarray:
-        """Heap Dijkstra over the CSR arrays (no-SciPy fallback).
-
-        With a finite ``cutoff`` the run exits as soon as the frontier
-        minimum passes it; settled values are exact, and the caller
-        masks everything beyond the cutoff to ``inf``.
-        """
-        indptr = self.indptr.tolist()
-        indices = self.indices.tolist()
-        weights = self.weights.tolist()
-        dist = [float("inf")] * len(self.nodes)
-        dist[source] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > cutoff:
-                break  # heap pops are monotone: nothing closer remains
-            if d > dist[u]:
-                continue
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                nd = d + weights[k]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return np.asarray(dist, dtype=np.float64)
 
     # ------------------------------------------------------------------
     # ALT landmarks
@@ -453,11 +384,7 @@ class DistanceOracle:
         }
 
 
-def oracle_for(
-    space,
-    config: Optional[OracleConfig] = None,
-    scipy_hook: Optional[Callable[[], tuple]] = None,
-) -> DistanceOracle:
+def oracle_for(space, config: Optional[OracleConfig] = None) -> DistanceOracle:
     """The one shared oracle of a road-network space.
 
     The first call builds a :class:`DistanceOracle` and hangs it off
@@ -466,6 +393,14 @@ def oracle_for(
     explicit ``config`` that disagrees with the installed oracle's is
     an error — silent reconfiguration would invalidate the sharing
     contract.
+
+    A space's first distance query — :meth:`NetworkSpace.distance`,
+    :meth:`~NetworkSpace.node_distances` or a
+    :class:`~repro.network_ext.ball.NetworkBall` — installs the default
+    oracle the same way, so a custom :class:`OracleConfig` must come
+    first: pass it before any query, as ``NetworkPOISpace(...,
+    oracle_config=...)`` and ``city_network_space(oracle_config=...)``
+    do.
     """
     existing = getattr(space, "_distance_oracle", None)
     if existing is not None:
@@ -475,6 +410,6 @@ def oracle_for(
                 f"config: {existing.config} != {config}"
             )
         return existing
-    oracle = DistanceOracle(space, config, scipy_hook)
+    oracle = DistanceOracle(space, config)
     space._distance_oracle = oracle
     return oracle

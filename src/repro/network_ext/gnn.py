@@ -1,10 +1,11 @@
 """Aggregate nearest neighbor under network distance.
 
 POIs live on graph nodes (real POI datasets are map-matched to the road
-graph).  For each user we compute one single-source Dijkstra map —
-``m`` maps total, all cached by :class:`NetworkSpace` — and aggregate
-at every POI node.  Exact, and fast enough for the graph sizes the
-monitoring loop uses.
+graph).  For each user anchor we read one single-source distance map —
+a view over a row of the graph's shared
+:class:`~repro.index.oracle.DistanceOracle` — and aggregate at every
+POI node.  Exact, and fast enough for the graph sizes the monitoring
+loop uses.
 """
 
 from __future__ import annotations

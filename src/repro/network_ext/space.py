@@ -2,19 +2,24 @@
 
 A :class:`NetworkPosition` is either a graph node or a point along an
 edge (``offset`` meters from the edge's ``u`` endpoint).  Distances are
-exact shortest-path lengths; single-source distance maps are computed
-with Dijkstra and cached per source node, so repeated queries (the
-brute-force GNN, tile verification) stay cheap.  Network balls do not
-use them: they read the shared oracle's array rows
-(:mod:`repro.network_ext.ball`).
+exact shortest-path lengths, all read off the graph's one shared
+:class:`~repro.index.oracle.DistanceOracle`: a single-source map
+(:meth:`NetworkSpace.node_distances`) is a read-only view over one of
+its rows, and a position-to-position distance reads single row
+entries.  Nothing here caches a distance of its own — the oracle's
+byte budget bounds them all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, Iterator, Optional
 
 import networkx as nx
+import numpy as np
+
+from repro.index.oracle import oracle_for
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,39 @@ class NetworkPosition:
         return cls(edge=(u, v), offset=offset)
 
 
+class DistanceRow(Mapping):
+    """A read-only ``{node: distance}`` view over one oracle row.
+
+    It holds the row array itself, so it stays valid after the oracle's
+    LRU evicts the row, and copies nothing: lookups index the array and
+    hand back Python floats.
+    """
+
+    __slots__ = ("_row", "_node_id", "_nodes")
+
+    def __init__(self, row: np.ndarray, node_id: dict, nodes: list):
+        self._row = row
+        self._node_id = node_id
+        self._nodes = nodes
+
+    def __getitem__(self, node: Hashable) -> float:
+        return self._row.item(self._node_id[node])
+
+    def get(self, node: Hashable, default=None):
+        # The hot lookup of net_tile verification and the brute-force
+        # GNN: one dict probe, not Mapping's __getitem__ + try/except.
+        i = self._node_id.get(node)
+        return default if i is None else self._row.item(i)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
 class NetworkSpace:
-    """A road graph with exact network distances and Dijkstra caching.
+    """A road graph with exact network distances.
 
     The graph must be connected, undirected, and carry a positive
     ``length`` attribute on every edge (as produced by
@@ -72,9 +108,6 @@ class NetworkSpace:
         self._adj = graph._adj
         self._total_edge_length = total
         self._edge_list: Optional[list[tuple[Hashable, Hashable]]] = None
-        self._sssp_cache: dict[Hashable, dict[Hashable, float]] = {}
-        self._distance_provider = None
-        self._pair_provider = None
         # The shared DistanceOracle, installed lazily by
         # repro.index.oracle.oracle_for (one per graph, shared by every
         # POI replica and cluster epoch over this space).
@@ -115,52 +148,13 @@ class NetworkSpace:
         """Total road length — a radius covering the whole network."""
         return self._total_edge_length
 
-    def set_distance_provider(self, provider) -> None:
-        """Install a faster exact SSSP backend for :meth:`node_distances`.
-
-        ``provider(source) -> {node: distance}`` must return the exact
-        shortest-path map the default networkx Dijkstra would.  The CSR
-        index installs its bulk distance rows here
-        (:meth:`repro.index.network.NetworkIndex.distance_map`), so
-        ball construction and tile verification stop paying a second
-        per-anchor Dijkstra next to the GNN kernel's.  Already-cached
-        maps are kept either way.
-        """
-        self._distance_provider = provider
-
-    def set_pair_distance_provider(self, provider) -> None:
-        """Install an exact node-pair distance backend for :meth:`distance`.
-
-        ``provider(node_a, node_b) -> distance`` must return the exact
-        shortest-path length.  The CSR index installs its LRU-row
-        lookup here
-        (:meth:`repro.index.network.NetworkIndex.node_pair_distance`),
-        so position-to-position queries stop materializing a full
-        ``{node: distance}`` dict per anchor — at 100k+ nodes those
-        dicts are the memory hog, not the Dijkstra itself.
-        """
-        self._pair_provider = provider
-
-    @property
-    def bounded_distances_active(self) -> bool:
-        """Do regions over this space settle radius-bounded rows?  True
-        once the shared oracle is installed with bounded mode engaged
-        (:attr:`repro.index.oracle.DistanceOracle.bounded_active`)."""
-        oracle = self._distance_oracle
-        return oracle is not None and oracle.bounded_active
-
-    def node_distances(self, source: Hashable) -> dict[Hashable, float]:
-        """All-nodes shortest-path distances from ``source`` (cached)."""
-        cached = self._sssp_cache.get(source)
-        if cached is None:
-            if self._distance_provider is not None:
-                cached = self._distance_provider(source)
-            else:
-                cached = nx.single_source_dijkstra_path_length(
-                    self.graph, source, weight="length"
-                )
-            self._sssp_cache[source] = cached
-        return cached
+    def node_distances(self, source: Hashable) -> DistanceRow:
+        """All-nodes shortest-path distances from ``source``: a view over
+        the shared oracle's row, no copy."""
+        oracle = oracle_for(self)
+        return DistanceRow(
+            oracle.row(oracle.node_id[source]), oracle.node_id, oracle.nodes
+        )
 
     def anchors(self, pos: NetworkPosition) -> list[tuple[Hashable, float]]:
         """(node, distance-to-node) pairs anchoring a position."""
@@ -190,20 +184,14 @@ class NetworkSpace:
         return best
 
     def _pair_distance(self, node_a: Hashable, node_b: Hashable) -> float:
-        """Exact ``node_a -> node_b`` distance, dict-free when possible.
-
-        An already-cached full map answers from its dict; otherwise a
-        pair provider (one LRU row lookup) beats materializing a
-        ``{node: distance}`` dict that :meth:`node_distances` would
-        cache forever.  Identical values either way — both read the
-        same Dijkstra result.
-        """
-        cached = self._sssp_cache.get(node_a)
-        if cached is not None:
-            return cached.get(node_b, float("inf"))
-        if self._pair_provider is not None:
-            return self._pair_provider(node_a, node_b)
-        return self.node_distances(node_a).get(node_b, float("inf"))
+        """Exact ``node_a -> node_b`` distance: one entry of the shared
+        oracle's row from ``node_a``.  Runs on every client's escape
+        test, so the installed oracle is read straight off the space."""
+        oracle = self._distance_oracle
+        if oracle is None:
+            oracle = oracle_for(self)
+        node_id = oracle.node_id
+        return oracle.row(node_id[node_a]).item(node_id[node_b])
 
     def random_position(self, rng) -> NetworkPosition:
         """A uniformly random position along a random edge."""

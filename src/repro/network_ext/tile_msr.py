@@ -310,7 +310,7 @@ def network_tile_msr(
     ``index`` (a :class:`~repro.index.network.NetworkIndex`) answers
     the Circle-MSR seed's two-best GNN through the CSR distance
     kernels instead of the brute-force scan; the verification itself
-    reads the same cached per-node distance maps either way.
+    reads the same oracle-row distance maps either way.
     """
     if config is None:
         config = NetworkTileConfig()

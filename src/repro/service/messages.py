@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from repro.geometry.point import Point
 from repro.geometry.region import Region
-from repro.simulation.messages import Message, location_update, result_notify
+from repro.simulation.messages import Message, result_notify
 
 if TYPE_CHECKING:
     from repro.simulation.policies import Policy
@@ -43,9 +43,6 @@ class ReportEvent:
     member_id: int
     state: MemberState
     probes: Optional[tuple[tuple[int, MemberState], ...]] = None
-
-    def message(self) -> Message:
-        return location_update()
 
 
 def check_member_ids(

@@ -52,13 +52,6 @@ class NetworkPOISpace:
         self._index = NetworkIndex(
             space, pois, payloads, oracle_config=oracle_config, **index_kwargs
         )
-        # One SSSP per anchor, not two: region construction and tile
-        # verification read their distance maps from the same LRU rows
-        # the GNN kernel computes.
-        space.set_distance_provider(self._index.distance_map)
-        # Pair queries skip the {node: distance} dict entirely — one
-        # row lookup instead of a full-map materialization per anchor.
-        space.set_pair_distance_provider(self._index.node_pair_distance)
 
     @classmethod
     def from_grid(
@@ -115,15 +108,14 @@ class NetworkPOISpace:
     def replicate(self) -> "NetworkPOISpace":
         """An independent POI replica over the shared road graph.
 
-        The graph (and its Dijkstra/CSR distance machinery) is
-        immutable and POI-independent, so replicas share the
-        :class:`NetworkSpace` — and through it the one
-        :class:`~repro.index.oracle.DistanceOracle` row cache — while
-        each owning its POI buckets: POI churn against one replica
-        never leaks into another, and an N-shard cluster holds one
-        distance cache, not N.  All replicas read the same packed
-        graph, so the provided distances are identical whichever
-        serves.
+        The graph is immutable and POI-independent, so replicas share
+        the :class:`NetworkSpace` — and through it the one
+        :class:`~repro.index.oracle.DistanceOracle`, the only place a
+        distance over this graph is computed or cached — while each
+        owns its POI buckets: POI churn against one replica never
+        leaks into another, and an N-shard cluster holds one distance
+        cache, not N.  All replicas read the same rows, so distances
+        are identical whichever serves.
         """
         items = self._index.items()
         return NetworkPOISpace(

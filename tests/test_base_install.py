@@ -10,8 +10,10 @@ that line:
   workers inherit it).  Every subpackage CI's packaging job imports must
   load, the ``smoke`` preset must serve through ``MPNService``,
   ``MPNCluster(2)`` and ``ProcessCluster(2)`` with a clean spot-check
-  and worker exit codes 0, and building a road-network space must fail
-  loudly with ``ImportError``;
+  and worker exit codes 0, and importing the road-network space or
+  building one must fail loudly with ``ImportError``.  A second leg
+  stubs ``scipy`` alone: with networkx importable, the road-network
+  stack still refuses to load rather than run without its Dijkstra;
 * **plain** — the real packages are importable, the same Euclidean fleet
   runs, and none of the road-network modules may be in ``sys.modules``
   afterwards.  This catches a swallowed ``try: import networkx`` on the
@@ -31,6 +33,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -82,6 +86,11 @@ finally:
 out["exitcodes"] = process.worker_exitcodes()
 if stubbed:
     try:
+        import repro.space.network
+        out["network_import"] = "imported"
+    except ImportError:
+        out["network_import"] = "ImportError"
+    try:
         CityGraphSpaceSpec(grid_size=6, n_pois=8)()
         out["network_space"] = "built"
     except ImportError:
@@ -110,8 +119,11 @@ def assert_served(out: dict) -> None:
     assert out["exitcodes"] == [0, 0]
 
 
-def test_euclidean_fleet_serves_without_networkx_or_scipy(tmp_path):
-    for name in ("networkx", "scipy"):
+@pytest.mark.parametrize(
+    "missing", [("networkx", "scipy"), ("scipy",)], ids=["both", "scipy"]
+)
+def test_euclidean_fleet_serves_without_network_extra(tmp_path, missing):
+    for name in missing:
         package = tmp_path / name
         package.mkdir()
         (package / "__init__.py").write_text(
@@ -119,6 +131,7 @@ def test_euclidean_fleet_serves_without_networkx_or_scipy(tmp_path):
         )
     out = run_fleet("stubbed", tmp_path)
     assert_served(out)
+    assert out["network_import"] == "ImportError"
     assert out["network_space"] == "ImportError"
 
 

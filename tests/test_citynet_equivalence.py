@@ -16,7 +16,6 @@ import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.index.network as network_index_module
 from repro.gnn.aggregate import Aggregate
 from repro.index.oracle import OracleConfig
 from repro.network_ext.space import NetworkPosition, NetworkSpace
@@ -62,8 +61,8 @@ def paired_spaces(graph, pois, cache_rows):
     pruned = NetworkPOISpace(
         NetworkSpace(graph), pois, oracle_config=pruned_config(graph, cache_rows)
     )
-    assert not exact.space.bounded_distances_active
-    assert pruned.space.bounded_distances_active
+    assert not exact.index.oracle.bounded_active
+    assert pruned.index.oracle.bounded_active
     return exact, pruned
 
 
@@ -205,43 +204,3 @@ class TestServiceEquivalence:
         assert [_notification_key(x) for x in notes_p] == [
             _notification_key(x) for x in notes_e
         ]
-
-
-class TestPythonFallback:
-    """scipy absent: the pure-python Dijkstra serves the same bits."""
-
-    def test_pruned_gnn_matches_without_scipy(self, monkeypatch):
-        graph = make_graph(14, 8, seed=99)
-        rng = random.Random(4)
-        pois = rng.sample(sorted(graph.nodes), 5)
-        users = [NetworkPosition.at_node(x) for x in rng.sample(sorted(graph.nodes), 3)]
-        exact, _ = paired_spaces(graph, pois, cache_rows=2)
-        expected = {
-            agg: exact.gnn(users, 2, agg) for agg in ("max", "sum")
-        }
-        monkeypatch.setattr(network_index_module, "_csgraph_dijkstra", None)
-        monkeypatch.setattr(network_index_module, "_csr_matrix", None)
-        fallback = NetworkPOISpace(
-            NetworkSpace(graph), pois, oracle_config=pruned_config(graph, 2)
-        )
-        for agg, want in expected.items():
-            assert fallback.gnn(users, 2, agg) == want
-        assert fallback.index.oracle.alt_queries >= 1
-
-    def test_bounded_ball_matches_without_scipy(self, monkeypatch):
-        graph = make_graph(12, 6, seed=7)
-        rng = random.Random(11)
-        pois = rng.sample(sorted(graph.nodes), 4)
-        exact, _ = paired_spaces(graph, pois, cache_rows=1)
-        center = NetworkPosition.at_node(rng.choice(sorted(graph.nodes)))
-        radius = sorted(exact.space.node_distances(center.node).values())[6]
-        ball_e = exact.ball(center, radius)
-        monkeypatch.setattr(network_index_module, "_csgraph_dijkstra", None)
-        fallback = NetworkPOISpace(
-            NetworkSpace(graph), pois, oracle_config=pruned_config(graph, 1)
-        )
-        ball_p = fallback.ball(center, radius)
-        for node in graph.nodes:
-            assert ball_p.node_distance(node) == ball_e.node_distance(node)
-        assert ball_p.covered_segments() == ball_e.covered_segments()
-        assert ball_p.wire_values() == ball_e.wire_values()

@@ -4,10 +4,9 @@
 rows and reads coverage off the incident edges of the covered nodes
 only.  The implementation it replaced merged per-anchor ``{node:
 distance}`` dicts and then tested *every* edge of the graph; that loop
-survives here, over a bare :class:`NetworkSpace` (networkx Dijkstra,
-no oracle), as the reference the new ball must equal exactly — same
-segments in the same order, same floats — in full-row, bounded and
-SciPy-less modes.
+survives here, over networkx's own Dijkstra maps (no oracle), as the
+reference the new ball must equal exactly — same segments in the same
+order, same floats — in full-row and bounded modes.
 """
 
 import random
@@ -40,7 +39,10 @@ def reference_ball(space, center, radius):
     one pass over every edge of the graph."""
     node_dist = {}
     for node, d0 in space.anchors(center):
-        for target, d in space.node_distances(node).items():
+        reference = nx.single_source_dijkstra_path_length(
+            space.graph, node, weight="length"
+        )
+        for target, d in reference.items():
             total = d0 + d
             old = node_dist.get(target)
             if old is None or total < old:
@@ -55,15 +57,13 @@ def reference_ball(space, center, radius):
     return node_dist, segments
 
 
-def oracle_space(graph, bounded, scipy):
-    """A space whose oracle runs the given mode and kernels."""
+def oracle_space(graph, bounded):
+    """A space whose oracle runs the given mode."""
     space = NetworkSpace(graph)
     config = OracleConfig(
         alt_mode="off", bounded_mode="on" if bounded else "off"
     )
-    hook = None if scipy else (lambda: (None, None))
-    oracle_for(space, config, hook)
-    assert space.bounded_distances_active == bounded
+    assert oracle_for(space, config).bounded_active == bounded
     return space
 
 
@@ -105,14 +105,16 @@ case = st.tuples(
 
 class TestAgainstWholeGraphLoop:
     @SLOW
-    @given(case, st.booleans(), st.booleans())
-    def test_segments_wire_size_and_coverage(self, params, bounded, scipy):
+    @given(case, st.booleans())
+    def test_segments_wire_size_and_coverage(self, params, bounded):
         kind, size, seed = params
         graph = make_graph(kind, size, seed)
         bare = NetworkSpace(graph)
-        space = oracle_space(graph, bounded, scipy)
+        space = oracle_space(graph, bounded)
         rng = random.Random(seed ^ 0xBA11)
+        anchors = set()
         for center in centers(bare, rng):
+            anchors.update(node for node, _ in bare.anchors(center))
             full_map, _ = reference_ball(bare, center, 0.0)
             for radius in radii(bare, full_map, rng):
                 node_dist, want = reference_ball(bare, center, radius)
@@ -129,9 +131,12 @@ class TestAgainstWholeGraphLoop:
                     assert ball.node_distance(node) == d
                     pos = NetworkPosition.at_node(node)
                     assert ball.contains(pos) == (d <= radius + 1e-9)
-        # Answering the balls above took no pass over the space's
-        # dict maps: everything came from the oracle's rows.
-        assert space._sssp_cache == {}
+        # The referee never touched an oracle, and the balls paid at
+        # most one exact row per distinct anchor: the oracle's row
+        # cache is the only distance cache they read.
+        assert bare._distance_oracle is None
+        oracle = oracle_for(space)
+        assert oracle.rows_computed == oracle.misses <= len(anchors)
 
     def test_unknown_node_is_infinitely_far(self):
         space = NetworkSpace.from_grid(grid_size=4, seed=2)
@@ -152,7 +157,7 @@ class TestCenterInteriorEdge:
         graph = nx.path_graph(4)
         for a, b in graph.edges:
             graph.edges[a, b]["length"] = 10.0
-        space = oracle_space(graph, bounded, scipy=True)
+        space = oracle_space(graph, bounded)
         ball = NetworkBall(space, NetworkPosition.on_edge(1, 2, 5.0), 2.0)
         assert ball.covered_segments() == []
         assert ball.wire_values() == 1
@@ -164,11 +169,16 @@ class TestCenterInteriorEdge:
 
 
 class TestServingPathLeavesNoDictMaps:
-    def test_net_circle_recomputes_do_not_fill_sssp_cache(self):
+    def test_net_circle_recomputes_stay_in_the_row_budget(self):
         net_space = NetworkSpace.from_grid(grid_size=6, seed=5)
         rng = random.Random(8)
         pois = rng.sample(list(net_space.graph.nodes), 10)
-        service = MPNService(NetworkPOISpace(net_space, pois))
+        budget = OracleConfig(
+            row_cache_bytes=2 * net_space.graph.number_of_nodes() * 8
+        )
+        service = MPNService(
+            NetworkPOISpace(net_space, pois, oracle_config=budget)
+        )
         handle = service.open_session(
             [net_space.random_position(rng) for _ in range(3)],
             net_circle_policy(),
@@ -181,4 +191,8 @@ class TestServingPathLeavesNoDictMaps:
             recomputes += note is not None
         # POI churn sweeps every live ball through min_dist / max_dist.
         service.update_pois(adds=[(rng.choice(list(net_space.graph.nodes)), "x")])
-        assert net_space._sssp_cache == {}
+        # Every row the serving path read went through the oracle's LRU,
+        # and two rows stayed resident however many it computed.
+        oracle = oracle_for(net_space)
+        assert oracle.rows_computed == oracle.misses > 2
+        assert oracle.resident_rows <= 2 and oracle.evictions > 0

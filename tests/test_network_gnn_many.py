@@ -8,8 +8,8 @@ carry integer edge lengths (``integer_city``), so node distances are
 exact in floating point and equal scores are *real* ties, decided by
 ``str(poi)`` alone; members mix node and edge positions inside one
 group, POIs repeat on a node, and every delta-layer state, a chunk
-boundary inside the batch, forced ALT / bounded rows and the SciPy-less
-kernels all face the same referee.
+boundary inside the batch and forced ALT / bounded rows all face the
+same referee.
 """
 
 from __future__ import annotations
@@ -132,18 +132,6 @@ class TestKernelEquivalence:
         with mock.patch.object(oracle, "rows", wraps=oracle.rows) as rows:
             assert index.gnn_many(groups, 2, "max") == want
         assert rows.call_count == 1
-
-    @pytest.mark.parametrize("config", [None, PRUNED])
-    def test_without_scipy(self, monkeypatch, config):
-        monkeypatch.setattr(network_index_module, "_csgraph_dijkstra", None)
-        monkeypatch.setattr(network_index_module, "_csr_matrix", None)
-        index, rng = city(21, 11, config)
-        enter_state(index, "both", rng)
-        groups = [mixed_group(index.space, rng, 1 + g % 3) for g in range(6)]
-        for agg in ("max", "sum"):
-            got = index.gnn_many(groups, 2, agg)
-            assert got == [index.gnn(g, 2, agg) for g in groups]
-            assert got == brute_force(index, groups, 2, agg)
 
     def test_ties_fall_to_the_poi_name(self):
         """Two POIs on one node and a third as far away: three equal

@@ -2,9 +2,9 @@
 
 import random
 
+import networkx as nx
 import pytest
 
-import repro.index.network as network_index_module
 from repro.gnn.aggregate import Aggregate
 from repro.index.network import NetworkIndex
 from repro.network_ext.gnn import network_gnn
@@ -29,38 +29,32 @@ def index(space, pois):
 class TestCSRPacking:
     def test_adjacency_round_trip(self, space, index):
         """Every graph edge appears in both CSR directions with its length."""
+        oracle = index.oracle
         seen = 0
         for u, v, data in space.graph.edges(data=True):
             for a, b in ((u, v), (v, u)):
                 ia = index._node_id[a]
                 ib = index._node_id[b]
-                lo, hi = index.indptr[ia], index.indptr[ia + 1]
-                neighbors = index.indices[lo:hi].tolist()
+                lo, hi = oracle.indptr[ia], oracle.indptr[ia + 1]
+                neighbors = oracle.indices[lo:hi].tolist()
                 assert ib in neighbors
                 k = lo + neighbors.index(ib)
-                assert index.weights[k] == data["length"]
+                assert oracle.weights[k] == data["length"]
                 seen += 1
         assert seen == 2 * index.edge_count()
 
     def test_distance_rows_match_networkx(self, space, index):
         for node in list(space.graph.nodes)[:6]:
-            row = index.distance_row(node)
-            reference = space.node_distances(node)
+            row = index.oracle.row(index._node_id[node])
+            reference = nx.single_source_dijkstra_path_length(
+                space.graph, node, weight="length"
+            )
             for other, expected in reference.items():
                 assert row[index._node_id[other]] == expected
 
     def test_rows_are_cached(self, index, space):
-        node = next(iter(space.graph.nodes))
-        assert index.distance_row(node) is index.distance_row(node)
-
-    def test_python_fallback_matches_scipy_kernel(self, space, monkeypatch):
-        monkeypatch.setattr(network_index_module, "_csgraph_dijkstra", None)
-        fallback = NetworkIndex(space, list(space.graph.nodes)[:4])
-        reference = NetworkIndex(space, list(space.graph.nodes)[:4])
-        for node in list(space.graph.nodes)[:4]:
-            assert (
-                fallback.distance_row(node) == reference.distance_row(node)
-            ).all()
+        node_id = index._node_id[next(iter(space.graph.nodes))]
+        assert index.oracle.row(node_id) is index.oracle.row(node_id)
 
 
 class TestGNNKernel:

@@ -3,17 +3,17 @@ and the one-cache-per-graph sharing contract (repro.index.oracle)."""
 
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
-import repro.index.network as network_index_module
 from repro.index.oracle import (
     DistanceOracle,
     OracleConfig,
     oracle_for,
     padded_cutoff,
 )
-from repro.network_ext.space import NetworkSpace
+from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.service import MPNService
 from repro.space import share_space
 from repro.space.network import NetworkPOISpace
@@ -68,7 +68,9 @@ class TestRowCache:
         nodes = list(space.graph.nodes)
         for node in nodes[:4]:
             row = oracle.row(oracle.node_id[node])
-            reference = space.node_distances(node)
+            reference = nx.single_source_dijkstra_path_length(
+                space.graph, node, weight="length"
+            )
             for other, expected in reference.items():
                 assert row[oracle.node_id[other]] == expected
         assert oracle.misses == 4 and oracle.rows_computed == 4
@@ -196,29 +198,88 @@ class TestLandmarks:
         assert oracle.landmark_matrix().shape[0] <= len(oracle.nodes)
 
 
-class TestPythonFallback:
-    def test_fallback_matches_scipy_everywhere(self, monkeypatch):
-        scipy_space = NetworkSpace.from_grid(grid_size=5, seed=3)
-        with_scipy = DistanceOracle(scipy_space, OracleConfig(landmarks=3))
-        monkeypatch.setattr(network_index_module, "_csgraph_dijkstra", None)
-        python_space = NetworkSpace.from_grid(grid_size=5, seed=3)
-        # Route through the network module's hook, like NetworkIndex.
-        no_scipy = DistanceOracle(
-            python_space,
-            OracleConfig(landmarks=3),
-            scipy_hook=network_index_module._scipy_kernels,
+class TestOnlyDistanceCache:
+    """The oracle's byte budget bounds every road-network distance the
+    stack holds: a NetworkSpace keeps no distance map of its own."""
+
+    def test_node_distances_reread_the_oracle(self, space):
+        oracle = oracle_for(space, OracleConfig(row_cache_bytes=0))
+        node = next(iter(space.graph.nodes))
+        first = space.node_distances(node)
+        assert oracle.rows_computed == 1
+        # No budget, no resident row: the second map is computed again.
+        assert space.node_distances(node) == first
+        assert oracle.rows_computed == 2
+        assert oracle.resident_rows == 0
+
+    def test_net_tile_fleet_stays_in_a_two_row_budget(self, space):
+        from repro.simulation import net_tile_policy
+
+        rng = random.Random(6)
+        nodes = list(space.graph.nodes)
+        poi_space = NetworkPOISpace(
+            space,
+            rng.sample(nodes, 8),
+            oracle_config=OracleConfig(row_cache_bytes=row_budget(space, 2)),
         )
-        for node_id in (0, 5, 11):
-            assert (no_scipy.row(node_id) == with_scipy.row(node_id)).all()
-            cutoff = float(np.median(with_scipy.row(node_id)))
-            assert (
-                no_scipy.bounded_row(node_id, cutoff)
-                == with_scipy.bounded_row(node_id, cutoff)
-            ).all()
-        assert (
-            no_scipy.landmark_matrix() == with_scipy.landmark_matrix()
-        ).all()
-        assert (no_scipy.landmark_ids() == with_scipy.landmark_ids()).all()
+        service = MPNService(poi_space)
+        policy = net_tile_policy(alpha=5, split_level=1)
+        handles = [
+            service.open_session(
+                [space.random_position(rng) for _ in range(3)], policy
+            )
+            for _ in range(3)
+        ]
+        for _ in range(20):
+            handle = rng.choice(handles)
+            service.report(
+                handle.session_id,
+                rng.randrange(3),
+                space.random_position(rng),
+            )
+        oracle = poi_space.index.oracle
+        assert oracle.rows_computed > 2
+        assert oracle.resident_rows <= 2
+
+    def test_distance_row_is_a_read_only_view(self, space):
+        nodes = list(space.graph.nodes)
+        got = space.node_distances(nodes[0])
+        assert len(got) == len(nodes) and list(got) == nodes
+        assert got[nodes[0]] == 0.0
+        assert all(type(got.get(n)) is float for n in nodes)
+        assert got.get("no such node") is None
+        assert got.get("no such node", -1.0) == -1.0
+        with pytest.raises(KeyError):
+            got["no such node"]
+        with pytest.raises(TypeError):
+            got[nodes[1]] = 0.0
+        assert dict(got) == dict(space.node_distances(nodes[0]))
+
+    def test_distance_row_outlives_its_eviction(self, space):
+        oracle = oracle_for(
+            space, OracleConfig(row_cache_bytes=row_budget(space, 1))
+        )
+        a, b = list(space.graph.nodes)[:2]
+        view = space.node_distances(a)
+        space.node_distances(b)  # evicts a's row from the one-row budget
+        assert oracle.resident_rows == 1 and oracle.rows_computed == 2
+        expected = nx.single_source_dijkstra_path_length(
+            space.graph, a, weight="length"
+        )
+        assert dict(view.items()) == expected
+        # Reading the evicted view recomputes nothing.
+        assert oracle.rows_computed == 2
+
+    def test_first_query_installs_the_default_oracle(self, space):
+        a, b = list(space.graph.nodes)[:2]
+        space.distance(NetworkPosition.at_node(a), NetworkPosition.at_node(b))
+        installed = space._distance_oracle
+        assert installed is not None and installed.config == OracleConfig()
+        # A custom config now comes too late.
+        with pytest.raises(ValueError, match="different"):
+            oracle_for(
+                space, OracleConfig(row_cache_bytes=row_budget(space, 2))
+            )
 
 
 class TestSharing:
@@ -234,10 +295,10 @@ class TestSharing:
         original = NetworkPOISpace(space, pois)
         replica = original.replicate()
         assert replica.index.oracle is original.index.oracle
-        original.index.distance_row(pois[0])
+        original.distance(pois[0], pois[1])
         misses = original.index.oracle.misses
         # The replica reads the very same cached row: a hit, no miss.
-        replica.index.distance_row(pois[0])
+        replica.distance(pois[0], pois[1])
         oracle = replica.index.oracle
         assert oracle.misses == misses and oracle.hits >= 1
 
@@ -256,22 +317,22 @@ class TestSharing:
         nodes = list(space.graph.nodes)
         poi_space = NetworkPOISpace(space, nodes[:8])
         index = poi_space.index
-        rows = [index.distance_row(n) for n in nodes[:3]]
         oracle = index.oracle
+        rows = [oracle.row(oracle.node_id[n]) for n in nodes[:3]]
         snapshot = oracle.stats()
-        indptr, indices, weights = index.indptr, index.indices, index.weights
+        indptr, indices, weights = oracle.indptr, oracle.indices, oracle.weights
         for step in range(6):
             index.bulk_update(
                 adds=[(nodes[10 + step], f"p{step}")],
                 removes=[(nodes[step], None)] if step < 3 else (),
             )
         # Same arrays (identity), same resident rows, untouched counters.
-        assert index.indptr is indptr
-        assert index.indices is indices
-        assert index.weights is weights
+        assert oracle.indptr is indptr
+        assert oracle.indices is indices
+        assert oracle.weights is weights
         assert oracle.stats() == snapshot
         for node, row in zip(nodes[:3], rows):
-            assert index.distance_row(node) is row
+            assert oracle.row(oracle.node_id[node]) is row
 
 
 class TestServiceAndClusterStats:
@@ -285,7 +346,7 @@ class TestServiceAndClusterStats:
         assert euclidean.oracle_stats() == {}  # no road networks, no oracle
         net = NetworkPOISpace(space, list(space.graph.nodes)[:6])
         euclidean.add_space("roads", net)
-        net.index.distance_row(list(space.graph.nodes)[0])
+        net.space.node_distances(list(space.graph.nodes)[0])
         stats = euclidean.oracle_stats()
         assert set(stats) == {"roads"}
         assert stats["roads"]["rows_computed"] >= 1

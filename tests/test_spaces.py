@@ -3,6 +3,7 @@ space-parameterized Circle-MSR of the core layer."""
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.core.circle_msr import circle_msr, metric_circle_msr
@@ -153,19 +154,21 @@ class TestNetworkPOISpace:
         with pytest.raises(ValueError):
             region.min_dist(NetworkPosition.on_edge(u, v, 1.0))
 
-    def test_distance_provider_wired_to_csr_rows(self):
-        """Building a NetworkPOISpace routes the metric's SSSP maps
-        through the CSR kernel; the maps must equal networkx's exactly."""
-        plain = NetworkSpace.from_grid(grid_size=4, seed=7)
-        reference = {
-            node: dict(plain.node_distances(node))
-            for node in list(plain.graph.nodes)[:4]
-        }
-        backed = NetworkSpace.from_grid(grid_size=4, seed=7)
-        NetworkPOISpace(backed, list(backed.graph.nodes)[:3])
-        assert backed._distance_provider is not None
-        for node, expected in reference.items():
-            assert backed.node_distances(node) == expected
+    @pytest.mark.parametrize("served", [False, True])
+    def test_node_distances_equal_networkx(self, served):
+        """The metric's SSSP maps are views over the shared oracle's
+        rows, on a bare space and under a NetworkPOISpace alike; they
+        must equal networkx's Dijkstra maps exactly."""
+        space = NetworkSpace.from_grid(grid_size=4, seed=7)
+        if served:
+            NetworkPOISpace(space, list(space.graph.nodes)[:3])
+        for node in list(space.graph.nodes)[:4]:
+            expected = nx.single_source_dijkstra_path_length(
+                space.graph, node, weight="length"
+            )
+            got = space.node_distances(node)
+            assert dict(got.items()) == expected
+            assert all(got.get(n) == d for n, d in expected.items())
 
     def test_from_grid_convenience(self):
         space = NetworkPOISpace.from_grid(grid_size=4, seed=5)
