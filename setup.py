@@ -30,9 +30,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    # NumPy powers the default flat backend and every batched kernel;
-    # the object R-tree backend alone would run without it, but the
-    # serving stack is built to be fast, not minimal.
+    # NumPy is the base install's one dependency: the flat R-tree (the
+    # one Euclidean index), its batched kernels and the delta layer
+    # both POI indexes share are written against it.
     install_requires=["numpy"],
     extras_require={
         # Road-network spaces: networkx carries the graphs themselves

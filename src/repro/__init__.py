@@ -33,7 +33,6 @@ import logging
 
 from repro.core import (
     circle_msr,
-    metric_circle_msr,
     tile_msr,
     TileMSRConfig,
     Ordering,
@@ -63,7 +62,6 @@ logging.getLogger("repro").addHandler(logging.NullHandler())
 
 __all__ = [
     "circle_msr",
-    "metric_circle_msr",
     "tile_msr",
     "TileMSRConfig",
     "Ordering",

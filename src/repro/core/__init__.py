@@ -36,10 +36,8 @@ from repro.core.verify import (
     verify_regions,
 )
 from repro.core.circle_msr import (
-    MetricCircleResult,
     circle_msr,
     maximal_circle_radius,
-    metric_circle_msr,
 )
 from repro.core.tile_msr import tile_msr
 from repro.core.compression import compress_region, decompress_region
@@ -56,8 +54,6 @@ __all__ = [
     "dominant_min",
     "verify_regions",
     "circle_msr",
-    "metric_circle_msr",
-    "MetricCircleResult",
     "maximal_circle_radius",
     "tile_msr",
     "compress_region",

@@ -16,7 +16,6 @@ Both need only the two best aggregate nearest neighbors, which
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.types import CircleResult, SafeRegionStats
@@ -89,59 +88,6 @@ def circle_msr(
     best_two = find_gnn(tree, users, 2, objective)
     return _result_from_best_two(
         users, best_two, objective, time.perf_counter() - start
-    )
-
-
-@dataclass
-class MetricCircleResult:
-    """Output of :func:`metric_circle_msr` — Algorithm 1 in any metric."""
-
-    po: object  # the optimal meeting POI, in the space's position type
-    po_dist: float
-    second_dist: float
-    radius: float
-    regions: list  # one ball (the space's region type) per user
-    objective: Aggregate
-
-
-def metric_circle_msr(
-    space,
-    users: Sequence[object],
-    objective: Aggregate = Aggregate.MAX,
-) -> MetricCircleResult:
-    """Algorithm 1 parameterized by the metric space.
-
-    Theorems 1 and 5 only use the triangle inequality — ``d(p, l) <=
-    d(p, u) + r`` and its reverse for any ``l`` within distance ``r``
-    of ``u`` — so the maximal-radius argument holds in *any* metric.
-    ``space`` supplies the three primitives the algorithm consumes
-    (:class:`repro.space.base.Space`): the two-best aggregate nearest
-    neighbors (``gnn``), the group size, and the ball constructor.  On
-    :class:`~repro.space.EuclideanSpace` this reproduces
-    :func:`circle_msr` exactly; on
-    :class:`repro.space.network.NetworkPOISpace` it reproduces
-    :func:`repro.network_ext.circle_msr.network_circle_msr`.
-    """
-    if not users:
-        raise ValueError("user group must be non-empty")
-    if space.poi_count() == 0:
-        raise ValueError("POI set must be non-empty")
-    best_two = space.gnn(users, 2, objective)
-    po_dist, po = best_two[0]
-    if len(best_two) == 1:
-        radius = float("inf")
-        second_dist = float("inf")
-    else:
-        second_dist = best_two[1][0]
-        radius = maximal_circle_radius(po_dist, second_dist, len(users), objective)
-    regions = [space.ball(u, radius) for u in users]
-    return MetricCircleResult(
-        po=po,
-        po_dist=po_dist,
-        second_dist=second_dist,
-        radius=radius,
-        regions=regions,
-        objective=objective,
     )
 
 

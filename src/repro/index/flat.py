@@ -25,8 +25,8 @@ Delta maintenance
 
 The packing is static, but the POI set is not: production churn is
 small batches at high frequency, and repacking 50k points per batch is
-the wrong cost model.  Mutations therefore flow through a **delta
-layer** over the packed epoch:
+the wrong cost model.  Mutations therefore flow through the shared
+:class:`~repro.index.entries.DeltaLayer` over the packed epoch:
 
 * deletions set a bit in a **tombstone mask** over the packed point
   array (the packing, its MBRs and its entry cache stay untouched —
@@ -47,9 +47,9 @@ Per-item :meth:`insert` / :meth:`delete` route through the same deltas
 point.  ``delta_fraction=0.0`` forces a repack after every batch —
 the rebuild-per-batch behavior this layer replaces, kept reachable as
 the baseline for the churn benchmarks.  Removal batches resolve
-against an incrementally-maintained point -> live-ids map (the shared
-:func:`repro.index.entries.resolve_removals_indexed` contract), so a
-small batch costs O(batch), not O(n).
+against the layer's lazily built point -> live-ids map, so a small
+batch costs O(batch), not O(n).  The tree itself keeps only the STR
+packing, the Entry cache and :meth:`FlatRTree.delta_view`.
 """
 
 from __future__ import annotations
@@ -62,15 +62,9 @@ import numpy as np
 
 from repro.geometry.point import Point
 from repro.index import kernels
-from repro.index.entries import Entry, resolve_removals_indexed
+from repro.index.entries import DEFAULT_DELTA_FRACTION, DeltaLayer, Entry
 
 DEFAULT_FLAT_MAX_ENTRIES = 64
-
-# Repack once deltas exceed this fraction of the live set.  1/4 keeps
-# the brute-force arena small relative to the packed epoch (queries
-# stay tree-shaped) while amortizing each O(n log n) repack over
-# ~n/4 mutations.
-DEFAULT_DELTA_FRACTION = 0.25
 
 
 class _Level:
@@ -141,35 +135,25 @@ class FlatRTree:
     ):
         if max_entries < 4:
             raise ValueError("max_entries must be >= 4")
-        if delta_fraction < 0.0:
-            raise ValueError("delta_fraction must be >= 0")
         self.max_entries = max_entries
-        self.delta_fraction = delta_fraction
         # Maintenance counters: full STR packings (builds) vs delta
         # batches absorbed without one.  The churn benchmarks and the
         # cluster's one-publish-per-batch gate read these.
         self.build_count = 0
         self.delta_batches = 0
         self._pts = np.empty((0, 2), dtype=np.float64)
-        self._payloads: list[Any] = []
         self._levels: list[_Level] = []
-        self._reset_deltas()
-        self._entry_cache: Optional[list[Entry]] = None
+        self._delta = DeltaLayer(delta_fraction)
+        # Entry objects for every id slot (see :meth:`_materialized`).
+        self._entry_cache: list[Entry] = []
         self._pt_cols: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    def _reset_deltas(self) -> None:
-        self._tomb = np.zeros(len(self._pts), dtype=bool)
-        self._n_dead = 0
-        self._buf_xy: list[tuple[float, float]] = []
-        self._buf_payloads: list[Any] = []
-        self._buf_alive: list[bool] = []
-        self._n_buf_dead = 0
-        # Point -> live ids (packed then arena, insertion order); built
-        # lazily on the first removal, maintained incrementally after.
-        self._live_map: Optional[dict[Point, list[int]]] = None
         self._delta_cache: Optional[
             tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
         ] = None
+
+    @property
+    def delta_fraction(self) -> float:
+        return self._delta.delta_fraction
 
     # ------------------------------------------------------------------
     # Construction
@@ -194,20 +178,24 @@ class FlatRTree:
         return tree
 
     def _rebuild(self, pts: np.ndarray, payloads: list[Any]) -> None:
-        self._entry_cache = None
+        # Drop the old epoch first, so its keys and entries are freed
+        # before the new epoch's are built.
+        self._delta.reset([], [])
+        self._entry_cache = []
         self._pt_cols = None
+        self._delta_cache = None
         self.build_count += 1
-        n = len(pts)
-        if n == 0:
+        if len(pts) == 0:
             self._pts = np.empty((0, 2), dtype=np.float64)
-            self._payloads = []
             self._levels = []
-            self._reset_deltas()
             return
         cap = self.max_entries
         order, bnd = _str_partition(pts[:, 0], pts[:, 1], cap)
         self._pts = np.ascontiguousarray(pts[order])
-        self._payloads = [payloads[i] for i in order]
+        self._delta.reset(
+            list(map(Point, self._pts[:, 0].tolist(), self._pts[:, 1].tolist())),
+            [payloads[i] for i in order],
+        )
         starts = bnd[:-1]
         counts = np.diff(bnd)
         bounds = np.empty((len(starts), 4), dtype=np.float64)
@@ -235,7 +223,6 @@ class FlatRTree:
             pb[:, 2] = np.maximum.reduceat(low.bounds[:, 2], starts)
             pb[:, 3] = np.maximum.reduceat(low.bounds[:, 3], starts)
             self._levels.append(_Level(pb, starts, counts))
-        self._reset_deltas()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance (delta-based)
@@ -263,54 +250,24 @@ class FlatRTree:
         Removals tombstone packed (or arena) slots and insertions land
         in the arena; the packed epoch is untouched until the delta
         debt crosses the :meth:`repack` threshold.  All removals are
-        resolved (shared :func:`repro.index.entries.resolve_removals_indexed`
-        contract) before anything mutates, so a ``KeyError`` for a
-        missing entry leaves the index untouched.
+        resolved before anything mutates
+        (:meth:`repro.index.entries.DeltaLayer.update`), so a
+        ``KeyError`` for a missing entry leaves the index untouched.
         """
-        victims = self._resolve_live_removals(removes)
-        n_packed = len(self._pts)
-        for i in victims:
-            if i < n_packed:
-                self._tomb[i] = True
-                self._n_dead += 1
-            else:
-                self._buf_alive[i - n_packed] = False
-                self._n_buf_dead += 1
-            self._drop_from_live_map(i)
-        for point, payload in adds:
-            slot = n_packed + len(self._buf_xy)
-            self._buf_xy.append((point.x, point.y))
-            self._buf_payloads.append(payload)
-            self._buf_alive.append(True)
-            if self._live_map is not None:
-                self._live_map.setdefault(point, []).append(slot)
-            if self._entry_cache is not None:
-                self._entry_cache.append(Entry(point, payload))
+        self._delta.update(adds, removes)
         self._delta_cache = None
         self.delta_batches += 1
-        self._maybe_repack()
+        if self._delta.needs_repack():
+            self.repack()
 
     def repack(self) -> None:
         """Fold all deltas into a fresh STR packing (O(n log n))."""
-        keep = ~self._tomb
-        parts = [self._pts[keep]]
-        payloads = [
-            pl for pl, alive in zip(self._payloads, keep.tolist()) if alive
-        ]
-        live_buf = [
-            xy for xy, alive in zip(self._buf_xy, self._buf_alive) if alive
-        ]
-        if live_buf:
-            parts.append(np.asarray(live_buf, dtype=np.float64))
-        payloads.extend(
-            pl for pl, alive in zip(self._buf_payloads, self._buf_alive) if alive
+        ids = self._delta.live_ids()
+        payloads = self._delta.payloads
+        self._rebuild(
+            self._coords(np.asarray(ids, dtype=np.int64)),
+            [payloads[i] for i in ids],
         )
-        self._rebuild(np.vstack(parts), payloads)
-
-    def _maybe_repack(self) -> None:
-        deltas = self._n_dead + len(self._buf_xy)
-        if deltas and deltas > self.delta_fraction * max(len(self), 1):
-            self.repack()
 
     def delta_view(
         self,
@@ -324,72 +281,26 @@ class FlatRTree:
         empty.  Cached until the next delta batch.
         """
         if self._delta_cache is None:
-            alive = None if self._n_dead == 0 else ~self._tomb
+            delta = self._delta
+            alive = None if delta.n_dead == 0 else ~delta.tomb
             buf_pts = buf_ids = None
-            if len(self._buf_xy) > self._n_buf_dead:
-                n_packed = len(self._pts)
-                ids = [
-                    n_packed + j
-                    for j, ok in enumerate(self._buf_alive)
-                    if ok
-                ]
+            ids = delta.arena_ids()
+            if ids:
                 buf_ids = np.asarray(ids, dtype=np.int64)
-                buf_pts = np.asarray(
-                    [self._buf_xy[i - n_packed] for i in ids], dtype=np.float64
-                )
+                buf_pts = self._arena_coords(ids)
             self._delta_cache = (alive, buf_pts, buf_ids)
         return self._delta_cache
 
     def delta_debt(self) -> int:
         """Tombstones + arena slots — what the next repack would fold."""
-        return self._n_dead + len(self._buf_xy)
-
-    def _payload_of(self, i: int) -> Any:
-        n_packed = len(self._pts)
-        if i < n_packed:
-            return self._payloads[i]
-        return self._buf_payloads[i - n_packed]
-
-    def _ensure_live_map(self) -> dict[Point, list[int]]:
-        if self._live_map is None:
-            cache = self._materialized()
-            live_map: dict[Point, list[int]] = {}
-            for i in self._live_ids():
-                live_map.setdefault(cache[i].point, []).append(i)
-            self._live_map = live_map
-        return self._live_map
-
-    def _drop_from_live_map(self, i: int) -> None:
-        if self._live_map is None:
-            return
-        entry = self._materialized()[i]
-        ids = self._live_map.get(entry.point)
-        if ids is not None:
-            ids.remove(i)
-            if not ids:
-                del self._live_map[entry.point]
-
-    def _resolve_live_removals(
-        self, removes: Sequence[tuple[Point, Any]]
-    ) -> list[int]:
-        if not removes:
-            return []
-        live = self._ensure_live_map()
-        return resolve_removals_indexed(
-            lambda p: list(live.get(p, ())), self._payload_of, removes
-        )
+        return self._delta.debt()
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return (
-            len(self._pts)
-            - self._n_dead
-            + len(self._buf_xy)
-            - self._n_buf_dead
-        )
+        return len(self._delta)
 
     def _materialized(self) -> list[Entry]:
         """Entry objects for every id slot (packed + arena, dead included).
@@ -398,45 +309,31 @@ class FlatRTree:
         points; materializing the whole set lazily (and only once per
         packing) keeps the per-query cost at list indexing instead of
         object churn.  The cache is id-aligned and *incremental*:
-        tombstones leave it untouched and arena appends extend it, so
+        tombstones leave it untouched and arena slots extend it, so
         churn batches never invalidate it — only a repack does.
         """
-        if self._entry_cache is None:
-            self._entry_cache = [
-                Entry(Point(x, y), pl)
-                for (x, y), pl in zip(self._pts.tolist(), self._payloads)
-            ]
-            self._entry_cache.extend(
-                Entry(Point(x, y), pl)
-                for (x, y), pl in zip(self._buf_xy, self._buf_payloads)
+        cache = self._entry_cache
+        keys = self._delta.keys
+        if len(cache) < len(keys):
+            payloads = self._delta.payloads
+            cache.extend(
+                Entry(keys[i], payloads[i]) for i in range(len(cache), len(keys))
             )
-        return self._entry_cache
+        return cache
 
-    def _live_ids(self) -> list[int]:
-        """Live id slots, packed (tree) order then arena order."""
-        n_packed = len(self._pts)
-        ids: list[int] = (
-            np.flatnonzero(~self._tomb).tolist()
-            if self._n_dead
-            else list(range(n_packed))
-        )
-        ids.extend(
-            n_packed + j for j, ok in enumerate(self._buf_alive) if ok
-        )
-        return ids
+    def _arena_coords(self, ids: Sequence[int]) -> np.ndarray:
+        keys = self._delta.keys
+        return np.asarray([(keys[i].x, keys[i].y) for i in ids], dtype=np.float64)
 
     def _coords(self, idx: np.ndarray) -> np.ndarray:
         """``(len(idx), 2)`` coordinates for mixed packed/arena ids."""
         n_packed = len(self._pts)
-        if not len(self._buf_xy) or (idx < n_packed).all():
+        packed = idx < n_packed
+        if packed.all():
             return self._pts[idx]
         out = np.empty((len(idx), 2), dtype=np.float64)
-        packed = idx < n_packed
         out[packed] = self._pts[idx[packed]]
-        out[~packed] = np.asarray(
-            [self._buf_xy[i - n_packed] for i in idx[~packed].tolist()],
-            dtype=np.float64,
-        )
+        out[~packed] = self._arena_coords(idx[~packed].tolist())
         return out
 
     def point_columns(self) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +348,7 @@ class FlatRTree:
     def entries(self) -> Iterator[Entry]:
         """All live leaf entries, packed (tree) order then arena order."""
         cache = self._materialized()
-        return (cache[i] for i in self._live_ids())
+        return (cache[i] for i in self._delta.live_ids())
 
     def points(self) -> list[Point]:
         return [e.point for e in self.entries()]
@@ -488,22 +385,9 @@ class FlatRTree:
                 raise AssertionError(f"level {li} does not cover the level below")
         if self._levels and len(self._levels[-1]) != 1:
             raise AssertionError("top level must hold exactly the root")
-        if len(self._payloads) != len(self._pts):
-            raise AssertionError("payloads out of sync with points")
-        if len(self._tomb) != len(self._pts):
-            raise AssertionError("tombstone mask out of sync with points")
-        if self._n_dead != int(self._tomb.sum()):
-            raise AssertionError("tombstone count out of sync with mask")
-        if not (
-            len(self._buf_xy) == len(self._buf_payloads) == len(self._buf_alive)
-        ):
-            raise AssertionError("arena arrays out of sync")
-        if self._n_buf_dead != self._buf_alive.count(False):
-            raise AssertionError("arena tombstone count out of sync")
-        if self._live_map is not None:
-            mapped = sorted(i for ids in self._live_map.values() for i in ids)
-            if mapped != sorted(self._live_ids()):
-                raise AssertionError("live map out of sync with live ids")
+        if self._delta.n_packed != len(self._pts):
+            raise AssertionError("delta layer out of sync with points")
+        self._delta.validate()
 
     # ------------------------------------------------------------------
     # Aggregate (group) nearest neighbor

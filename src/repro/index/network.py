@@ -33,18 +33,21 @@ path to a >=3x speedup over the exact full-row path at 100k-edge
 scale under a hard row-cache byte ceiling.
 
 POIs are graph nodes (real POI datasets are map-matched to the road
-graph, matching the rest of :mod:`repro.network_ext`).
+graph, matching the rest of :mod:`repro.network_ext`).  Churn flows
+through the same :class:`~repro.index.entries.DeltaLayer` as the flat
+R-tree's — tombstones, an insert arena and a node -> live-ids map —
+and the index keeps only the POIs' node ids and the slot view
+(:meth:`NetworkIndex._poi_slots`) its kernels read.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.index.flat import DEFAULT_DELTA_FRACTION
+from repro.index.entries import DEFAULT_DELTA_FRACTION, DeltaLayer
 from repro.index.oracle import OracleConfig, oracle_for, padded_cutoff
-from repro.index.entries import resolve_removals_indexed
 
 # Ceiling on one chunk of stacked ``users x nodes`` float64 rows (per
 # anchor plane) in :meth:`NetworkIndex.gnn_scan`: per-group cost is flat
@@ -87,28 +90,25 @@ class NetworkIndex:
         delta_fraction: float = DEFAULT_DELTA_FRACTION,
         oracle_config: Optional[OracleConfig] = None,
     ):
-        if delta_fraction < 0.0:
-            raise ValueError("delta_fraction must be >= 0")
         self.space = space
-        self.delta_fraction = delta_fraction
-        # Maintenance counters, mirroring FlatRTree: full bucket/array
-        # repacks vs delta batches absorbed without one.
+        self._delta = DeltaLayer(delta_fraction)
+        # Maintenance counters, mirroring FlatRTree: full repacks vs
+        # delta batches absorbed without one.
         self.build_count = 0
         self.delta_batches = 0
         self._oracle = oracle_for(space, oracle_config)
         self._nodes: list[Hashable] = self._oracle.nodes
         self._node_id: dict[Hashable, int] = self._oracle.node_id
         self._lm_slot_cache: Optional[tuple[np.ndarray, np.ndarray]] = None
-        # POI store: (node, payload) items plus a node -> item-index
-        # bucket map for O(1) per-node lookups.
-        self._items: list[tuple[Hashable, Any]] = []
-        self._buckets: dict[Hashable, list[int]] = {}
-        self._poi_ids = np.empty(0, dtype=np.int64)
         if payloads is None:
             payloads = [None] * len(pois)
         if len(payloads) != len(pois):
             raise ValueError("payloads length does not match pois")
-        self._install([(p, pl) for p, pl in zip(pois, payloads)])
+        self._install(list(pois), list(payloads))
+
+    @property
+    def delta_fraction(self) -> float:
+        return self._delta.delta_fraction
 
     @property
     def oracle(self):
@@ -119,51 +119,25 @@ class NetworkIndex:
     # POI bookkeeping
     # ------------------------------------------------------------------
 
-    def _install(self, items: list[tuple[Hashable, Any]]) -> None:
+    def _install(self, nodes: list[Hashable], payloads: list[Any]) -> None:
         """Repack the POI store from scratch and reset the delta state."""
-        for node, _ in items:
-            if node not in self._node_id:
-                raise ValueError(f"POI node {node!r} is not on the road graph")
-        self._items = items
-        self._buckets = {}
-        for i, (node, _) in enumerate(items):
-            self._buckets.setdefault(node, []).append(i)
+        self._check_nodes(nodes)
+        self._delta.reset(nodes, payloads)
         self._poi_ids = np.asarray(
-            [self._node_id[node] for node, _ in items], dtype=np.int64
+            [self._node_id[node] for node in nodes], dtype=np.int64
         )
-        self._tomb = np.zeros(len(items), dtype=bool)
-        self._n_dead = 0
-        self._buf_items: list[tuple[Hashable, Any]] = []
-        self._buf_alive: list[bool] = []
-        self._n_buf_dead = 0
         self._slot_cache: Optional[
             tuple[np.ndarray, Optional[np.ndarray]]
         ] = None
         self.build_count += 1
 
-    def _item(self, i: int) -> tuple[Hashable, Any]:
-        n_packed = len(self._items)
-        if i < n_packed:
-            return self._items[i]
-        return self._buf_items[i - n_packed]
-
-    def _live_ids(self) -> list[int]:
-        n_packed = len(self._items)
-        ids: list[int] = (
-            np.flatnonzero(~self._tomb).tolist()
-            if self._n_dead
-            else list(range(n_packed))
-        )
-        ids.extend(n_packed + j for j, ok in enumerate(self._buf_alive) if ok)
-        return ids
+    def _check_nodes(self, nodes: Iterable[Hashable]) -> None:
+        for node in nodes:
+            if node not in self._node_id:
+                raise ValueError(f"POI node {node!r} is not on the road graph")
 
     def __len__(self) -> int:
-        return (
-            len(self._items)
-            - self._n_dead
-            + len(self._buf_items)
-            - self._n_buf_dead
-        )
+        return len(self._delta)
 
     def node_count(self) -> int:
         return len(self._nodes)
@@ -173,15 +147,15 @@ class NetworkIndex:
 
     def poi_nodes(self) -> list[Hashable]:
         """The live POI nodes in insertion order (duplicates preserved)."""
-        return [self._item(i)[0] for i in self._live_ids()]
+        return self._delta.live_items()[0]
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """The live ``(node, payload)`` POI items, in insertion order."""
-        return [self._item(i) for i in self._live_ids()]
+        return [self._delta.item(i) for i in self._delta.live_ids()]
 
     def pois_at(self, node: Hashable) -> list[Any]:
         """Payloads of the live POIs bucketed on ``node``."""
-        return [self._item(i)[1] for i in self._buckets.get(node, ())]
+        return [self._delta.payloads[i] for i in self._delta.ids_at(node)]
 
     def insert(self, node: Hashable, payload: Any = None) -> None:
         self.bulk_update(adds=[(node, payload)])
@@ -205,67 +179,33 @@ class NetworkIndex:
         buffered arena; the packed store is rebuilt only when the delta
         debt crosses the ``delta_fraction`` threshold (0.0 = repack
         every batch).  Same all-or-nothing contract as the flat R-tree
-        (:func:`repro.index.entries.resolve_removals_indexed`):
-        add nodes are validated against the graph and every removal is
-        matched before anything mutates, so an error for a bad entry
-        leaves the index untouched.  Distance rows are unaffected —
-        the road graph itself is immutable, so the shared oracle's
-        caches survive every churn batch.
+        (:meth:`repro.index.entries.DeltaLayer.update`): add nodes are
+        validated against the graph and every removal is matched
+        before anything mutates, so an error for a bad entry leaves
+        the index untouched.  Distance rows are unaffected — the road
+        graph itself is immutable, so the shared oracle's caches
+        survive every churn batch.
         """
-        for node, _ in adds:
-            if node not in self._node_id:
-                raise ValueError(f"POI node {node!r} is not on the road graph")
-        victims: list[int] = []
-        if removes:
-            # Bucket lists hold exactly the live ids for a node, in
-            # insertion order — resolution costs O(batch), not O(n).
-            victims = resolve_removals_indexed(
-                lambda n: list(self._buckets.get(n, ())),
-                lambda i: self._item(i)[1],
-                removes,
-            )
-        n_packed = len(self._items)
-        for i in victims:
-            if i < n_packed:
-                self._tomb[i] = True
-                self._n_dead += 1
-            else:
-                self._buf_alive[i - n_packed] = False
-                self._n_buf_dead += 1
-            node = self._item(i)[0]
-            bucket = self._buckets[node]
-            bucket.remove(i)
-            if not bucket:
-                del self._buckets[node]
-        for node, payload in adds:
-            slot = n_packed + len(self._buf_items)
-            self._buf_items.append((node, payload))
-            self._buf_alive.append(True)
-            self._buckets.setdefault(node, []).append(slot)
+        self._check_nodes(node for node, _ in adds)
+        self._delta.update(adds, removes)
         self._slot_cache = None
         self.delta_batches += 1
-        self._maybe_repack()
+        if self._delta.needs_repack():
+            self.repack()
 
     def repack(self) -> None:
         """Fold all deltas into a freshly packed POI store."""
-        live = [
-            item
-            for item, dead in zip(self._items, self._tomb.tolist())
-            if not dead
-        ]
-        live.extend(
-            item for item, ok in zip(self._buf_items, self._buf_alive) if ok
-        )
-        self._install(live)
-
-    def _maybe_repack(self) -> None:
-        deltas = self._n_dead + len(self._buf_items)
-        if deltas and deltas > self.delta_fraction * max(len(self), 1):
-            self.repack()
+        self._install(*self._delta.live_items())
 
     def delta_debt(self) -> int:
         """Tombstones + arena slots — what the next repack would fold."""
-        return self._n_dead + len(self._buf_items)
+        return self._delta.debt()
+
+    def validate(self) -> None:
+        """Check the delta invariants; raises AssertionError on breach."""
+        if len(self._poi_ids) != self._delta.n_packed:
+            raise AssertionError("node ids out of sync with packed slots")
+        self._delta.validate()
 
     def _poi_slots(self) -> tuple[np.ndarray, Optional[np.ndarray]]:
         """``(node_ids, live_mask)`` over every POI slot, packed + arena.
@@ -275,21 +215,22 @@ class NetworkIndex:
         columns for all slots and masks the dead ones to ``inf``.
         """
         if self._slot_cache is None:
+            delta = self._delta
             ids = self._poi_ids
-            mask = None if self._n_dead == 0 else ~self._tomb
-            if self._buf_items:
+            mask = None if delta.n_dead == 0 else ~delta.tomb
+            arena = delta.keys[delta.n_packed :]
+            if arena:
                 ids = np.concatenate(
                     [
                         ids,
                         np.asarray(
-                            [self._node_id[n] for n, _ in self._buf_items],
-                            dtype=np.int64,
+                            [self._node_id[n] for n in arena], dtype=np.int64
                         ),
                     ]
                 )
-                if self._n_dead or self._n_buf_dead:
+                if delta.n_dead or delta.n_arena_dead:
                     mask = np.concatenate(
-                        [~self._tomb, np.asarray(self._buf_alive, dtype=bool)]
+                        [~delta.tomb, np.asarray(delta.arena_alive, dtype=bool)]
                     )
             self._slot_cache = (ids, mask)
         return self._slot_cache
@@ -441,11 +382,12 @@ class NetworkIndex:
         if live_mask is not None:
             hits &= live_mask
         answers: list[list[tuple[float, Hashable]]] = [[] for _ in per_user]
+        keys = self._delta.keys
         which, slots = np.nonzero(hits)
         for g, slot, score in zip(
             which.tolist(), slots.tolist(), scores[hits].tolist()
         ):
-            answers[g].append((score, self._item(slot)[0]))
+            answers[g].append((score, keys[slot]))
         for answer in answers:
             answer.sort(key=lambda t: (t[0], str(t[1])))
             del answer[k:]
@@ -567,10 +509,11 @@ class NetworkIndex:
                 np.maximum(scores, combined, out=scores)
             else:
                 scores += combined
+        keys = self._delta.keys
         scored = sorted(
             (
-                (float(scores[j]), self._item(int(i))[0])
-                for j, i in enumerate(survivors)
+                (float(scores[j]), keys[i])
+                for j, i in enumerate(survivors.tolist())
             ),
             key=lambda t: (t[0], str(t[1])),
         )

@@ -6,15 +6,16 @@ Road-network groups are first-class sessions of
 fleets of them run through :func:`repro.simulation.run_service`
 alongside Euclidean groups.  This module supplies what those fleets
 replay: :class:`NetworkTrajectory`, one network position per
-timestamp, and :func:`network_trajectory`, shortest-path motion at a
-fixed speed.
+timestamp, :func:`network_trajectory`, shortest-path motion at a fixed
+speed, and :func:`walk_path`, the fixed-speed walk along one node path
+that it and the scenario compiler share.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import networkx as nx
 
@@ -64,16 +65,31 @@ def network_trajectory(
         if dest == current:
             continue
         path = nx.shortest_path(space.graph, current, dest, weight="length")
-        for a, b in zip(path, path[1:]):
-            length = space.edge_length(a, b)
-            offset = 0.0
-            while offset + speed < length and len(out) < n_timestamps:
-                offset += speed
-                out.append(NetworkPosition.on_edge(a, b, offset))
-            if len(out) >= n_timestamps:
-                break
-            out.append(NetworkPosition.at_node(b))
-            if len(out) >= n_timestamps:
-                break
+        walk_path(space, path, speed, out, n_timestamps)
         current = dest
     return NetworkTrajectory(tuple(out[:n_timestamps]))
+
+
+def walk_path(
+    space: NetworkSpace,
+    path: Sequence,
+    speed: float,
+    out: list[NetworkPosition],
+    n: int,
+) -> None:
+    """Extend ``out`` (which ends at ``path[0]``) by walking the node
+    ``path`` at ``speed`` per timestamp, stopping once it holds ``n``.
+
+    Each edge yields its interior positions one ``speed`` step apart,
+    then its end node; an edge shorter than a step yields the end node
+    alone.
+    """
+    for a, b in zip(path, path[1:]):
+        length = space.edge_length(a, b)
+        offset = 0.0
+        while offset + speed < length and len(out) < n:
+            offset += speed
+            out.append(NetworkPosition.on_edge(a, b, offset))
+        if len(out) >= n:
+            return
+        out.append(NetworkPosition.at_node(b))

@@ -102,20 +102,11 @@ class _DelayedWalk:
 
 def _walk_path(space, path: Sequence, speed: float, n: int):
     """``n`` per-tick positions walking ``path`` at ``speed``, then parked."""
-    from repro.network_ext.monitor import NetworkTrajectory
+    from repro.network_ext.monitor import NetworkTrajectory, walk_path
     from repro.network_ext.space import NetworkPosition
 
     out = [NetworkPosition.at_node(path[0])]
-    for a, b in zip(path, path[1:]):
-        if len(out) >= n:
-            break
-        length = space.edge_length(a, b)
-        offset = 0.0
-        while offset + speed < length and len(out) < n:
-            offset += speed
-            out.append(NetworkPosition.on_edge(a, b, offset))
-        if len(out) < n:
-            out.append(NetworkPosition.at_node(b))
+    walk_path(space, path, speed, out, n)
     while len(out) < n:
         out.append(out[-1])
     return NetworkTrajectory(tuple(out[:n]))

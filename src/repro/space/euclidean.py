@@ -63,21 +63,16 @@ class EuclideanSpace:
     def replicate(self) -> "EuclideanSpace":
         """An independent copy over a freshly packed index.
 
-        The replica uses the same backend class, node capacity and
-        (where the backend maintains deltas) repack threshold, so
-        queries traverse identically-shaped trees and answers stay
+        The replica uses the same node capacity and repack threshold,
+        so queries traverse identically-shaped trees and answers stay
         bit-identical to the original (ties between coincident points
         may reorder payloads, never distances or meeting points).
         """
         entries = list(self._tree.entries())
-        kwargs: dict[str, Any] = {}
-        delta_fraction = getattr(self._tree, "delta_fraction", None)
-        if delta_fraction is not None:
-            kwargs["delta_fraction"] = delta_fraction
         clone = type(self._tree).bulk_load(
             [e.point for e in entries],
             payloads=[e.payload for e in entries],
             max_entries=self._tree.max_entries,
-            **kwargs,
+            delta_fraction=self._tree.delta_fraction,
         )
         return EuclideanSpace(clone)

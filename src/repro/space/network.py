@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Hashable, Optional, Sequence
 
 from repro.gnn.aggregate import Aggregate
+from repro.index.entries import DEFAULT_DELTA_FRACTION
 from repro.index.network import NetworkIndex
 from repro.index.oracle import OracleConfig
 from repro.network_ext.ball import NetworkBall
@@ -42,15 +43,12 @@ class NetworkPOISpace:
         space: NetworkSpace,
         pois: Sequence[Hashable] = (),
         payloads: Optional[Sequence[Any]] = None,
-        delta_fraction: Optional[float] = None,
+        delta_fraction: float = DEFAULT_DELTA_FRACTION,
         oracle_config: Optional[OracleConfig] = None,
     ):
         self.space = space
-        index_kwargs = {} if delta_fraction is None else {
-            "delta_fraction": delta_fraction
-        }
         self._index = NetworkIndex(
-            space, pois, payloads, oracle_config=oracle_config, **index_kwargs
+            space, pois, payloads, delta_fraction, oracle_config
         )
 
     @classmethod

@@ -274,6 +274,145 @@ class TestNetworkChurnEquivalence:
         assert index.gnn(users, k=2) == reference.gnn(users, k=2)
 
 
+class TestNetworkDeltaInvariants:
+    def test_validate_after_every_batch(self):
+        """The shared delta invariants hold on the network index through
+        tombstones, arena inserts, removals that reach into the arena
+        and repacks."""
+        rng = random.Random(23)
+        space = NetworkSpace.from_grid(grid_size=5, seed=3)
+        nodes = list(space.graph.nodes)
+        live = {i: rng.choice(nodes) for i in range(20)}
+        index = NetworkIndex(
+            space, list(live.values()), payloads=list(live), delta_fraction=0.5
+        )
+        index.validate()
+        arena: set[int] = set()  # payloads added since the last repack
+        seen = {"tombstone": 0, "arena_hit": 0, "arena_removal": 0, "repack": 0}
+        next_id = 20
+        for _ in range(30):
+            picks = [rng.choice(sorted(arena))] if arena else []
+            picks += rng.sample(sorted(set(live) - set(picks)), 2 - len(picks))
+            removes = []
+            for pl in picks:
+                removes.append((live.pop(pl), pl))
+                seen["arena_removal" if pl in arena else "tombstone"] += 1
+                arena.discard(pl)
+            adds = []
+            for _ in range(3):
+                node = rng.choice(nodes)
+                adds.append((node, next_id))
+                live[next_id] = node
+                arena.add(next_id)
+                next_id += 1
+            seen["arena_hit"] += len(adds)
+            builds = index.build_count
+            index.bulk_update(adds, removes)
+            if index.build_count != builds:
+                seen["repack"] += 1
+                arena.clear()
+            index.validate()
+            assert sorted(pl for _, pl in index.items()) == sorted(live)
+            assert len(index) == len(live)
+        assert all(seen.values()), seen
+
+
+@pytest.fixture(params=["flat", "network"])
+def delta_index(request):
+    """``(make, keys, live)`` for one index kind: ``make(keys, payloads,
+    delta_fraction)`` builds it, ``keys`` are eight distinct POI keys and
+    ``live(index)`` lists its live ``(key, payload)`` items in live order."""
+    if request.param == "flat":
+        keys = [Point(float(i), float(3 * i % 8)) for i in range(8)]
+
+        def make(ks, payloads, delta_fraction=NEVER):
+            return FlatRTree.bulk_load(
+                ks, payloads=payloads, max_entries=4, delta_fraction=delta_fraction
+            )
+
+        return make, keys, lambda index: [(e.point, e.payload) for e in index.entries()]
+    space = NetworkSpace.from_grid(grid_size=4, seed=8)
+
+    def make(ks, payloads, delta_fraction=NEVER):
+        return NetworkIndex(space, ks, payloads=payloads, delta_fraction=delta_fraction)
+
+    return make, list(space.graph.nodes)[:8], lambda index: index.items()
+
+
+class TestDeltaLayerContract:
+    """The shared delta layer's rules, held on both indexes."""
+
+    def test_negative_delta_fraction_is_rejected(self, delta_index):
+        make, keys, _ = delta_index
+        with pytest.raises(ValueError, match="delta_fraction"):
+            make(keys[:2], [0, 1], delta_fraction=-0.1)
+
+    def test_payload_specific_removals_match_before_wildcards(self, delta_index):
+        make, keys, live = delta_index
+        index = make([keys[1]], ["z"])
+        index.bulk_update(adds=[(keys[0], "x"), (keys[0], "y")])
+        # Listed first and matched first, the wildcard would take "x" (the
+        # first live entry at keys[0]) and starve the specific removal.
+        index.bulk_update(removes=[(keys[0], None), (keys[0], "x")])
+        assert live(index) == [(keys[1], "z")]
+
+    def test_each_removal_takes_a_distinct_entry(self, delta_index):
+        make, keys, live = delta_index
+        index = make([keys[1]], ["z"])
+        index.bulk_update(adds=[(keys[0], "x"), (keys[0], "y")])
+        with pytest.raises(KeyError):
+            index.bulk_update(removes=[(keys[0], None)] * 3)
+        assert len(index) == 3 and index.delta_debt() == 2
+        index.bulk_update(removes=[(keys[0], None)] * 2)
+        assert live(index) == [(keys[1], "z")]
+
+    def test_repack_folds_packed_then_arena_live_slots(self, delta_index):
+        make, keys, live = delta_index
+        index = make(keys[:5], list(range(5)))
+        index.bulk_update(adds=[(keys[5], 5), (keys[6], 6), (keys[7], 7)])
+        index.bulk_update(removes=[(keys[1], 1), (keys[6], 6)])
+        before = live(index)
+        payloads = [pl for _, pl in before]
+        assert sorted(payloads[:4]) == [0, 2, 3, 4] and payloads[4:] == [5, 7]
+        builds = index.build_count
+        index.repack()
+        index.validate()
+        assert index.build_count == builds + 1 and index.delta_debt() == 0
+        fresh = make([k for k, _ in before], payloads)
+        assert live(index) == live(fresh)
+
+    def test_key_map_is_built_on_the_first_removal(self, delta_index):
+        """A POI set that never sees a removal pays for no key map."""
+        make, keys, live = delta_index
+        index = make(keys[:4], list(range(4)))
+        index.bulk_update(adds=[(keys[4], 4)])
+        assert len(live(index)) == len(index) == 5
+        assert index._delta._live is None
+        index.bulk_update(removes=[(keys[0], 0)])
+        assert index._delta._live is not None
+        index.repack()
+        assert index._delta._live is None
+
+    @pytest.mark.parametrize(
+        "breach", ["tombstone_count", "arena_count", "key_map"]
+    )
+    def test_validate_catches_a_breach(self, delta_index, breach):
+        make, keys, _ = delta_index
+        index = make(keys[:4], list(range(4)))
+        index.bulk_update(adds=[(keys[4], 4), (keys[5], 5)])
+        index.bulk_update(removes=[(keys[0], 0), (keys[4], 4)])
+        index.validate()
+        delta = index._delta
+        if breach == "tombstone_count":
+            delta.n_dead += 1
+        elif breach == "arena_count":
+            delta.n_arena_dead -= 1
+        else:
+            delta._live[keys[1]].append(delta.keys.index(keys[0]))
+        with pytest.raises(AssertionError):
+            index.validate()
+
+
 # Hypothesis: arbitrary interleavings, including degenerate ones the
 # seeded schedules above would rarely produce (coincident points,
 # empty batches, remove-then-readd of the same coordinates).

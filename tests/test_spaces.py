@@ -1,17 +1,14 @@
-"""Tests for the Space abstraction (repro.space) and the generic
-space-parameterized Circle-MSR of the core layer."""
+"""Tests for the Space abstraction (repro.space)."""
 
 import random
 
 import networkx as nx
 import pytest
 
-from repro.core.circle_msr import circle_msr, metric_circle_msr
 from repro.geometry.circle import Circle
 from repro.geometry.point import Point
 from repro.gnn.aggregate import Aggregate, aggregate_dist, find_gnn
 from repro.network_ext.ball import NetworkBall
-from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.space import NetworkSpace
 from repro.space import EuclideanSpace, Space, as_space
 from repro.space.network import NetworkPOISpace
@@ -176,60 +173,3 @@ class TestNetworkPOISpace:
         nodes = list(space.graph.nodes)[:3]
         space.bulk_update(adds=[(n, None) for n in nodes])
         assert space.poi_count() == 3
-
-
-class TestMetricCircleMSR:
-    """Algorithm 1 with the space as a parameter reproduces both
-    specialized implementations (Theorems 1/5 are metric-agnostic)."""
-
-    @pytest.mark.parametrize("objective", [Aggregate.MAX, Aggregate.SUM])
-    def test_euclidean_instantiation_matches_circle_msr(
-        self, tree_200, rng, objective
-    ):
-        space = EuclideanSpace(tree_200)
-        for _ in range(5):
-            users = random_users(rng, 3)
-            generic = metric_circle_msr(space, users, objective)
-            specialized = circle_msr(users, tree_200, objective)
-            assert generic.po == specialized.po
-            assert generic.po_dist == specialized.po_dist
-            assert generic.radius == specialized.radius
-            assert [c.center for c in generic.regions] == [
-                c.center for c in specialized.circles
-            ]
-
-    @pytest.mark.parametrize("objective", [Aggregate.MAX, Aggregate.SUM])
-    def test_network_instantiation_matches_network_circle_msr(
-        self, poi_space, net_space, net_pois, objective
-    ):
-        rng = random.Random(6)
-        for _ in range(5):
-            users = [net_space.random_position(rng) for _ in range(3)]
-            generic = metric_circle_msr(poi_space, users, objective)
-            specialized = network_circle_msr(net_space, net_pois, users, objective)
-            assert generic.po == specialized.po
-            assert generic.radius == specialized.radius
-            assert [b.radius for b in generic.regions] == [
-                b.radius for b in specialized.balls
-            ]
-
-    def test_validation(self, tree_200):
-        space = EuclideanSpace(tree_200)
-        with pytest.raises(ValueError):
-            metric_circle_msr(space, [])
-        from repro.workloads.poi import build_poi_tree
-
-        with pytest.raises(ValueError):
-            metric_circle_msr(
-                EuclideanSpace(build_poi_tree([])), [Point(0.0, 0.0)]
-            )
-
-    def test_single_poi_means_unbounded_regions(self, net_space):
-        rng = random.Random(10)
-        only = [next(iter(net_space.graph.nodes))]
-        space = NetworkPOISpace(net_space, only)
-        users = [net_space.random_position(rng)]
-        result = metric_circle_msr(space, users)
-        assert result.radius == float("inf")
-        for _ in range(10):
-            assert result.regions[0].contains(net_space.random_position(rng))
