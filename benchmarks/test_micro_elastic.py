@@ -29,7 +29,6 @@ import time
 from repro.cluster import MPNCluster
 from repro.service import MPNService
 from repro.simulation.policies import circle_policy
-from repro.space import share_space
 from repro.transport import (
     RemoteBackend,
     ThreadedWireServer,
@@ -141,8 +140,8 @@ def test_elastic_wire_handoff_latency(benchmark):
     best: dict = {}
 
     def schedule():
-        a = MPNService(share_space(FACTORY()))
-        b = MPNService(share_space(FACTORY()))
+        a = MPNService(FACTORY())
+        b = MPNService(FACTORY())
         with ThreadedWireServer(a) as sa, ThreadedWireServer(b) as sb:
             ra = RemoteBackend(*sa.address, space=FACTORY())
             rb = RemoteBackend(*sb.address, space=FACTORY())

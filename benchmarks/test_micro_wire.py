@@ -53,7 +53,6 @@ from repro.service import (
     UpdateLocationsRequest,
 )
 from repro.simulation.policies import circle_policy
-from repro.space import share_space
 from repro.transport import (
     ProcessCluster,
     RemoteBackend,
@@ -106,7 +105,7 @@ def _fleet(backend, n_sessions: int, seed: int):
 
 
 def test_wire_sequential_latency(benchmark):
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service) as server:
         backend = RemoteBackend(*server.address)
         [(sid, members)] = _fleet(backend, 1, seed=3)
@@ -167,7 +166,7 @@ async def _pipelined_client(address, sid, members, latencies):
 
 
 def test_wire_concurrent_throughput_with_backpressure(benchmark):
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service, max_inflight=MAX_INFLIGHT) as server:
         backend = RemoteBackend(*server.address)
         sessions = _fleet(backend, N_CLIENTS, seed=7)
@@ -320,7 +319,7 @@ class _ThreadProbe:
 def test_dispatch_crosses_no_thread_boundary():
     """A default server: what it costs in threads (counted, always
     armed) and in time against a backend-free ping (armed off CI)."""
-    probe = _ThreadProbe(MPNService(share_space(FACTORY())))
+    probe = _ThreadProbe(MPNService(FACTORY()))
     with ThreadedWireServer(probe) as server:
         with RemoteBackend(*server.address) as backend:
             client = backend.client

@@ -29,7 +29,6 @@ import random
 
 from repro.service import MPNService
 from repro.simulation import circle_policy, run_service, tile_policy
-from repro.space import share_space
 from repro.transport import (
     ProcessCluster,
     RemoteBackend,
@@ -82,7 +81,7 @@ def churn_schedule(rng):
 
 
 def serve_one_service(groups, policies, steps) -> None:
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service) as server:
         host, port = server.address
         print(f"[act 1] wire server on {host}:{port}")

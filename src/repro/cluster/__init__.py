@@ -8,7 +8,7 @@ backends by consistent hash (:class:`~repro.cluster.hashring.HashRing`),
 validating fleet waves once and scattering them per shard, applying POI
 churn once and sweeping every shard, and merging metrics cluster-wide.
 Answers are bit-identical to an unsharded service.  :class:`MPNCluster`
-constructs it over in-process services on one epoch-shared space;
+constructs it over in-process services that serve one space object;
 :class:`repro.transport.ProcessCluster` over worker processes.
 """
 

@@ -8,9 +8,9 @@ say only *where a shard lives*:
 
 * :class:`MPNCluster` (this module) owns ``num_shards`` in-process
   :class:`~repro.service.MPNService` workers which all serve the **same
-  copy-on-write published space** (:class:`repro.space.SharedSpace`):
-  the POI index is built once and epoch-shared, sessions and their
-  metrics stay per-shard.
+  space object**: the POI index is built once and every churn batch is
+  applied to it once, so each shard reads the new epoch (``space.epoch``)
+  at the same moment; sessions and their metrics stay per-shard.
 * :class:`repro.transport.worker.ProcessCluster` puts every shard in
   its own OS process behind a
   :class:`~repro.transport.client.RemoteBackend`; what is specific to
@@ -62,8 +62,9 @@ Routing and exactness
   handed its sub-wave, so one that raises stops later shards from
   being entered.
 * **POI churn** (:meth:`~ShardedFrontDoor.update_pois`) applies every
-  batch **once** at the front door: its copy of the space (the shared
-  publication in-process, the mirror replica over the wire) absorbs it
+  batch **once** at the front door: its copy of the space (the one
+  space every shard serves in-process, the mirror replica over the
+  wire) absorbs it
   through the index's delta layer — all-or-nothing, a bad removal
   raises before any shard observes anything.  Every shard is then
   handed its half the same scatter-gather way — in-process only the
@@ -124,13 +125,7 @@ from repro.service.service import Member, MPNService
 from repro.service.session import ServiceSession
 from repro.simulation.metrics import SimulationMetrics
 from repro.simulation.policies import Policy
-from repro.space import (
-    Space,
-    SharedSpace,
-    as_space,
-    replicate_space,
-    share_space,
-)
+from repro.space import Space, as_space, replicate_space
 
 SpaceFactory = Callable[[], Space]
 Shard = Any  # a live MPNService or RemoteBackend — never a wrapper
@@ -553,20 +548,18 @@ class ShardedFrontDoor:
         return hot_shards(self.shard_loads(), threshold)
 
 
-def _build_shared(space: Union[Space, SpaceFactory]) -> SharedSpace:
-    """One epoch-published space for every shard to serve.
+def _build_shared(space: Union[Space, SpaceFactory]) -> Space:
+    """The one space object every shard serves.
 
     A factory is called exactly once (the cluster no longer needs one
     build per shard); a live space is copied once through
     :func:`repro.space.replicate_space` so the caller's object stays
     the caller's — churn routed around the front door can never
-    corrupt the serving state.  The result is wrapped in a
-    :class:`repro.space.SharedSpace` so every shard reads the same
-    published index epoch.
+    corrupt the serving state.
     """
     if callable(space) and not isinstance(space, Space):
-        return share_space(space())
-    return share_space(replicate_space(space))
+        return space()
+    return replicate_space(space)
 
 
 class MPNCluster(ShardedFrontDoor):
@@ -576,10 +569,9 @@ class MPNCluster(ShardedFrontDoor):
     e.g. ``lambda: as_space(build_poi_tree(points))``).  Alternatively
     pass ``tree=`` (a space or bare index) and the cluster takes one
     defensive copy via :func:`repro.space.replicate_space`.  Either
-    way the result is published to every shard as one epoch-shared
-    :class:`repro.space.SharedSpace` — the index is built once, not
-    per shard.  ``batched`` selects each shard's fleet execution path,
-    exactly as on :class:`~repro.service.MPNService`.
+    way every shard serves that one space object — the index is built
+    once, not per shard.  ``batched`` selects each shard's fleet
+    execution path, exactly as on :class:`~repro.service.MPNService`.
     """
 
     _live_space_error = (
@@ -600,7 +592,7 @@ class MPNCluster(ShardedFrontDoor):
         if (space_factory is None) == (tree is None):
             raise ValueError("pass exactly one of space_factory / tree")
         self.batched = batched
-        self._shared_spaces: dict[str, SharedSpace] = {
+        self._spaces: dict[str, Space] = {
             "default": _build_shared(
                 space_factory if space_factory is not None else as_space(tree)
             )
@@ -614,12 +606,10 @@ class MPNCluster(ShardedFrontDoor):
     # ------------------------------------------------------------------
 
     def _new_shard(self, shard_id: int) -> MPNService:
-        service = MPNService(
-            self._shared_spaces["default"], batched=self.batched
-        )
-        for name, shared in self._shared_spaces.items():
+        service = MPNService(self._spaces["default"], batched=self.batched)
+        for name, space in self._spaces.items():
             if name != "default":
-                service.add_space(name, shared)
+                service.add_space(name, space)
         return service
 
     def _session_size(self, shard: MPNService, session_id: int) -> int:
@@ -636,7 +626,7 @@ class MPNCluster(ShardedFrontDoor):
         return lambda: answer
 
     # ------------------------------------------------------------------
-    # Spaces (epoch-shared publications, referenced by name)
+    # Spaces (one object per name, served by every shard)
     # ------------------------------------------------------------------
 
     def _front_shard(self) -> MPNService:
@@ -645,9 +635,9 @@ class MPNCluster(ShardedFrontDoor):
 
     @property
     def space(self) -> Space:
-        """The cluster's epoch-shared default space.
+        """The cluster's default space.
 
-        Every shard serves this same published space, so it answers
+        Every shard serves this same space object, so it answers
         exactness queries for the whole cluster.
         """
         return self.get_space()
@@ -655,22 +645,22 @@ class MPNCluster(ShardedFrontDoor):
     def add_space(
         self, name: str, space: Union[Space, SpaceFactory]
     ) -> None:
-        """Register a named space, epoch-shared across every shard.
+        """Register a named space, served by every shard.
 
         ``space`` is either a factory (called exactly once) or a
         replicable live space (:func:`repro.space.replicate_space`
         copies it once; the original object stays the caller's and is
         never mutated by the cluster).  All shards register the same
-        :class:`repro.space.SharedSpace` publication — shards added
-        later (:meth:`add_shard`) register it at birth.
+        space object — shards added later (:meth:`add_shard`) register
+        it at birth.
         """
         shared = _build_shared(space)
         for shard in self._shards.values():
             shard.add_space(name, shared)
-        self._shared_spaces[name] = shared
+        self._spaces[name] = shared
 
     def get_space(self, name: str = "default") -> Space:
-        """The cluster's epoch-shared publication of the named space."""
+        """The named space, the one object every shard serves."""
         return self._front_shard().get_space(name)
 
     def space_names(self) -> list[str]:
@@ -711,19 +701,13 @@ class MPNCluster(ShardedFrontDoor):
         return [by_session[sid] for sid in unique if sid in by_session]
 
     def oracle_stats(self) -> dict[str, dict]:
-        """Distance-oracle counters per shared road-network space.
+        """Distance-oracle counters per road-network space.
 
-        Read off the cluster's :class:`~repro.space.SharedSpace`
-        registry rather than any one shard: every shard serves the
-        same epoch-published space, whose replicas all share one
-        :class:`~repro.index.oracle.DistanceOracle` — so these
-        counters are the whole cluster's cache, counted once (the
-        satellite invariant ``tests/test_oracle.py`` pins down).
+        Every shard serves the same space objects, whose replicas all
+        share one :class:`~repro.index.oracle.DistanceOracle`, so any
+        one shard's :meth:`MPNService.oracle_stats
+        <repro.service.MPNService.oracle_stats>` is the whole
+        cluster's cache, counted once (``tests/test_oracle.py`` pins
+        this down).
         """
-        out: dict[str, dict] = {}
-        for name in sorted(self._shared_spaces):
-            index = getattr(self._shared_spaces[name], "index", None)
-            oracle = getattr(index, "oracle", None)
-            if oracle is not None:
-                out[name] = oracle.stats()
-        return out
+        return self._front_shard().oracle_stats()

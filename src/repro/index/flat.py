@@ -174,12 +174,20 @@ class FlatRTree:
             raise ValueError("payloads length must match points length")
         pts = np.asarray([[p.x, p.y] for p in points], dtype=np.float64)
         pts = pts.reshape(len(points), 2)
-        tree._rebuild(pts, list(payloads))
+        keys = list(map(Point, pts[:, 0].tolist(), pts[:, 1].tolist()))
+        tree._rebuild(pts, keys, list(payloads))
         return tree
 
-    def _rebuild(self, pts: np.ndarray, payloads: list[Any]) -> None:
-        # Drop the old epoch first, so its keys and entries are freed
-        # before the new epoch's are built.
+    def _rebuild(
+        self,
+        pts: np.ndarray,
+        keys: list[Point],
+        payloads: list[Any],
+        entries: Optional[list[Entry]] = None,
+    ) -> None:
+        """STR-pack the items as a new epoch; ``keys``, ``payloads`` and
+        ``entries`` (when given, else built on the first query) are
+        id-aligned with ``pts`` and carried into the packing order."""
         self._delta.reset([], [])
         self._entry_cache = []
         self._pt_cols = None
@@ -192,10 +200,10 @@ class FlatRTree:
         cap = self.max_entries
         order, bnd = _str_partition(pts[:, 0], pts[:, 1], cap)
         self._pts = np.ascontiguousarray(pts[order])
-        self._delta.reset(
-            list(map(Point, self._pts[:, 0].tolist(), self._pts[:, 1].tolist())),
-            [payloads[i] for i in order],
-        )
+        perm = order.tolist()
+        self._delta.reset([keys[i] for i in perm], [payloads[i] for i in perm])
+        if entries is not None:
+            self._entry_cache = [entries[i] for i in perm]
         starts = bnd[:-1]
         counts = np.diff(bnd)
         bounds = np.empty((len(starts), 4), dtype=np.float64)
@@ -261,12 +269,20 @@ class FlatRTree:
             self.repack()
 
     def repack(self) -> None:
-        """Fold all deltas into a fresh STR packing (O(n log n))."""
+        """Fold all deltas into a fresh STR packing (O(n log n)).
+
+        Survivors carry their key and (once a query has built them)
+        :class:`Entry` objects into the new epoch: nothing is rebuilt
+        from coordinates, and the Entry cache needs no refill.
+        """
         ids = self._delta.live_ids()
-        payloads = self._delta.payloads
+        keys, payloads = self._delta.keys, self._delta.payloads
+        cache = self._materialized() if self._entry_cache else None
         self._rebuild(
             self._coords(np.asarray(ids, dtype=np.int64)),
+            [keys[i] for i in ids],
             [payloads[i] for i in ids],
+            None if cache is None else [cache[i] for i in ids],
         )
 
     def delta_view(

@@ -28,8 +28,8 @@ city-scale graphs; three cooperating mechanisms sit behind one object:
 One oracle serves one road graph: :func:`oracle_for` hangs the oracle
 off the :class:`~repro.network_ext.space.NetworkSpace`, so POI
 replicas (:meth:`repro.space.network.NetworkPOISpace.replicate`) and
-copy-on-write cluster epochs (:class:`repro.space.SharedSpace`) all
-share a single row cache — POI churn never touches graph structure,
+every shard of a cluster (which all serve one space object) share a
+single row cache — POI churn never touches graph structure,
 so nothing a replica does can invalidate another's distances.
 
 Everything here is *exact*: bounds only ever rule candidates out, and

@@ -752,10 +752,11 @@ class MPNService:
         # Sessions are matched by the *index* they compute against, not
         # the Space wrapper's identity: two wrappers over one index see
         # the same POIs, and the churn must invalidate either way.
+        index = target.index
         sessions = [
             session
             for session in self._sessions.values()
-            if session.space.index is target.index
+            if session.space.index is index
         ]
         invalidated = [
             session

@@ -23,9 +23,9 @@ def replicate_space(space: Space) -> Space:
     """An independent copy of ``space`` holding the same POI set.
 
     The cluster front door (:class:`repro.cluster.MPNCluster`) takes
-    one defensive copy of a caller-owned space before publishing it to
-    its shards (:func:`share_space`), so churn routed around the front
-    door can never corrupt the serving state.  Spaces opt in by
+    one defensive copy of a caller-owned space before every shard
+    serves it, so churn routed around the front door can never corrupt
+    the serving state.  Spaces opt in by
     implementing ``replicate()`` (:class:`EuclideanSpace` rebuilds its
     index from the live entries;
     :class:`repro.space.network.NetworkPOISpace` re-buckets its POIs
@@ -40,47 +40,9 @@ def replicate_space(space: Space) -> Space:
     return replicate()
 
 
-class SharedSpace:
-    """A copy-on-write published view of one space, shared by readers.
-
-    The cluster's epoch model: every shard holds the SAME
-    ``SharedSpace`` instead of its own replica, so the POI index is
-    built once no matter how many shards serve it.  All reads delegate
-    straight to the underlying space; the one write path,
-    :meth:`bulk_update`, applies the delta batch to the underlying
-    index (which absorbs it through its tombstone/arena delta layer)
-    and bumps ``epoch`` — publishing the post-churn snapshot to every
-    reader at once.  Readers between epochs always see a complete
-    index state: the delta layer mutates all-or-nothing per batch.
-    """
-
-    def __init__(self, base: Space):
-        object.__setattr__(self, "_base", base)
-        object.__setattr__(self, "epoch", 0)
-
-    def bulk_update(self, adds=(), removes=()) -> None:
-        self._base.bulk_update(adds, removes)
-        object.__setattr__(self, "epoch", self.epoch + 1)
-
-    def __getattr__(self, name: str):
-        return getattr(object.__getattribute__(self, "_base"), name)
-
-    def __repr__(self) -> str:
-        return f"SharedSpace(epoch={self.epoch}, base={self._base!r})"
-
-
-def share_space(space: Space) -> SharedSpace:
-    """Wrap ``space`` for epoch-published sharing (identity if shared)."""
-    if isinstance(space, SharedSpace):
-        return space
-    return SharedSpace(space)
-
-
 __all__ = [
     "Space",
     "EuclideanSpace",
-    "SharedSpace",
     "as_space",
     "replicate_space",
-    "share_space",
 ]

@@ -31,6 +31,13 @@ class EuclideanSpace:
     def index(self) -> SpatialIndex:
         return self._tree
 
+    @property
+    def epoch(self) -> int:
+        """Churn batches the index has accepted (a refused one, which
+        raises ``KeyError``, does not count) — the publication counter
+        every reader of this space sees move at once."""
+        return self._tree.delta_batches
+
     def distance(self, a: Point, b: Point) -> float:
         return a.dist(b)
 

@@ -70,6 +70,12 @@ class NetworkPOISpace:
         return self._index
 
     @property
+    def epoch(self) -> int:
+        """Churn batches the index has accepted (see
+        :attr:`repro.space.EuclideanSpace.epoch`)."""
+        return self._index.delta_batches
+
+    @property
     def graph(self):
         return self.space.graph
 

@@ -30,7 +30,6 @@ from repro.service.api import encode_record
 from repro.service.messages import MemberState, ReportEvent
 from repro.service.service import MPNService
 from repro.simulation.policies import circle_policy
-from repro.space import share_space
 from repro.transport.worker import ProcessCluster, UniformPoiSpaceFactory
 
 FACTORY = UniformPoiSpaceFactory(n_pois=200, seed=17)
@@ -84,7 +83,7 @@ def _drive(backend, reshard=None):
 
 
 def main() -> int:
-    twin = MPNService(share_space(FACTORY()))
+    twin = MPNService(FACTORY())
     want_log, want_counters = _drive(twin)
 
     cluster = ProcessCluster(2, FACTORY)

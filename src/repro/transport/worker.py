@@ -4,9 +4,8 @@
 one process*; this module puts each shard in its **own OS process**
 behind the wire server — the deployment shape the in-process cluster
 was rehearsing for.  Each worker process builds its shard's space from
-a picklable zero-argument factory, wraps it in an epoch-published
-:class:`repro.space.SharedSpace`, and serves a
-:class:`~repro.service.MPNService` through a
+a picklable zero-argument factory and serves a
+:class:`~repro.service.MPNService` over it through a
 :class:`~repro.transport.server.WireServer` on an OS-assigned port —
 dispatching each request on the thread that read it (the server's
 concurrency model), so a round-trip pays no thread hand-off inside the
@@ -31,8 +30,8 @@ round-trip, and this module adds only what processes make different:
   of every space; a churn batch is applied to it first — what the
   mirror accepts every worker accepts, so a bad removal raises before
   any worker hears anything.  Each worker then applies the batch to its
-  own index (one ``bulk_update``, hence exactly one new
-  :class:`~repro.space.SharedSpace` epoch per worker per batch) and
+  own index (one ``bulk_update``, hence exactly one new space
+  ``epoch`` per worker per batch) and
   runs its own Lemma-1 re-notification sweep, overlapping its
   siblings'.
 * **The churn log.**  Every accepted batch is also logged, in order:
@@ -82,7 +81,7 @@ from typing import Optional, Sequence
 
 from repro.cluster.cluster import ShardedFrontDoor, SpaceFactory
 from repro.service.messages import ReportEvent
-from repro.space import Space, share_space
+from repro.space import Space
 from repro.transport.client import RemoteBackend
 from repro.transport.framing import DEFAULT_MAX_FRAME_BYTES
 from repro.transport.server import DEFAULT_MAX_INFLIGHT
@@ -172,9 +171,9 @@ def _worker_main(
     from repro.transport.server import WireServer
 
     try:
-        service = MPNService(share_space(factory()), batched=batched)
+        service = MPNService(factory(), batched=batched)
         for name, extra in extra_factories.items():
-            service.add_space(name, share_space(extra()))
+            service.add_space(name, extra())
         server = WireServer(
             service,
             host=host,
@@ -263,10 +262,10 @@ class ProcessCluster(ShardedFrontDoor):
         # The front door's own replica: answers ``.space`` /
         # ``get_space`` reads locally and validates every churn batch
         # before any worker sees it.
-        self._mirror = share_space(space_factory())
+        self._mirror = space_factory()
         self._mirrors: dict[str, Space] = {"default": self._mirror}
         for name, factory in self._extra_spaces.items():
-            self._mirrors[name] = share_space(factory())
+            self._mirrors[name] = factory()
         self._closed = False
         # Every accepted churn batch, in order — the catch-up feed a
         # late-spawned worker replays so its factory-built replica

@@ -312,6 +312,41 @@ class TestClusterSpaces:
             cluster.update_pois(adds=[(Point(1, 1), None)], space="nowhere")
 
 
+class TestSpaceEpoch:
+    """A plain space is its own publication: ``epoch`` counts the
+    churn batches its index accepted, and every shard serves it."""
+
+    def _check_epoch(self, space, add, missing):
+        assert space.epoch == space.index.delta_batches == 0
+        for step in range(1, 4):
+            space.bulk_update(adds=[add])
+            assert space.epoch == space.index.delta_batches == step
+            with pytest.raises(KeyError):
+                space.bulk_update(adds=[add], removes=[missing])
+            assert space.epoch == space.index.delta_batches == step
+
+    def test_euclidean_epoch_counts_accepted_batches(self):
+        space = as_space(build_poi_tree(uniform_pois(40, SMALL_WORLD, seed=3)))
+        self._check_epoch(
+            space, (Point(1.0, 2.0), "new"), (Point(-999.0, -999.0), None)
+        )
+
+    def test_network_epoch_counts_accepted_batches(self):
+        from repro.transport.worker import GridNetworkSpaceFactory
+
+        space = GridNetworkSpaceFactory()()
+        pois = {node for node, _ in space.index.items()}
+        free = [node for node in space.graph.nodes if node not in pois]
+        self._check_epoch(space, (free[0], "new"), (free[1], None))
+
+    def test_every_shard_serves_the_cluster_space(self):
+        cluster = make_cluster(n_shards=2)
+        assert all(shard.get_space() is cluster.space for shard in cluster.shards)
+        epoch = cluster.space.epoch
+        cluster.update_pois(adds=[(Point(2.0, 3.0), None)])
+        assert [shard.get_space().epoch for shard in cluster.shards] == [epoch + 1] * 2
+
+
 class TestServiceSpaceRegistry:
     """The single-service half of the registry the cluster leans on."""
 

@@ -29,7 +29,6 @@ from repro.network_ext.monitor import network_trajectory
 from repro.network_ext.space import NetworkSpace
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.simulation import net_circle_policy, net_tile_policy
-from repro.space import share_space
 from repro.transport import (
     GridNetworkSpaceFactory,
     ProcessCluster,
@@ -164,7 +163,7 @@ class TestInProcessElasticEquivalence:
     @pytest.mark.parametrize("batched", [True, False])
     @pytest.mark.parametrize("plan", RESHARD_PLANS)
     def test_euclidean_fleet_across_reshard(self, batched, plan):
-        single = MPNService(share_space(FACTORY()), batched=batched)
+        single = MPNService(FACTORY(), batched=batched)
         want = run_euclidean_fleet(single, seed=3, n_groups=12, rounds=6)
 
         cluster = MPNCluster(2, FACTORY, batched=batched)
@@ -188,7 +187,7 @@ class TestInProcessElasticEquivalence:
     @pytest.mark.parametrize("plan", RESHARD_PLANS)
     def test_network_fleet_across_reshard(self, plan):
         rounds = 6
-        single = MPNService(share_space(FACTORY()))
+        single = MPNService(FACTORY())
         single.add_space("roads", ROADS())
         want = run_network_fleet(single, seed=44, rounds=rounds)
 
@@ -238,7 +237,7 @@ class TestProcessClusterElasticEquivalence:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_euclidean_fleet_across_grow_and_shrink(self, batched):
-        single = MPNService(share_space(FACTORY()), batched=batched)
+        single = MPNService(FACTORY(), batched=batched)
         want = run_euclidean_fleet(single, seed=3, n_groups=12, rounds=6)
 
         with ProcessCluster(2, FACTORY, batched=batched) as proc:
@@ -264,7 +263,7 @@ class TestProcessClusterElasticEquivalence:
         assert proc.worker_exitcodes() == [0, 0, 0]
 
     def test_network_fleet_across_grow_and_shrink(self):
-        single = MPNService(share_space(FACTORY()))
+        single = MPNService(FACTORY())
         single.add_space("roads", ROADS())
         want = run_network_fleet(single, seed=44, rounds=5)
 

@@ -12,6 +12,7 @@ from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.index.backend import build_index
 from repro.index.entries import Entry
+from repro.index.flat import FlatRTree
 
 coord = st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False)
 point_lists = st.lists(
@@ -347,3 +348,54 @@ class TestScans:
         # Two balls that do not meet: no point lies in both.
         got = tree_200.intersect_balls([Point(0, 0), Point(1000, 1000)], [100.0, 100.0])
         assert got == []
+
+
+class TestRepackCarriesObjects:
+    def test_survivors_keep_their_key_and_entry_objects(self):
+        """A repack folds the deltas into a new packing but builds no
+        new key or Entry objects: every survivor's are carried over,
+        and the answers are a fresh bulk load's."""
+        rng = random.Random(21)
+        points = [Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(300)]
+        tree = FlatRTree.bulk_load(points, max_entries=8, delta_fraction=10.0)
+        adds = [(Point(rng.uniform(0, 100), rng.uniform(0, 100)), f"a{i}") for i in range(40)]
+        adds.append((Point(3, 4), "int-coords"))
+        tree.bulk_update(adds=adds[:20], removes=[(p, i) for i, p in enumerate(points[:30])])
+        tree.bulk_update(
+            adds=adds[20:],
+            removes=[(p, i) for i, p in enumerate(points[30:60], 30)] + [adds[0]],
+        )
+        groups = [[Point(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(3)]
+                  for _ in range(6)]
+        tree.gnn_many(groups, k=4)  # builds the Entry cache
+        delta = tree._delta
+        before = {e.payload: e for e in tree.entries()}
+        keys = {delta.payloads[i]: delta.keys[i] for i in delta.live_ids()}
+        assert tree.delta_debt() > 0
+
+        tree.repack()
+
+        assert tree.delta_debt() == 0
+        after = list(tree.entries())
+        assert len(after) == len(before) == 300 - 60 + 41 - 1
+        for entry in after:
+            assert entry is before[entry.payload]
+        for i in delta.live_ids():
+            assert delta.keys[i] is keys[delta.payloads[i]]
+        tree.validate()
+
+        fresh = FlatRTree.bulk_load(
+            [e.point for e in before.values()],
+            payloads=list(before),
+            max_entries=8,
+        )
+
+        def answer(pairs):
+            return [(d, e.point, e.payload) for d, e in pairs]
+
+        for agg in ("max", "sum"):
+            assert [answer(r) for r in tree.gnn_many(groups, 4, agg)] == [
+                answer(r) for r in fresh.gnn_many(groups, 4, agg)
+            ]
+            for group in groups:
+                assert answer(tree.gnn(group, 4, agg)) == answer(fresh.gnn(group, 4, agg))

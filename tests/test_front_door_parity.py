@@ -17,7 +17,6 @@ import pytest
 from repro.cluster import MPNCluster
 from repro.service import MemberState, MPNService, ReportEvent
 from repro.simulation import circle_policy
-from repro.space import share_space
 from repro.transport import ProcessCluster, UniformPoiSpaceFactory
 from tests.conftest import SMALL_WORLD
 
@@ -61,7 +60,7 @@ def test_bad_wave_raises_the_first_bad_event_in_request_order(door):
     same events — not whichever shard happens to validate first — and
     reaches no session and no worker."""
     rng = random.Random(3)
-    single = MPNService(share_space(FACTORY()))
+    single = MPNService(FACTORY())
     ids = []
     for _ in range(6):
         members = [SMALL_WORLD.sample(rng) for _ in range(2)]

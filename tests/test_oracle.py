@@ -15,7 +15,6 @@ from repro.index.oracle import (
 )
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.service import MPNService
-from repro.space import share_space
 from repro.space.network import NetworkPOISpace
 
 
@@ -302,12 +301,14 @@ class TestSharing:
         oracle = replica.index.oracle
         assert oracle.misses == misses and oracle.hits >= 1
 
-    def test_shared_space_epochs_share_the_oracle(self, space):
+    def test_space_epochs_share_the_oracle(self, space):
         pois = list(space.graph.nodes)[:6]
-        shared = share_space(NetworkPOISpace(space, pois))
+        shared = NetworkPOISpace(space, pois)
         assert shared.index.oracle is oracle_for(space)
         before = shared.index.oracle.stats()
+        epoch = shared.epoch
         shared.bulk_update(adds=[(list(space.graph.nodes)[10], None)])
+        assert shared.epoch == epoch + 1
         assert shared.index.oracle is oracle_for(space)
         assert shared.index.oracle.stats() == before
 

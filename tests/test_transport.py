@@ -34,7 +34,7 @@ from repro.service import (
     UnknownSpaceError,
 )
 from repro.simulation.policies import circle_policy, tile_policy
-from repro.space import Space, share_space
+from repro.space import Space
 from repro.transport import (
     ConnectionClosed,
     FrameDecodeError,
@@ -85,7 +85,7 @@ class TestFraming:
 
 @pytest.fixture(scope="class")
 def served():
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service) as server:
         yield server, service
 
@@ -356,7 +356,7 @@ class TestDegradation:
             assert server.server.requests_served == n_requests
 
     def test_errors_sent_counter_tracks_error_envelopes(self):
-        service = MPNService(share_space(FACTORY()))
+        service = MPNService(FACTORY())
         with ThreadedWireServer(service) as server:
             with WireClient(*server.address) as client:
                 client.dispatch(CloseSessionRequest(session_id=404))
@@ -364,7 +364,7 @@ class TestDegradation:
             assert server.server.errors_sent == 2
 
     def test_shutdown_control_drains_and_refuses_new_connections(self, rng):
-        service = MPNService(share_space(FACTORY()))
+        service = MPNService(FACTORY())
         server = ThreadedWireServer(service)
         address = server.start()
         try:
@@ -733,9 +733,9 @@ class TestLifecycle:
     def test_handoff_session_migrates_between_servers(self, rng):
         """export -> import across two live servers: the session keeps
         answering on the target exactly where the source left off."""
-        twin = MPNService(share_space(FACTORY()))
-        a = MPNService(share_space(FACTORY()))
-        b = MPNService(share_space(FACTORY()))
+        twin = MPNService(FACTORY())
+        a = MPNService(FACTORY())
+        b = MPNService(FACTORY())
         with ThreadedWireServer(a) as sa, ThreadedWireServer(b) as sb:
             ra = RemoteBackend(*sa.address, space=FACTORY())
             rb = RemoteBackend(*sb.address, space=FACTORY())

@@ -27,7 +27,6 @@ from repro.service import (
     ReportRequest,
 )
 from repro.simulation.policies import circle_policy
-from repro.space import share_space
 from repro.transport import (
     ConnectionClosed,
     RemoteBackend,
@@ -46,7 +45,7 @@ SERVER_MAX_FRAME = 64 * 1024
 
 @pytest.fixture()
 def served():
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service, max_frame_bytes=SERVER_MAX_FRAME) as server:
         yield server, service
 

@@ -31,7 +31,7 @@ from repro.simulation import (
     run_service,
     tile_d_policy,
 )
-from repro.space import as_space, share_space
+from repro.space import as_space
 from repro.transport import (
     GridNetworkSpaceFactory,
     ProcessCluster,
@@ -121,7 +121,7 @@ def drive_rounds(local, remote, ids, seed: int, rounds: int = 3) -> None:
 class TestRemoteBackendMatchesLocalService:
     def test_waves_and_churn_are_bit_identical_over_tcp(self):
         local = MPNService(FACTORY())
-        with ThreadedWireServer(MPNService(share_space(FACTORY()))) as server:
+        with ThreadedWireServer(MPNService(FACTORY())) as server:
             remote = RemoteBackend(*server.address, space=FACTORY())
             try:
                 ids = open_wire_twins(local, remote, seed=3, n_groups=10)
@@ -192,7 +192,7 @@ class TestRemoteBackendMatchesLocalService:
         dataset, groups, churn = build()
         poi_points = [e.point for e in dataset.tree.entries()]
         service = MPNService(
-            share_space(as_space(build_poi_tree(list(poi_points)))),
+            as_space(build_poi_tree(list(poi_points))),
             batched=batched,
         )
         with ThreadedWireServer(service) as server:
@@ -284,7 +284,7 @@ class TestProcessClusterMatchesInProcessCluster:
         untouched — the cross-process all-or-nothing contract.  The
         front door rejects the wave itself, with the exceptions a
         single service raises, so *nothing* crosses the wire."""
-        single = MPNService(share_space(FACTORY()))
+        single = MPNService(FACTORY())
         with ProcessCluster(2, FACTORY) as proc:
             rng = random.Random(5)
             ids = []

@@ -32,7 +32,6 @@ from repro.service import (
 )
 from repro.service.strategies import CircleMSRStrategy, register_strategy
 from repro.simulation.policies import circle_policy, custom_policy
-from repro.space import share_space
 from repro.transport import (
     DEFAULT_MAX_INFLIGHT,
     ConnectionClosed,
@@ -49,7 +48,7 @@ FACTORY = UniformPoiSpaceFactory(n_pois=350, seed=11)
 
 @pytest.fixture
 def served():
-    service = MPNService(share_space(FACTORY()))
+    service = MPNService(FACTORY())
     with ThreadedWireServer(service) as server:
         yield server, service
 
