@@ -4,9 +4,14 @@ Every road-network distance — the POI index's GNN kernel, network
 balls, ``net_tile`` verification, and
 :meth:`repro.network_ext.space.NetworkSpace.node_distances` /
 ``distance`` — is computed and cached here, by SciPy's C Dijkstra over
-the graph packed once into CSR arrays.  At 100k+ nodes each cached
-source costs ~800 KB of float64, so memory, not CPU, is what bounds
-city-scale graphs; three cooperating mechanisms sit behind one object:
+the graph packed once into CSR arrays.  Every walk over a road graph is
+planned here too (:meth:`DistanceOracle.path`): the scenario compiler's
+commuters and crowds, :func:`repro.network_ext.monitor.network_trajectory`
+and the Brinkhoff-like generator of :mod:`repro.mobility.network`.
+
+At 100k+ nodes each cached source costs ~800 KB of float64, so memory,
+not CPU, is what bounds city-scale graphs; three cooperating mechanisms
+sit behind one object:
 
 * an **LRU row cache** with a configurable byte budget
   (``row_cache_bytes``): full distance rows are exact and reusable but
@@ -300,6 +305,29 @@ class DistanceOracle:
             )[0]
         row[row > cutoff] = np.inf
         return row
+
+    def path(self, source: Hashable, target: Hashable) -> list[Hashable]:
+        """A shortest node path from ``source`` to ``target``, both ends
+        included (``[source]`` when they coincide).
+
+        One SciPy Dijkstra from ``source`` with predecessors, walked back
+        from ``target``.  Where every shortest path is unique (the
+        jittered city and ``build_road_network`` graphs) this is *the*
+        shortest path, node for node what networkx returns; where
+        equal-length alternatives exist it is one of them.  A
+        predecessor tree is not a distance row: the row cache and the
+        :meth:`stats` counters are left alone.  Unknown nodes raise
+        ``KeyError``; a target ``source`` cannot reach, ``ValueError``.
+        """
+        s, t = self.node_id[source], self.node_id[target]
+        _, pred = dijkstra(self._csgraph, indices=s, return_predecessors=True)
+        ids = [t]
+        while t != s:
+            t = int(pred[t])
+            if t < 0:
+                raise ValueError(f"no path from {source!r} to {target!r}")
+            ids.append(t)
+        return [self.nodes[i] for i in reversed(ids)]
 
     # ------------------------------------------------------------------
     # ALT landmarks

@@ -5,7 +5,10 @@ produces objects that travel the road network of Oldenburg along
 shortest paths with class-dependent speeds.  We reproduce exactly that
 behaviour on a synthetic road network: a perturbed grid graph with a
 fraction of edges removed (keeping it connected), which yields the
-irregular block structure of a real city map.
+irregular block structure of a real city map.  Trips are planned by the
+graph's :class:`~repro.index.oracle.DistanceOracle` (SciPy's Dijkstra
+over CSR arrays), the engine every road-network walk and distance in
+the package goes through.
 """
 
 from __future__ import annotations
@@ -105,6 +108,21 @@ def generate_network_trajectory(
     rng: random.Random,
 ) -> Trajectory:
     """One object: repeated shortest-path trips between random nodes."""
+    return _trips(graph, _planner(graph), n_timestamps, speed, rng)
+
+
+def _planner(graph: nx.Graph):
+    """The graph's distance oracle, which plans its trips.  It packs the
+    whole graph, so build one per graph, not one per trajectory."""
+    from repro.index.oracle import oracle_for
+    from repro.network_ext.space import NetworkSpace
+
+    return oracle_for(NetworkSpace(graph))
+
+
+def _trips(
+    graph: nx.Graph, planner, n_timestamps: int, speed: float, rng: random.Random
+) -> Trajectory:
     nodes = list(graph.nodes)
     current = rng.choice(nodes)
     points = [graph.nodes[current]["pos"]]
@@ -113,7 +131,7 @@ def generate_network_trajectory(
         dest = rng.choice(nodes)
         if dest == current:
             continue
-        path = nx.shortest_path(graph, current, dest, weight="length")
+        path = planner.path(current, dest)
         _walk_path(graph, path, speed, points.append, budget)
         current = dest
     return Trajectory(tuple(points[:n_timestamps]))
@@ -130,9 +148,10 @@ def brinkhoff_like(
     if params is None:
         params = NetworkParams()
     graph = build_road_network(world, params, seed)
+    planner = _planner(graph)
     rng = random.Random(seed + 1)
     out = []
     for k in range(n_trajectories):
         speed = params.speed_classes[k % len(params.speed_classes)]
-        out.append(generate_network_trajectory(graph, n_timestamps, speed, rng))
+        out.append(_trips(graph, planner, n_timestamps, speed, rng))
     return out

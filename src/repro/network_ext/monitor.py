@@ -8,7 +8,10 @@ alongside Euclidean groups.  This module supplies what those fleets
 replay: :class:`NetworkTrajectory`, one network position per
 timestamp, :func:`network_trajectory`, shortest-path motion at a fixed
 speed, and :func:`walk_path`, the fixed-speed walk along one node path
-that it and the scenario compiler share.
+that it and the scenario compiler share.  Paths come from
+:meth:`~repro.index.oracle.DistanceOracle.path` on the space's oracle,
+the one shortest-path engine of a road graph; planning a path leaves
+the oracle's row cache and counters alone.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-import networkx as nx
-
+from repro.index.oracle import oracle_for
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 
 
@@ -56,7 +58,10 @@ def network_trajectory(
     speed: float,
     rng: random.Random,
 ) -> NetworkTrajectory:
-    """Shortest-path motion emitting one NetworkPosition per timestamp."""
+    """Shortest-path motion emitting one NetworkPosition per timestamp:
+    trips between random nodes, each planned by the space's
+    :class:`~repro.index.oracle.DistanceOracle`."""
+    planner = oracle_for(space)
     nodes = list(space.graph.nodes)
     current = rng.choice(nodes)
     out: list[NetworkPosition] = [NetworkPosition.at_node(current)]
@@ -64,7 +69,7 @@ def network_trajectory(
         dest = rng.choice(nodes)
         if dest == current:
             continue
-        path = nx.shortest_path(space.graph, current, dest, weight="length")
+        path = planner.path(current, dest)
         walk_path(space, path, speed, out, n_timestamps)
         current = dest
     return NetworkTrajectory(tuple(out[:n_timestamps]))

@@ -216,6 +216,10 @@ class CompiledScenario:
     def _materialize_network(
         self, cohort: CohortSpec, entry: _ScheduleEntry, rng, n: int
     ) -> list:
+        """Members of one network session, walking shortest paths that the
+        planning space's own oracle plans (built on the first path; the
+        served space's oracle is never touched)."""
+        from repro.index.oracle import oracle_for
         from repro.network_ext.monitor import network_trajectory
 
         space = self._planning_space()
@@ -226,8 +230,6 @@ class CompiledScenario:
                 for _ in range(cohort.group_size)
             ]
         # commuter / event_crowd: one shortest path per group.
-        import networkx as nx
-
         origin = nodes[rng.randrange(len(nodes))]
         if cohort.kind == "commuter":
             dest = origin
@@ -237,7 +239,7 @@ class CompiledScenario:
             dest = self._venue(entry.cohort_idx)
             if dest == origin:
                 origin = nodes[(self._node_pos[dest] + 1) % len(nodes)]
-        path = nx.shortest_path(space.graph, origin, dest, weight="length")
+        path = oracle_for(space).path(origin, dest)
         walk = _walk_path(space, path, cohort.speed, n)
         return [_DelayedWalk(walk, m) for m in range(cohort.group_size)]
 

@@ -2,20 +2,24 @@
 and the one-cache-per-graph sharing contract (repro.index.oracle)."""
 
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from repro.geometry.rect import Rect
 from repro.index.oracle import (
     DistanceOracle,
     OracleConfig,
     oracle_for,
     padded_cutoff,
 )
+from repro.mobility.network import NetworkParams, build_road_network
 from repro.network_ext.space import NetworkPosition, NetworkSpace
 from repro.service import MPNService
 from repro.space.network import NetworkPOISpace
+from repro.workloads.citygraph import city_graph
 
 
 @pytest.fixture()
@@ -279,6 +283,86 @@ class TestOnlyDistanceCache:
             oracle_for(
                 space, OracleConfig(row_cache_bytes=row_budget(space, 2))
             )
+
+
+def seeded_pairs(graph, count, seed):
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes)
+    return [(rng.choice(nodes), rng.choice(nodes)) for _ in range(count)]
+
+
+class TestPath:
+    """``DistanceOracle.path``, refereed by networkx's Dijkstra: node for
+    node where shortest paths are unique, a valid shortest walk where
+    they tie, and invisible to the row cache either way."""
+
+    @pytest.mark.parametrize(
+        "graph, pairs",
+        [
+            (lambda: city_graph(grid_size=16, seed=17), 200),
+            (lambda: city_graph(grid_size=40, seed=5), 60),
+            (
+                lambda: build_road_network(
+                    Rect(0, 0, 1000, 1000), NetworkParams(grid_size=10), seed=3
+                ),
+                200,
+            ),
+        ],
+        ids=["city16", "city40", "road_network"],
+    )
+    def test_unique_paths_equal_networkx(self, graph, pairs):
+        graph = graph()
+        oracle = DistanceOracle(NetworkSpace(graph))
+        for a, b in seeded_pairs(graph, pairs, seed=len(graph)):
+            assert oracle.path(a, b) == nx.shortest_path(
+                graph, a, b, weight="length"
+            )
+
+    def test_tied_paths_are_shortest_walks(self):
+        graph = nx.grid_2d_graph(9, 9)
+        nx.set_edge_attributes(graph, 1.0, "length")
+        oracle = DistanceOracle(NetworkSpace(graph))
+        for a, b in seeded_pairs(graph, 100, seed=2):
+            path = oracle.path(a, b)
+            assert path[0] == a and path[-1] == b
+            assert all(graph.has_edge(u, v) for u, v in zip(path, path[1:]))
+            length = sum(
+                graph.edges[u, v]["length"] for u, v in zip(path, path[1:])
+            )
+            assert length == nx.shortest_path_length(
+                graph, a, b, weight="length"
+            )
+
+    def test_edges(self, space):
+        oracle = oracle_for(space)
+        node = next(iter(space.graph.nodes))
+        assert oracle.path(node, node) == [node]
+        with pytest.raises(KeyError):
+            oracle.path(node, "no such node")
+        with pytest.raises(KeyError):
+            oracle.path("no such node", node)
+
+    def test_unreachable_target_raises(self):
+        graph = nx.Graph()
+        graph.add_edge("a", "b", length=1.0)
+        graph.add_edge("c", "d", length=1.0)
+        oracle = DistanceOracle(SimpleNamespace(graph=graph))
+        assert oracle.path("a", "b") == ["a", "b"]
+        with pytest.raises(ValueError, match="no path"):
+            oracle.path("a", "d")
+
+    def test_paths_leave_cache_and_counters_alone(self, space):
+        oracle = oracle_for(
+            space, OracleConfig(row_cache_bytes=row_budget(space, 2))
+        )
+        nodes = list(space.graph.nodes)
+        for node in nodes[:3]:
+            oracle.row(oracle.node_id[node])  # fills and evicts
+        before, resident = oracle.stats(), list(oracle._rows)
+        for a, b in seeded_pairs(space.graph, 50, seed=4):
+            oracle.path(a, b)
+        assert oracle.stats() == before
+        assert list(oracle._rows) == resident
 
 
 class TestSharing:

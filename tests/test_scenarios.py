@@ -420,6 +420,35 @@ def test_network_ticks_build_one_planning_graph(monkeypatch):
     assert len(built) == 1
 
 
+def test_network_ticks_plan_on_their_own_oracle(monkeypatch):
+    """Path planning builds one oracle, on the planning graph, and never
+    reads or moves the served space's (the bench's ``index.oracle.*``
+    metrics count served work only)."""
+    import repro.index.oracle as oracle_mod
+
+    spec = network_churn_spec()
+    served = spec.space()
+    served_oracle = served.index.oracle
+    served.distance(*sorted(served.graph.nodes)[:2])
+    before = served_oracle.stats()
+
+    built = []
+
+    class Counting(oracle_mod.DistanceOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(oracle_mod, "DistanceOracle", Counting)
+    compiled = compile_spec(spec)
+    for _ in compiled.ticks():
+        pass
+    assert len(built) == 1
+    assert built[0] is compiled._planning_space()._distance_oracle
+    assert built[0] is not served_oracle
+    assert served_oracle.stats() == before
+
+
 class TestRecorder:
     def test_quantile_edges(self):
         assert quantiles_ms([]) == (0.0, 0.0)
