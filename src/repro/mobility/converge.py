@@ -31,13 +31,6 @@ class ConvergeParams:
     mill_step: float = 3.0  # nominal milling distance per timestamp
 
 
-def _clamp(pos: Point, world: Rect) -> Point:
-    return Point(
-        min(max(pos.x, world.x_lo), world.x_hi),
-        min(max(pos.y, world.y_lo), world.y_hi),
-    )
-
-
 def generate_converge_trajectory(
     world: Rect,
     n_timestamps: int,
@@ -46,43 +39,47 @@ def generate_converge_trajectory(
     rng: random.Random,
     start: Point | None = None,
 ) -> Trajectory:
-    """One trajectory converging on ``venue`` then milling around it."""
+    """One trajectory converging on ``venue`` then milling around it.
+
+    A step works on the coordinates as floats and builds one ``Point``,
+    already clamped to the world.
+    """
     if n_timestamps < 1:
         raise ValueError("need at least one timestamp")
     pos = start if start is not None else world.sample(rng)
     points = [pos]
+    x, y = pos.x, pos.y
+    vx, vy = venue.x, venue.y
+    x_lo, y_lo, x_hi, y_hi = world.x_lo, world.y_lo, world.x_hi, world.y_hi
+    gauss, uniform = rng.gauss, rng.uniform
+    atan2, cos, sin, hypot, pi = math.atan2, math.cos, math.sin, math.hypot, math.pi
+    speed, sigma = params.speed, params.speed * params.speed_jitter
+    heading_jitter, mill_radius = params.heading_jitter, params.mill_radius
+    mill_step, mill_sigma = params.mill_step, params.mill_step * 0.5
     arrived = False
     while len(points) < n_timestamps:
         if not arrived:
-            to_venue = pos.dist(venue)
-            step = max(
-                0.0, rng.gauss(params.speed, params.speed * params.speed_jitter)
-            )
-            if to_venue <= max(step, params.mill_radius):
+            to_venue = hypot(x - vx, y - vy)
+            step = max(0.0, gauss(speed, sigma))
+            if to_venue <= max(step, mill_radius):
                 arrived = True
                 continue
-            angle = math.atan2(venue.y - pos.y, venue.x - pos.x)
-            angle += rng.gauss(0.0, params.heading_jitter)
-            pos = _clamp(
-                Point(
-                    pos.x + step * math.cos(angle),
-                    pos.y + step * math.sin(angle),
-                ),
-                world,
-            )
+            angle = atan2(vy - y, vx - x)
+            angle += gauss(0.0, heading_jitter)
+            x += step * cos(angle)
+            y += step * sin(angle)
         else:
             # Milling: a short step in a random direction, pulled back
             # inside the venue radius if it strays.
-            angle = rng.uniform(-math.pi, math.pi)
-            step = max(0.0, rng.gauss(params.mill_step, params.mill_step * 0.5))
-            cand = Point(
-                pos.x + step * math.cos(angle), pos.y + step * math.sin(angle)
-            )
-            if cand.dist(venue) > params.mill_radius:
-                pull = math.atan2(venue.y - cand.y, venue.x - cand.x)
-                cand = Point(
-                    cand.x + step * math.cos(pull), cand.y + step * math.sin(pull)
-                )
-            pos = _clamp(cand, world)
-        points.append(pos)
+            angle = uniform(-pi, pi)
+            step = max(0.0, gauss(mill_step, mill_sigma))
+            x += step * cos(angle)
+            y += step * sin(angle)
+            if hypot(x - vx, y - vy) > mill_radius:
+                pull = atan2(vy - y, vx - x)
+                x += step * cos(pull)
+                y += step * sin(pull)
+        x = min(max(x, x_lo), x_hi)
+        y = min(max(y, y_lo), y_hi)
+        points.append(Point(x, y))
     return Trajectory(tuple(points[:n_timestamps]))

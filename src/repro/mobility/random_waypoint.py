@@ -29,10 +29,6 @@ class WaypointParams:
     heading_jitter: float = 0.08  # radians of per-step direction noise
 
 
-def _next_destination(world: Rect, rng: random.Random) -> Point:
-    return world.sample(rng)
-
-
 def generate_waypoint_trajectory(
     world: Rect,
     n_timestamps: int,
@@ -40,36 +36,44 @@ def generate_waypoint_trajectory(
     rng: random.Random,
     start: Point | None = None,
 ) -> Trajectory:
-    """One trajectory of ``n_timestamps`` locations."""
+    """One trajectory of ``n_timestamps`` locations.
+
+    A moving step works on the coordinates as floats and builds one
+    ``Point``, already clamped to the world.
+    """
     if n_timestamps < 1:
         raise ValueError("need at least one timestamp")
     pos = start if start is not None else world.sample(rng)
-    dest = _next_destination(world, rng)
+    dest = world.sample(rng)
     points = [pos]
+    x, y = pos.x, pos.y
+    x_lo, y_lo, x_hi, y_hi = world.x_lo, world.y_lo, world.x_hi, world.y_hi
+    gauss, draw = rng.gauss, rng.random
+    atan2, cos, sin, hypot = math.atan2, math.cos, math.sin, math.hypot
+    speed, sigma = params.speed, params.speed * params.speed_jitter
+    pause_odds = params.pause_probability * 10
+    heading_jitter = params.heading_jitter
     pause_left = 0
     while len(points) < n_timestamps:
         if pause_left > 0:
             pause_left -= 1
             points.append(pos)
             continue
-        to_dest = pos.dist(dest)
-        step = max(0.0, rng.gauss(params.speed, params.speed * params.speed_jitter))
+        to_dest = hypot(x - dest.x, y - dest.y)
+        step = max(0.0, gauss(speed, sigma))
         if to_dest <= step:
             pos = dest
-            dest = _next_destination(world, rng)
-            if rng.random() < params.pause_probability * 10:
+            x, y = pos.x, pos.y
+            dest = world.sample(rng)
+            if draw() < pause_odds:
                 pause_left = rng.randint(1, params.pause_max_steps)
         else:
-            angle = math.atan2(dest.y - pos.y, dest.x - pos.x)
-            angle += rng.gauss(0.0, params.heading_jitter)
-            pos = Point(
-                pos.x + step * math.cos(angle), pos.y + step * math.sin(angle)
-            )
+            angle = atan2(dest.y - y, dest.x - x)
+            angle += gauss(0.0, heading_jitter)
             # Keep inside the world.
-            pos = Point(
-                min(max(pos.x, world.x_lo), world.x_hi),
-                min(max(pos.y, world.y_lo), world.y_hi),
-            )
+            x = min(max(x + step * cos(angle), x_lo), x_hi)
+            y = min(max(y + step * sin(angle), y_lo), y_hi)
+            pos = Point(x, y)
         points.append(pos)
     return Trajectory(tuple(points[:n_timestamps]))
 

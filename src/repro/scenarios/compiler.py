@@ -4,11 +4,18 @@ The compiler turns a :class:`~repro.scenarios.spec.ScenarioSpec` into a
 deterministic stream of :class:`TickEvents` — one object per tick,
 yielded lazily.  Nothing population-sized is ever materialized at once:
 the eager part is an integer schedule (one ``(open_tick, cohort, k)``
-triple per session), and each session's member trajectories come into
-existence only at its open tick and are dropped at its close.  The
-stream carries pure kinematics (who exists, where everyone is); escape
-detection and service traffic are the runner's job, which is what makes
-the stream byte-identical regardless of the backend that consumes it.
+triple per session), and each session's member tracks (one tuple of
+per-tick positions per member) come into existence only at its open
+tick and are dropped at its close.  A live session holds
+``zip(*tracks)`` and each tick takes its next frame, so a tick costs
+one tuple per moving session.  The stream carries pure kinematics (who
+exists, where everyone is); escape detection and service traffic are
+the runner's job, which is what makes the stream byte-identical
+regardless of the backend that consumes it.
+
+POI churn is planned by index: a batch samples slots of the current
+POI list and deletes them in place, so it neither copies the list nor
+hashes every POI (see :meth:`CompiledScenario._churn_batch`).
 
 Determinism: every random draw comes from a generator seeded through
 ``numpy.random.SeedSequence`` over *integer* keys — never a string hash
@@ -82,34 +89,16 @@ class TickEvents:
     closes: tuple[int, ...]
 
 
-class _DelayedWalk:
-    """A member's view of a shared group trajectory, offset by ``delay``.
-
-    Network cohorts walk one shortest path per *group* (one Dijkstra,
-    not ``group_size``); member ``m`` trails the leader by ``m`` ticks,
-    which keeps the group spatially coherent without per-member paths.
-    """
-
-    __slots__ = ("trajectory", "delay")
-
-    def __init__(self, trajectory, delay: int):
-        self.trajectory = trajectory
-        self.delay = delay
-
-    def at(self, t: int):
-        return self.trajectory.at(max(0, t - self.delay))
-
-
-def _walk_path(space, path: Sequence, speed: float, n: int):
+def _walk_path(space, path: Sequence, speed: float, n: int) -> tuple:
     """``n`` per-tick positions walking ``path`` at ``speed``, then parked."""
-    from repro.network_ext.monitor import NetworkTrajectory, walk_path
+    from repro.network_ext.monitor import walk_path
     from repro.network_ext.space import NetworkPosition
 
     out = [NetworkPosition.at_node(path[0])]
     walk_path(space, path, speed, out, n)
     while len(out) < n:
         out.append(out[-1])
-    return NetworkTrajectory(tuple(out[:n]))
+    return tuple(out[:n])
 
 
 @dataclass(frozen=True)
@@ -202,8 +191,16 @@ class CompiledScenario:
             rng.uniform(world.y_lo + my, world.y_hi - my),
         )
 
-    def _materialize(self, entry: _ScheduleEntry) -> list:
-        """Member position providers for one opening session."""
+    def _materialize(self, entry: _ScheduleEntry) -> list[tuple]:
+        """Member tracks for one opening session.
+
+        A track is a tuple of the member's ``n = lifetime + 1`` per-tick
+        positions, index 0 at the open tick.  A session's frames are
+        ``zip(*tracks)``: the open takes the first and every later tick
+        the next, which is exact because a live session moves on every
+        tick from its open + 1 to its close - 1 and never past index
+        ``lifetime - 1``.
+        """
         cohort = self.spec.cohorts[entry.cohort_idx]
         rng = derive_rng(
             self.spec.seed, _KEY_TRAJECTORY, entry.cohort_idx, entry.k
@@ -215,7 +212,7 @@ class CompiledScenario:
 
     def _materialize_network(
         self, cohort: CohortSpec, entry: _ScheduleEntry, rng, n: int
-    ) -> list:
+    ) -> list[tuple]:
         """Members of one network session, walking shortest paths that the
         planning space's own oracle plans (built on the first path; the
         served space's oracle is never touched)."""
@@ -226,10 +223,13 @@ class CompiledScenario:
         nodes = self._nodes
         if cohort.kind == "wanderer":
             return [
-                network_trajectory(space, n, cohort.speed, rng)
+                network_trajectory(space, n, cohort.speed, rng).positions
                 for _ in range(cohort.group_size)
             ]
-        # commuter / event_crowd: one shortest path per group.
+        # commuter / event_crowd: one shortest path per group (one
+        # planned path, not ``group_size``); member ``m`` trails the
+        # leader by ``m`` ticks, parked at the origin until it starts,
+        # which keeps the group spatially coherent.
         origin = nodes[rng.randrange(len(nodes))]
         if cohort.kind == "commuter":
             dest = origin
@@ -241,11 +241,11 @@ class CompiledScenario:
                 origin = nodes[(self._node_pos[dest] + 1) % len(nodes)]
         path = oracle_for(space).path(origin, dest)
         walk = _walk_path(space, path, cohort.speed, n)
-        return [_DelayedWalk(walk, m) for m in range(cohort.group_size)]
+        return [(walk[0],) * m + walk[: n - m] for m in range(cohort.group_size)]
 
     def _materialize_euclidean(
         self, cohort: CohortSpec, entry: _ScheduleEntry, rng, n: int
-    ) -> list:
+    ) -> list[tuple]:
         from repro.geometry.point import Point
         from repro.mobility.converge import (
             ConvergeParams,
@@ -276,7 +276,7 @@ class CompiledScenario:
             return [
                 generate_converge_trajectory(
                     world, n, venue, params, rng, start=spawn()
-                )
+                ).points
                 for _ in range(cohort.group_size)
             ]
         if cohort.kind == "delivery":
@@ -290,7 +290,7 @@ class CompiledScenario:
         else:  # wanderer
             params = WaypointParams(speed=cohort.speed)
         return [
-            generate_waypoint_trajectory(world, n, params, rng, start=spawn())
+            generate_waypoint_trajectory(world, n, params, rng, start=spawn()).points
             for _ in range(cohort.group_size)
         ]
 
@@ -299,7 +299,16 @@ class CompiledScenario:
     # ------------------------------------------------------------------
 
     def _churn_batch(self, rng, current: list):
-        """One (adds, removes) batch; mutates ``current`` to match."""
+        """One (adds, removes) batch; mutates ``current`` to match.
+
+        Removals sample slots of ``current``, not its items: CPython's
+        ``sample`` reads only ``len`` and ``__getitem__`` and its draws
+        depend on ``(n, k)`` alone, so sampling ``range(len(current))``
+        picks the same POIs and leaves the same RNG state as sampling
+        the list, without copying or hashing it.  Each removal takes one
+        slot — the server's rule, one entry per removal — so a repeated
+        POI loses one copy.
+        """
         churn = self.spec.poi_churn
         if self.spec.space.kind == "network":
             present = set(current)
@@ -313,9 +322,11 @@ class CompiledScenario:
         # Never drain the space: keep at least four POIs resident so
         # every strategy still has competitors to rank.
         n_remove = min(churn.removes, max(0, len(current) - 4))
-        removed = rng.sample(current, n_remove)
-        gone = set(removed)
-        current[:] = [p for p in current if p not in gone] + list(adds)
+        picks = rng.sample(range(len(current)), n_remove)
+        removed = [current[j] for j in picks]
+        for j in sorted(picks, reverse=True):
+            del current[j]
+        current.extend(adds)
         return (
             tuple((p, None) for p in adds),
             tuple((p, None) for p in removed),
@@ -338,8 +349,7 @@ class CompiledScenario:
                 closes_at.setdefault(entry.close_tick, []).append(
                     entry.session_id
                 )
-        live: dict[int, list] = {}  # sid -> member position providers
-        opened_tick: dict[int, int] = {}  # sid -> open tick
+        live: dict[int, Iterator[tuple]] = {}  # sid -> its frames
         churn_rng = derive_rng(spec.seed, _KEY_CHURN)
         if not spec.poi_churn:
             current_pois = []
@@ -354,33 +364,29 @@ class CompiledScenario:
                 churn = self._churn_batch(churn_rng, current_pois)
             closing = tuple(sorted(closes_at.get(t, ())))
             closing_set = set(closing)
+            # Every session opened before ``t`` and not closing moves:
+            # one frame each, taken before this tick's opens join.
+            moves = tuple(
+                MoveEvent(session_id=sid, positions=next(live[sid]))
+                for sid in sorted(live)
+                if sid not in closing_set
+            )
             opens = []
             for entry in opens_at.get(t, ()):
                 cohort = spec.cohorts[entry.cohort_idx]
-                members = self._materialize(entry)
-                live[entry.session_id] = members
-                opened_tick[entry.session_id] = t
+                frames = zip(*self._materialize(entry))
+                live[entry.session_id] = frames
                 policy = cohort.policies[entry.k % len(cohort.policies)]
                 opens.append(
                     OpenEvent(
                         session_id=entry.session_id,
                         cohort=cohort.name,
                         policy=policy,
-                        positions=tuple(m.at(0) for m in members),
+                        positions=next(frames),
                     )
                 )
             self.total_opened += len(opens)
             self.peak_live = max(self.peak_live, len(live))
-            moves = tuple(
-                MoveEvent(
-                    session_id=sid,
-                    positions=tuple(
-                        m.at(t - opened_tick[sid]) for m in live[sid]
-                    ),
-                )
-                for sid in sorted(live)
-                if opened_tick[sid] < t and sid not in closing_set
-            )
             yield TickEvents(
                 tick=t,
                 churn=churn,
@@ -390,7 +396,6 @@ class CompiledScenario:
             )
             for sid in closing:
                 del live[sid]
-                del opened_tick[sid]
 
 
 def compile_spec(spec: ScenarioSpec) -> CompiledScenario:

@@ -7,7 +7,9 @@ import random
 import networkx as nx
 import pytest
 
+from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.mobility.converge import ConvergeParams, generate_converge_trajectory
 from repro.mobility.network import (
     NetworkParams,
     brinkhoff_like,
@@ -163,3 +165,70 @@ class TestBrinkhoffDigests:
     )
     def test_brinkhoff_like(self, seed, digest):
         assert trajectory_digest(brinkhoff_like(6, 400, WORLD, seed=seed)) == digest
+
+
+def _on_world_edge(p, world) -> bool:
+    return p.x in (world.x_lo, world.x_hi) or p.y in (world.y_lo, world.y_hi)
+
+
+class TestGeneratorDigests:
+    """The Euclidean scenario generators, pinned bit for bit.
+
+    Recorded while each moving step still built an unclamped ``Point``
+    and then a clamped one: a rewrite of the step arithmetic that moves
+    any float bit fails here.  Each case also asserts the branch it was
+    chosen to cover, so a re-pin cannot silently drop one.
+    """
+
+    DELIVERY = WaypointParams(
+        speed=40.0, speed_jitter=0.2, pause_probability=0.05, pause_max_steps=3
+    )
+
+    @pytest.mark.parametrize(
+        "case, digest",
+        [
+            ("default", "c98a88e5622bdc4a4fc1eb6744448ef6940d4b913eb3370478c85111697198e7"),
+            ("delivery", "21ad8dc7e1f0eb367b4231c7ad22ce46f126efb42926682d4021151902a60bab"),
+            ("edge_start", "944151152a9807271e7e3a097e679860a795d77d81eda1f9ab3d77d8ec45a1f6"),
+        ],
+    )
+    def test_waypoint(self, case, digest):
+        if case == "default":
+            traj = generate_waypoint_trajectory(
+                WORLD, 400, WaypointParams(), random.Random(41)
+            )
+        elif case == "delivery":
+            traj = generate_waypoint_trajectory(
+                WORLD, 400, self.DELIVERY, random.Random(42)
+            )
+            # Pauses fire: a paused step repeats the previous point.
+            assert sum(a == b for a, b in zip(traj, traj.points[1:])) >= 10
+        else:
+            traj = generate_waypoint_trajectory(
+                WORLD,
+                300,
+                WaypointParams(speed=20.0, heading_jitter=0.6),
+                random.Random(43),
+                start=Point(WORLD.x_lo, 500.0),
+            )
+            # The clamp fires: a later step lands exactly on a wall.
+            assert any(_on_world_edge(p, WORLD) for p in traj.points[1:])
+        assert trajectory_digest([traj]) == digest
+
+    def test_converge(self):
+        # Approach from a far corner, arrive, then mill around a venue
+        # 10 units from the east wall: the pull-back branch fires on
+        # strays beyond the 30-unit radius and the clamp on the wall.
+        venue = Point(990.0, 500.0)
+        params = ConvergeParams(speed=30.0, mill_radius=30.0, mill_step=8.0)
+        traj = generate_converge_trajectory(
+            WORLD, 200, venue, params, random.Random(44),
+            start=Point(100.0, 100.0),
+        )
+        assert traj[0].dist(venue) > 800.0
+        tail = traj.points[-150:]
+        assert all(p.dist(venue) <= 2 * params.mill_radius for p in tail)
+        assert any(_on_world_edge(p, WORLD) for p in traj.points[1:])
+        assert trajectory_digest([traj]) == (
+            "b9fe664ba10c2a733a54538631963dadf8b160c27f9a5302e26754858e3796e9"
+        )

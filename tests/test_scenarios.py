@@ -7,6 +7,7 @@ serving stack cannot honor before anything runs.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -401,6 +402,82 @@ class TestGoldenStreamDigests:
         assert stream_digest(network_churn_spec()) == (
             "ceaafb2fd0fb09929c4743d9cee360b9ad9aa77dc3429b3026fa909ee7a68947"
         )
+
+
+class TestChurnPlanner:
+    """The churn planner samples positions, not POIs: a removal batch is
+    ``rng.sample(range(len(current)), k)``, which neither copies nor
+    hashes the POI list, and the stream stays the one pinned above."""
+
+    @pytest.mark.parametrize("n", [*range(1, 22), 4000])
+    def test_index_sampling_matches_population_sampling(self, n):
+        # CPython's sample reads only len() and __getitem__ of the
+        # population, and its draws depend on (n, k) alone: sampling the
+        # positions picks the same items and leaves the same RNG state.
+        # A Python whose sample breaks this fails here, not in a digest.
+        pop = [Point(float(i), float(-i)) for i in range(n)]
+        for k in sorted({0, 1, n // 2, n - 1, n, min(n, 60)}):
+            by_item, by_index = random.Random(n * 97 + k), random.Random(n * 97 + k)
+            items = by_item.sample(pop, k)
+            picks = by_index.sample(range(n), k)
+            assert [pop[j] for j in picks] == items
+            assert by_index.getstate() == by_item.getstate()
+
+    @staticmethod
+    def _live_keys(service) -> list:
+        index = service.space.index
+        return index.poi_nodes() if hasattr(index, "poi_nodes") else index.points()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            euclidean_spec(
+                ticks=13, poi_churn=PoiChurnSpec(every=1, adds=3, removes=5)
+            ),
+            network_churn_spec(),
+        ],
+        ids=["euclidean", "network"],
+    )
+    def test_poi_list_tracks_the_served_index(self, spec, monkeypatch):
+        from repro.scenarios.compiler import CompiledScenario
+
+        lists = []
+        real = CompiledScenario._churn_batch
+
+        def recording(self, rng, current):
+            lists.append(current)
+            return real(self, rng, current)
+
+        monkeypatch.setattr(CompiledScenario, "_churn_batch", recording)
+        service = MPNService(spec.space())
+        batches = 0
+        for events in compile_spec(spec).ticks():
+            if events.churn is None:
+                continue
+            adds, removes = events.churn
+            service.update_pois(adds, removes)
+            batches += 1
+            assert Counter(lists[-1]) == Counter(self._live_keys(service))
+        assert batches >= 6 and all(current is lists[0] for current in lists)
+
+    def test_one_removal_drops_one_copy_of_a_repeated_poi(self):
+        # Every slot is one of two points, so each sampled removal hits a
+        # repeated key; it takes that one slot, as the server's delta
+        # layer takes one entry per removal.
+        spec = euclidean_spec(poi_churn=PoiChurnSpec(every=1, adds=2, removes=3))
+        compiled = compile_spec(spec)
+        a, b = Point(1.0, 1.0), Point(2.0, 2.0)
+        for seed in range(20):
+            current = [a, b] * 5
+            before = Counter(current)
+            adds, removes = compiled._churn_batch(random.Random(seed), current)
+            assert len(removes) == 3 and len(adds) == 2
+            assert len(current) == 10 - 3 + 2
+            assert Counter(current) == (
+                before
+                - Counter(p for p, _ in removes)
+                + Counter(p for p, _ in adds)
+            )
 
 
 def test_network_ticks_build_one_planning_graph(monkeypatch):
