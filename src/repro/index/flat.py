@@ -416,15 +416,24 @@ class FlatRTree:
         if not users:
             raise ValueError("user group must be non-empty")
         U = np.asarray([[u.x, u.y] for u in users], dtype=np.float64)
+        # Member axes fold left to right (kernels.fold), the order the
+        # batched kernel sums in; node matrices are (m, k), point
+        # matrices (k, m).
         if agg == "max":
             # max is monotone under squaring: search in squared space
             # (one sqrt per yielded result instead of m hypots per item).
-            node_bound = lambda b: kernels.min_dists_sq_multi(b, U).max(axis=0)
-            point_score = lambda p: kernels.point_dists_sq_multi(p, U).max(axis=1)
+            node_bound = lambda b: kernels.fold(
+                np.maximum, kernels.min_dists_sq_multi(b, U)
+            )
+            point_score = lambda p: kernels.fold(
+                np.maximum, kernels.point_dists_sq_multi(p, U).T
+            )
             finish = math.sqrt
         elif agg == "sum":
-            node_bound = lambda b: kernels.min_dists_multi(b, U).sum(axis=0)
-            point_score = lambda p: kernels.point_dists_multi(p, U).sum(axis=1)
+            node_bound = lambda b: kernels.fold(np.add, kernels.min_dists_multi(b, U))
+            point_score = lambda p: kernels.fold(
+                np.add, kernels.point_dists_multi(p, U).T
+            )
             finish = lambda s: s
         else:
             raise ValueError(f"unknown aggregate: {agg!r}")
@@ -445,7 +454,8 @@ class FlatRTree:
         """k-GNN for many equal-size groups in one vectorized pass.
 
         Ragged group sizes (or a declined batch kernel) fall back to
-        the per-group search; results are identical modulo ties.
+        the per-group search.  Both paths return the same rows bit for
+        bit, ties included: equal scores come out by ascending point id.
         """
         if not groups:
             return []

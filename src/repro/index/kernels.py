@@ -26,6 +26,18 @@ scored brute-force alongside, with the exact same float operations as
 their packed counterparts so delta-state answers are bit-identical to
 a fresh-rebuilt index.  When the view reports no deltas the kernels
 run their original slice-based fast paths untouched.
+
+Aggregates fold the member axis: a group's per-member distances are
+combined by :func:`fold` — ``op(op(d0, d1), d2) ...``, one elementwise
+``np.maximum`` / ``np.add`` per extra member — never by a ``.max`` /
+``.sum`` reduce along a short axis, which NumPy runs as one tiny inner
+loop per row (over 40x slower on a 6,000 x 2 array).  Every scorer,
+scalar or batched, node or point, sums in that one order, so a SUM
+score never depends on which path computed it.
+
+Ties: both k-GNN paths order results by ``(score, id)``.  Of two
+points at exactly the same aggregate distance, the lower id comes
+first, whether ``best_first`` or ``gnn_batch`` answered.
 """
 
 from __future__ import annotations
@@ -42,6 +54,22 @@ BoundFn = Callable[[np.ndarray], np.ndarray]
 ScoreFn = Callable[[np.ndarray], np.ndarray]
 # Mask variants used by the pruned scan.
 MaskFn = Callable[[np.ndarray], np.ndarray]
+
+
+def fold(op: Callable[[np.ndarray, np.ndarray], np.ndarray], parts) -> np.ndarray:
+    """Left fold ``op`` over ``parts`` (an array's leading axis or a
+    sequence of arrays): ``op(op(parts[0], parts[1]), parts[2]) ...``.
+
+    The member-axis aggregate of every scorer.  For fewer than eight
+    members it equals NumPy's own ``add`` / ``maximum`` reduce bit for
+    bit (MAX is exact in any order; NumPy's short-axis SUM runs left to
+    right below eight terms), at the cost of m - 1 elementwise calls.
+    """
+    it = iter(parts)
+    acc = next(it)
+    for part in it:
+        acc = op(acc, part)
+    return acc
 
 
 def min_dists_sq_multi(bounds: np.ndarray, users: np.ndarray) -> np.ndarray:
@@ -126,37 +154,35 @@ def best_first(tree, node_bound: BoundFn, point_score: ScoreFn) -> Iterator[tupl
     order), and tombstoned ids are dropped when a leaf's points are
     scored — dead points are never scored, so a full enumeration ends
     after exactly the live points.
+
+    Ties: the queue is keyed ``(score, is_point, id, seq)``.  A node
+    whose lower bound equals a point's score is expanded before that
+    point is yielded, so every point of an equal score is queued before
+    the first of them comes out, and they come out by ascending id —
+    the order ``gnn_batch`` selects in.  The root enters at bound 0.0
+    (no point scores lower), which spares scoring its one MBR.
     """
     levels = tree._levels
     alive, buf_pts, buf_ids = tree.delta_view()
-    counter = itertools.count()  # tie-breaker: heap never compares cursors
-    # Heap items: (score, seq, cursor_level, scores, ids, pos) where
-    # ids[pos:] are unconsumed nodes of that level (_POINTS: points).
+    seq = itertools.count()  # tie-breaker: heap never compares cursors
+
+    def cursor(level: int, scores: list, ids: list, pos: int = 0) -> tuple:
+        # Heap item over ids[pos:], unconsumed nodes of ``level`` (_POINTS:
+        # points), keyed (score, is_point, id, seq) on its next item.
+        return (scores[pos], level == _POINTS, ids[pos], next(seq), level, scores, ids, pos)
+
     heap: list = []
     if levels:
-        top = len(levels) - 1
-        root_bound = float(node_bound(levels[top].bounds[0:1])[0])
-        heap.append((root_bound, next(counter), top, [root_bound], [0], 0))
+        heap.append(cursor(len(levels) - 1, [0.0], [0]))
     if buf_pts is not None:
         sc = point_score(buf_pts)
         order = np.argsort(sc, kind="stable")
-        heap.append(
-            (
-                float(sc[order[0]]),
-                next(counter),
-                _POINTS,
-                sc[order].tolist(),
-                buf_ids[order].tolist(),
-                0,
-            )
-        )
+        heap.append(cursor(_POINTS, sc[order].tolist(), buf_ids[order].tolist()))
     heapq.heapify(heap)
     while heap:
-        score, _, clevel, scores, ids, pos = heapq.heappop(heap)
+        score, _, _, _, clevel, scores, ids, pos = heapq.heappop(heap)
         if pos + 1 < len(ids):  # re-arm the cursor for its next item
-            heapq.heappush(
-                heap, (scores[pos + 1], next(counter), clevel, scores, ids, pos + 1)
-            )
+            heapq.heappush(heap, cursor(clevel, scores, ids, pos + 1))
         if clevel == _POINTS:
             yield score, ids[pos]
             continue
@@ -183,17 +209,7 @@ def best_first(tree, node_bound: BoundFn, point_score: ScoreFn) -> Iterator[tupl
         child_ids = (
             (start + order).tolist() if pts_ids is None else pts_ids[order].tolist()
         )
-        heapq.heappush(
-            heap,
-            (
-                float(sc[order[0]]),
-                next(counter),
-                child_level,
-                sc[order].tolist(),
-                child_ids,
-                0,
-            ),
-        )
+        heapq.heappush(heap, cursor(child_level, sc[order].tolist(), child_ids))
 
 
 def _scorers(tree, U: np.ndarray, agg: str):
@@ -205,78 +221,55 @@ def _scorers(tree, U: np.ndarray, agg: str):
     ``buffer_points`` scores the arena's ``(nb, 2)`` point array
     against every group at once, shape ``(g, nb)``.  The packed
     closures gather from the level/point *column* arrays (contiguous
-    1-D), which beats row gathers of the packed 2-D layouts.  MAX
-    closures score in squared space, so the caller takes the square
-    root of the final MAX scores.
+    1-D), which beats row gathers of the packed 2-D layouts.  Per-member
+    offsets are laid out member axis first, ``(m, ...)``, and folded
+    row by row (:func:`fold`).  MAX closures score in squared space, so
+    the caller takes the square root of the final MAX scores.
 
-    Rounding parity: SUM scores use ``np.hypot`` exactly like the
-    scalar traversal's ``min_dists_multi`` / ``point_dists_multi``, so
-    a batched query returns bit-identical distances to its scalar
-    equivalent (the batched-service equivalence suite relies on this);
-    MAX scores stay in squared space on both paths and take one
-    correctly-rounded square root at the end, which is likewise
-    bit-identical.  ``buffer_points`` repeats the packed point float
-    ops verbatim, so arena and packed copies of the same point always
-    score identically.
+    Rounding parity: SUM scores use ``np.hypot`` and the same left fold
+    as the scalar traversal's scorers, so a batched query returns
+    bit-identical distances to its scalar equivalent (the
+    batched-service equivalence suite relies on this); MAX scores stay
+    in squared space on both paths and take one correctly-rounded
+    square root at the end, which is likewise bit-identical.
+    ``buffer_points`` repeats the packed point float ops verbatim, so
+    arena and packed copies of the same point always score identically.
     """
     squared = agg == "max"  # max is monotone under squaring; sum is not
     xs, ys = tree.point_columns()
-    qxm = np.ascontiguousarray(U[:, :, 0])  # (g, m)
-    qym = np.ascontiguousarray(U[:, :, 1])
-    ux3 = qxm[:, :, None]  # (g, m, 1)
-    uy3 = qym[:, :, None]
+    qx = np.ascontiguousarray(U[:, :, 0].T)  # (m, g)
+    qy = np.ascontiguousarray(U[:, :, 1].T)
+    ux3 = qx[:, :, None]  # (m, g, 1)
+    uy3 = qy[:, :, None]
+
+    def aggregate(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        if squared:
+            return fold(np.maximum, dx * dx + dy * dy)
+        return fold(np.add, np.hypot(dx, dy))
+
+    def gap(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        return np.maximum(np.maximum(lo - u, u - hi), 0.0)
 
     def block_bounds(lvl, cidx: np.ndarray) -> np.ndarray:
         lo_x, lo_y, hi_x, hi_y = lvl.columns()
-        blx = lo_x[cidx][:, None, :]  # (g, 1, cap)
-        bhx = hi_x[cidx][:, None, :]
-        bly = lo_y[cidx][:, None, :]
-        bhy = hi_y[cidx][:, None, :]
-        dx = np.maximum(np.maximum(blx - ux3, ux3 - bhx), 0.0)
-        dy = np.maximum(np.maximum(bly - uy3, uy3 - bhy), 0.0)
-        if squared:
-            D = dx * dx + dy * dy  # (g, m, cap)
-            return D.max(axis=1)
-        return np.hypot(dx, dy).sum(axis=1)
+        return aggregate(
+            gap(ux3, lo_x[cidx], hi_x[cidx]), gap(uy3, lo_y[cidx], hi_y[cidx])
+        )
 
     def block_points(pidx: np.ndarray) -> np.ndarray:
-        dx = xs[pidx][:, None, :] - ux3  # (g, m, cap)
-        dy = ys[pidx][:, None, :] - uy3
-        if squared:
-            d = dx * dx + dy * dy
-            return d.max(axis=1)
-        return np.hypot(dx, dy).sum(axis=1)
+        return aggregate(xs[pidx] - ux3, ys[pidx] - uy3)  # (m, g, cap) folded
 
     def pair_bounds(lvl, nid: np.ndarray, gidx: np.ndarray) -> np.ndarray:
         lo_x, lo_y, hi_x, hi_y = lvl.columns()
-        gx = qxm[gidx]  # (p, m)
-        gy = qym[gidx]
-        blx = lo_x[nid][:, None]
-        bhx = hi_x[nid][:, None]
-        bly = lo_y[nid][:, None]
-        bhy = hi_y[nid][:, None]
-        dx = np.maximum(np.maximum(blx - gx, gx - bhx), 0.0)
-        dy = np.maximum(np.maximum(bly - gy, gy - bhy), 0.0)
-        if squared:
-            D = dx * dx + dy * dy
-            return D.max(axis=1)
-        return np.hypot(dx, dy).sum(axis=1)
+        gx = qx[:, gidx]  # (m, p)
+        gy = qy[:, gidx]
+        return aggregate(gap(gx, lo_x[nid], hi_x[nid]), gap(gy, lo_y[nid], hi_y[nid]))
 
     def pair_points(nid: np.ndarray, gidx: np.ndarray) -> np.ndarray:
-        dx = xs[nid][:, None] - qxm[gidx]  # (p, m)
-        dy = ys[nid][:, None] - qym[gidx]
-        if squared:
-            d = dx * dx + dy * dy
-            return d.max(axis=1)
-        return np.hypot(dx, dy).sum(axis=1)
+        return aggregate(xs[nid] - qx[:, gidx], ys[nid] - qy[:, gidx])
 
     def buffer_points(bpts: np.ndarray) -> np.ndarray:
-        dx = bpts[:, 0][None, None, :] - ux3  # (g, m, nb)
-        dy = bpts[:, 1][None, None, :] - uy3
-        if squared:
-            d = dx * dx + dy * dy
-            return d.max(axis=1)
-        return np.hypot(dx, dy).sum(axis=1)
+        return aggregate(bpts[:, 0] - ux3, bpts[:, 1] - uy3)  # (m, g, nb) folded
 
     return block_bounds, block_points, pair_bounds, pair_points, buffer_points
 
@@ -286,17 +279,30 @@ def gnn_batch(
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Exact k-GNN for many groups in one vectorized pass.
 
-    ``U`` is ``(g, m, 2)`` — ``g`` groups of ``m`` users each.  Strategy: (1) greedy batched descent
-    from the root, each group following its minimum-lower-bound child,
-    lands every group on its most promising *seed leaf*; (2) the k-th
-    best aggregate distance over the seed leaf's live points plus the
-    whole arena upper-bounds the true k-th best; (3) a frontier of
-    (group, node) pairs descends from the root again, dropping every
-    pair whose lower bound exceeds the group's bound, and the
-    surviving leaves' live points — joined by the arena points under
-    the bound — are scored and segment-selected to the top k per
+    ``U`` is ``(g, m, 2)`` — ``g`` groups of ``m`` users each.  Strategy:
+    (1) greedy batched descent from the root, each group following its
+    minimum-lower-bound child, lands every group on its most promising
+    *seed leaf*; (2) the k-th best aggregate distance over the seed
+    leaf's live points plus the whole arena upper-bounds the true k-th
+    best; (3) a frontier of (group, node) pairs descends the tree,
+    dropping every pair whose lower bound exceeds the group's bound,
+    and the surviving leaves' live points — joined by the arena points
+    under the bound — are scored and segment-selected to the top k per
     group.  All three phases cost a constant number of NumPy calls per
-    tree level, independent of g.  Returns ``(scores, ids)`` of shape
+    tree level, independent of g.
+
+    Every (group, node) and (group, point) pair is scored at most once.
+    Phase (3) starts from the (g, fanout) block phase (1) already scored
+    for the root's children, not from the root: it keeps the pairs under
+    the bound and scores only the levels below them.  Up to fanout²
+    packed points the root's children are the leaves, so phase (3)
+    scores no node at all.  The seed leaf's points and the arena's,
+    scored in phase (2), join the candidates from there; phase (3)
+    scores only the other surviving leaves' points.  In a one-leaf tree
+    the seed leaf is the whole packing, so phase (3) scores nothing.
+
+    Results are ordered by ``(score, id)``: exact ties go to the lower
+    point id, as in ``best_first``.  Returns ``(scores, ids)`` of shape
     ``(g, k)``, or None when a precondition fails (no packed tree, or
     some group's candidate pool is thinner than k); the caller falls
     back to the incremental search, which handles every delta state.
@@ -314,8 +320,10 @@ def gnn_batch(
     # (1) greedy descent: per group, repeatedly step into the child
     # with the smallest aggregate lower bound.  Each level scores one
     # (g, fanout) block; the landing leaf is a good (not necessarily
-    # optimal) source for the pruning bound.
+    # optimal) source for the pruning bound.  The first block (the
+    # root's children, shared by every group) is kept for phase (3).
     seed = np.zeros(g, dtype=np.int64)
+    top_sc = None
     for level in range(len(levels) - 1, 0, -1):
         lvl = levels[level]
         start = lvl.start[seed]
@@ -326,6 +334,8 @@ def gnn_batch(
         valid = col[None, :] < count[:, None]
         sc = block_bounds(levels[level - 1], np.where(valid, cidx, 0))  # (g, cap)
         sc = np.where(valid, sc, np.inf)
+        if top_sc is None:
+            top_sc = sc
         seed = cidx[np.arange(g), sc.argmin(axis=1)]
 
     # (2) k-th best aggregate distance over each group's candidate
@@ -355,36 +365,49 @@ def gnn_batch(
     # shrink down the path), so every group keeps >= k candidates:
     # each pool point under the bound is either an arena point (never
     # pruned) or a live packed point whose ancestors' bounds are <=
-    # its own score <= the bound.
-    gid = np.arange(g, dtype=np.int64)
-    nid = np.zeros(g, dtype=np.int64)
-    for level in range(len(levels) - 1, -1, -1):
-        lvl = levels[level]
-        sc = pair_bounds(lvl, nid, gid)
-        keep = sc <= bound[gid]
+    # its own score <= the bound.  The seed leaf's points and the
+    # arena's were scored in (2); they join the candidates from there.
+    in_seed = pa <= bound[:, None]
+    gs, cs = np.nonzero(in_seed)
+    gids, nids, scs = [gs], [pidx[gs, cs]], [pa[in_seed]]
+    if top_sc is not None:  # else one leaf holds every packed point
+        # The frontier starts at the root's children, scored by (1).
+        gid, col = np.nonzero(top_sc <= bound[:, None])
+        nid = levels[-1].start[0] + col
+        for level in range(len(levels) - 2, 0, -1):
+            lvl = levels[level]
+            counts = lvl.count[nid]
+            gid = np.repeat(gid, counts)
+            nid = expand_ranges(lvl.start[nid], counts)
+            keep = pair_bounds(levels[level - 1], nid, gid) <= bound[gid]
+            gid = gid[keep]
+            nid = nid[keep]
+        keep = nid != seed[gid]  # leaf pairs: the seed leaf is scored
         gid = gid[keep]
         nid = nid[keep]
-        counts = lvl.count[nid]
+        counts = leaf.count[nid]
         gid = np.repeat(gid, counts)
-        nid = expand_ranges(lvl.start[nid], counts)
-
-    if alive is not None and nid.size:
-        keep = alive[nid]
-        gid = gid[keep]
-        nid = nid[keep]
-    sc = pair_points(nid, gid)
-    sel = sc <= bound[gid]  # drop losers before the sort
-    gid = gid[sel]
-    nid = nid[sel]
-    sc = sc[sel]
+        nid = expand_ranges(leaf.start[nid], counts)
+        if alive is not None and nid.size:
+            keep = alive[nid]
+            gid = gid[keep]
+            nid = nid[keep]
+        sc = pair_points(nid, gid)
+        sel = sc <= bound[gid]  # drop losers before the sort
+        gids.append(gid[sel])
+        nids.append(nid[sel])
+        scs.append(sc[sel])
     if bsc is not None:
         inb = bsc <= bound[:, None]  # (g, nb)
         gb, jb = np.nonzero(inb)
-        gid = np.concatenate([gid, gb.astype(np.int64)])
-        nid = np.concatenate([nid, buf_ids[jb]])
-        sc = np.concatenate([sc, bsc[inb]])
+        gids.append(gb)
+        nids.append(buf_ids[jb])
+        scs.append(bsc[inb])
+    gid = np.concatenate(gids)
+    nid = np.concatenate(nids)
+    sc = np.concatenate(scs)
 
-    # Segment-select the k best per group.
+    # Segment-select the k best per group, lower id first on a tie.
     order = np.lexsort((nid, sc, gid))
     sq_ = gid[order]
     seg_new = np.empty(len(sq_), dtype=bool)

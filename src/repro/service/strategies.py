@@ -96,9 +96,11 @@ class BatchableSafeRegionStrategy(SafeRegionStrategy, Protocol):
     * **Answer-preserving.**  ``build_regions_batch(groups, ...)`` must
       return exactly ``[self.compute(g, ...) for g in groups]`` — same
       meeting points, same regions, same region wire sizes and the same
-      integer work counters in ``stats`` (ties between equally-optimal
-      meeting points are the only tolerated divergence).  The
-      equivalence suite (``tests/test_service_batch_equivalence.py``)
+      integer work counters in ``stats``.  The built-ins meet it
+      exactly, ties included: both flat-index k-GNN paths put the lower
+      POI id first among equally-optimal meeting points.  A custom
+      strategy may diverge only between equally-optimal meeting points.
+      The equivalence suite (``tests/test_service_batch_equivalence.py``)
       enforces this for the built-ins.
     * **batch_key.**  Two strategy instances whose ``batch_key()``
       tokens are equal (and truthy under hashing) must be

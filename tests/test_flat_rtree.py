@@ -4,12 +4,16 @@ force."""
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.gnn.aggregate import Aggregate
+from repro.gnn.bruteforce import brute_force_gnn
+from repro.index import kernels
 from repro.index.backend import build_index
 from repro.index.entries import Entry
 from repro.index.flat import FlatRTree
@@ -399,3 +403,95 @@ class TestRepackCarriesObjects:
             ]
             for group in groups:
                 assert answer(tree.gnn(group, 4, agg)) == answer(fresh.gnn(group, 4, agg))
+
+
+def _referee_tree(fanout, n, state):
+    """A tree of ``n`` POIs (about one in ten a duplicate) in one of
+    three delta states, with its live ``payload -> point`` map."""
+    rng = random.Random(31 * n + fanout)
+    pts = []
+    for _ in range(n):
+        if pts and rng.random() < 0.1:
+            pts.append(rng.choice(pts))
+        else:
+            pts.append(Point(rng.uniform(0, 1000), rng.uniform(0, 1000)))
+    # delta_fraction keeps every delta in place (no automatic repack).
+    tree = FlatRTree.bulk_load(pts, max_entries=fanout, delta_fraction=10.0)
+    live = dict(enumerate(pts))
+    if state != "packed":
+        gone = rng.sample(range(n), max(1, n // 10))
+        adds = []
+        if state == "arena":  # new points, and copies of packed ones
+            adds = [
+                (rng.choice(pts) if j % 3 == 0 else
+                 Point(rng.uniform(0, 1000), rng.uniform(0, 1000)), n + j)
+                for j in range(max(2, n // 20))
+            ]
+        tree.bulk_update(adds=adds, removes=[(pts[i], i) for i in gone])
+        for i in gone:
+            del live[i]
+        live.update({payload: p for p, payload in adds})
+        alive, buf_pts, _ = tree.delta_view()
+        assert alive is not None and (buf_pts is not None) == (state == "arena")
+    return rng, tree, live
+
+
+class TestGnnKernelReferee:
+    """The batched k-GNN kernel against the scalar best-first search at
+    every tree depth (one leaf to seven levels) and delta state.
+
+    Both paths order by ``(score, id)``, so their rows must agree bit
+    for bit, exact ties included: the POI sets hold duplicates, the
+    arena holds copies of packed points, and half the groups stand on
+    POIs (a one-member group then ties every copy at 0; a two-member
+    SUM group ties its two POIs at their distance).  Scores must also
+    be the exhaustive scan's.
+    """
+
+    @pytest.mark.parametrize("state", ["packed", "tombstoned", "arena"])
+    @pytest.mark.parametrize("n", [3, 60, 700, 5000])
+    @pytest.mark.parametrize("fanout", [4, 8, 64])
+    def test_rows_equal_scalar_search(self, fanout, n, state):
+        rng, tree, live = _referee_tree(fanout, n, state)
+        locs = list(live.values())
+        key = lambda row: [(s, e.point, e.payload) for s, e in row]
+        answered = 0
+        for agg in (Aggregate.MAX, Aggregate.SUM):
+            for m in (1, 2, 3):
+                groups = [
+                    [rng.choice(locs) for _ in range(m)] if j % 2 else
+                    [Point(rng.uniform(-50, 1050), rng.uniform(-50, 1050))
+                     for _ in range(m)]
+                    for j in range(8)
+                ]
+                deep = [key(tree.gnn(group, 9, agg.value)) for group in groups]
+                U = np.asarray([[[u.x, u.y] for u in g] for g in groups])
+                for k in (1, 2, 9):
+                    answered += kernels.gnn_batch(tree, U, k, agg.value) is not None
+                    rows = tree.gnn_many(groups, k, agg.value)
+                    assert [key(r) for r in rows] == [d[:k] for d in deep]
+                for group, row in zip(groups, deep):
+                    brute = brute_force_gnn(locs, group, 9, agg)
+                    assert [s for s, _, _ in row] == pytest.approx(
+                        [s for s, _ in brute], rel=1e-12
+                    )
+        assert answered  # the kernel itself answered, not only the fallback
+
+    @pytest.mark.parametrize("state", ["packed", "arena"])
+    @pytest.mark.parametrize("m", [8, 9, 12])
+    def test_wide_sum_groups(self, m, state):
+        """From eight terms on, NumPy's own short-axis sum is pairwise,
+        not left to right.  Every scorer folds left to right, so the
+        seed leaf's bound and the frontier's scores of the same point
+        agree to the bit; a one-ulp gap would drop a candidate."""
+        rng, tree, live = _referee_tree(64, 3000, state)
+        groups = [
+            [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(m)]
+            for _ in range(40)
+        ]
+        U = np.asarray([[[u.x, u.y] for u in g] for g in groups])
+        assert kernels.gnn_batch(tree, U, 3, "sum") is not None
+        key = lambda row: [(s, e.point, e.payload) for s, e in row]
+        assert [key(r) for r in tree.gnn_many(groups, 3, "sum")] == [
+            key(tree.gnn(g, 3, "sum")) for g in groups
+        ]
