@@ -346,3 +346,57 @@ class TestBudgetExhaustion:
             best_dist, _ = network_gnn(space, pois, locs, 1, Aggregate.MAX)[0]
             po_dist = max(space.distance(l, po_target) for l in locs)
             assert po_dist <= best_dist + 1e-6
+
+
+class TestDegenerateUnit:
+    """An interval no longer than 1e-9 is never verified and charges no
+    counter, yet an edge whose only gaps are that short (each wider than
+    1e-12) still spends one of the user's ``alpha`` examinations."""
+
+    @staticmethod
+    def _case(alpha):
+        import networkx as nx
+
+        # The seed ball around ``a`` (radius 2 - 2**-32) reaches edge
+        # a-b from ``a`` directly and from ``b`` via ``c``, leaving a gap
+        # of 2**-31 (about 4.7e-10) at offset 2.  Edge a-b is the first
+        # frontier edge; the pendant a-q, the next one with a gap, is
+        # only examined on a second examination.
+        graph = nx.Graph()
+        graph.add_edge("a", "b", length=3.0)
+        graph.add_edge("a", "c", length=0.5)
+        graph.add_edge("c", "b", length=0.5)
+        graph.add_edge("a", "q", length=4.0 - 2.0**-31)
+        space = NetworkSpace(graph)
+        return network_tile_msr(
+            space,
+            ["a", "q"],
+            [NetworkPosition.at_node("a")],
+            NetworkTileConfig(alpha=alpha, split_level=0),
+        )
+
+    def test_degenerate_gap_is_skipped_but_examined(self):
+        result = self._case(alpha=1)
+        assert result.radius == 2.0 - 2.0**-32
+        spans = [
+            (iv.lo, iv.hi)
+            for iv in result.regions[0].intervals()
+            if (iv.u, iv.v) == ("a", "b")
+        ]
+        assert spans == [(0.0, 2.0 - 2.0**-32), (2.0 + 2.0**-32, 3.0)]
+        stats = result.stats
+        assert (
+            stats.point_checks,
+            stats.tile_verifications,
+            stats.tiles_added,
+            stats.tiles_rejected,
+        ) == (0, 0, 0, 0)
+
+    def test_next_edge_needs_a_second_examination(self):
+        stats = self._case(alpha=2).stats
+        assert (
+            stats.point_checks,
+            stats.tile_verifications,
+            stats.tiles_added,
+            stats.tiles_rejected,
+        ) == (1, 1, 0, 1)
