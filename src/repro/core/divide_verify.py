@@ -1,35 +1,33 @@
-"""Divide-Verify: divide-and-conquer tile verification (Algorithm 2).
+"""Divide-Verify: divide-and-conquer unit verification (Algorithm 2).
 
-If a whole tile fails verification it is split into four sub-tiles and
-each is retried recursively, up to ``level`` splits.  Sub-tiles that
-pass are added to the user's safe region; the call reports whether any
-(sub-)tile was added.
+If a whole unit fails verification it splits itself (a tile into four
+sub-tiles, a road-edge interval into two halves, less any too short to
+verify) and each part is retried recursively, up to ``level`` splits.
+Parts that pass are added to the user's safe region; the call reports
+whether any part was added.
 
 The verification predicate is injected (``tile_ok``), so the same
 recursion drives IT-Verify, GT-Verify, the exact verifier and
 Sum-GT-Verify, with either the index-pruned candidate set (Section 5.3)
-or the buffered one (Section 5.4, Algorithm 5).
+or the buffered one (Section 5.4, Algorithm 5), on either space.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.types import SafeRegionStats
-from repro.geometry.region import TileRegion
-from repro.geometry.tile import Tile
-
-TileOk = Callable[[Tile], bool]
-
 
 def divide_verify(
-    region: TileRegion,
-    tile: Tile,
+    region,
+    tile,
     level: int,
-    tile_ok: TileOk,
+    tile_ok: Callable[[Any], bool],
     stats: SafeRegionStats | None = None,
 ) -> bool:
-    """Algorithm 2.  Returns True iff some (sub-)tile entered ``region``."""
+    """Algorithm 2.  Returns True iff some part of ``tile`` entered
+    ``region``.  ``tile`` is any unit with ``split()``; ``region`` any
+    region with ``add(unit)``."""
     if tile_ok(tile):
         region.add(tile)
         if stats is not None:

@@ -170,6 +170,9 @@ class MaxVerifier:
     wrapper memoizes both per safe-region computation — semantics are
     identical to the module-level functions, which remain the uncached
     reference implementations.
+
+    Another unit type (a road-edge interval) reuses the decision by
+    overriding the geometry hooks :meth:`_unit_pair` and :meth:`_pairs`.
     """
 
     def __init__(self, po: Point, kind: str = "gt"):
@@ -203,6 +206,13 @@ class MaxVerifier:
             self._pair_memo[key] = (pairs, len(tiles))
         return pairs
 
+    def _unit_pair(self, s: Tile, p: Point) -> tuple[float, float]:
+        """``(||po, s||_max, ||p, s||_min)`` for the proposed unit."""
+        # Through the rect: this hook runs once per verification, and
+        # skipping Tile's delegating methods pays for the extra call.
+        rect = s.rect
+        return rect.max_dist(self.po), rect.min_dist(p)
+
     def verify(
         self,
         regions: Sequence[TileRegion],
@@ -218,16 +228,15 @@ class MaxVerifier:
             return it_verify(regions, user_idx, s, p, po, stats)
         if stats is not None:
             stats.tile_verifications += 1
-        do = s.max_dist(po)
-        dp = s.min_dist(p)
+        do, dp = self._unit_pair(s, p)
         per_user = [
             self._pairs(region, j, p)
             for j, region in enumerate(regions)
             if j != user_idx
         ]
-        own_pairs = self._pairs(regions[user_idx], user_idx, p)
         if self.kind == "exact":
             return _exact_from_pairs(per_user, do, dp)
+        own_pairs = self._pairs(regions[user_idx], user_idx, p)
         return _gt_from_pairs(per_user, own_pairs, do, dp)
 
 

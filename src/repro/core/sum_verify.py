@@ -30,7 +30,11 @@ from repro.geometry.tile import Tile
 
 
 class SumVerifier:
-    """Stateful Sum-GT-Verify for one safe-region computation."""
+    """Stateful Sum-GT-Verify for one safe-region computation.
+
+    Another unit type (a road-edge interval) reuses the check by
+    overriding the geometry hooks :meth:`_unit_min_f` and :meth:`_user_min_f`.
+    """
 
     def __init__(self, po: Point):
         self.po = po
@@ -58,6 +62,10 @@ class SumVerifier:
             table[key] = (value, len(tiles))
         return value
 
+    def _unit_min_f(self, s: Tile, p: Point) -> float:
+        """Minimum of ``||p', l|| - ||po, l||`` over the proposed unit."""
+        return min_dist_diff_tile(p, self.po, s.rect)
+
     def verify(
         self,
         regions: Sequence[TileRegion],
@@ -77,7 +85,7 @@ class SumVerifier:
         if stats is not None:
             stats.tile_verifications += 1
         self._ensure_users(len(regions))
-        total = min_dist_diff_tile(p, self.po, s.rect)
+        total = self._unit_min_f(s, p)
         if total >= 0.0 and len(regions) == 1:
             return True
         for j, region in enumerate(regions):

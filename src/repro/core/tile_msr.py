@@ -10,12 +10,15 @@ index pruning (Theorem 3/6) or the buffering optimization (Alg. 5).
 The SUM objective swaps in Theorem 5 for the seed radius,
 Sum-GT-Verify (Algorithm 6) for tile verification, and Theorems 6/7 for
 candidate pruning/buffering; everything else is shared.
+
+The road network's Tile-MSR runs the same :func:`grow_regions` on edge
+intervals (:mod:`repro.network_ext.tile_msr`).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.buffering import BufferSlots
 from repro.core.circle_msr import circle_msr
@@ -109,7 +112,29 @@ def tile_msr(
             region.add(Tile(Rect.from_point(u)))
 
     if side > 0.0:
-        _grow_regions(users, tree, config, headings, thetas, regions, po, stats)
+        directed = config.ordering is Ordering.DIRECTED and headings is not None
+        orderings = [
+            TileOrdering(
+                u,
+                side,
+                heading=headings[i] if directed else None,
+                theta=thetas[i]
+                if directed and thetas is not None and thetas[i] is not None
+                else config.theta,
+                max_layer=config.max_layer,
+            )
+            for i, u in enumerate(users)
+        ]
+        grow_regions(
+            regions,
+            orderings,
+            config.alpha,
+            config.split_level,
+            _select_candidate_supplier(config, tree, users, regions, po, stats),
+            _select_point_verifier(config, po),
+            po,
+            stats,
+        )
 
     stats.elapsed_seconds = time.perf_counter() - start
     return TileMSRResult(
@@ -124,69 +149,46 @@ def tile_msr(
     )
 
 
-def _grow_regions(
-    users: Sequence[Point],
-    tree: SpatialIndex,
-    config: TileMSRConfig,
-    headings: Optional[Sequence[Optional[float]]],
-    thetas: Optional[Sequence[Optional[float]]],
-    regions: list[TileRegion],
-    po: Point,
+def grow_regions(
+    regions: Sequence,
+    orderings: Sequence,
+    alpha: int,
+    split_level: int,
+    supplier: Callable[[int, Any], Optional[Sequence]],
+    verify: Callable,
+    po,
     stats: SafeRegionStats,
 ) -> None:
-    """Rounds 1..alpha of Algorithm 3 (lines 5-10)."""
-    side = regions[0].side
-    orderings = []
-    for i, u in enumerate(users):
-        heading = None
-        theta = config.theta
-        if config.ordering is Ordering.DIRECTED and headings is not None:
-            heading = headings[i]
-            if thetas is not None and thetas[i] is not None:
-                theta = thetas[i]
-        orderings.append(
-            TileOrdering(
-                u,
-                side,
-                heading=heading,
-                theta=theta,
-                max_layer=config.max_layer,
-            )
+    """Rounds 1..alpha of Algorithm 3 (lines 5-10), on any unit type.
+
+    Every round gives each user whose ordering is not exhausted one
+    ``turn(try_unit)``; the ordering's own turn rule decides how many
+    units that offers.  ``try_unit`` is Divide-Verify (Algorithm 2): a
+    unit passes when ``verify`` accepts it against every candidate
+    ``supplier(user_idx, unit)`` returns, and fails when the supplier
+    returns None (the buffer's precondition, Algorithm 5).
+    """
+
+    def turn_of(i: int) -> Callable[[Any], bool]:
+        def unit_ok(unit) -> bool:
+            cands = supplier(i, unit)
+            if cands is None:
+                return False
+            for p in cands:
+                stats.point_checks += 1
+                if not verify(regions, i, unit, p, po, stats):
+                    return False
+            return True
+
+        return lambda unit: divide_verify(
+            regions[i], unit, split_level, unit_ok, stats
         )
 
-    point_verify = _select_point_verifier(config, po)
-    supplier = _select_candidate_supplier(config, tree, users, regions, po, stats)
-
-    exhausted = [False] * len(users)
-    for _ in range(config.alpha):
-        progress = False
-        for i in range(len(users)):
-            if exhausted[i]:
-                continue
-            while True:
-                s = orderings[i].next_tile()
-                if s is None:
-                    exhausted[i] = True
-                    break
-
-                def tile_ok(tile: Tile, _i: int = i) -> bool:
-                    cands = supplier(_i, tile)
-                    if cands is None:
-                        return False
-                    for p in cands:
-                        stats.point_checks += 1
-                        if not point_verify(regions, _i, tile, p, po, stats):
-                            return False
-                    return True
-
-                added = divide_verify(
-                    regions[i], s, config.split_level, tile_ok, stats
-                )
-                if added:
-                    orderings[i].mark_accepted()
-                    progress = True
-                    break
-        if not progress and all(exhausted):
+    for _ in range(alpha):
+        for i, ordering in enumerate(orderings):
+            if not ordering.exhausted:
+                ordering.turn(turn_of(i))
+        if all(ordering.exhausted for ordering in orderings):
             break
 
 
@@ -208,20 +210,6 @@ def _select_candidate_supplier(
     """Candidate points per (user, tile): pruned index scan or buffer."""
     if config.buffer_b is not None:
         slots = BufferSlots(tree, users, config.objective, config.buffer_b, stats)
-
-        def buffered(user_idx: int, s: Tile) -> Optional[list[Point]]:
-            return slots.candidates(regions, user_idx, s)
-
-        return buffered
-
-    if config.objective is Aggregate.MAX:
-
-        def pruned_max(user_idx: int, s: Tile) -> Optional[list[Point]]:
-            return max_candidates(tree, users, regions, user_idx, s, po, stats)
-
-        return pruned_max
-
-    def pruned_sum(user_idx: int, s: Tile) -> Optional[list[Point]]:
-        return sum_candidates(tree, users, regions, user_idx, s, po, stats)
-
-    return pruned_sum
+        return lambda user_idx, s: slots.candidates(regions, user_idx, s)
+    prune = max_candidates if config.objective is Aggregate.MAX else sum_candidates
+    return lambda user_idx, s: prune(tree, users, regions, user_idx, s, po, stats)

@@ -14,7 +14,7 @@ at the user deviates from the predicted travel direction by more than
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.geometry.point import Point
 from repro.geometry.tile import Tile, tile_at
@@ -109,6 +109,9 @@ class TileOrdering:
     ``mark_accepted`` must be called whenever a produced tile (or any
     of its sub-tiles) enters the safe region, so the ordering knows the
     current layer is productive and may advance to the next one.
+
+    Its turn rule (:func:`repro.core.tile_msr.grow_regions`) is
+    round-robin: one accepted tile per user per round.
     """
 
     def __init__(
@@ -131,7 +134,7 @@ class TileOrdering:
         # that layer (Section 5.2); the origin tile's automatic
         # acceptance does not make layer 1 productive.
         self._layer_productive = False
-        self._exhausted = False
+        self.exhausted = side <= 0.0
 
     def _layer_cells(self, layer: int) -> list[tuple[int, int]]:
         cells = layer_offsets(layer)
@@ -147,13 +150,21 @@ class TileOrdering:
     def mark_accepted(self) -> None:
         self._layer_productive = True
 
+    def turn(self, try_tile: Callable[[Tile], bool]) -> None:
+        """One user's turn of a round (Algorithm 3, lines 7-10): offer
+        tiles to ``try_tile`` until it accepts one."""
+        while (tile := self.next_tile()) is not None:
+            if try_tile(tile):
+                self.mark_accepted()
+                return
+
     def next_tile(self) -> Optional[Tile]:
         """The next tile in the ordering, or None when exhausted."""
-        if self._exhausted or self.side <= 0.0:
+        if self.exhausted:
             return None
         while not self._queue:
             if not self._layer_productive or self._layer >= self.max_layer:
-                self._exhausted = True
+                self.exhausted = True
                 return None
             self._layer += 1
             self._layer_productive = False

@@ -1,37 +1,40 @@
 """Tile-MSR on road networks: recursive partitions of road segments.
 
 Section 8: "For Tile, we may replace recursive tiles by recursive
-partitions of the road network."  The Euclidean machinery transfers
-almost unchanged because the core results are metric-agnostic:
+partitions of the road network."  Algorithm 3 is core's
+(:func:`repro.core.tile_msr.grow_regions`: the driver, Divide-Verify,
+the candidate loop and the counters); this module supplies the road
+side.  The unit is an edge *interval*, halved when it fails, whose
+``(||po, unit||_max, ||p, unit||_min)`` pairs feed the exact
+verification (Lemma 1 holds in any metric) and whose distance-difference
+minima feed Sum-GT-Verify.  The region is a set of disjoint intervals
+per edge, seeded with the network ball of the Circle-MSR radius (the
+metric Theorem 1); the ordering is the distance-ordered edge frontier.
 
-* Lemma 1 (conservative verification) holds in any metric;
-* the exact tile-verification procedure of
-  :mod:`repro.core.gt_verify` consumes only per-unit
-  ``(||po, unit||_max, ||p, unit||_min)`` pairs — here the units are
-  edge *intervals* instead of square tiles
-  (:func:`repro.core.gt_verify._exact_from_pairs` is reused verbatim);
-* Theorem 3's candidate pruning only needs the triangle inequality.
-
-The region model: per-user sets of disjoint intervals on edges.  The
-seed region is the network ball of the network Circle-MSR radius
-(valid by the metric version of Theorem 1); growth proceeds in
-breadth-first order over frontier edges, and an interval failing
-verification is halved recursively up to ``split_level`` times — the
-"recursive partition" of the paper's sketch.
+Still unlike the Euclidean Tile-MSR: turns are sequential (a user
+examines up to ``alpha`` edges before the next starts), there is no
+Tile-D-b buffer, and every competitor POI is verified (no Theorem 3/6
+pruning).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from repro.core.gt_verify import _exact_from_pairs
+from repro.core.gt_verify import MaxVerifier
+from repro.core.sum_verify import SumVerifier
+from repro.core.tile_msr import grow_regions
 from repro.core.types import SafeRegionStats
 from repro.gnn.aggregate import Aggregate
 from repro.index.oracle import oracle_for
 from repro.network_ext.circle_msr import network_circle_msr
 from repro.network_ext.space import NetworkPosition, NetworkSpace
+
+# An interval no longer than this is never verified: Divide-Verify's
+# split leaves such halves out, and the frontier such gaps.
+_DEGENERATE = 1e-9
 
 
 def _canonical(u: Hashable, v: Hashable) -> tuple[Hashable, Hashable, bool]:
@@ -65,6 +68,10 @@ class EdgeInterval:
             EdgeInterval(self.u, self.v, mid, self.hi),
         )
 
+    def split(self) -> list["EdgeInterval"]:
+        """Divide-Verify's split: the halves long enough to verify."""
+        return [half for half in self.halves() if half.length > _DEGENERATE]
+
 
 class NetworkTileRegion:
     """A safe region as disjoint covered intervals over road edges."""
@@ -90,25 +97,18 @@ class NetworkTileRegion:
     def _anchor_dist_to_node(self, node: Hashable) -> float:
         return min(d0 + m.get(node, float("inf")) for d0, m in self._anchor_maps)
 
-    def _interval_extremes(
-        self, dist_u: float, dist_v: float, interval: EdgeInterval
-    ) -> tuple[float, float]:
-        """(min, max) of ``x -> min(dist_u + x, dist_v + L - x)`` over
-        the interval, where ``L`` is the full edge length."""
-        length = self.space.edge_length(interval.u, interval.v)
-
-        def value(x: float) -> float:
-            return min(dist_u + x, dist_v + (length - x))
-
-        lo_val = value(interval.lo)
-        hi_val = value(interval.hi)
-        low = min(lo_val, hi_val)
-        high = max(lo_val, hi_val)
-        # The two lines cross at the apex — a local maximum.
-        apex = (dist_v + length - dist_u) / 2.0
-        if interval.lo < apex < interval.hi:
-            high = max(high, (dist_u + dist_v + length) / 2.0)
-        return low, high
+    def uncovered(self, u: Hashable, v: Hashable) -> list[tuple[float, float]]:
+        """The gaps of canonical edge ``(u, v)`` wider than 1e-12."""
+        length = self.space.edge_length(u, v)
+        gaps = []
+        cursor = 0.0
+        for lo, hi in self._intervals.get((u, v), []):
+            if lo > cursor + 1e-12:
+                gaps.append((cursor, lo))
+            cursor = max(cursor, hi)
+        if cursor < length - 1e-12:
+            gaps.append((cursor, length))
+        return gaps
 
     def dist_pair_to_node(
         self, node: Hashable, node_dist_map: dict
@@ -117,28 +117,8 @@ class NetworkTileRegion:
         if not self._intervals:
             d = self._anchor_dist_to_node(node)
             return d, d
-        low = float("inf")
-        high = 0.0
-        for (u, v), spans in self._intervals.items():
-            du = node_dist_map.get(u, float("inf"))
-            dv = node_dist_map.get(v, float("inf"))
-            for lo, hi in spans:
-                l, h = self._interval_extremes(du, dv, EdgeInterval(u, v, lo, hi))
-                low = min(low, l)
-                high = max(high, h)
-        return low, high
-
-    def interval_pairs_to_node(self, node_dist_map: dict) -> list[tuple[float, float]]:
-        """Per-interval (min, max) distances — the units for verification."""
-        out = []
-        for (u, v), spans in self._intervals.items():
-            du = node_dist_map.get(u, float("inf"))
-            dv = node_dist_map.get(v, float("inf"))
-            for lo, hi in spans:
-                out.append(
-                    self._interval_extremes(du, dv, EdgeInterval(u, v, lo, hi))
-                )
-        return out
+        pairs = [_row_extremes(self.space, node_dist_map, iv) for iv in self.intervals()]
+        return min(low for low, _ in pairs), max(0.0, *(high for _, high in pairs))
 
     def add(self, interval: EdgeInterval) -> None:
         u, v, flipped = _canonical(interval.u, interval.v)
@@ -160,7 +140,7 @@ class NetworkTileRegion:
         # Maintain r_up: the anchor's max distance into the region.
         du = self._anchor_dist_to_node(u)
         dv = self._anchor_dist_to_node(v)
-        _, high = self._interval_extremes(du, dv, EdgeInterval(u, v, lo, hi))
+        _, high = _extremes(du, dv, length, EdgeInterval(u, v, lo, hi))
         self.r_up = max(self.r_up, high)
 
     def enclosing_ball(self) -> tuple[object, list[tuple[int, float]], float]:
@@ -266,23 +246,57 @@ class NetworkTileResult:
     stats: SafeRegionStats = field(default_factory=SafeRegionStats)
 
 
+
+
+def _extremes(
+    dist_u: float, dist_v: float, length: float, interval: EdgeInterval
+) -> tuple[float, float]:
+    """(min, max) of ``x -> min(dist_u + x, dist_v + length - x)`` over
+    the interval, where ``length`` is the full edge length."""
+
+    def value(x: float) -> float:
+        return min(dist_u + x, dist_v + (length - x))
+
+    lo_val = value(interval.lo)
+    hi_val = value(interval.hi)
+    low = min(lo_val, hi_val)
+    high = max(lo_val, hi_val)
+    # The two lines cross at the apex — a local maximum.
+    apex = (dist_v + length - dist_u) / 2.0
+    if interval.lo < apex < interval.hi:
+        high = max(high, (dist_u + dist_v + length) / 2.0)
+    return low, high
+
+
+def _row_extremes(
+    space: NetworkSpace, row, interval: EdgeInterval
+) -> tuple[float, float]:
+    """(min, max) distance from a distance row's source to the interval."""
+    inf = float("inf")
+    return _extremes(
+        row.get(interval.u, inf),
+        row.get(interval.v, inf),
+        space.edge_length(interval.u, interval.v),
+        interval,
+    )
+
+
 def _interval_min_dist_diff(
-    a_u: float,
-    a_v: float,
-    b_u: float,
-    b_v: float,
-    interval: EdgeInterval,
-    length: float,
+    space: NetworkSpace, p_row, po_row, interval: EdgeInterval
 ) -> float:
     """Min of ``d(p', x) - d(po, x)`` over an edge interval.
 
-    With ``a`` the distance map of ``p'`` and ``b`` that of ``po``,
+    With ``a`` the distance row of ``p'`` and ``b`` that of ``po``,
     both terms are min-of-two-lines in the offset ``x``; their
     difference is piecewise linear with breakpoints at the two apexes,
     so the minimum over ``[lo, hi]`` is attained at an interval
     endpoint or a clamped apex (the network analogue of the Euclidean
     hyperbola analysis of Section 6.3.1).
     """
+    inf = float("inf")
+    a_u, a_v = p_row.get(interval.u, inf), p_row.get(interval.v, inf)
+    b_u, b_v = po_row.get(interval.u, inf), po_row.get(interval.v, inf)
+    length = space.edge_length(interval.u, interval.v)
 
     def f(x: float) -> float:
         return min(a_u + x, a_v + (length - x)) - min(b_u + x, b_v + (length - x))
@@ -292,6 +306,85 @@ def _interval_min_dist_diff(
         if interval.lo < apex < interval.hi:
             candidates.append(apex)
     return min(f(x) for x in candidates)
+
+
+class _IntervalMaxVerifier(MaxVerifier):
+    """Core's exact MAX verification, with edge intervals as units."""
+
+    def __init__(self, space: NetworkSpace, rows: dict, po: Hashable):
+        super().__init__(po, "exact")
+        self.space, self.rows = space, rows
+
+    def _unit_pair(self, s: EdgeInterval, p: Hashable) -> tuple[float, float]:
+        return (
+            _row_extremes(self.space, self.rows[self.po], s)[1],
+            _row_extremes(self.space, self.rows[p], s)[0],
+        )
+
+    def _pairs(
+        self, region: NetworkTileRegion, user_idx: int, p: Hashable
+    ) -> list[tuple[float, float]]:
+        intervals = region.intervals()
+        if not intervals:
+            return [
+                (region._anchor_dist_to_node(self.po), region._anchor_dist_to_node(p))
+            ]
+        return [self._unit_pair(iv, p) for iv in intervals]
+
+
+class _IntervalSumVerifier(SumVerifier):
+    """Core's Sum-GT-Verify, with edge intervals as units."""
+
+    def __init__(self, space: NetworkSpace, rows: dict, po: Hashable):
+        super().__init__(po)
+        self.space, self.rows = space, rows
+
+    def _unit_min_f(self, s: EdgeInterval, p: Hashable) -> float:
+        return _interval_min_dist_diff(self.space, self.rows[p], self.rows[self.po], s)
+
+    def _user_min_f(
+        self, region: NetworkTileRegion, user_idx: int, p: Hashable
+    ) -> float:
+        intervals = region.intervals()
+        if not intervals:
+            anchor_dist = region._anchor_dist_to_node
+            return anchor_dist(p) - anchor_dist(self.po)
+        return min(self._unit_min_f(iv, p) for iv in intervals)
+
+
+class EdgeFrontier:
+    """The road network's ordering: the edges within ``max_reach`` of
+    the region's anchor, nearest first.
+
+    Its turn rule is sequential: one :meth:`turn` examines up to
+    ``alpha`` edges that still have a gap, offering every gap longer
+    than the degenerate bound to ``try_unit`` (an edge whose gaps are
+    all that short still counts as examined), and then the ordering is
+    exhausted, so each user grows fully before the next one starts.
+    """
+
+    def __init__(self, region: NetworkTileRegion, alpha: int, max_reach: float):
+        self._region = region
+        self._alpha = alpha
+        self.exhausted = False
+        self._heap: list[tuple[float, int, Hashable, Hashable]] = []
+        for u, v in region.space.graph.edges:
+            cu, cv, _ = _canonical(u, v)
+            d = min(region._anchor_dist_to_node(cu), region._anchor_dist_to_node(cv))
+            if d <= max_reach:
+                heapq.heappush(self._heap, (d, len(self._heap), cu, cv))
+
+    def turn(self, try_unit: Callable[[EdgeInterval], bool]) -> None:
+        examined = 0
+        while self._heap and examined < self._alpha:
+            _, _, u, v = heapq.heappop(self._heap)
+            gaps = self._region.uncovered(u, v)
+            if gaps:
+                examined += 1
+                for lo, hi in gaps:
+                    if hi - lo > _DEGENERATE:
+                        try_unit(EdgeInterval(u, v, lo, hi))
+        self.exhausted = True
 
 
 def network_tile_msr(
@@ -350,150 +443,20 @@ def network_tile_msr(
             region.add(EdgeInterval(u, v, lo, hi))
 
     competitors = [q for q in pois if q != po]
-    poi_maps = {q: space.node_distances(q) for q in competitors}
-    po_map = space.node_distances(po)
-
-    def verify_interval(user_idx: int, interval: EdgeInterval) -> bool:
-        """The metric Lemma 1 / exact verification for one interval."""
-        du_po = po_map.get(interval.u, float("inf"))
-        dv_po = po_map.get(interval.v, float("inf"))
-        _, a = regions[user_idx]._interval_extremes(du_po, dv_po, interval)
-        # Theorem 3 pruning, metric form: p is a candidate only if its
-        # lower bound can undercut the group's po upper bound.
-        top = a
-        for j, region in enumerate(regions):
-            if j == user_idx:
-                continue
-            _, high = region.dist_pair_to_node(po, po_map)
-            top = max(top, high)
-        for q in competitors:
-            q_map = poi_maps[q]
-            du_q = q_map.get(interval.u, float("inf"))
-            dv_q = q_map.get(interval.v, float("inf"))
-            b, _ = regions[user_idx]._interval_extremes(du_q, dv_q, interval)
-            stats.point_checks += 1
-            per_user = []
-            for j, region in enumerate(regions):
-                if j == user_idx:
-                    continue
-                pairs = [
-                    (pa, pb)
-                    for (_, pa), (pb, _) in zip(
-                        region.interval_pairs_to_node(po_map),
-                        region.interval_pairs_to_node(q_map),
-                    )
-                ]
-                if not pairs:
-                    d_po = region._anchor_dist_to_node(po)
-                    d_q = region._anchor_dist_to_node(q)
-                    pairs = [(d_po, d_q)]
-                per_user.append(pairs)
-            stats.tile_verifications += 1
-            if not _exact_from_pairs(per_user, a, b):
-                return False
-        return True
-
-    def region_min_dist_diff(
-        region: NetworkTileRegion, q: Hashable, q_map: dict
-    ) -> float:
-        """Min of ``d(q, l) - d(po, l)`` over a whole region (Alg. 6)."""
-        intervals = region.intervals()
-        if not intervals:
-            return region._anchor_dist_to_node(q) - region._anchor_dist_to_node(po)
-        best = float("inf")
-        for iv in intervals:
-            length = space.edge_length(iv.u, iv.v)
-            best = min(
-                best,
-                _interval_min_dist_diff(
-                    q_map.get(iv.u, float("inf")),
-                    q_map.get(iv.v, float("inf")),
-                    po_map.get(iv.u, float("inf")),
-                    po_map.get(iv.v, float("inf")),
-                    iv,
-                    length,
-                ),
-            )
-        return best
-
-    def sum_verify_interval(user_idx: int, interval: EdgeInterval) -> bool:
-        """The SUM objective: sum of per-user minima must stay >= 0."""
-        length = space.edge_length(interval.u, interval.v)
-        others = [j for j in range(len(regions)) if j != user_idx]
-        for q in competitors:
-            q_map = poi_maps[q]
-            stats.point_checks += 1
-            stats.tile_verifications += 1
-            total = _interval_min_dist_diff(
-                q_map.get(interval.u, float("inf")),
-                q_map.get(interval.v, float("inf")),
-                po_map.get(interval.u, float("inf")),
-                po_map.get(interval.v, float("inf")),
-                interval,
-                length,
-            )
-            for j in others:
-                total += region_min_dist_diff(regions[j], q, q_map)
-            if total < 0.0:
-                return False
-        return True
-
-    def divide_verify(user_idx: int, interval: EdgeInterval, level: int) -> bool:
-        if interval.length <= 1e-9:
-            return False
-        check = (
-            verify_interval if objective is Aggregate.MAX else sum_verify_interval
-        )
-        if check(user_idx, interval):
-            regions[user_idx].add(interval)
-            stats.tiles_added += 1
-            return True
-        if level > 0:
-            left, right = interval.halves()
-            added_left = divide_verify(user_idx, left, level - 1)
-            added_right = divide_verify(user_idx, right, level - 1)
-            return added_left or added_right
-        stats.tiles_rejected += 1
-        return False
-
-    # Frontier growth in increasing network distance from each user.
+    rows = {q: space.node_distances(q) for q in [*competitors, po]}
+    if objective is Aggregate.MAX:
+        verifier = _IntervalMaxVerifier(space, rows, po)
+    else:
+        verifier = _IntervalSumVerifier(space, rows, po)
     max_reach = radius * config.max_radius_factor
-    for i, user in enumerate(users):
-        frontier: list[tuple[float, int, Hashable, Hashable]] = []
-        counter = 0
-        seen: set[tuple[Hashable, Hashable]] = set()
-        dist_maps = [(d0, space.node_distances(n)) for n, d0 in space.anchors(user)]
-
-        def user_dist(node: Hashable) -> float:
-            return min(d0 + m.get(node, float("inf")) for d0, m in dist_maps)
-
-        for u, v in space.graph.edges:
-            cu, cv, _ = _canonical(u, v)
-            d = min(user_dist(cu), user_dist(cv))
-            if d <= max_reach:
-                heapq.heappush(frontier, (d, counter, cu, cv))
-                counter += 1
-        examined = 0
-        while frontier and examined < config.alpha:
-            _, _, u, v = heapq.heappop(frontier)
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            length = space.edge_length(u, v)
-            covered = regions[i]._intervals.get((u, v), [])
-            # Uncovered gaps on this edge are the candidate units.
-            gaps = []
-            cursor = 0.0
-            for lo, hi in covered:
-                if lo > cursor + 1e-12:
-                    gaps.append((cursor, lo))
-                cursor = max(cursor, hi)
-            if cursor < length - 1e-12:
-                gaps.append((cursor, length))
-            if not gaps:
-                continue
-            examined += 1
-            for lo, hi in gaps:
-                divide_verify(i, EdgeInterval(u, v, lo, hi), config.split_level)
-
+    grow_regions(
+        regions,
+        [EdgeFrontier(region, config.alpha, max_reach) for region in regions],
+        config.alpha,
+        config.split_level,
+        lambda user_idx, unit: competitors,
+        verifier.verify,
+        po,
+        stats,
+    )
     return NetworkTileResult(po, seed.po_dist, radius, regions, objective, stats)

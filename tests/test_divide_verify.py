@@ -80,3 +80,62 @@ class TestDivideVerify:
         divide_verify(region, t, 3, bottom_half)
         area = sum(s.rect.area for s in region)
         assert area == t.rect.area / 2
+
+
+class _Recorder(list):
+    """A region that records the units Divide-Verify adds, in order."""
+
+    add = list.append
+
+
+class TestDivideVerifyEdgeInterval:
+    """The same recursion on a road-edge interval, which halves itself."""
+
+    @staticmethod
+    def _interval(lo=0.0, hi=8.0):
+        from repro.network_ext.tile_msr import EdgeInterval
+
+        return EdgeInterval("a", "b", lo, hi)
+
+    def test_recursion_depth_bounded(self):
+        tried = []
+
+        def never(iv):
+            tried.append(iv.length)
+            return False
+
+        assert not divide_verify(_Recorder(), self._interval(), 2, never)
+        # 1 whole + 2 halves + 4 quarters; none shorter than a quarter.
+        assert len(tried) == 7
+        assert min(tried) == 2.0
+
+    def test_both_halves_tried_after_first_accepted(self):
+        region = _Recorder()
+        seen = []
+
+        def halves_only(iv):
+            seen.append((iv.lo, iv.hi))
+            return iv.length <= 4.0
+
+        assert divide_verify(region, self._interval(), 1, halves_only)
+        assert seen == [(0.0, 8.0), (0.0, 4.0), (4.0, 8.0)]
+        assert [(iv.lo, iv.hi) for iv in region] == [(0.0, 4.0), (4.0, 8.0)]
+
+    def test_rejections_charged_only_at_last_level(self):
+        stats = SafeRegionStats()
+        assert not divide_verify(_Recorder(), self._interval(), 2, lambda iv: False, stats)
+        assert stats.tiles_rejected == 4
+        assert stats.tiles_added == 0
+
+    def test_degenerate_halves_neither_tried_nor_charged(self):
+        stats = SafeRegionStats()
+        tried = []
+
+        def never(iv):
+            tried.append(iv)
+            return False
+
+        # Halves of 7.5e-10 are at or below the 1e-9 degenerate bound.
+        assert not divide_verify(_Recorder(), self._interval(0.0, 1.5e-9), 1, never, stats)
+        assert len(tried) == 1
+        assert stats.tiles_rejected == 0
