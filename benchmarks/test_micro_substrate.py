@@ -10,7 +10,9 @@ scan of the same points — every query scores every point in one
 vectorized call — and the final test computes the flat-over-scan
 speedup ratios from the recorded timings and asserts per-op floors:
 the index must keep paying for itself against the simplest correct
-answer.
+answer.  The batched k-GNN also runs flat-only in a churned delta
+state (tombstones plus a live insert arena, held unpacked), checked
+against a fresh packing of the same live set; it has no floor.
 """
 
 from __future__ import annotations
@@ -154,6 +156,32 @@ def test_sum_gnn_50k(benchmark, trees, groups, impl):
         benchmark, "find_gnn_sum", impl, lambda: tree.gnn_many(groups, 2, "sum")
     )
     assert all(len(r) == 2 for r in result)
+
+
+@pytest.fixture(scope="module")
+def churned(big_points):
+    """The flat tree after 3,000 uniform adds and 3,000 removes — a debt
+    of 6,000, under the default repack fraction of 50k live points, so
+    the deltas stay unpacked — beside a fresh packing of its live set."""
+    rng = random.Random(7)
+    tree = build_index(big_points)
+    gone = rng.sample(range(len(big_points)), 3000)
+    adds = [(WORLD.sample(rng), len(big_points) + j) for j in range(3000)]
+    tree.bulk_update(adds=adds, removes=[(big_points[i], i) for i in gone])
+    assert tree.build_count == 1 and tree.delta_debt() == 6000
+    dead = set(gone)
+    live = [(p, i) for i, p in enumerate(big_points) if i not in dead] + adds
+    fresh = build_index([p for p, _ in live], payloads=[i for _, i in live])
+    return tree, fresh
+
+
+@pytest.mark.parametrize("agg", ["max", "sum"])
+def test_gnn_50k_churned(benchmark, churned, groups, agg):
+    """Batched MAX / SUM k-GNN over tombstones and a 3,000-point arena."""
+    tree, fresh = churned
+    result = benchmark(lambda: tree.gnn_many(groups, 2, agg))
+    key = lambda rows: [[(s, e.point) for s, e in row] for row in rows]
+    assert key(result) == key(fresh.gnn_many(groups, 2, agg))
 
 
 @pytest.fixture(scope="module")

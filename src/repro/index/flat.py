@@ -31,11 +31,13 @@ the wrong cost model.  Mutations therefore flow through the shared
 * deletions set a bit in a **tombstone mask** over the packed point
   array (the packing, its MBRs and its entry cache stay untouched —
   MBRs over a superset remain valid lower bounds);
-* insertions land in a **buffered side arena** of unpacked points,
-  scored brute-force by every kernel (the arena is small by
-  construction, see below);
-* every query answers over ``packed ∪ buffer − tombstones`` — the
-  kernels take the live view from :meth:`delta_view`;
+* insertions land in a **buffered side arena** of unpacked points
+  (small by construction, see below).  It has no MBRs: the scalar
+  search and the scans score or mask all of it, in insertion order
+  (:meth:`delta_view`); the batched k-GNN kernel scores, per group,
+  only the arena points inside the group's x-interval, sliced from the
+  x-sorted arena columns (:meth:`arena_columns`);
+* every query answers over ``packed ∪ buffer − tombstones``;
 * when the delta debt (tombstones + arena entries) exceeds
   ``delta_fraction`` of the live size, :meth:`repack` folds the deltas
   into a fresh STR packing — so the arena stays a bounded fraction of
@@ -49,7 +51,8 @@ the rebuild-per-batch behavior this layer replaces, kept reachable as
 the baseline for the churn benchmarks.  Removal batches resolve
 against the layer's lazily built point -> live-ids map, so a small
 batch costs O(batch), not O(n).  The tree itself keeps only the STR
-packing, the Entry cache and :meth:`FlatRTree.delta_view`.
+packing, the Entry cache and the two live-view caches
+(:meth:`FlatRTree.delta_view`, :meth:`FlatRTree.arena_columns`).
 """
 
 from __future__ import annotations
@@ -150,6 +153,7 @@ class FlatRTree:
         self._delta_cache: Optional[
             tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]
         ] = None
+        self._arena_cols: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @property
     def delta_fraction(self) -> float:
@@ -192,6 +196,7 @@ class FlatRTree:
         self._entry_cache = []
         self._pt_cols = None
         self._delta_cache = None
+        self._arena_cols = None
         self.build_count += 1
         if len(pts) == 0:
             self._pts = np.empty((0, 2), dtype=np.float64)
@@ -264,6 +269,7 @@ class FlatRTree:
         """
         self._delta.update(adds, removes)
         self._delta_cache = None
+        self._arena_cols = None
         self.delta_batches += 1
         if self._delta.needs_repack():
             self.repack()
@@ -306,6 +312,28 @@ class FlatRTree:
                 buf_pts = self._arena_coords(ids)
             self._delta_cache = (alive, buf_pts, buf_ids)
         return self._delta_cache
+
+    def arena_columns(
+        self,
+    ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The live arena sorted by x: ``(xs, ys, ids)`` as contiguous
+        1-D columns, or ``None`` when the arena is empty.
+
+        The batched k-GNN kernel slices it per group with
+        ``np.searchsorted`` on ``xs``.  Built lazily, once per delta
+        batch, and dropped with :meth:`delta_view`'s cache.
+        """
+        _, buf_pts, buf_ids = self.delta_view()
+        if buf_pts is None:
+            return None
+        if self._arena_cols is None:
+            order = np.argsort(buf_pts[:, 0], kind="stable")
+            self._arena_cols = (
+                np.ascontiguousarray(buf_pts[order, 0]),
+                np.ascontiguousarray(buf_pts[order, 1]),
+                buf_ids[order],
+            )
+        return self._arena_cols
 
     def delta_debt(self) -> int:
         """Tombstones + arena slots — what the next repack would fold."""
@@ -453,7 +481,8 @@ class FlatRTree:
     ) -> list[list[tuple[float, Entry]]]:
         """k-GNN for many equal-size groups in one vectorized pass.
 
-        Ragged group sizes (or a declined batch kernel) fall back to
+        Ragged group sizes, ``k`` above the live size and a tree with
+        nothing packed (every point still in the arena) fall back to
         the per-group search.  Both paths return the same rows bit for
         bit, ties included: equal scores come out by ascending point id.
         """

@@ -18,14 +18,24 @@ contiguous range ``start[i] : start[i] + count[i]`` of the level below
 (leaf nodes range over the packed point array instead).
 
 Every kernel answers over the tree's **live view** — packed points
-minus tombstones, plus the buffered-insert arena — taken from
-``tree.delta_view()``.  Tombstoned points are filtered at the moment
-leaf ids materialize (node MBRs over a superset stay valid lower
-bounds, so the traversal itself needs no change); arena points are
-scored brute-force alongside, with the exact same float operations as
-their packed counterparts so delta-state answers are bit-identical to
-a fresh-rebuilt index.  When the view reports no deltas the kernels
-run their original slice-based fast paths untouched.
+minus tombstones, plus the buffered-insert arena.  Tombstoned points
+are filtered at the moment leaf ids materialize (node MBRs over a
+superset stay valid lower bounds, so the traversal itself needs no
+change).  The arena has no MBRs; each kernel reads it its own way:
+
+* ``best_first`` scores the whole arena once, in insertion order
+  (``tree.delta_view()``), and merges it as one pre-sorted cursor;
+* ``pruned_scan`` masks the whole arena once, in insertion order;
+* ``gnn_batch`` scores, per group, only the arena points inside the
+  group's x-interval: the x-sorted arena columns
+  (``tree.arena_columns()``) are sliced by two ``np.searchsorted``
+  calls per wave, and no point outside a slice can beat the group's
+  bound.
+
+Arena points are scored with the exact same float operations as their
+packed counterparts, so delta-state answers are bit-identical to a
+fresh-rebuilt index.  When the view reports no deltas the kernels run
+their original slice-based fast paths untouched.
 
 Aggregates fold the member axis: a group's per-member distances are
 combined by :func:`fold` — ``op(op(d0, d1), d2) ...``, one elementwise
@@ -213,13 +223,13 @@ def best_first(tree, node_bound: BoundFn, point_score: ScoreFn) -> Iterator[tupl
 
 
 def _scorers(tree, U: np.ndarray, agg: str):
-    """Build the five scoring closures ``gnn_batch`` traverses with.
+    """Build the four scoring closures ``gnn_batch`` traverses with.
 
     ``block_*`` score a per-group gathered block of node ids / point
     ids shaped ``(g, cap)``; ``pair_*`` score flat (group, node/point)
-    pair arrays, where ``gidx`` maps each row to its group;
-    ``buffer_points`` scores the arena's ``(nb, 2)`` point array
-    against every group at once, shape ``(g, nb)``.  The packed
+    pair arrays, where ``gidx`` maps each row to its group.
+    ``pair_points`` takes the pairs' gathered point coordinates, so
+    packed and arena points go through the one scorer.  The packed
     closures gather from the level/point *column* arrays (contiguous
     1-D), which beats row gathers of the packed 2-D layouts.  Per-member
     offsets are laid out member axis first, ``(m, ...)``, and folded
@@ -231,9 +241,9 @@ def _scorers(tree, U: np.ndarray, agg: str):
     bit-identical distances to its scalar equivalent (the
     batched-service equivalence suite relies on this); MAX scores stay
     in squared space on both paths and take one correctly-rounded
-    square root at the end, which is likewise bit-identical.
-    ``buffer_points`` repeats the packed point float ops verbatim, so
-    arena and packed copies of the same point always score identically.
+    square root at the end, which is likewise bit-identical.  Every
+    point scorer computes ``x_p - u_x`` per element, so arena and
+    packed copies of the same point always score identically.
     """
     squared = agg == "max"  # max is monotone under squaring; sum is not
     xs, ys = tree.point_columns()
@@ -265,13 +275,40 @@ def _scorers(tree, U: np.ndarray, agg: str):
         gy = qy[:, gidx]
         return aggregate(gap(gx, lo_x[nid], hi_x[nid]), gap(gy, lo_y[nid], hi_y[nid]))
 
-    def pair_points(nid: np.ndarray, gidx: np.ndarray) -> np.ndarray:
-        return aggregate(xs[nid] - qx[:, gidx], ys[nid] - qy[:, gidx])
+    def pair_points(px: np.ndarray, py: np.ndarray, gidx: np.ndarray) -> np.ndarray:
+        return aggregate(px - qx[:, gidx], py - qy[:, gidx])
 
-    def buffer_points(bpts: np.ndarray) -> np.ndarray:
-        return aggregate(bpts[:, 0] - ux3, bpts[:, 1] - uy3)  # (m, g, nb) folded
+    return block_bounds, block_points, pair_bounds, pair_points
 
-    return block_bounds, block_points, pair_bounds, pair_points, buffer_points
+
+# Relative pad of an arena x-interval's half-width: 2**12 ulps of the
+# half-width plus the coordinates it is measured from.  A point's score
+# carries a few roundings of each size, so no point scoring <= bound
+# falls outside the padded interval; a wider one only admits points
+# that the exact ``<= bound`` filter then drops.
+_INTERVAL_PAD = 2.0**-40
+
+
+def _arena_window(
+    axs: np.ndarray, U: np.ndarray, bound: np.ndarray, squared: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per group, the ``(first, count)`` slice of the x-sorted arena
+    columns ``axs`` that can hold a point scoring ``<= bound``.
+
+    A point scoring ``<= bound`` is within ``R`` of every member along
+    x — ``R = sqrt(bound)`` for MAX (scored squared), ``bound``
+    for SUM (a sum of non-negative distances bounds each term) — so it
+    lies in ``[max_i u_i.x - R, min_i u_i.x + R]``.  An infinite bound
+    selects the whole arena.
+    """
+    ux = U[:, :, 0].T  # (m, g)
+    ux_lo = fold(np.minimum, ux)
+    ux_hi = fold(np.maximum, ux)
+    r = np.sqrt(bound) if squared else bound
+    r = r + (r + np.maximum(np.abs(ux_lo), np.abs(ux_hi))) * _INTERVAL_PAD
+    first = np.searchsorted(axs, ux_hi - r, side="left")
+    last = np.searchsorted(axs, ux_lo + r, side="right")
+    return first, np.maximum(last - first, 0)
 
 
 def gnn_batch(
@@ -283,45 +320,49 @@ def gnn_batch(
     (1) greedy batched descent from the root, each group following its
     minimum-lower-bound child, lands every group on its most promising
     *seed leaf*; (2) the k-th best aggregate distance over the seed
-    leaf's live points plus the whole arena upper-bounds the true k-th
-    best; (3) a frontier of (group, node) pairs descends the tree,
-    dropping every pair whose lower bound exceeds the group's bound,
-    and the surviving leaves' live points — joined by the arena points
-    under the bound — are scored and segment-selected to the top k per
-    group.  All three phases cost a constant number of NumPy calls per
-    tree level, independent of g.
+    leaf's live points upper-bounds the true k-th best (a seed leaf
+    with fewer than k live points gives the bound +inf); (3) a
+    frontier of (group, node) pairs descends the tree, dropping every
+    pair whose lower bound exceeds the group's bound, and the surviving
+    leaves' live points — joined by the arena points inside each
+    group's x-interval (:func:`_arena_window`) — are scored, filtered
+    by the bound and segment-selected to the top k per group.  All
+    three phases cost a constant number of NumPy calls per tree level,
+    independent of g.
 
     Every (group, node) and (group, point) pair is scored at most once.
     Phase (3) starts from the (g, fanout) block phase (1) already scored
     for the root's children, not from the root: it keeps the pairs under
     the bound and scores only the levels below them.  Up to fanout²
     packed points the root's children are the leaves, so phase (3)
-    scores no node at all.  The seed leaf's points and the arena's,
-    scored in phase (2), join the candidates from there; phase (3)
-    scores only the other surviving leaves' points.  In a one-leaf tree
-    the seed leaf is the whole packing, so phase (3) scores nothing.
+    scores no node at all.  The seed leaf's points, scored in phase
+    (2), join the candidates from there; phase (3) scores only the
+    other surviving leaves' points and the arena slices.  In a one-leaf
+    tree the seed leaf is the whole packing, so phase (3) scores only
+    the arena.
 
     Results are ordered by ``(score, id)``: exact ties go to the lower
     point id, as in ``best_first``.  Returns ``(scores, ids)`` of shape
-    ``(g, k)``, or None when a precondition fails (no packed tree, or
-    some group's candidate pool is thinner than k); the caller falls
-    back to the incremental search, which handles every delta state.
+    ``(g, k)``, or None when ``k <= 0``, ``k`` exceeds the live size or
+    nothing is packed (every point still in the arena); the caller
+    then falls back to the incremental search.
     """
     levels = tree._levels
     if not levels or k <= 0 or k > len(tree):
         return None
-    alive, buf_pts, buf_ids = tree.delta_view()
+    alive, _, _ = tree.delta_view()
+    arena = tree.arena_columns()
+    xs, ys = tree.point_columns()
     leaf = levels[0]
     g = U.shape[0]
-    block_bounds, block_points, pair_bounds, pair_points, buffer_points = _scorers(
-        tree, U, agg
-    )
+    block_bounds, block_points, pair_bounds, pair_points = _scorers(tree, U, agg)
 
     # (1) greedy descent: per group, repeatedly step into the child
     # with the smallest aggregate lower bound.  Each level scores one
     # (g, fanout) block; the landing leaf is a good (not necessarily
     # optimal) source for the pruning bound.  The first block (the
-    # root's children, shared by every group) is kept for phase (3).
+    # root's children, shared by every group, so no column is padding)
+    # is kept for phase (3).
     seed = np.zeros(g, dtype=np.int64)
     top_sc = None
     for level in range(len(levels) - 1, 0, -1):
@@ -338,36 +379,32 @@ def gnn_batch(
             top_sc = sc
         seed = cidx[np.arange(g), sc.argmin(axis=1)]
 
-    # (2) k-th best aggregate distance over each group's candidate
-    # pool: the seed leaf's live points plus the whole arena (arena
-    # points are never pruned, so they always belong in the pool).
+    # (2) k-th best aggregate distance over each group's seed leaf's
+    # live points.  Padding and tombstoned slots score +inf, so a seed
+    # leaf with fewer than k live points gives the bound +inf: that
+    # group's frontier then keeps every node and its arena interval
+    # every point.
     seed_count = leaf.count[seed]
     cap = int(seed_count.max())
     col = np.arange(cap)
     pidx = leaf.start[seed][:, None] + col[None, :]
-    valid = col[None, :] < seed_count[:, None]
-    safe = np.where(valid, pidx, 0)
-    pa = np.where(valid, block_points(safe), np.inf)
+    live = col[None, :] < seed_count[:, None]
+    safe = np.where(live, pidx, 0)
     if alive is not None:
-        pa = np.where(valid & alive[safe], pa, np.inf)
-    bsc = None
-    if buf_pts is not None:
-        bsc = buffer_points(buf_pts)  # (g, nb)
-        pool = np.concatenate([pa, bsc], axis=1)
+        live &= alive[safe]
+    pa = np.where(live, block_points(safe), np.inf)
+    if cap < k:
+        bound = np.full(g, np.inf)
     else:
-        pool = pa
-    if pool.shape[1] < k or (np.isfinite(pool).sum(axis=1) < k).any():
-        return None
-    bound = np.partition(pool, k - 1, axis=1)[:, k - 1]  # (g,)
+        bound = np.partition(pa, k - 1, axis=1)[:, k - 1]  # (g,)
 
     # (3) bounded frontier descent: (group, node) pairs, pruned per
-    # level.  The seed path always survives (ancestor bounds only
-    # shrink down the path), so every group keeps >= k candidates:
-    # each pool point under the bound is either an arena point (never
-    # pruned) or a live packed point whose ancestors' bounds are <=
-    # its own score <= the bound.  The seed leaf's points and the
-    # arena's were scored in (2); they join the candidates from there.
-    in_seed = pa <= bound[:, None]
+    # level.  A point scoring <= bound is never pruned (its ancestors'
+    # bounds are <= its own score), and the bound is the k-th best of
+    # live points or +inf, so every group keeps >= k candidates.  The
+    # seed leaf's points were scored in (2); they join the candidates
+    # from there.
+    in_seed = live & (pa <= bound[:, None])
     gs, cs = np.nonzero(in_seed)
     gids, nids, scs = [gs], [pidx[gs, cs]], [pa[in_seed]]
     if top_sc is not None:  # else one leaf holds every packed point
@@ -392,17 +429,21 @@ def gnn_batch(
             keep = alive[nid]
             gid = gid[keep]
             nid = nid[keep]
-        sc = pair_points(nid, gid)
+        sc = pair_points(xs[nid], ys[nid], gid)
         sel = sc <= bound[gid]  # drop losers before the sort
         gids.append(gid[sel])
         nids.append(nid[sel])
         scs.append(sc[sel])
-    if bsc is not None:
-        inb = bsc <= bound[:, None]  # (g, nb)
-        gb, jb = np.nonzero(inb)
-        gids.append(gb)
-        nids.append(buf_ids[jb])
-        scs.append(bsc[inb])
+    if arena is not None:
+        axs, ays, aids = arena
+        first, counts = _arena_window(axs, U, bound, agg == "max")
+        gid = np.repeat(np.arange(g), counts)
+        aidx = expand_ranges(first, counts)
+        sc = pair_points(axs[aidx], ays[aidx], gid)
+        sel = sc <= bound[gid]
+        gids.append(gid[sel])
+        nids.append(aids[aidx[sel]])
+        scs.append(sc[sel])
     gid = np.concatenate(gids)
     nid = np.concatenate(nids)
     sc = np.concatenate(scs)

@@ -84,6 +84,9 @@ class NetworkTileRegion:
             (d0, space.node_distances(node)) for node, d0 in space.anchors(anchor)
         ]
         self.r_up = 0.0
+        # Bumped by every :meth:`add`; the verifiers' per-competitor
+        # memos are valid for one version.
+        self.version = 0
 
     def intervals(self) -> list[EdgeInterval]:
         out = []
@@ -137,6 +140,7 @@ class NetworkTileRegion:
             else:
                 merged.append((s_lo, s_hi))
         self._intervals[(u, v)] = merged
+        self.version += 1
         # Maintain r_up: the anchor's max distance into the region.
         du = self._anchor_dist_to_node(u)
         dv = self._anchor_dist_to_node(v)
@@ -309,11 +313,18 @@ def _interval_min_dist_diff(
 
 
 class _IntervalMaxVerifier(MaxVerifier):
-    """Core's exact MAX verification, with edge intervals as units."""
+    """Core's exact MAX verification, with edge intervals as units.
+
+    A user's pairs against one competitor are memoized per region
+    version: merged spans are not append-only, so core's watermark memo
+    cannot apply, but a region is unchanged while the other users grow.
+    """
 
     def __init__(self, space: NetworkSpace, rows: dict, po: Hashable):
         super().__init__(po, "exact")
         self.space, self.rows = space, rows
+        # (user_idx, p) -> (region version, pairs)
+        self._version_memo: dict[tuple[int, Hashable], tuple[int, list[tuple[float, float]]]] = {}
 
     def _unit_pair(self, s: EdgeInterval, p: Hashable) -> tuple[float, float]:
         return (
@@ -324,20 +335,28 @@ class _IntervalMaxVerifier(MaxVerifier):
     def _pairs(
         self, region: NetworkTileRegion, user_idx: int, p: Hashable
     ) -> list[tuple[float, float]]:
-        intervals = region.intervals()
-        if not intervals:
-            return [
-                (region._anchor_dist_to_node(self.po), region._anchor_dist_to_node(p))
-            ]
-        return [self._unit_pair(iv, p) for iv in intervals]
+        version, pairs = self._version_memo.get((user_idx, p), (-1, []))
+        if version != region.version:
+            intervals = region.intervals()
+            if intervals:
+                pairs = [self._unit_pair(iv, p) for iv in intervals]
+            else:
+                anchor_dist = region._anchor_dist_to_node
+                pairs = [(anchor_dist(self.po), anchor_dist(p))]
+            self._version_memo[(user_idx, p)] = (region.version, pairs)
+        return pairs
 
 
 class _IntervalSumVerifier(SumVerifier):
-    """Core's Sum-GT-Verify, with edge intervals as units."""
+    """Core's Sum-GT-Verify, with edge intervals as units; a user's
+    minimum against one competitor is memoized per region version, as
+    in :class:`_IntervalMaxVerifier`."""
 
     def __init__(self, space: NetworkSpace, rows: dict, po: Hashable):
         super().__init__(po)
         self.space, self.rows = space, rows
+        # (user_idx, p) -> (region version, min F)
+        self._version_memo: dict[tuple[int, Hashable], tuple[int, float]] = {}
 
     def _unit_min_f(self, s: EdgeInterval, p: Hashable) -> float:
         return _interval_min_dist_diff(self.space, self.rows[p], self.rows[self.po], s)
@@ -345,11 +364,16 @@ class _IntervalSumVerifier(SumVerifier):
     def _user_min_f(
         self, region: NetworkTileRegion, user_idx: int, p: Hashable
     ) -> float:
-        intervals = region.intervals()
-        if not intervals:
-            anchor_dist = region._anchor_dist_to_node
-            return anchor_dist(p) - anchor_dist(self.po)
-        return min(self._unit_min_f(iv, p) for iv in intervals)
+        version, value = self._version_memo.get((user_idx, p), (-1, 0.0))
+        if version != region.version:
+            intervals = region.intervals()
+            if intervals:
+                value = min(self._unit_min_f(iv, p) for iv in intervals)
+            else:
+                anchor_dist = region._anchor_dist_to_node
+                value = anchor_dist(p) - anchor_dist(self.po)
+            self._version_memo[(user_idx, p)] = (region.version, value)
+        return value
 
 
 class EdgeFrontier:

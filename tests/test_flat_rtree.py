@@ -2,6 +2,7 @@
 delete, k-NN (the one-user GNN) and the candidate scans against brute
 force."""
 
+import math
 import random
 
 import numpy as np
@@ -495,3 +496,194 @@ class TestGnnKernelReferee:
         assert [key(r) for r in tree.gnn_many(groups, 3, "sum")] == [
             key(tree.gnn(g, 3, "sum")) for g in groups
         ]
+
+
+def _arena_tree(n, fanout, offset=0.0, seed=0):
+    """``n`` uniform POIs in ``[offset, offset + 1000]²``, packed with
+    every later delta kept in place (no automatic repack)."""
+    rng = random.Random(seed)
+    pts = [
+        Point(offset + rng.uniform(0, 1000), offset + rng.uniform(0, 1000))
+        for _ in range(n)
+    ]
+    tree = FlatRTree.bulk_load(pts, max_entries=fanout, delta_fraction=1e9)
+    return rng, tree, dict(enumerate(pts))
+
+
+def _add_to_arena(tree, live, points):
+    first = max(live) + 1
+    adds = [(p, first + j) for j, p in enumerate(points)]
+    tree.bulk_update(adds=adds)
+    live.update({payload: p for p, payload in adds})
+
+
+def _assert_kernel_rows(tree, live, groups, aggs=(Aggregate.MAX, Aggregate.SUM), ks=(1, 2, 9)):
+    """The batched kernel answers the wave itself, and its rows equal
+    the best-first search's bit for bit and the exhaustive scan's."""
+    locs = list(live.values())
+    key = lambda row: [(s, e.point, e.payload) for s, e in row]
+    U = np.asarray([[[u.x, u.y] for u in g] for g in groups])
+    for agg in aggs:
+        deep = [key(tree.gnn(group, max(ks), agg.value)) for group in groups]
+        for k in ks:
+            assert kernels.gnn_batch(tree, U, k, agg.value) is not None
+            rows = tree.gnn_many(groups, k, agg.value)
+            assert [key(r) for r in rows] == [d[:k] for d in deep]
+        for group, row in zip(groups, deep):
+            brute = brute_force_gnn(locs, group, max(ks), agg)
+            assert [s for s, _, _ in row] == pytest.approx(
+                [s for s, _ in brute], rel=1e-12
+            )
+
+
+def _kth_packed(pts, group, k, agg):
+    """The k-th best packed score of ``group`` in the kernel's own
+    float ops (squared for MAX), and the packed ids by rank."""
+    P = np.asarray([[p.x, p.y] for p in pts])
+    dx = [P[:, 0] - u.x for u in group]
+    dy = [P[:, 1] - u.y for u in group]
+    if agg is Aggregate.MAX:
+        sc = kernels.fold(np.maximum, [a * a + b * b for a, b in zip(dx, dy)])
+    else:
+        sc = kernels.fold(np.add, [np.hypot(a, b) for a, b in zip(dx, dy)])
+    order = np.lexsort((np.arange(len(P)), sc))
+    return float(sc[order[k - 1]]), order
+
+
+class TestArenaInterval:
+    """The batched kernel scores, per group, only the arena points
+    inside ``[max_i u_i.x - R, min_i u_i.x + R]`` (R from the seed
+    leaf's bound).  Every case holds its rows to the best-first search
+    (which scores the whole arena) and to the exhaustive scan."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7, 1e9])
+    @pytest.mark.parametrize("fanout,n", [(64, 40), (8, 400)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_points_on_the_interval_edges(self, m, fanout, n, offset):
+        """Arena points exactly on the edges of the interval of each
+        group's true packed k-th score, and one ulp either side.  With a
+        one-leaf packing that interval is the kernel's own; at offsets
+        1e7 / 1e9 one coordinate ulp is 2e-9 / 1.2e-7."""
+        for agg in (Aggregate.MAX, Aggregate.SUM):
+            for k in (1, 2, 9):
+                rng, tree, live = _arena_tree(n, fanout, offset, seed=17 * m + n)
+                pts = list(live.values())
+                groups, edges = [], []
+                for j in range(6):  # members share y: edge points differ in x alone
+                    x0 = offset + rng.uniform(100, 850)
+                    y = offset + rng.uniform(0, 1000)
+                    group = [Point(x0 + 20.0 * i, y) for i in range(m)]
+                    kth, _ = _kth_packed(pts, group, k, agg)
+                    r = math.sqrt(kth) if agg is Aggregate.MAX else kth
+                    for x in (max(u.x for u in group) - r, min(u.x for u in group) + r):
+                        for e in (x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)):
+                            edges.append(Point(float(e), y))
+                    groups.append(group)
+                _add_to_arena(tree, live, edges)
+                _assert_kernel_rows(tree, live, groups, aggs=(agg,), ks=(k,))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_arena_copy_ties_packed_copy_at_kth_place(self, m):
+        """An arena copy of each group's k-th packed point ties it at the
+        k-th place (the packed copy's lower id wins); a copy of the
+        (k-1)-th takes the k-th place from it."""
+        for agg in (Aggregate.MAX, Aggregate.SUM):
+            for k in (1, 2, 9):
+                rng, tree, live = _arena_tree(600, 8, seed=5 * m + k)
+                pts = list(live.values())
+                groups = [
+                    [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(m)]
+                    for _ in range(8)
+                ]
+                copies = []
+                for j, group in enumerate(groups):
+                    _, order = _kth_packed(pts, group, k, agg)
+                    rank = k - 1 if j % 2 or k == 1 else k - 2
+                    copies.append(pts[order[rank]])
+                _add_to_arena(tree, live, copies)
+                _assert_kernel_rows(tree, live, groups, aggs=(agg,), ks=(k,))
+
+    @pytest.mark.parametrize("offset", [1e7, 1e9])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_large_coordinate_offsets(self, m, offset):
+        rng, tree, live = _arena_tree(900, 16, offset, seed=m)
+        pts = list(live.values())
+        arena = [
+            rng.choice(pts) if j % 4 == 0 else
+            Point(offset + rng.uniform(0, 1000), offset + rng.uniform(0, 1000))
+            for j in range(120)
+        ]
+        _add_to_arena(tree, live, arena)
+        locs = list(live.values())
+        groups = [
+            [rng.choice(locs) for _ in range(m)] if j % 2 else
+            [Point(offset + rng.uniform(0, 1000), offset + rng.uniform(0, 1000))
+             for _ in range(m)]
+            for j in range(10)
+        ]
+        _assert_kernel_rows(tree, live, groups)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_arena_larger_than_packing(self, m):
+        rng, tree, live = _arena_tree(50, 8, seed=40 + m)
+        pts = list(live.values())
+        arena = [
+            rng.choice(pts) if j % 5 == 0 else
+            Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+            for j in range(400)
+        ]
+        arena += arena[::7]  # arena copies of arena points: equal x in the sort
+        _add_to_arena(tree, live, arena)
+        locs = list(live.values())
+        groups = [
+            [rng.choice(locs) for _ in range(m)] if j % 2 else
+            [Point(rng.uniform(-50, 1050), rng.uniform(-50, 1050)) for _ in range(m)]
+            for j in range(12)
+        ]
+        _assert_kernel_rows(tree, live, groups)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_leaf_packing_with_arena(self, m):
+        rng, tree, live = _arena_tree(30, 64, seed=60 + m)
+        assert len(tree._levels) == 1
+        _add_to_arena(
+            tree, live, [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(45)]
+        )
+        locs = list(live.values())
+        groups = [
+            [rng.choice(locs) if j % 2 else Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
+             for _ in range(m)]
+            for j in range(8)
+        ]
+        _assert_kernel_rows(tree, live, groups)
+
+    @pytest.mark.parametrize("with_arena", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_fully_tombstoned_seed_leaf(self, m, with_arena):
+        """Every leaf left of x = 800 is fully tombstoned, so groups there
+        seed on a dead leaf: the bound is +inf and the kernel still
+        answers (it used to decline when the pool, with an arena smaller
+        than k, was thinner than k)."""
+        rng, tree, live = _arena_tree(400, 8, seed=80 + m)
+        leaf = tree._levels[0]
+        dead = [
+            i
+            for j in range(len(leaf))
+            if leaf.bounds[j, 0] < 800
+            for i in range(int(leaf.start[j]), int(leaf.start[j] + leaf.count[j]))
+        ]
+        entries = tree._materialized()
+        removes = [(entries[i].point, entries[i].payload) for i in dead]
+        tree.bulk_update(removes=removes)
+        for _, payload in removes:
+            del live[payload]
+        assert len(live) >= 9
+        if with_arena:  # fewer arena points than k = 9
+            _add_to_arena(
+                tree, live, [Point(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(4)]
+            )
+        groups = [
+            [Point(rng.uniform(0, 400), rng.uniform(0, 1000)) for _ in range(m)]
+            for _ in range(8)
+        ]
+        _assert_kernel_rows(tree, live, groups)
